@@ -277,8 +277,9 @@ def _inner_stage_whole(scheme: ConcatScheme, s: StateVector,
     probs = register_probabilities(unencoded, ancillas)
     if int(np.argmax(probs)) != 0 or probs[0] <= DETERMINISM_BOUND:
         raise DecodeError(
-            "inner unencoding left the ancilla register excited; "
-            "undeclared damage present")
+            "inner unencoding left the ancilla register excited "
+            f"(all-zero probability {probs[0]:.12g} <= bound "
+            f"{DETERMINISM_BOUND:.12g}); undeclared damage present")
     return project_register(unencoded, ancillas, (0,) * n_in)
 
 
@@ -321,8 +322,9 @@ def _inner_stage_blocks(scheme: ConcatScheme, s: StateVector,
     probs = register_probabilities(state, zero_addrs)
     if int(np.argmax(probs)) != 0 or probs[0] <= DETERMINISM_BOUND:
         raise DecodeError(
-            "inner unencoding left padding or ancilla qubits excited; "
-            "undeclared damage present")
+            "inner unencoding left padding or ancilla qubits excited "
+            f"(all-zero probability {probs[0]:.12g} <= bound "
+            f"{DETERMINISM_BOUND:.12g}); undeclared damage present")
     state = project_register(state, zero_addrs, (0,) * len(zero_addrs))
 
     if erased_block is None:

@@ -19,6 +19,7 @@ notation, where the rightmost factor acts first, is available from
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import List, Tuple, Union
@@ -26,12 +27,10 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .statevec import (
+    QUBIT_KERNELS,
     StateVector,
-    apply_cnot,
-    apply_controlled_z,
-    apply_hadamard,
     apply_single_qudit,
-    apply_toffoli,
+    check_qubit_gate,
     split_factor,
 )
 
@@ -204,20 +203,26 @@ class GateProgram:
         return frozenset(q for gate in self.gates for q in gate.qubits)
 
     def apply(self, s: StateVector, offset: int = 0) -> StateVector:
-        """Run the program; offset shifts every address by a block base."""
-        out = s
-        for gate in self.gates:
-            qs = tuple(q + offset for q in gate.qubits)
-            if gate.kind == "H":
-                out = apply_hadamard(out, qs[0])
-            elif gate.kind == "CX":
-                out = apply_cnot(out, qs[0], qs[1])
-            elif gate.kind == "CCX":
-                out = apply_toffoli(out, qs[0], qs[1], qs[2])
-            else:
-                out = apply_controlled_z(out, qs[0], qs[1])
-        return out
+        """Run the program; offset shifts every address by a block base.
 
+        Every gate is checked before any amplitude is written, then all
+        of them run in place on one copy of the input, which stays
+        untouched.
+
+        Raises:
+            StateError: if s is not a qubit register or a shifted
+                address falls outside it.
+        """
+        placed = [(gate.kind, tuple(q + offset for q in gate.qubits))
+                  for gate in self.gates]
+        for kind, qs in placed:
+            check_qubit_gate(s, kind, qs)
+        amplitudes = s.amplitudes.copy()
+        for kind, qs in placed:
+            QUBIT_KERNELS[kind](amplitudes, s.n, qs)
+        return StateVector(p=s.p, n=s.n, amplitudes=amplitudes)
+
+    @functools.lru_cache(maxsize=64)
     def inverse(self) -> "GateProgram":
         """Reversed program; valid because every gate kind is an involution."""
         return GateProgram(gates=tuple(reversed(self.gates)), half=self.half)
@@ -263,6 +268,7 @@ class GateProgram:
 # Program builders
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_encoder(n: int) -> GateProgram:
     """The encoding program for an n-message-qubit block.
 
@@ -282,6 +288,7 @@ def build_encoder(n: int) -> GateProgram:
     return GateProgram(gates=tuple(gates), half=n)
 
 
+@functools.lru_cache(maxsize=None)
 def build_decoder(n: int, pos: ErasurePosition) -> GateProgram:
     """The decoding program for an erasure at pos.
 
@@ -322,6 +329,7 @@ def _message_side_recovery(n: int, j: int) -> List[Gate]:
     return gates
 
 
+@functools.lru_cache(maxsize=None)
 def build_recovery(n: int, pos: ErasurePosition) -> GateProgram:
     """The recovery program for an erasure at pos.
 
@@ -351,7 +359,12 @@ def resolve_corruption(corruption: Union[None, str, np.ndarray]) -> np.ndarray:
     """Turn a corruption descriptor into a 2 x 2 operator.
 
     None and "I" mean no disturbance; "X", "Y", "Z" name the Pauli
-    matrices; anything else must already be a 2 x 2 array.
+    matrices; anything else must already be a 2 x 2 array of finite
+    entries.
+
+    Raises:
+        GhzError: on an unknown label, a wrong shape, or a NaN or
+            infinite entry.
     """
     if corruption is None:
         return PAULI_MATRICES["I"]
@@ -362,6 +375,8 @@ def resolve_corruption(corruption: Union[None, str, np.ndarray]) -> np.ndarray:
     matrix = np.asarray(corruption, dtype=np.complex128)
     if matrix.shape != (2, 2):
         raise GhzError(f"corruption operator shape {matrix.shape} != (2, 2)")
+    if not np.all(np.isfinite(matrix)):
+        raise GhzError("corruption operator has non-finite entries")
     return matrix
 
 

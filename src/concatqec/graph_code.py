@@ -140,7 +140,8 @@ class LogicalState:
     Attributes:
         p: qudit dimension.
         coefficients: complex array of length p**k; normalized at
-            construction, so the zero vector is rejected.
+            construction, so the zero vector and non-finite entries are
+            rejected.
     """
 
     p: int
@@ -156,6 +157,8 @@ class LogicalState:
             raise CodeError(
                 f"coefficient count {self.coefficients.size} is not a power of {self.p}"
             )
+        if not np.all(np.isfinite(self.coefficients)):
+            raise CodeError("coefficients must be finite")
         norm = np.linalg.norm(self.coefficients)
         if norm < 1e-14:
             raise CodeError("logical state must be nonzero")
@@ -517,7 +520,8 @@ def decode(g: CodeGraph, corrupted: StateVector) -> Tuple[FpVector, StateVector]
     if probs[top] <= DETERMINISM_BOUND:
         raise DecodeError(
             "uncorrectable or multi-error input: syndrome measurement is "
-            "not deterministic")
+            f"not deterministic (top probability {probs[top]:.12g} <= "
+            f"bound {DETERMINISM_BOUND:.12g})")
     digits = index_to_digits(top, g.p, g.m)
     residual = project_register(decoded, syn_addrs, digits)
     return FpVector(entries=digits, p=g.p), residual

@@ -5,16 +5,23 @@ amplitude array of length p**n.  Address 0 is the leftmost ket factor
 and therefore the most significant base-p digit of the array index, so
 |d0 d1 ... d_{n-1}> sits at index sum(d_k * p**(n-1-k)).
 
-Gate application is matrix free.  Qubit gates walk the index space with
-bit masks; general qudit operations use stride arithmetic on a reshaped
+Gate application is matrix free and works on reshaped views, never on
+index arrays.  The qubit kernels see a register as a (2,)*n cube: a
+Hadamard combines the two slices of its axis, a controlled X (CNOT or
+Toffoli) swaps the target-0 and target-1 slabs of the control-1 slice,
+and a controlled Z negates the slice where both qubits are 1.  They
+write in place into a buffer the caller owns; on registers above 16
+qubits they walk it in 2**16-amplitude tiles so temporaries stay in
+cache.  General qudit operations use stride arithmetic on a reshaped
 view.  Every public operation returns a fresh StateVector and leaves its
 argument untouched.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -168,79 +175,125 @@ def states_close(a: StateVector, b: StateVector, tol: float = AMPLITUDE_TOL) -> 
 
 
 # ---------------------------------------------------------------------------
-# Qubit gate kernels (bit-indexed, p = 2 only)
+# Qubit gate kernels (p = 2 only)
 # ---------------------------------------------------------------------------
 
-def _require_qubits(s: StateVector, gate: str) -> None:
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# Registers above this many qubits are visited in tiles of 2**_TILE_QUBITS
+# amplitudes (1 MiB), so kernel temporaries stay small and in cache.
+_TILE_QUBITS = 16
+
+
+def _fixed_slice(cube: np.ndarray, fixed: Dict[int, int]) -> np.ndarray:
+    """View of a (2,)*m cube with the axes in ``fixed`` held at given bits.
+
+    The trailing Ellipsis keeps the result a view (0-d when every axis
+    is fixed) rather than a scalar copy.
+    """
+    index: list = [slice(None)] * cube.ndim
+    for axis, bit in fixed.items():
+        index[axis] = bit
+    return cube[(*index, Ellipsis)]
+
+
+def _tiles(amps: np.ndarray, n: int, qubits: Tuple[int, ...]
+           ) -> Iterator[Tuple[np.ndarray, Tuple[int, ...]]]:
+    """Cover a register with cube views that keep every axis a gate uses.
+
+    Each tile holds the leading untouched qubits at one setting; the
+    gate's qubits are renumbered as axes of the tile.
+    """
+    cube = amps.reshape((2,) * n)
+    if n <= _TILE_QUBITS:
+        yield cube, qubits
+        return
+    held = [q for q in range(n) if q not in qubits][:n - _TILE_QUBITS]
+    axes = tuple(q - sum(h < q for h in held) for q in qubits)
+    for bits in itertools.product((0, 1), repeat=len(held)):
+        yield _fixed_slice(cube, dict(zip(held, bits))), axes
+
+
+def _hadamard_in_place(amps: np.ndarray, n: int, qubits: Tuple[int, ...]) -> None:
+    for tile, (q,) in _tiles(amps, n, qubits):
+        a0 = _fixed_slice(tile, {q: 0})
+        a1 = _fixed_slice(tile, {q: 1})
+        total = a0 + a1
+        np.subtract(a0, a1, out=a1)
+        a1 *= _INV_SQRT2
+        np.multiply(total, _INV_SQRT2, out=a0)
+
+
+def _controlled_x_in_place(amps: np.ndarray, n: int,
+                           qubits: Tuple[int, ...]) -> None:
+    """Flip the last qubit where all the others are 1 (CX and CCX)."""
+    for tile, (*controls, target) in _tiles(amps, n, qubits):
+        fixed = dict.fromkeys(controls, 1)
+        low = _fixed_slice(tile, {**fixed, target: 0})
+        high = _fixed_slice(tile, {**fixed, target: 1})
+        saved = low.copy()
+        low[...] = high
+        high[...] = saved
+
+
+def _controlled_z_in_place(amps: np.ndarray, n: int,
+                           qubits: Tuple[int, ...]) -> None:
+    for tile, axes in _tiles(amps, n, qubits):
+        both = _fixed_slice(tile, dict.fromkeys(axes, 1))
+        np.negative(both, out=both)
+
+
+# Gate kind -> in-place kernel.  A kernel overwrites a C-contiguous
+# amplitude buffer of an n-qubit register and trusts its addresses;
+# check_qubit_gate validates them first.
+QUBIT_KERNELS: Dict[str, Callable[[np.ndarray, int, Tuple[int, ...]], None]] = {
+    "H": _hadamard_in_place,
+    "CX": _controlled_x_in_place,
+    "CCX": _controlled_x_in_place,
+    "CZ": _controlled_z_in_place,
+}
+_GATE_NAMES = {"H": "hadamard", "CX": "cnot", "CCX": "toffoli",
+               "CZ": "controlled-z"}
+
+
+def check_qubit_gate(s: StateVector, kind: str, qubits: Tuple[int, ...]) -> None:
+    """Raise StateError unless the gate ``kind`` may act on ``qubits`` of s."""
+    name = _GATE_NAMES[kind]
     if s.p != 2:
-        raise StateError(f"{gate} is defined for p = 2 registers, got p = {s.p}")
+        raise StateError(f"{name} is defined for p = 2 registers, got p = {s.p}")
+    if len(set(qubits)) != len(qubits):
+        raise StateError(f"{name} addresses must be distinct: {qubits}")
+    for q in qubits:
+        s._check_address(q)
 
 
-def _bit_mask(s: StateVector, q: int) -> int:
-    s._check_address(q)
-    return 1 << (s.n - 1 - q)
+def _apply_qubit_gate(s: StateVector, kind: str,
+                      qubits: Tuple[int, ...]) -> StateVector:
+    check_qubit_gate(s, kind, qubits)
+    out = s.amplitudes.copy()
+    QUBIT_KERNELS[kind](out, s.n, qubits)
+    return StateVector(p=2, n=s.n, amplitudes=out)
 
 
 def apply_hadamard(s: StateVector, q: int) -> StateVector:
     """Apply the Hadamard gate to qubit q."""
-    _require_qubits(s, "hadamard")
-    mask = _bit_mask(s, q)
-    idx = np.arange(s.dim)
-    lo = idx[(idx & mask) == 0]
-    hi = lo | mask
-    out = s.amplitudes.copy()
-    a0 = s.amplitudes[lo]
-    a1 = s.amplitudes[hi]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    out[lo] = (a0 + a1) * inv_sqrt2
-    out[hi] = (a0 - a1) * inv_sqrt2
-    return StateVector(p=2, n=s.n, amplitudes=out)
+    return _apply_qubit_gate(s, "H", (q,))
 
 
 def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
     """Apply CNOT with the given control and target qubits."""
-    _require_qubits(s, "cnot")
-    if control == target:
-        raise StateError("cnot control and target must differ")
-    mc = _bit_mask(s, control)
-    mt = _bit_mask(s, target)
-    idx = np.arange(s.dim)
-    lo = idx[((idx & mc) != 0) & ((idx & mt) == 0)]
-    hi = lo | mt
-    out = s.amplitudes.copy()
-    out[lo], out[hi] = s.amplitudes[hi], s.amplitudes[lo]
-    return StateVector(p=2, n=s.n, amplitudes=out)
+    return _apply_qubit_gate(s, "CX", (control, target))
 
 
 def apply_toffoli(s: StateVector, control_a: int, control_b: int,
                   target: int) -> StateVector:
     """Apply the doubly controlled NOT gate."""
-    _require_qubits(s, "toffoli")
-    if len({control_a, control_b, target}) != 3:
-        raise StateError("toffoli addresses must be pairwise distinct")
-    ma = _bit_mask(s, control_a)
-    mb = _bit_mask(s, control_b)
-    mt = _bit_mask(s, target)
-    idx = np.arange(s.dim)
-    lo = idx[((idx & ma) != 0) & ((idx & mb) != 0) & ((idx & mt) == 0)]
-    hi = lo | mt
-    out = s.amplitudes.copy()
-    out[lo], out[hi] = s.amplitudes[hi], s.amplitudes[lo]
-    return StateVector(p=2, n=s.n, amplitudes=out)
+    return _apply_qubit_gate(s, "CCX", (control_a, control_b, target))
 
 
 def apply_controlled_z(s: StateVector, control: int, target: int) -> StateVector:
     """Apply controlled-Z; symmetric in its two addresses."""
-    _require_qubits(s, "controlled-z")
-    if control == target:
-        raise StateError("controlled-z addresses must differ")
-    mc = _bit_mask(s, control)
-    mt = _bit_mask(s, target)
-    idx = np.arange(s.dim)
-    sel = idx[((idx & mc) != 0) & ((idx & mt) != 0)]
-    out = s.amplitudes.copy()
-    out[sel] = -out[sel]
-    return StateVector(p=2, n=s.n, amplitudes=out)
+    return _apply_qubit_gate(s, "CZ", (control, target))
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,34 @@ def test_undeclared_damage_is_detected():
         concat_decode(scheme, damaged, ChannelEvent())
 
 
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+def test_undeclared_damage_error_states_the_margin(blocking):
+    # A half-strength X rotation of an undeclared erasure leaves the
+    # all-zero outcome of the ancilla and padding qubits at probability
+    # 1/2, which the error quotes against the bound.
+    scheme = _scheme(blocking)
+    rotation = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    sneaky = ChannelEvent(erasure=ErasurePosition(address=0, n=scheme.inner.n),
+                          corruption=rotation)
+    physical = concat_encode(scheme, _random_logical())
+    damaged = apply_channel_damage(scheme, physical, sneaky)
+    with pytest.raises(DecodeError,
+                       match=r"probability 0\.5 <= bound 0\.999999999\)"):
+        concat_decode(scheme, damaged, ChannelEvent())
+
+
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+def test_non_finite_corruption_is_rejected_before_decoding(blocking):
+    scheme = _scheme(blocking)
+    physical = concat_encode(scheme, _random_logical())
+    for bad in (np.nan, np.inf):
+        event = ChannelEvent(
+            erasure=ErasurePosition(address=1, n=scheme.inner.n),
+            corruption=np.array([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(GhzError, match="non-finite"):
+            apply_channel_damage(scheme, physical, event)
+
+
 def test_register_size_mismatch_is_rejected():
     scheme = _scheme(WHOLE_REGISTER)
     with pytest.raises(CodeError):

@@ -26,7 +26,12 @@ from concatqec.ghz_erasure import (
     resolve_corruption,
 )
 from concatqec.statevec import (
+    StateError,
     StateVector,
+    apply_cnot,
+    apply_controlled_z,
+    apply_hadamard,
+    apply_toffoli,
     basis_state,
     fidelity_up_to_phase,
     normalize,
@@ -144,6 +149,112 @@ def test_program_rejects_addresses_outside_the_block():
 
 
 # ---------------------------------------------------------------------------
+# Programs against the dense oracle
+# ---------------------------------------------------------------------------
+
+PUBLIC_KERNELS = {
+    "H": apply_hadamard,
+    "CX": apply_cnot,
+    "CCX": apply_toffoli,
+    "CZ": apply_controlled_z,
+}
+
+
+def _dense_gate(kind, qubits, n):
+    """The 2^n matrix of one gate, built column by column from bit strings."""
+    dim = 2 ** n
+    full = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
+
+        def row(b):
+            return sum(bit << (n - 1 - q) for q, bit in enumerate(b))
+
+        if kind == "H":
+            (q,) = qubits
+            for out in (0, 1):
+                flipped = bits.copy()
+                flipped[q] = out
+                sign = -1 if bits[q] and out else 1
+                full[row(flipped), col] += sign / np.sqrt(2)
+        elif kind == "CZ":
+            full[col, col] = -1 if all(bits[q] for q in qubits) else 1
+        else:
+            flipped = bits.copy()
+            if all(bits[q] for q in qubits[:-1]):
+                flipped[qubits[-1]] ^= 1
+            full[row(flipped), col] = 1
+    return full
+
+
+@st.composite
+def _programs(draw):
+    """A random H/CX/CCX/CZ program placed at a random offset in <= 6 qubits."""
+    half = draw(st.integers(min_value=2, max_value=3))
+    n = draw(st.integers(min_value=2 * half, max_value=6))
+    offset = draw(st.integers(min_value=0, max_value=n - 2 * half))
+    arity = {"H": 1, "CX": 2, "CCX": 3, "CZ": 2}
+    gates = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(sorted(arity)))
+        qubits = draw(st.permutations(range(2 * half)))[:arity[kind]]
+        gates.append(Gate(kind, tuple(qubits)))
+    return GateProgram(gates=tuple(gates), half=half), n, offset
+
+
+@given(_programs(), st.integers(min_value=0, max_value=2 ** 31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_program_apply_matches_dense_oracle_and_public_kernels(case, seed):
+    prog, n, offset = case
+    s = random_state(2, n, np.random.default_rng(seed))
+    before = s.amplitudes.copy()
+
+    out = prog.apply(s, offset=offset)
+
+    dense = np.eye(2 ** n, dtype=complex)
+    gate_by_gate = s
+    for gate in prog.gates:
+        qs = tuple(q + offset for q in gate.qubits)
+        dense = _dense_gate(gate.kind, qs, n) @ dense
+        stepped = PUBLIC_KERNELS[gate.kind](gate_by_gate, *qs)
+        assert not np.shares_memory(stepped.amplitudes, gate_by_gate.amplitudes)
+        gate_by_gate = stepped
+    assert np.max(np.abs(out.amplitudes - dense @ before)) < 1e-12
+    # The public kernels share the in-place code, so the results agree
+    # to the bit, signed zeros included.
+    assert np.array_equal(out.amplitudes.view(np.uint64),
+                          gate_by_gate.amplitudes.view(np.uint64))
+    assert not np.shares_memory(out.amplitudes, s.amplitudes)
+    assert np.array_equal(s.amplitudes, before)
+
+
+def test_program_apply_validates_every_gate_before_writing():
+    # The bad address sits in the last gate, after gates that would
+    # already have changed the state.
+    prog = GateProgram(gates=(Gate("H", (0,)), Gate("CX", (0, 1)),
+                              Gate("CZ", (1, 3))), half=2)
+    s = random_state(2, 4, RNG)
+    before = s.amplitudes.copy()
+    with pytest.raises(StateError):
+        prog.apply(s, offset=1)
+    assert np.array_equal(s.amplitudes, before)
+
+    qutrits = random_state(3, 4, RNG)
+    before = qutrits.amplitudes.copy()
+    with pytest.raises(StateError):
+        prog.apply(qutrits)
+    assert np.array_equal(qutrits.amplitudes, before)
+
+
+def test_program_builders_and_inverse_are_shared():
+    pos = ErasurePosition.from_label("2'", 4)
+    assert build_encoder(4) is build_encoder(4)
+    assert build_decoder(4, pos) is build_decoder(4, ErasurePosition(5, 4))
+    assert build_recovery(4, pos) is build_recovery(4, pos)
+    assert build_encoder(4).inverse() is build_encoder(4).inverse()
+
+
+# ---------------------------------------------------------------------------
 # Operator product reproduction
 # ---------------------------------------------------------------------------
 
@@ -235,6 +346,9 @@ def test_resolve_corruption_names_and_matrices():
         resolve_corruption("Q")
     with pytest.raises(GhzError):
         resolve_corruption(np.eye(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(GhzError, match="non-finite"):
+            resolve_corruption(np.array([[bad, 0], [0, 1]]))
 
 
 def test_apply_erasure_corrupts_only_the_given_address():

@@ -140,6 +140,13 @@ def test_code_graph_requires_full_vertex_cover():
         CodeGraph(p=2, adjacency=adj, inputs=(0,), outputs=(1,), syndromes=())
 
 
+def test_logical_state_rejects_non_finite_coefficients():
+    # Normalizing by an infinite norm would silently turn inf into nan.
+    for bad in ([np.inf, 1.0], [np.nan, 1.0], [1.0, complex(0, -np.inf)]):
+        with pytest.raises(CodeError, match="finite"):
+            LogicalState(p=2, coefficients=bad)
+
+
 def test_logical_state_normalizes_and_validates():
     v = LogicalState(p=2, coefficients=[3.0, 4.0])
     assert np.allclose(np.abs(v.coefficients), [0.6, 0.8])
@@ -310,6 +317,20 @@ def test_mixed_error_inputs_are_rejected():
         p=2, n=5,
         amplitudes=(clean.amplitudes + corrupted.amplitudes) / np.sqrt(2))
     with pytest.raises(DecodeError):
+        decode(g, blended)
+
+
+def test_nondeterministic_syndrome_error_states_the_margin():
+    # An equal blend of two syndromes puts probability 1/2 on each, and
+    # the error quotes that top probability against the bound.
+    g = five_qubit_decoding_graph()
+    clean = encode(g, LogicalState(p=2, coefficients=[1.0, 0.0]))
+    corrupted = apply_pauli_error(clean, PauliError.single(2, 5, 0, b=1))
+    blended = StateVector(
+        p=2, n=5,
+        amplitudes=(clean.amplitudes + corrupted.amplitudes) / np.sqrt(2))
+    with pytest.raises(DecodeError,
+                       match=r"top probability 0\.5 <= bound 0\.999999999\)"):
         decode(g, blended)
 
 
