@@ -15,7 +15,7 @@ from .concat import (
     concat_encode,
     effective_channel,
 )
-from .fp_linalg import FpMatrix, FpScalar, FpVector
+from .fp_linalg import FpMatrix, FpVector
 from .ghz_erasure import (
     ErasurePosition,
     GateProgram,
@@ -54,7 +54,6 @@ __all__ = [
     "DecodeTrace",
     "ErasurePosition",
     "FpMatrix",
-    "FpScalar",
     "FpVector",
     "GateProgram",
     "GhzLayout",

@@ -3,24 +3,30 @@
 The outer graph code turns logical content into an n-qubit codeword
 that corrects computational errors through syndrome decoding.  The
 inner GHZ code wraps codeword qubits with entangled ancillas so that a
-lost qubit at a known position can be regenerated.  Two blockings are
-supported:
+lost qubit at a known position can be regenerated.
 
-* ``whole-register``: the full outer codeword forms the message half of
-  a single inner block (n message plus n ancilla qubits).
-* ``per-qubit``: every outer qubit gets its own inner block, padded
-  with zeroed message qubits up to the inner block size.
+The two layers meet through one block assignment: each inner block
+carries a run of codeword qubits at message addresses 0..c-1, and any
+message qubit it does not need is padding held at |0>.  The blocking
+names an instance of it:
 
-Decoding undoes the inner layer first (erasure recovery when a position
-is flagged, plain unencoding otherwise), then applies any computational
-error carried by the channel event to the surviving codeword, and
-finally runs outer syndrome decoding plus table lookup correction.
+* ``whole-register``: one block carries all n codeword qubits (inner
+  n = outer n, so there is no padding).
+* ``per-qubit``: n blocks, each carrying one codeword qubit.
+
+Encoding places the outer codeword at its block addresses and runs the
+inner encoder on every block.  Decoding undoes the inner layer block by
+block (erasure recovery on the flagged block, plain unencoding on the
+others), checks that padding and ancillas came back to |0>, applies any
+computational error carried by the channel event to the surviving
+codeword, and finally runs outer syndrome decoding plus table lookup
+correction.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -29,13 +35,11 @@ from .ghz_erasure import (
     ErasurePosition,
     GhzError,
     GhzLayout,
-    RecoveryError,
-    apply_erasure,
     build_decoder,
     build_encoder,
     build_recovery,
-    recover,
-    resolve_corruption,
+    corrupt_qubit,
+    split_recovered,
 )
 from .graph_code import (
     CodeGraph,
@@ -44,7 +48,6 @@ from .graph_code import (
     LogicalState,
     SyndromeTable,
     build_syndrome_table,
-    correct,
     decode,
     encode,
     format_error_label,
@@ -55,13 +58,11 @@ from .statevec import (
     PauliError,
     StateVector,
     apply_pauli_error,
-    apply_single_qudit,
     fidelity_up_to_phase,
     project_register,
     random_single_qubit_unitary,
     random_state,
     register_probabilities,
-    split_factor,
 )
 
 __all__ = [
@@ -147,25 +148,35 @@ class ConcatScheme:
         outer: the graph code; must be a qubit code with a decoder.
         inner: inner block layout.
         blocking: ``whole-register`` or ``per-qubit``.
+        assignment: derived from blocking; the codeword qubits each
+            inner block carries at its message addresses 0..c-1, in
+            codeword order across the register.
     """
 
     outer: CodeGraph
     inner: GhzLayout
     blocking: str = WHOLE_REGISTER
+    assignment: Tuple[Tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.blocking not in (WHOLE_REGISTER, PER_QUBIT):
-            raise CodeError(f"unknown blocking {self.blocking!r}")
         if self.outer.p != 2:
             raise CodeError("the inner code uses qubit gates; need p = 2")
-        if self.blocking == WHOLE_REGISTER and self.inner.n != self.outer.n:
-            raise CodeError(
-                f"whole-register blocking needs inner n = outer |Y|; "
-                f"got {self.inner.n} vs {self.outer.n}")
+        if self.blocking == WHOLE_REGISTER:
+            if self.inner.n != self.outer.n:
+                raise CodeError(
+                    f"whole-register blocking needs inner n = outer |Y|; "
+                    f"got {self.inner.n} vs {self.outer.n}")
+            assignment = (tuple(range(self.outer.n)),)
+        elif self.blocking == PER_QUBIT:
+            assignment = tuple((q,) for q in range(self.outer.n))
+        else:
+            raise CodeError(f"unknown blocking {self.blocking!r}")
+        object.__setattr__(self, "assignment", assignment)
 
     @property
     def blocks(self) -> int:
-        return 1 if self.blocking == WHOLE_REGISTER else self.outer.n
+        return len(self.assignment)
 
     @property
     def total_qubits(self) -> int:
@@ -203,38 +214,51 @@ def concat_encode(scheme: ConcatScheme, v: LogicalState) -> StateVector:
     """Encode logical content through both layers.
 
     Returns:
-        The physical register: 2n qubits for whole-register blocking,
-        outer_n * 2 * inner_n qubits for per-qubit blocking.
+        The physical register of scheme.total_qubits qubits: 2n for
+        whole-register blocking, outer_n * 2 * inner_n for per-qubit
+        blocking.
     """
     outer_state = encode(scheme.outer, v)
-    n_in = scheme.inner.n
-    if scheme.blocking == WHOLE_REGISTER:
-        padding = np.zeros(2**n_in, dtype=np.complex128)
-        padding[0] = 1.0
-        full = StateVector(p=2, n=2 * n_in,
-                           amplitudes=np.kron(outer_state.amplitudes, padding))
-        return build_encoder(n_in).apply(full)
-    total = scheme.total_qubits
-    block_span = scheme.inner.total
-    shifts = np.array(
-        [1 << (total - 1 - i * block_span) for i in range(scheme.outer.n)],
-        dtype=np.int64)
-    outer_digits = np.array(
-        [[(idx >> (scheme.outer.n - 1 - i)) & 1 for i in range(scheme.outer.n)]
-         for idx in range(2**scheme.outer.n)], dtype=np.int64)
-    placed = outer_digits @ shifts
+    n_out, total, span = scheme.outer.n, scheme.total_qubits, scheme.inner.total
+    outer_index = np.arange(2**n_out)
+    placed = np.zeros(2**n_out, dtype=np.int64)
+    for block, carried in enumerate(scheme.assignment):
+        for slot, q in enumerate(carried):
+            bit = (outer_index >> (n_out - 1 - q)) & 1
+            placed |= bit << (total - 1 - block * span - slot)
     amplitudes = np.zeros(2**total, dtype=np.complex128)
     amplitudes[placed] = outer_state.amplitudes
     full = StateVector(p=2, n=total, amplitudes=amplitudes)
-    encoder = build_encoder(n_in)
-    for i in range(scheme.blocks):
-        full = encoder.apply(full, offset=i * block_span)
+    encoder = build_encoder(scheme.inner.n)
+    for block in range(scheme.blocks):
+        full = encoder.apply(full, offset=block * span)
     return full
 
 
 # ---------------------------------------------------------------------------
 # Channel application
 # ---------------------------------------------------------------------------
+
+def _check_event(scheme: ConcatScheme, event: ChannelEvent) -> None:
+    """Reject side information that does not fit the scheme.
+
+    Raises:
+        GhzError: on an erasure of another block size or a block index
+            outside the scheme.
+        CodeError: on a Pauli error that is not a qubit error on the
+            outer codeword.
+    """
+    if event.erasure is not None and event.erasure.n != scheme.inner.n:
+        raise GhzError(
+            f"erasure block size {event.erasure.n} != inner {scheme.inner.n}")
+    if event.block >= scheme.blocks:
+        raise GhzError(f"block index {event.block} outside [0, {scheme.blocks})")
+    if event.pauli is not None and (event.pauli.p, event.pauli.n) != (
+            2, scheme.outer.n):
+        raise CodeError(
+            f"pauli error on ({event.pauli.p}, {event.pauli.n}) does not "
+            f"match the codeword (2, {scheme.outer.n})")
+
 
 def apply_channel_damage(scheme: ConcatScheme, s: StateVector,
                          event: ChannelEvent) -> StateVector:
@@ -243,99 +267,63 @@ def apply_channel_damage(scheme: ConcatScheme, s: StateVector,
     The computational part (event.pauli) strikes the surviving codeword
     and is injected by concat_decode after inner recovery.
     """
+    _check_event(scheme, event)
     if event.erasure is None:
         return s
-    if event.erasure.n != scheme.inner.n:
-        raise GhzError(
-            f"erasure block size {event.erasure.n} != inner {scheme.inner.n}")
-    if event.block >= scheme.blocks:
-        raise GhzError(f"block index {event.block} outside [0, {scheme.blocks})")
-    if scheme.blocking == WHOLE_REGISTER:
-        return apply_erasure(s, event.erasure, event.corruption)
     address = event.block * scheme.inner.total + event.erasure.address
-    matrix = resolve_corruption(event.corruption)
-    damaged = apply_single_qudit(s, address, matrix)
-    norm = damaged.norm()
-    if norm < 1e-12:
-        raise GhzError("corruption annihilated the state")
-    return StateVector(p=2, n=s.n, amplitudes=damaged.amplitudes / norm)
+    return corrupt_qubit(s, address, event.corruption)
 
 
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
 
-def _inner_stage_whole(scheme: ConcatScheme, s: StateVector,
-                       event: ChannelEvent) -> StateVector:
-    """Reduce the single inner block to the outer codeword register."""
-    n_in = scheme.inner.n
-    if event.erasure is not None:
-        surviving, _discard = recover(s, event.erasure)
-        return surviving
-    unencoded = build_encoder(n_in).inverse().apply(s)
-    ancillas = list(range(n_in, 2 * n_in))
-    probs = register_probabilities(unencoded, ancillas)
-    if int(np.argmax(probs)) != 0 or probs[0] <= DETERMINISM_BOUND:
-        raise DecodeError(
-            "inner unencoding left the ancilla register excited "
-            f"(all-zero probability {probs[0]:.12g} <= bound "
-            f"{DETERMINISM_BOUND:.12g}); undeclared damage present")
-    return project_register(unencoded, ancillas, (0,) * n_in)
+def _inner_stage(scheme: ConcatScheme, s: StateVector,
+                 event: ChannelEvent) -> StateVector:
+    """Reduce the inner blocks to the outer codeword register.
 
-
-def _inner_stage_blocks(scheme: ConcatScheme, s: StateVector,
-                        event: ChannelEvent) -> StateVector:
-    """Reduce per-qubit inner blocks to the outer codeword register."""
-    n_in = scheme.inner.n
-    span = scheme.inner.total
-    erased_block = event.block if event.erasure is not None else None
+    The erased block runs its decoder and recovery programs, which move
+    its content to the undamaged half; every other block runs the
+    inverse encoder.  Padding and ancilla qubits must then read |0>, and
+    the erased block's damaged half must split off as a product.
+    """
+    n_in, span = scheme.inner.n, scheme.inner.total
+    erasure = event.erasure
+    erased_block = event.block if erasure is not None else None
     state = s
-    for i in range(scheme.blocks):
-        base = i * span
-        if i == erased_block:
-            assert event.erasure is not None
-            state = build_decoder(n_in, event.erasure).apply(state, offset=base)
-            state = build_recovery(n_in, event.erasure).apply(state, offset=base)
+    outer_addrs: List[int] = []
+    zero_addrs: List[int] = []
+    discard_addrs: List[int] = []
+    for block, carried in enumerate(scheme.assignment):
+        base = block * span
+        if block == erased_block:
+            assert erasure is not None
+            state = build_decoder(n_in, erasure).apply(state, offset=base)
+            state = build_recovery(n_in, erasure).apply(state, offset=base)
+            content = base + n_in if erasure.side == "message" else base
+            discard = base if erasure.side == "message" else base + n_in
+            discard_addrs.extend(range(discard, discard + n_in))
         else:
             state = build_encoder(n_in).inverse().apply(state, offset=base)
-
-    zero_addrs: List[int] = []
-    outer_addrs: List[int] = []
-    discard_addrs: List[int] = []
-    for i in range(scheme.blocks):
-        base = i * span
-        if i == erased_block:
-            assert event.erasure is not None
-            if event.erasure.side == "message":
-                content_base = base + n_in
-                discard_addrs.extend(range(base, base + n_in))
-            else:
-                content_base = base
-                discard_addrs.extend(range(base + n_in, base + span))
-            outer_addrs.append(content_base)
-            zero_addrs.extend(range(content_base + 1, content_base + n_in))
-        else:
-            outer_addrs.append(base)
-            zero_addrs.extend(range(base + 1, base + n_in))
+            content = base
             zero_addrs.extend(range(base + n_in, base + span))
+        outer_addrs.extend(range(content, content + len(carried)))
+        zero_addrs.extend(range(content + len(carried), content + n_in))
 
-    probs = register_probabilities(state, zero_addrs)
-    if int(np.argmax(probs)) != 0 or probs[0] <= DETERMINISM_BOUND:
-        raise DecodeError(
-            "inner unencoding left padding or ancilla qubits excited "
-            f"(all-zero probability {probs[0]:.12g} <= bound "
-            f"{DETERMINISM_BOUND:.12g}); undeclared damage present")
-    state = project_register(state, zero_addrs, (0,) * len(zero_addrs))
+    if zero_addrs:
+        probs = register_probabilities(state, zero_addrs)
+        if int(np.argmax(probs)) != 0 or probs[0] <= DETERMINISM_BOUND:
+            raise DecodeError(
+                "inner unencoding left padding or ancilla qubits excited "
+                f"(all-zero probability {probs[0]:.12g} <= bound "
+                f"{DETERMINISM_BOUND:.12g}); undeclared damage present")
+        state = project_register(state, zero_addrs, (0,) * len(zero_addrs))
 
     if erased_block is None:
         return state
     remaining = sorted(outer_addrs + discard_addrs)
-    keep_positions = [remaining.index(a) for a in outer_addrs]
-    kept, _dropped, purity = split_factor(state, keep_positions)
-    if purity <= 1.0 - 1e-9:
-        raise RecoveryError(
-            "recovery failed: residual entanglement with the damaged half "
-            f"(purity {purity:.6f})")
+    kept, _dropped = split_recovered(
+        state, [remaining.index(a) for a in outer_addrs])
     return kept
 
 
@@ -351,33 +339,29 @@ def concat_decode(scheme: ConcatScheme, s: StateVector, event: ChannelEvent
         (recovered logical state, trace with syndrome and correction).
 
     Raises:
+        GhzError: when the event's erasure does not fit the scheme.
+        CodeError: when the register or the event's Pauli error does
+            not fit the scheme.
         DecodeError: when a syndrome is unreadable or unknown.
         RecoveryError: when inner recovery fails.
     """
+    _check_event(scheme, event)
     if s.p != 2 or s.n != scheme.total_qubits:
         raise CodeError(
             f"register ({s.p}, {s.n}) does not match scheme "
             f"(2, {scheme.total_qubits})")
-    if scheme.blocking == WHOLE_REGISTER:
-        codeword = _inner_stage_whole(scheme, s, event)
-    else:
-        codeword = _inner_stage_blocks(scheme, s, event)
+    codeword = _inner_stage(scheme, s, event)
     if event.pauli is not None:
         codeword = apply_pauli_error(codeword, event.pauli)
     syndrome, residual = decode(scheme.outer, codeword)
-    table = _outer_table(scheme.outer)
-    key = syndrome.entries
-    row = table.rows.get(key)
+    key = "".join(str(d) for d in syndrome.entries)
+    row = _outer_table(scheme.outer).rows.get(syndrome.entries)
     if row is None:
-        raise DecodeError(
-            f"unrecognized syndrome {''.join(str(d) for d in key)}")
-    corrected = correct(residual, syndrome, table)
+        raise DecodeError(f"unrecognized syndrome {key}")
+    corrected = apply_pauli_error(residual, row.correction)
     recovered = LogicalState(p=2, coefficients=corrected.amplitudes)
-    trace = DecodeTrace(
-        event=event.describe(),
-        syndrome="".join(str(d) for d in key),
-        correction=row.correction_label,
-    )
+    trace = DecodeTrace(event=event.describe(), syndrome=key,
+                        correction=row.correction_label)
     return recovered, trace
 
 

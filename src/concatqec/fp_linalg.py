@@ -38,24 +38,6 @@ def check_prime(p: int) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FpScalar:
-    """A single element of F_p.
-
-    Attributes:
-        value: canonical representative in [0, p).
-        p: field order, a supported prime.
-    """
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        if not 0 <= self.value < self.p:
-            raise FpError(f"scalar {self.value} outside [0, {self.p})")
-
-
-@dataclass(frozen=True)
 class FpVector:
     """A fixed-length vector over F_p.
 
@@ -294,38 +276,3 @@ def kernel_pairs(a_ix: FpMatrix, a_ie: FpMatrix) -> List[Tuple[FpVector, FpVecto
                 pairs.append((u, w))
     return pairs
 
-
-def quadratic_form(a: FpMatrix, d: FpVector) -> FpScalar:
-    """Evaluate the edge sum of a weighted adjacency matrix at a vector.
-
-    Computes sum over index pairs i < j of a[i][j] * d[i] * d[j] mod p.
-    For odd p this equals (1/2) d^T a d; the edge-sum normalization keeps
-    the value well defined at p = 2, where halving is unavailable.
-
-    Args:
-        a: square symmetric matrix with zero diagonal.
-        d: assignment vector of matching length and field.
-
-    Returns:
-        The form value as a scalar.
-
-    Raises:
-        FpError: if a is not a valid adjacency matrix or shapes mismatch.
-    """
-    if a.p != d.p:
-        raise FpError(f"field mismatch: {a.p} vs {d.p}")
-    if not a.is_square():
-        raise FpError(f"adjacency matrix must be square, got {a.rows}x{a.cols}")
-    if a.rows != len(d):
-        raise FpError(f"shape mismatch: {a.rows}x{a.cols} at length {len(d)}")
-    if not a.is_symmetric_zero_diagonal():
-        raise FpError("adjacency matrix must be symmetric with zero diagonal")
-    total = 0
-    for i in range(a.rows):
-        di = d.entries[i]
-        if di == 0:
-            continue
-        row = a.entries[i]
-        for j in range(i + 1, a.cols):
-            total += row[j] * di * d.entries[j]
-    return FpScalar(value=total % a.p, p=a.p)

@@ -22,11 +22,12 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .statevec import (
+    PURITY_BOUND,
     QUBIT_KERNELS,
     StateVector,
     apply_single_qudit,
@@ -241,28 +242,6 @@ class GateProgram:
                          + "".join(layout.label(q) for q in gate.qubits))
         return "".join(parts)
 
-    def to_text(self) -> str:
-        """Line oriented serialization: kind followed by zero-based addresses."""
-        return "\n".join(
-            " ".join([gate.kind] + [str(q) for q in gate.qubits])
-            for gate in self.gates)
-
-    @classmethod
-    def from_text(cls, text: str, half: int) -> "GateProgram":
-        """Parse the to_text serialization."""
-        gates: List[Gate] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            try:
-                qubits = tuple(int(t) for t in tokens[1:])
-            except ValueError:
-                raise GhzError(f"line {lineno}: addresses must be integers")
-            gates.append(Gate(kind=tokens[0], qubits=qubits))
-        return cls(gates=tuple(gates), half=half)
-
 
 # ---------------------------------------------------------------------------
 # Program builders
@@ -380,6 +359,23 @@ def resolve_corruption(corruption: Union[None, str, np.ndarray]) -> np.ndarray:
     return matrix
 
 
+def corrupt_qubit(s: StateVector, address: int,
+                  corruption: Union[None, str, np.ndarray]) -> StateVector:
+    """Apply a corruption to the qubit at one register address.
+
+    Projective disturbances are renormalized.
+
+    Raises:
+        GhzError: on a bad corruption or an annihilating disturbance.
+    """
+    matrix = resolve_corruption(corruption)
+    damaged = apply_single_qudit(s, address, matrix)
+    norm = damaged.norm()
+    if norm < 1e-12:
+        raise GhzError("corruption annihilated the state")
+    return StateVector(p=s.p, n=s.n, amplitudes=damaged.amplitudes / norm)
+
+
 def apply_erasure(s: StateVector, pos: ErasurePosition,
                   corruption: Union[None, str, np.ndarray] = None
                   ) -> StateVector:
@@ -399,12 +395,26 @@ def apply_erasure(s: StateVector, pos: ErasurePosition,
     """
     if s.n != 2 * pos.n:
         raise GhzError(f"register size {s.n} does not match block {pos.n}")
-    matrix = resolve_corruption(corruption)
-    damaged = apply_single_qudit(s, pos.address, matrix)
-    norm = damaged.norm()
-    if norm < 1e-12:
-        raise GhzError("corruption annihilated the state")
-    return StateVector(p=s.p, n=s.n, amplitudes=damaged.amplitudes / norm)
+    return corrupt_qubit(s, pos.address, corruption)
+
+
+def split_recovered(s: StateVector, keep: Sequence[int]
+                    ) -> Tuple[StateVector, StateVector]:
+    """Split recovered content at addresses keep off the damaged half.
+
+    Returns:
+        (kept factor, dropped factor), as from split_factor.
+
+    Raises:
+        RecoveryError: if the kept qubits stay entangled with the rest,
+            which means the damage exceeded one erasure.
+    """
+    kept, dropped, purity = split_factor(s, keep)
+    if purity <= PURITY_BOUND:
+        raise RecoveryError(
+            "recovery failed: residual entanglement with the damaged half "
+            f"(purity {purity:.12g} <= bound {PURITY_BOUND:.12g})")
+    return kept, dropped
 
 
 def recover(s: StateVector, pos: ErasurePosition
@@ -428,9 +438,4 @@ def recover(s: StateVector, pos: ErasurePosition
     layout = GhzLayout(n)
     surviving = (layout.ancilla_addresses if pos.side == "message"
                  else layout.message_addresses)
-    kept, dropped, purity = split_factor(staged, surviving)
-    if purity <= 1.0 - 1e-9:
-        raise RecoveryError(
-            "recovery failed: residual entanglement with the damaged half "
-            f"(purity {purity:.6f})")
-    return kept, dropped
+    return split_recovered(staged, surviving)

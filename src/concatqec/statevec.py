@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ AMPLITUDE_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 DETERMINISM_BOUND = 1.0 - 1e-9
+PURITY_BOUND = 1.0 - 1e-9
 
 
 class StateError(ValueError):
@@ -429,7 +430,7 @@ def apply_pauli_error(s: StateVector, e: PauliError) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Comparison, reduction, measurement
+# Comparison, reduction, projection
 # ---------------------------------------------------------------------------
 
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
@@ -500,47 +501,9 @@ def project_register(s: StateVector, qs: Sequence[int],
     return StateVector(p=s.p, n=s.n - len(addrs), amplitudes=branch / norm)
 
 
-def measure_register(s: StateVector, qs: Sequence[int],
-                     rng: Optional[np.random.Generator] = None
-                     ) -> Tuple[FpVector, StateVector]:
-    """Measure the qudits qs in the computational basis.
-
-    When one outcome carries probability above 1 - 1e-9 it is chosen
-    outright, so deterministic measurements never consume randomness.
-    Otherwise the outcome is sampled from rng; passing None falls back
-    to a generator seeded with 0 so results stay reproducible.
-
-    Returns:
-        (outcome digits for qs in the order given, collapsed state of
-        the remaining qudits).
-    """
-    addrs = list(qs)
-    probs = register_probabilities(s, addrs)
-    top = int(np.argmax(probs))
-    if probs[top] > DETERMINISM_BOUND:
-        outcome = top
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
-    digits = index_to_digits(outcome, s.p, len(addrs))
-    collapsed = project_register(s, addrs, digits)
-    return FpVector(entries=digits, p=s.p), collapsed
-
-
 # ---------------------------------------------------------------------------
-# Register rearrangement and factor extraction
+# Factor extraction
 # ---------------------------------------------------------------------------
-
-def permute_qudits(s: StateVector, order: Sequence[int]) -> StateVector:
-    """Reorder qudits so new address k holds old address order[k]."""
-    perm = list(order)
-    if sorted(perm) != list(range(s.n)):
-        raise StateError(f"{perm} is not a permutation of 0..{s.n - 1}")
-    cube = s.amplitudes.reshape((s.p,) * s.n)
-    return StateVector(p=s.p, n=s.n,
-                       amplitudes=np.transpose(cube, perm).reshape(-1))
-
 
 def split_factor(s: StateVector, keep: Sequence[int]
                  ) -> Tuple[StateVector, StateVector, float]:

@@ -14,6 +14,8 @@ import pytest
 from concatqec.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "syndrome_table.records"
+MONTE_CARLO_GOLDEN = (pathlib.Path(__file__).parent / "golden"
+                      / "monte_carlo.records")
 
 
 def _run(capsys, *argv):
@@ -168,6 +170,19 @@ def test_monte_carlo_output_repeats_exactly(capsys):
     third = _run(capsys, *args)
     assert first == second == third
     assert first[0] == EXIT_OK
+
+
+def test_monte_carlo_records_match_golden(capsys):
+    # The records of all three noise models at seed 11, 100 trials each,
+    # byte for byte.
+    out = ""
+    for noise in ("identity", "correctable", "two-pauli"):
+        code, text, _ = _run(capsys, "monte-carlo", "--noise", noise,
+                             "--seed", "11", "--trials", "100",
+                             "--format", "records")
+        assert code == EXIT_OK
+        out += text
+    assert out == MONTE_CARLO_GOLDEN.read_text()
 
 
 def test_monte_carlo_seed_changes_output(capsys):

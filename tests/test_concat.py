@@ -28,6 +28,7 @@ from concatqec.ghz_erasure import (
     ErasurePosition,
     GhzError,
     GhzLayout,
+    RecoveryError,
     build_decoder,
     build_encoder,
     build_recovery,
@@ -45,6 +46,7 @@ from concatqec.statevec import (
     apply_pauli_error,
     basis_state,
     fidelity_up_to_phase,
+    random_single_qubit_unitary,
     random_state,
     split_factor,
 )
@@ -290,6 +292,27 @@ def test_non_finite_corruption_is_rejected_before_decoding(blocking):
             apply_channel_damage(scheme, physical, event)
 
 
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+def test_events_that_do_not_fit_the_scheme_are_rejected(blocking):
+    # Side information for another scheme must fail before any decoding
+    # work, never decode as if the erasure had not happened.
+    scheme = _scheme(blocking)
+    physical = concat_encode(scheme, _random_logical())
+    outside = ChannelEvent(
+        erasure=ErasurePosition(address=0, n=scheme.inner.n),
+        block=scheme.blocks + 2)
+    wrong_size = ChannelEvent(erasure=ErasurePosition(address=0, n=3))
+    short = ChannelEvent(pauli=PauliError.single(2, 4, 0, b=1))
+    qutrit = ChannelEvent(pauli=PauliError.single(3, 5, 0, b=1))
+    for run in (apply_channel_damage, concat_decode):
+        for event in (outside, wrong_size):
+            with pytest.raises(GhzError):
+                run(scheme, physical, event)
+        for event in (short, qutrit):
+            with pytest.raises(CodeError, match="does not match the codeword"):
+                run(scheme, physical, event)
+
+
 def test_register_size_mismatch_is_rejected():
     scheme = _scheme(WHOLE_REGISTER)
     with pytest.raises(CodeError):
@@ -322,6 +345,49 @@ def test_per_qubit_erasure_with_pauli_recovers():
     assert fidelity_up_to_phase(v.as_state(), recovered.as_state()) > 1 - 1e-10
 
 
+def test_per_qubit_erasure_in_every_block_recovers():
+    # Each block is erased once, the address rotating through the block,
+    # and the erased qubit suffers a random unitary.
+    scheme = _scheme(PER_QUBIT)
+    rng = np.random.default_rng(41)
+    for block in range(scheme.blocks):
+        v = _random_logical(block)
+        pos = ErasurePosition(address=block % scheme.inner.total,
+                              n=scheme.inner.n)
+        event = ChannelEvent(erasure=pos, block=block,
+                             corruption=random_single_qubit_unitary(rng))
+        physical = apply_channel_damage(scheme, concat_encode(scheme, v), event)
+        recovered, trace = concat_decode(scheme, physical, event)
+        assert trace.syndrome == "0000"
+        assert fidelity_up_to_phase(v.as_state(),
+                                    recovered.as_state()) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+def test_two_damaged_qubits_in_the_declared_block_never_decode(blocking):
+    # An undeclared second loss in the erased block exceeds the inner
+    # code: decoding must fail loudly, not return a clean-looking state.
+    scheme = _scheme(blocking)
+    block = scheme.blocks - 1
+    rng = np.random.default_rng(17)
+    span = scheme.inner.total
+    for declared in range(span):
+        for other in range(span):
+            if other == declared:
+                continue
+            physical = concat_encode(scheme, _random_logical(other))
+            for address in (other, declared):
+                hit = ChannelEvent(
+                    erasure=ErasurePosition(address=address, n=scheme.inner.n),
+                    corruption=random_single_qubit_unitary(rng), block=block)
+                physical = apply_channel_damage(scheme, physical, hit)
+            event = ChannelEvent(
+                erasure=ErasurePosition(address=declared, n=scheme.inner.n),
+                block=block)
+            with pytest.raises((RecoveryError, DecodeError)):
+                concat_decode(scheme, physical, event)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo channel statistics
 # ---------------------------------------------------------------------------
@@ -350,6 +416,22 @@ def test_effective_channel_statistics_by_model():
     assert bad["failures"] > 0
     assert bad["mean_fidelity"] < 1 - 1e-3
     assert bad["failure_rate"] == bad["failures"] / 25
+
+
+def test_per_qubit_effective_channel_is_pinned():
+    # Exact statistics of three correctable per-qubit trials at seed 5.
+    scheme = _scheme(PER_QUBIT)
+    stats = effective_channel(scheme, noise_correctable(scheme), trials=3,
+                              seed=5)
+    assert stats == {
+        "trials": 3.0,
+        "mean_fidelity": 1.0000000000000002,
+        "min_fidelity": 1.0,
+        "failures": 0.0,
+        "failure_rate": 0.0,
+        "kind.erasure+pauli.count": 3.0,
+        "kind.erasure+pauli.mean_fidelity": 1.0000000000000002,
+    }
 
 
 def test_effective_channel_rejects_empty_runs():

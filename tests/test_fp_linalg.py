@@ -1,20 +1,17 @@
 """Tests for exact linear algebra over prime fields.
 
-Covers scalar/vector/matrix construction rules, submatrix extraction,
-rank and invertibility against a brute-force oracle, exhaustive kernel
-enumeration, and the edge-sum quadratic form used in encoding phases.
+Covers vector/matrix construction rules, submatrix extraction, rank
+and invertibility against a brute-force oracle, and exhaustive kernel
+enumeration.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from concatqec.fp_linalg import (
     FpError,
     FpMatrix,
-    FpScalar,
     FpVector,
     all_vectors,
     check_prime,
@@ -23,7 +20,6 @@ from concatqec.fp_linalg import (
     mat_rank,
     mat_submatrix,
     mat_vec,
-    quadratic_form,
 )
 from concatqec.graph_code import five_qubit_code_graph
 
@@ -41,14 +37,6 @@ def test_check_prime_accepts_supported_primes():
 def test_check_prime_rejects_non_supported(bad):
     with pytest.raises(FpError):
         check_prime(bad)
-
-
-def test_scalar_range_is_enforced():
-    assert FpScalar(2, 3).value == 2
-    with pytest.raises(FpError):
-        FpScalar(3, 3)
-    with pytest.raises(FpError):
-        FpScalar(-1, 3)
 
 
 def test_vector_entries_must_be_canonical():
@@ -239,74 +227,3 @@ def test_all_vectors_order_and_count():
     assert vecs[0].entries == (0, 0)
     assert vecs[1].entries == (0, 1)
     assert vecs[-1].entries == (2, 2)
-
-
-# ---------------------------------------------------------------------------
-# Quadratic form
-# ---------------------------------------------------------------------------
-
-
-def test_quadratic_form_single_edge_case():
-    # Only the edge between code vertices 4 and 5 contributes when just
-    # those two digits are set.
-    d = FpVector((0, 0, 0, 0, 1, 1), 2)
-    assert quadratic_form(FIVE_ADJ, d).value == 1
-
-
-def test_quadratic_form_input_edge_case():
-    # The input vertex is adjacent to code vertex index 3 but not to
-    # index 4, so the edge sum is 1 in the first case and 0 in the second.
-    assert quadratic_form(FIVE_ADJ, FpVector((1, 0, 0, 1, 0, 0), 2)).value == 1
-    assert quadratic_form(FIVE_ADJ, FpVector((1, 0, 0, 0, 1, 0), 2)).value == 0
-
-
-def test_quadratic_form_rejects_non_adjacency():
-    bad = FpMatrix.from_rows([[1, 0], [0, 0]], 2)
-    with pytest.raises(FpError):
-        quadratic_form(bad, FpVector((1, 0), 2))
-    asym = FpMatrix.from_rows([[0, 1], [0, 0]], 2)
-    with pytest.raises(FpError):
-        quadratic_form(asym, FpVector((1, 0), 2))
-
-
-def test_quadratic_form_rejects_length_mismatch():
-    with pytest.raises(FpError):
-        quadratic_form(FIVE_ADJ, FpVector((1, 0), 2))
-
-
-@st.composite
-def adjacency_and_vector(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(min_value=1, max_value=5))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = draw(st.integers(min_value=0, max_value=p - 1))
-            rows[i][j] = w
-            rows[j][i] = w
-    d = tuple(draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(n))
-    return FpMatrix.from_rows(rows, p), FpVector(d, p), p, n
-
-
-@given(adjacency_and_vector())
-@settings(max_examples=150, deadline=None)
-def test_quadratic_form_is_permutation_invariant(data):
-    # Relabelling vertices permutes both the matrix and the digit vector
-    # and must leave the edge sum unchanged.
-    a, d, p, n = data
-    perm = list(range(n))[::-1]
-    rows = [[a.entry(perm[i], perm[j]) for j in range(n)] for i in range(n)]
-    pd = tuple(d.entries[perm[i]] for i in range(n))
-    assert quadratic_form(a, d).value == quadratic_form(
-        FpMatrix.from_rows(rows, p), FpVector(pd, p)).value
-
-
-@given(adjacency_and_vector())
-@settings(max_examples=150, deadline=None)
-def test_doubled_form_equals_bilinear_evaluation(data):
-    # Twice the edge sum is the full bilinear form d.A.d because the
-    # matrix is symmetric with zero diagonal.
-    a, d, p, n = data
-    full = sum(a.entry(i, j) * d.entries[i] * d.entries[j]
-               for i in range(n) for j in range(n)) % p
-    assert (2 * quadratic_form(a, d).value) % p == full

@@ -113,13 +113,6 @@ def test_erasure_position_rejects_bad_labels():
 # ---------------------------------------------------------------------------
 
 
-def test_program_text_round_trip():
-    prog = build_recovery(5, ErasurePosition.from_label("2", 5))
-    text = prog.to_text()
-    again = GateProgram.from_text(text, half=5)
-    assert again == prog
-
-
 def test_program_inverse_undoes_application():
     prog = build_encoder(3)
     s = random_state(2, 6, RNG)
@@ -403,6 +396,17 @@ def test_recovery_rejects_two_qubit_damage():
     damaged = apply_erasure(damaged, second, random_single_qubit_unitary(RNG))
     with pytest.raises(RecoveryError):
         recover(damaged, pos)
+
+
+def test_recovery_error_states_the_purity_and_bound():
+    # A half-strength X rotation of a surviving qubit leaves the kept
+    # half at purity 1/2, which the error quotes against the bound.
+    encoded = _encode(3, basis_state(2, (0, 0, 0)))
+    rotation = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    damaged = apply_erasure(encoded, ErasurePosition(address=4, n=3), rotation)
+    with pytest.raises(RecoveryError,
+                       match=r"purity 0\.5 <= bound 0\.999999999\)"):
+        recover(damaged, ErasurePosition(address=0, n=3))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),

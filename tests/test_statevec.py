@@ -31,9 +31,7 @@ from concatqec.statevec import (
     digits_to_index,
     fidelity_up_to_phase,
     index_to_digits,
-    measure_register,
     normalize,
-    permute_qudits,
     project_register,
     reduced_density,
     register_probabilities,
@@ -349,37 +347,9 @@ def test_project_register_drops_measured_qudits():
         project_register(basis_state(2, (0, 0)), [0], [1])
 
 
-def test_measurement_is_deterministic_on_sharp_registers():
-    s = basis_state(2, (1, 0, 1))
-    outcome, post = measure_register(s, [0, 2])
-    assert outcome.entries == (1, 1)
-    # remaining middle qubit survives in |0>
-    assert states_close(post, basis_state(2, (0,)))
-
-
-def test_measurement_statistics_follow_seeded_rng():
-    plus = normalize(StateVector(p=2, n=1,
-                                 amplitudes=np.array([1, 1], dtype=complex)))
-    a, _ = measure_register(plus, [0], np.random.default_rng(11))
-    b, _ = measure_register(plus, [0], np.random.default_rng(11))
-    assert a.entries == b.entries
-    # default generator is fixed, so the no-rng path repeats as well
-    c, _ = measure_register(plus, [0])
-    d, _ = measure_register(plus, [0])
-    assert c.entries == d.entries
-
-
 # ---------------------------------------------------------------------------
-# Permutation and product-factor extraction
+# Product-factor extraction
 # ---------------------------------------------------------------------------
-
-
-def test_permute_qudits_moves_amplitudes():
-    s = basis_state(2, (1, 0, 0))
-    t = permute_qudits(s, [1, 2, 0])
-    assert states_close(t, basis_state(2, (0, 0, 1)))
-    with pytest.raises(StateError):
-        permute_qudits(s, [0, 0, 1])
 
 
 def test_split_factor_recovers_exact_products():
