@@ -48,6 +48,7 @@ from .graph_code import (
     LogicalState,
     SyndromeTable,
     build_syndrome_table,
+    check_amplitude_count,
     decode,
     encode,
     format_error_label,
@@ -151,6 +152,9 @@ class ConcatScheme:
         assignment: derived from blocking; the codeword qubits each
             inner block carries at its message addresses 0..c-1, in
             codeword order across the register.
+
+    Construction raises CodeError when the physical register would
+    exceed MAX_AMPLITUDES amplitudes.
     """
 
     outer: CodeGraph
@@ -172,6 +176,10 @@ class ConcatScheme:
             assignment = tuple((q,) for q in range(self.outer.n))
         else:
             raise CodeError(f"unknown blocking {self.blocking!r}")
+        qubits = len(assignment) * self.inner.total
+        check_amplitude_count(
+            f"{self.blocking} blocking with inner n = {self.inner.n} "
+            f"({qubits} qubits)", 2**qubits)
         object.__setattr__(self, "assignment", assignment)
 
     @property

@@ -5,9 +5,15 @@ whose vertices split into input vertices X (logical content), output
 vertices Y (the physical codeword), and optional syndrome vertices L.
 Encoding attaches a phase to every output string through the edge sum of
 the adjacency matrix; decoding applies the inverse Fourier-type unitary
-built from the same graph extended by the syndrome vertices, after which
-the L register holds a classical syndrome and the X register holds the
-logical content up to a Pauli frame fixed by a lookup table.
+of the same graph extended by the syndrome vertices, after which the L
+register holds a classical syndrome and the X register holds the
+logical content up to a Pauli frame fixed by a lookup table.  That
+unitary is never built as a matrix: it factors into two diagonal phase
+layers, a relabelling of basis strings by the cross block between Y and
+L + X (a permutation exactly when admissibility condition c2 holds), and
+a p-point Fourier transform on every qudit, so decoding costs O(p**n)
+memory.  Registers and operators above statevec.MAX_AMPLITUDES
+amplitudes are refused with a CodeError before anything is allocated.
 
 Vertices are numbered with the X block first, then Y, then L.  Register
 addresses follow vertex order, so the decoded register reads syndrome
@@ -21,7 +27,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,11 +37,13 @@ from .fp_linalg import (
     check_prime,
     kernel_pairs,
     mat_is_invertible,
+    mat_rank,
     mat_submatrix,
     mat_vec,
 )
 from .statevec import (
     DETERMINISM_BOUND,
+    MAX_AMPLITUDES,
     PauliError,
     StateVector,
     apply_pauli_error,
@@ -356,10 +364,8 @@ def check_admissibility(g: CodeGraph, e: int = 1) -> AdmissibilityReport:
         raise CodeError(f"need e >= 1, got {e}")
 
     adj = g.adjacency
-    xl = g.inputs + g.syndromes
     c1 = g.k + g.m == g.n
-    abar = mat_submatrix(adj, g.outputs, xl)
-    c2 = abar.rows == abar.cols and mat_is_invertible(abar)
+    c2 = c1 and mat_is_invertible(_cross_block(g))
     a_ll = mat_submatrix(adj, g.syndromes, g.syndromes)
     c3 = all(v == 0 for row in a_ll.entries for v in row)
     a_xl = mat_submatrix(adj, g.inputs, g.syndromes)
@@ -391,10 +397,20 @@ def check_admissibility(g: CodeGraph, e: int = 1) -> AdmissibilityReport:
 # Encoding
 # ---------------------------------------------------------------------------
 
+def check_amplitude_count(what: str, count: int) -> None:
+    """Refuse an array of more than MAX_AMPLITUDES entries before it is built.
+
+    Raises:
+        CodeError: quoting the requested size and the limit.
+    """
+    if count > MAX_AMPLITUDES:
+        raise CodeError(f"{what} needs {count} amplitudes, above the limit "
+                        f"of {MAX_AMPLITUDES}")
+
+
 def _digit_table(p: int, n: int) -> np.ndarray:
     """All base-p digit strings of length n as an integer matrix."""
-    return np.array([index_to_digits(i, p, n) for i in range(p**n)],
-                    dtype=np.int64)
+    return np.indices((p,) * n, dtype=np.int64).reshape(n, p**n).T
 
 
 def _pair_form(sub: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -411,24 +427,19 @@ def _encoding_map(g: CodeGraph) -> np.ndarray:
     strings y, where theta is the edge sum of the adjacency matrix
     restricted to the input and output vertices.  Syndrome vertices do
     not participate in encoding.
+
+    Raises:
+        CodeError: if the map would exceed MAX_AMPLITUDES entries.
     """
+    check_amplitude_count("the encoding map", g.p**(g.n + g.k))
     adj = np.array(g.adjacency.entries, dtype=np.int64)
-    x_idx = list(g.inputs)
-    y_idx = list(g.outputs)
-    a_yy = adj[np.ix_(y_idx, y_idx)]
-    a_yx = adj[np.ix_(y_idx, x_idx)]
-    a_xx = adj[np.ix_(x_idx, x_idx)]
     y_digits = _digit_table(g.p, g.n)
-    q_y = _pair_form(a_yy, y_digits)
-    omega = np.exp(2j * np.pi / g.p)
-    columns = []
-    for x_index in range(g.p**g.k):
-        x = np.array(index_to_digits(x_index, g.p, g.k), dtype=np.int64)
-        cross = y_digits @ (a_yx @ x)
-        q_x = int(x @ np.triu(a_xx, k=1) @ x)
-        exponent = (q_y + cross + q_x) % g.p
-        columns.append(omega**exponent)
-    return np.stack(columns, axis=1)
+    x_digits = _digit_table(g.p, g.k)
+    q_y = _pair_form(adj[np.ix_(g.outputs, g.outputs)], y_digits)
+    q_x = _pair_form(adj[np.ix_(g.inputs, g.inputs)], x_digits)
+    cross = y_digits @ adj[np.ix_(g.outputs, g.inputs)] @ x_digits.T
+    exponent = (q_y[:, np.newaxis] + cross + q_x[np.newaxis, :]) % g.p
+    return np.exp(2j * np.pi / g.p)**exponent
 
 
 def encode(g: CodeGraph, v: LogicalState) -> StateVector:
@@ -449,49 +460,80 @@ def encode(g: CodeGraph, v: LogicalState) -> StateVector:
 # Decoding
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _decoder_unitary_cached(g: CodeGraph) -> np.ndarray:
-    """The inverse Fourier-type decoding unitary on the Y register.
+def _cross_block(g: CodeGraph) -> FpMatrix:
+    """The output rows cut at the input and syndrome columns (condition c2)."""
+    return mat_submatrix(g.adjacency, g.outputs, g.inputs + g.syndromes)
 
-    Rows are indexed by decoded strings with syndrome digits first and
-    logical digits last; columns by codeword strings.  The entry at
-    (l x, y) is p**(-n/2) times omega**(-mu), where mu is the edge sum
-    of the full adjacency matrix at the joint assignment.
+
+def _fourier_factor(p: int, h: int) -> np.ndarray:
+    """The p-point inverse Fourier matrix on each of h qudits, as p**h x p**h."""
+    digits = _digit_table(p, h)
+    return np.exp(-2j * np.pi / p)**((digits @ digits.T) % p) / np.sqrt(float(p**h))
+
+
+@functools.lru_cache(maxsize=32)
+def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """The inverse Fourier-type decoding unitary T of a graph, as a map.
+
+    T sends codeword string y to decoded string r (syndrome digits
+    first, logical digits last) with amplitude p**(-n/2) times
+    omega_bar**(q_out(r) + r.A_cross y + q_y(y)), where q_out and q_y are
+    the edge sums inside L + X and inside Y, and A_cross links the two.
+    It factors as T = D_out F^(x)n Pi_A D_Y (Schlingemann & Werner,
+    PRA 65, 012308, 2002): the phases of q_y, the relabelling
+    y -> A_cross y mod p, which is a permutation exactly when condition
+    c2 holds, the p-point inverse Fourier transform on every qudit, and
+    the phases of q_out.  The transform runs as two Kronecker factors on
+    the first ceil(n/2) and the last floor(n/2) qudits, so the map keeps
+    O(p**n) numbers and acts along the last axis of its argument.
 
     Raises:
         CodeError: if |X| + |L| != |Y|, which makes the operator
-            non-square.
-        DecodeError: if the resulting matrix is not unitary within 1e-9,
-            which signals a graph failing the invertibility condition.
+            non-square, or if it would exceed MAX_AMPLITUDES.
+        DecodeError: if the cross block is singular over F_p, so the
+            graph fails the invertibility condition c2.
     """
     if g.k + g.m != g.n:
         raise CodeError(
             f"decoder needs |X| + |L| = |Y|, got {g.k} + {g.m} != {g.n}")
-    adj = np.array(g.adjacency.entries, dtype=np.int64)
-    out_order = list(g.syndromes) + list(g.inputs)
-    y_idx = list(g.outputs)
-    a_out = adj[np.ix_(out_order, out_order)]
-    a_cross = adj[np.ix_(out_order, y_idx)]
-    a_yy = adj[np.ix_(y_idx, y_idx)]
-    row_digits = _digit_table(g.p, g.n)
-    col_digits = row_digits
-    q_out = _pair_form(a_out, row_digits)
-    q_y = _pair_form(a_yy, col_digits)
-    cross = row_digits @ a_cross @ col_digits.T
-    exponent = (q_out[:, np.newaxis] + cross + q_y[np.newaxis, :]) % g.p
-    omega_bar = np.exp(-2j * np.pi / g.p)
-    matrix = (omega_bar**exponent) / np.sqrt(float(g.p**g.n))
-    defect = matrix.conj().T @ matrix - np.eye(matrix.shape[0])
-    if np.max(np.abs(defect)) > 1e-9:
+    rank = mat_rank(_cross_block(g))
+    if rank != g.n:
         raise DecodeError(
-            "decoding operator is not unitary; the graph fails the "
-            "invertibility condition")
-    return matrix
+            f"decoding operator is not unitary: the cross block has rank "
+            f"{rank} < |Y| = {g.n} over F_{g.p}, so the graph fails the "
+            "invertibility condition c2")
+    high = (g.n + 1) // 2
+    check_amplitude_count("the decoder", max(g.p**g.n, g.p**(2 * high)))
+    adj = np.array(g.adjacency.entries, dtype=np.int64)
+    out_order = g.syndromes + g.inputs
+    digits = _digit_table(g.p, g.n)
+    omega_bar = np.exp(-2j * np.pi / g.p)
+    d_y = omega_bar**(_pair_form(adj[np.ix_(g.outputs, g.outputs)], digits) % g.p)
+    d_out = omega_bar**(_pair_form(adj[np.ix_(out_order, out_order)], digits) % g.p)
+    images = (digits @ adj[np.ix_(out_order, g.outputs)].T) % g.p
+    gather = np.argsort(images @ g.p**np.arange(g.n - 1, -1, -1))
+    f_hi, f_lo = _fourier_factor(g.p, high), _fourier_factor(g.p, g.n - high)
+
+    def apply(amplitudes: np.ndarray) -> np.ndarray:
+        square = (d_y * amplitudes)[..., gather].reshape(
+            amplitudes.shape[:-1] + (len(f_hi), len(f_lo)))
+        return d_out * (f_hi @ square @ f_lo).reshape(amplitudes.shape)
+    return apply
 
 
 def decoder_unitary(g: CodeGraph) -> np.ndarray:
-    """A fresh copy of the decoding unitary; see _decoder_unitary_cached."""
-    return _decoder_unitary_cached(g).copy()
+    """The decoding unitary as a dense p**n x p**n matrix.
+
+    Its columns are the images of the codeword basis states under the
+    map decode applies, so checks of this matrix check decode.
+
+    Raises:
+        CodeError, DecodeError: as the decoder does, and CodeError when
+            the matrix would exceed MAX_AMPLITUDES entries.
+    """
+    apply = _decoder(g)
+    check_amplitude_count("the dense decoding matrix", g.p**(2 * g.n))
+    return apply(np.eye(g.p**g.n)).T
 
 
 def decode(g: CodeGraph, corrupted: StateVector) -> Tuple[FpVector, StateVector]:
@@ -512,8 +554,8 @@ def decode(g: CodeGraph, corrupted: StateVector) -> Tuple[FpVector, StateVector]
         raise CodeError(
             f"register ({corrupted.p}, {corrupted.n}) does not match "
             f"code ({g.p}, {g.n})")
-    matrix = _decoder_unitary_cached(g)
-    decoded = StateVector(p=g.p, n=g.n, amplitudes=matrix @ corrupted.amplitudes)
+    amplitudes = _decoder(g)(corrupted.amplitudes)
+    decoded = StateVector(p=g.p, n=g.n, amplitudes=amplitudes)
     syn_addrs = list(range(g.m))
     probs = register_probabilities(decoded, syn_addrs)
     top = int(np.argmax(probs))

@@ -32,6 +32,9 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 DETERMINISM_BOUND = 1.0 - 1e-9
 PURITY_BOUND = 1.0 - 1e-9
+# Largest register or operator, in complex amplitudes (1 GiB), that the
+# package builds; bigger requests raise a domain error before allocating.
+MAX_AMPLITUDES = 2**26
 
 
 class StateError(ValueError):

@@ -94,6 +94,19 @@ def test_syndrome_table_text_has_header_and_rows(capsys):
     assert len(lines) == 17
 
 
+def test_syndrome_table_rejects_an_oversized_graph(tmp_path, capsys):
+    # p = 7 with |Y| = 12 passes parsing, which has no size cap, but its
+    # encoding map would hold 7**13 amplitudes.
+    edges = ([f"0 {y} 1" for y in range(1, 13)]
+             + [f"{13 + i} {2 + i} 1" for i in range(11)])
+    big = tmp_path / "big.graph"
+    big.write_text("p 7 X 1 Y 12 L 11\n" + "\n".join(edges) + "\n")
+    code, out, err = _run(capsys, "syndrome-table", "--graph", str(big))
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error:") and f"{7**13} amplitudes" in err
+
+
 # ---------------------------------------------------------------------------
 # worked-example
 # ---------------------------------------------------------------------------

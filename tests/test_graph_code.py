@@ -1,8 +1,9 @@
 """Tests for graph-code encoding, admissibility, decoding, and correction.
 
 The frozen oracles here are the 32 signed coefficient forms of the
-five-qubit codeword, the 16-row syndrome lookup table, and the
-closed-form action of a shift/phase error on codeword amplitudes.
+five-qubit codeword, the 16-row syndrome lookup table, the closed-form
+action of a shift/phase error on codeword amplitudes, and the dense
+p**n x p**n decoding matrix built from its definition.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concatqec import graph_code
 from concatqec.graph_code import (
     CORRECTION_WORDS,
     CodeError,
@@ -35,11 +37,13 @@ from concatqec.graph_code import (
 )
 from concatqec.fp_linalg import FpMatrix, FpVector
 from concatqec.statevec import (
+    MAX_AMPLITUDES,
     PauliError,
     StateVector,
     apply_pauli_error,
     basis_state,
     fidelity_up_to_phase,
+    index_to_digits,
     random_state,
     states_close,
 )
@@ -286,6 +290,150 @@ def test_decoder_unitary_shape_and_unitarity():
     t = decoder_unitary(g)
     assert t.shape == (32, 32)
     assert np.max(np.abs(t.conj().T @ t - np.eye(32))) < 1e-12
+
+
+def _dense_decoder(g):
+    """Reference: the dense p**n x p**n decoding matrix from its definition.
+
+    Rows are decoded strings r (syndrome digits first, logical digits
+    last), columns codeword strings y; the entry is p**(-n/2) times
+    omega_bar**mu, where mu is the edge sum of the full adjacency matrix
+    at the joint assignment (r, y).
+    """
+    adj = np.array(g.adjacency.entries, dtype=np.int64)
+    out_order = list(g.syndromes) + list(g.inputs)
+    y_idx = list(g.outputs)
+    digits = np.array([index_to_digits(i, g.p, g.n) for i in range(g.p**g.n)],
+                      dtype=np.int64)
+
+    def pair_form(sub):
+        return np.einsum("ki,ij,kj->k", digits, np.triu(sub, k=1), digits)
+
+    q_out = pair_form(adj[np.ix_(out_order, out_order)])
+    q_y = pair_form(adj[np.ix_(y_idx, y_idx)])
+    cross = digits @ adj[np.ix_(out_order, y_idx)] @ digits.T
+    exponent = (q_out[:, np.newaxis] + cross + q_y[np.newaxis, :]) % g.p
+    return np.exp(-2j * np.pi / g.p)**exponent / np.sqrt(float(g.p**g.n))
+
+
+def _random_graph(p, k, n, rng, accept):
+    """The first random graph whose admissibility report `accept` takes.
+
+    Weights are drawn on every edge c3 and c4 allow, and |L| = n - k, so
+    c1, c3 and c4 hold by construction.
+    """
+    m = n - k
+    size = k + n + m
+    inputs, syndromes = range(k), range(k + n, size)
+    while True:
+        upper = np.triu(rng.integers(p, size=(size, size)), k=1)
+        upper[np.ix_(syndromes, syndromes)] = 0
+        upper[np.ix_(inputs, syndromes)] = 0
+        g = CodeGraph(
+            p=p, adjacency=FpMatrix.from_rows((upper + upper.T).tolist(), p),
+            inputs=tuple(inputs), outputs=tuple(range(k, k + n)),
+            syndromes=tuple(syndromes))
+        if accept(check_admissibility(g)):
+            return g
+
+
+# p = 5 stops at |Y| = 4 so the dense reference stays at 625 x 625.
+@given(st.sampled_from([(2, 5), (3, 5), (5, 4)]).flatmap(
+           lambda pn: st.tuples(st.just(pn[0]),
+                                st.integers(min_value=1, max_value=pn[1]))),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_decoder_matches_dense_reference(pn, seed):
+    p, n = pn
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, n + 1))
+    g = _random_graph(p, k, n, rng, lambda report: report.c2)
+    reference = _dense_decoder(g)
+    assert np.max(np.abs(decoder_unitary(g) - reference)) < 1e-12
+    # A Pauli error of any weight on a codeword leaves a definite
+    # syndrome, so decode must read the reference image the same way.
+    v = LogicalState(p=p, coefficients=random_state(p, k, rng).amplitudes)
+    error = PauliError(m=int(rng.integers(p)),
+                       b=tuple(int(b) for b in rng.integers(p, size=n)),
+                       s=tuple(int(s) for s in rng.integers(p, size=n)), p=p)
+    damaged = apply_pauli_error(encode(g, v), error)
+    blocks = (reference @ damaged.amplitudes).reshape(p**(n - k), p**k)
+    top = int(np.argmax(np.sum(np.abs(blocks)**2, axis=1)))
+    syndrome, residual = decode(g, damaged)
+    assert syndrome.entries == index_to_digits(top, p, n - k)
+    expected = blocks[top] / np.linalg.norm(blocks[top])
+    assert np.max(np.abs(residual.amplitudes - expected)) < 1e-12
+
+
+@given(st.sampled_from([2, 3, 5]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_random_admissible_graph_decodes_every_weight_one_error(p, seed):
+    rng = np.random.default_rng(seed)
+    g = _random_graph(p, 1, 5, rng, lambda report: report.all_pass)
+    inputs = [LogicalState.computational(p, 1, 0),
+              LogicalState(p=p, coefficients=random_state(p, 1, rng).amplitudes)]
+    codewords = [encode(g, v) for v in inputs]
+    for v, codeword in zip(inputs, codewords):
+        syndrome, residual = decode(g, codeword)
+        assert syndrome.is_zero()
+        assert fidelity_up_to_phase(residual, v.as_state()) >= 1 - 1e-10
+    for error in weight_one_errors(p, 5):
+        syndromes = {decode(g, apply_pauli_error(c, error))[0].entries
+                     for c in codewords}
+        assert len(syndromes) == 1
+        assert syndromes != {(0,) * 4}
+
+
+def test_clean_round_trip_on_a_large_qudit_graph():
+    # p = 5, |Y| = 8: 390625 amplitudes, a size whose dense decoding
+    # matrix would not fit in memory.  Output y links to the input, to
+    # syndrome vertex y + 7 (y >= 2) and to its ring neighbour.
+    edges = ([(0, y, 1) for y in range(1, 9)]
+             + [(y + 7, y, 1 + y % 4) for y in range(2, 9)]
+             + [(y, y % 8 + 1, 1 + y % 4) for y in range(1, 9)])
+    g = parse_graph("p 5 X 1 Y 8 L 7\n"
+                    + "\n".join(f"{u} {v} {w}" for u, v, w in edges))
+    v = LogicalState(p=5, coefficients=[0.1, 0.5j, -0.3, 0.2, 0.4 + 0.1j])
+    syndrome, residual = decode(g, encode(g, v))
+    assert syndrome.entries == (0,) * 7
+    assert fidelity_up_to_phase(residual, v.as_state()) >= 1 - 1e-10
+    with pytest.raises(CodeError, match=rf"the dense decoding matrix needs "
+                                        rf"{5**16} amplitudes"):
+        decoder_unitary(g)
+
+
+def test_graph_failing_c2_is_refused_before_any_register_work(monkeypatch):
+    # c1 holds (1 + 1 = 2), but both outputs see only the input, so the
+    # cross block [[1, 0], [1, 0]] has rank 1.
+    g = parse_graph("p 2 X 1 Y 2 L 1\n0 1 1\n0 2 1\n")
+    report = check_admissibility(g)
+    assert report.c1 and not report.c2
+
+    def no_digit_tables(*args):
+        raise AssertionError("a p**n digit table was built")
+
+    monkeypatch.setattr(graph_code, "_digit_table", no_digit_tables)
+    with pytest.raises(DecodeError, match=r"rank 1 < \|Y\| = 2 over F_2"):
+        decode(g, basis_state(2, (0, 0)))
+    with pytest.raises(DecodeError, match=r"rank 1 < \|Y\| = 2 over F_2"):
+        decoder_unitary(g)
+
+
+def test_oversized_graph_is_refused_before_allocation():
+    # p = 7, |Y| = 12 meets c1 and c2, but its register holds 7**12
+    # amplitudes, above the package limit.
+    edges = ([f"0 {y} 1" for y in range(1, 13)]
+             + [f"{13 + i} {2 + i} 1" for i in range(11)])
+    g = parse_graph("p 7 X 1 Y 12 L 11\n" + "\n".join(edges))
+    assert 7**12 > MAX_AMPLITUDES
+    with pytest.raises(CodeError, match=rf"the decoder needs {7**12} "
+                                        rf"amplitudes, above the limit of "
+                                        rf"{MAX_AMPLITUDES}"):
+        decoder_unitary(g)
+    with pytest.raises(CodeError, match=rf"the encoding map needs {7**13} "
+                                        "amplitudes"):
+        encode(g, LogicalState.computational(7, 1, 0))
 
 
 def test_clean_codeword_decodes_to_zero_syndrome():
