@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +57,12 @@ from .statevec import (
 
 ADMISSIBILITY_MAX_OUTPUTS = 8
 ADMISSIBILITY_MAX_P = 5
+# Qudits per Kronecker factor of the decoder's Fourier layer.  Small
+# factors keep each product below the size at which BLAS spreads it over
+# threads (an 81 x 81 factor at 3**7 amplitudes runs on two), so a
+# decode's time does not follow the load on a second core.  They also
+# cut the work, p**n times the sum of the factor sizes.
+FOURIER_GROUP = 3
 
 
 class CodeError(ValueError):
@@ -452,7 +459,10 @@ def encode(g: CodeGraph, v: LogicalState) -> StateVector:
         raise CodeError(f"logical field {v.p} does not match code p = {g.p}")
     if v.k != g.k:
         raise CodeError(f"logical register size {v.k} != |X| = {g.k}")
-    amplitudes = _encoding_map(g) @ v.coefficients
+    # Column by column: the sums of the matrix-vector product, without the
+    # BLAS call, which spreads a product as skinny as 3**7 x 3 over threads.
+    amplitudes = functools.reduce(operator.add, [
+        column * c for column, c in zip(_encoding_map(g).T, v.coefficients)])
     return normalize(StateVector(p=g.p, n=g.n, amplitudes=amplitudes))
 
 
@@ -483,8 +493,9 @@ def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
     PRA 65, 012308, 2002): the phases of q_y, the relabelling
     y -> A_cross y mod p, which is a permutation exactly when condition
     c2 holds, the p-point inverse Fourier transform on every qudit, and
-    the phases of q_out.  The transform runs as two Kronecker factors on
-    the first ceil(n/2) and the last floor(n/2) qudits, so the map keeps
+    the phases of q_out.  The transform runs as Kronecker factors on
+    consecutive groups of at most FOURIER_GROUP qudits, each applied to
+    the leading group and then rotated to the back, so the map keeps
     O(p**n) numbers and acts along the last axis of its argument.
 
     Raises:
@@ -502,8 +513,8 @@ def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
             f"decoding operator is not unitary: the cross block has rank "
             f"{rank} < |Y| = {g.n} over F_{g.p}, so the graph fails the "
             "invertibility condition c2")
-    high = (g.n + 1) // 2
-    check_amplitude_count("the decoder", max(g.p**g.n, g.p**(2 * high)))
+    groups = [len(q) for q in np.array_split(range(g.n), -(-g.n // FOURIER_GROUP))]
+    check_amplitude_count("the decoder", max(g.p**g.n, g.p**(2 * groups[0])))
     adj = np.array(g.adjacency.entries, dtype=np.int64)
     out_order = g.syndromes + g.inputs
     digits = _digit_table(g.p, g.n)
@@ -512,12 +523,14 @@ def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
     d_out = omega_bar**(_pair_form(adj[np.ix_(out_order, out_order)], digits) % g.p)
     images = (digits @ adj[np.ix_(out_order, g.outputs)].T) % g.p
     gather = np.argsort(images @ g.p**np.arange(g.n - 1, -1, -1))
-    f_hi, f_lo = _fourier_factor(g.p, high), _fourier_factor(g.p, g.n - high)
+    factors = [_fourier_factor(g.p, h) for h in groups]
 
     def apply(amplitudes: np.ndarray) -> np.ndarray:
-        square = (d_y * amplitudes)[..., gather].reshape(
-            amplitudes.shape[:-1] + (len(f_hi), len(f_lo)))
-        return d_out * (f_hi @ square @ f_lo).reshape(amplitudes.shape)
+        x = (d_y * amplitudes)[..., gather].reshape(-1, len(gather)).T
+        for f in factors:
+            # f is symmetric, so this is f on the leading group, moved last.
+            x = x.reshape(len(f), -1).T @ f
+        return d_out * x.reshape(amplitudes.shape)
     return apply
 
 

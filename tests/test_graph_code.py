@@ -365,6 +365,19 @@ def test_decoder_matches_dense_reference(pn, seed):
     assert np.max(np.abs(residual.amplitudes - expected)) < 1e-12
 
 
+# |Y| = 7 and 8 run the Fourier layer as three factors, 3 + 2 + 2 and
+# 3 + 3 + 2 qudits, where |Y| <= 6 needs at most two.
+@pytest.mark.parametrize("n", [7, 8])
+def test_decoder_with_three_fourier_factors_matches_dense_reference(n):
+    assert -(-n // graph_code.FOURIER_GROUP) == 3
+    rng = np.random.default_rng(n)
+    g = _random_graph(2, 1, n, rng, lambda report: report.c2)
+    reference = _dense_decoder(g)
+    assert np.max(np.abs(decoder_unitary(g) - reference)) < 1e-12
+    x = random_state(2, n, rng).amplitudes
+    assert np.max(np.abs(graph_code._decoder(g)(x) - reference @ x)) < 1e-12
+
+
 @given(st.sampled_from([2, 3, 5]),
        st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=8, deadline=None)
