@@ -13,6 +13,7 @@ Usage:
 """
 
 import argparse
+import sys
 from dataclasses import dataclass
 
 from concatqec.concat import (
@@ -24,8 +25,8 @@ from concatqec.concat import (
     noise_identity,
     noise_two_pauli,
 )
-from concatqec.ghz_erasure import GhzLayout
-from concatqec.graph_code import five_qubit_decoding_graph
+from concatqec.ghz_erasure import GhzError, GhzLayout
+from concatqec.graph_code import CodeError, five_qubit_decoding_graph
 
 
 @dataclass
@@ -90,8 +91,12 @@ def main() -> int:
     trials = args.trials
     if trials is None:
         trials = 10 if args.per_qubit else 100
-    run(StatsConfig(trials=trials, seed=args.seed, blocking=blocking,
-                    inner_n=inner_n))
+    try:
+        run(StatsConfig(trials=trials, seed=args.seed, blocking=blocking,
+                        inner_n=inner_n))
+    except (CodeError, GhzError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -18,7 +18,6 @@ one record per line of space-separated ``key=value`` pairs.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -36,6 +35,7 @@ from .concat import (
 )
 from .ghz_erasure import ErasurePosition, GhzError, GhzLayout, RecoveryError
 from .graph_code import (
+    ERROR_LABEL_RE,
     CodeError,
     CodeGraph,
     DecodeError,
@@ -59,8 +59,6 @@ DEFAULT_GRAPH_RESOURCE = "five_qubit_decoding.graph"
 
 class UsageError(Exception):
     """A bad flag value, reported with exit code 2."""
-
-_PHYSICAL_ERROR_RE = re.compile(r"^(BSB|SBS|BS|SB|B|S)([1-9][0-9]*'?)$")
 
 
 @dataclass
@@ -111,7 +109,7 @@ def _parse_physical_error(label: str, n: int) -> Optional[PauliError]:
     stripped = label.strip()
     if stripped.lower() in ("none", "i", ""):
         return None
-    match = _PHYSICAL_ERROR_RE.match(stripped)
+    match = ERROR_LABEL_RE.match(stripped)
     if not match:
         raise CodeError(f"cannot parse error label {label!r}")
     word = match.group(1)

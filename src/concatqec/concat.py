@@ -14,18 +14,21 @@ names an instance of it:
   n = outer n, so there is no padding).
 * ``per-qubit``: n blocks, each carrying one codeword qubit.
 
-Encoding places the outer codeword at its block addresses and runs the
-inner encoder on every block.  Decoding undoes the inner layer block by
-block (erasure recovery on the flagged block, plain unencoding on the
-others), checks that padding and ancillas came back to |0>, applies any
-computational error carried by the channel event to the surviving
-codeword, and finally runs outer syndrome decoding plus table lookup
-correction.
+Both layers work per block through the block's encoder isometry: the
+encoder program's action on the qubits the block carries, with its
+padding at |0>.  Encoding contracts it with each block's axis of the
+outer codeword.  Decoding contracts its adjoint with every undamaged
+block, which leaves only their carried qubits, and runs erasure recovery
+on the flagged block alone in that reduced register.  It then checks
+that padding and ancillas read |0>, applies any computational error
+carried by the channel event to the surviving codeword, and finally
+runs outer syndrome decoding plus table lookup correction.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -36,9 +39,9 @@ from .ghz_erasure import (
     GhzError,
     GhzLayout,
     build_decoder,
-    build_encoder,
     build_recovery,
     corrupt_qubit,
+    encoder_isometry,
     split_recovered,
 )
 from .graph_code import (
@@ -56,6 +59,7 @@ from .graph_code import (
 )
 from .statevec import (
     DETERMINISM_BOUND,
+    FIDELITY_BOUND,
     PauliError,
     StateVector,
     apply_pauli_error,
@@ -218,29 +222,36 @@ def _outer_table(g: CodeGraph) -> SyndromeTable:
 # Encoding
 # ---------------------------------------------------------------------------
 
+def _map_block(t: np.ndarray, b: int, m: np.ndarray) -> np.ndarray:
+    """Apply the matrix m to axis b of t; the other axes stay in place.
+
+    The result is a fresh C-contiguous array, so the next block's
+    reshape needs no copy.
+    """
+    shape = t.shape
+    t = np.matmul(m, t.reshape(math.prod(shape[:b]), shape[b], -1))
+    return t.reshape(shape[:b] + (len(m),) + shape[b + 1:])
+
+
 def concat_encode(scheme: ConcatScheme, v: LogicalState) -> StateVector:
     """Encode logical content through both layers.
+
+    Each block's encoder isometry acts on the codeword qubits it
+    carries, so no gate runs on the whole register.
 
     Returns:
         The physical register of scheme.total_qubits qubits: 2n for
         whole-register blocking, outer_n * 2 * inner_n for per-qubit
         blocking.
     """
-    outer_state = encode(scheme.outer, v)
-    n_out, total, span = scheme.outer.n, scheme.total_qubits, scheme.inner.total
-    outer_index = np.arange(2**n_out)
-    placed = np.zeros(2**n_out, dtype=np.int64)
-    for block, carried in enumerate(scheme.assignment):
-        for slot, q in enumerate(carried):
-            bit = (outer_index >> (n_out - 1 - q)) & 1
-            placed |= bit << (total - 1 - block * span - slot)
-    amplitudes = np.zeros(2**total, dtype=np.complex128)
-    amplitudes[placed] = outer_state.amplitudes
-    full = StateVector(p=2, n=total, amplitudes=amplitudes)
-    encoder = build_encoder(scheme.inner.n)
-    for block in range(scheme.blocks):
-        full = encoder.apply(full, offset=block * span)
-    return full
+    t = encode(scheme.outer, v).amplitudes.reshape(
+        [2**len(carried) for carried in scheme.assignment])
+    # Last block first: the blocks before it are still narrow, so the
+    # matmul loops over few leading slices.
+    for b in reversed(range(scheme.blocks)):
+        isometry = encoder_isometry(scheme.inner.n, len(scheme.assignment[b]))
+        t = _map_block(t, b, isometry)
+    return StateVector(p=2, n=scheme.total_qubits, amplitudes=t.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -290,35 +301,35 @@ def _inner_stage(scheme: ConcatScheme, s: StateVector,
                  event: ChannelEvent) -> StateVector:
     """Reduce the inner blocks to the outer codeword register.
 
-    The erased block runs its decoder and recovery programs, which move
-    its content to the undamaged half; every other block runs the
-    inverse encoder.  Padding and ancilla qubits must then read |0>, and
-    the erased block's damaged half must split off as a product.
+    Every undamaged block is contracted with the adjoint of its encoder
+    isometry, which keeps only its carried qubits; the squared norm
+    left is the probability that its padding and ancillas read |0>.
+    The erased block then runs its decoder and recovery programs on the
+    reduced register, which move its content to the undamaged half.
+    Padding and ancillas must have read |0>, and the erased block's
+    damaged half must split off as a product.
     """
     n_in, span = scheme.inner.n, scheme.inner.total
     erasure = event.erasure
-    erased_block = event.block if erasure is not None else None
-    state = s
-    outer_addrs: List[int] = []
-    zero_addrs: List[int] = []
-    discard_addrs: List[int] = []
+    erased = event.block if erasure is not None else None
+    t = s.amplitudes.reshape((2**span,) * scheme.blocks)
     for block, carried in enumerate(scheme.assignment):
-        base = block * span
-        if block == erased_block:
-            assert erasure is not None
-            state = build_decoder(n_in, erasure).apply(state, offset=base)
-            state = build_recovery(n_in, erasure).apply(state, offset=base)
-            content = base + n_in if erasure.side == "message" else base
-            discard = base if erasure.side == "message" else base + n_in
-            discard_addrs.extend(range(discard, discard + n_in))
-        else:
-            state = build_encoder(n_in).inverse().apply(state, offset=base)
-            content = base
-            zero_addrs.extend(range(base + n_in, base + span))
-        outer_addrs.extend(range(content, content + len(carried)))
-        zero_addrs.extend(range(content + len(carried), content + n_in))
+        if block != erased:
+            adjoint = encoder_isometry(n_in, len(carried)).conj().T
+            t = _map_block(t, block, adjoint)
+    state = StateVector(p=2, n=int(np.log2(t.size)), amplitudes=t.reshape(-1))
+    zero_addrs: List[int] = []
+    if erasure is not None:
+        base = sum(map(len, scheme.assignment[:event.block]))
+        c = len(scheme.assignment[event.block])
+        state = build_decoder(n_in, erasure).apply(state, offset=base)
+        state = build_recovery(n_in, erasure).apply(state, offset=base)
+        content = base + n_in if erasure.side == "message" else base
+        zero_addrs = list(range(content + c, content + n_in))
 
-    if zero_addrs:
+    # The contraction's norm counts in the all-zero probability; only a
+    # lone erased block without padding has nothing to check.
+    if zero_addrs or state.n < s.n:
         probs = register_probabilities(state, zero_addrs)
         if int(np.argmax(probs)) != 0 or probs[0] <= DETERMINISM_BOUND:
             raise DecodeError(
@@ -327,11 +338,14 @@ def _inner_stage(scheme: ConcatScheme, s: StateVector,
                 f"{DETERMINISM_BOUND:.12g}); undeclared damage present")
         state = project_register(state, zero_addrs, (0,) * len(zero_addrs))
 
-    if erased_block is None:
+    if erasure is None:
         return state
-    remaining = sorted(outer_addrs + discard_addrs)
+    # What is left of the erased block: its n_in-qubit damaged half, and
+    # its carried qubits before (ancilla side) or after (message side).
+    damaged = base if erasure.side == "message" else base + c
     kept, _dropped = split_recovered(
-        state, [remaining.index(a) for a in outer_addrs])
+        state, [q for q in range(state.n)
+                if not damaged <= q < damaged + n_in])
     return kept
 
 
@@ -444,7 +458,7 @@ def effective_channel(scheme: ConcatScheme, noise: NoiseModel,
 
     Returns:
         Flat statistics: trial count, mean and minimum fidelity, the
-        number and rate of trials below 1 - 1e-9, plus per-event-kind
+        number and rate of trials below FIDELITY_BOUND, plus per-event-kind
         counts and mean fidelities.  Fixed seed gives identical output.
     """
     if trials < 1:
@@ -462,7 +476,7 @@ def effective_channel(scheme: ConcatScheme, noise: NoiseModel,
         f = fidelity_up_to_phase(v.as_state(), recovered.as_state())
         fidelities.append(f)
         per_kind.setdefault(event.kind(), []).append(f)
-    failures = sum(1 for f in fidelities if f < 1.0 - 1e-9)
+    failures = sum(1 for f in fidelities if f < FIDELITY_BOUND)
     stats: Dict[str, float] = {
         "trials": float(trials),
         "mean_fidelity": float(np.mean(fidelities)),

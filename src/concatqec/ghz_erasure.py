@@ -27,11 +27,14 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .statevec import (
+    BRANCH_NORM_FLOOR,
     PURITY_BOUND,
     QUBIT_KERNELS,
     StateVector,
     apply_single_qudit,
+    basis_state,
     check_qubit_gate,
+    index_to_digits,
     split_factor,
 )
 
@@ -268,6 +271,24 @@ def build_encoder(n: int) -> GateProgram:
 
 
 @functools.lru_cache(maxsize=None)
+def encoder_isometry(n: int, c: int) -> np.ndarray:
+    """The encoder as a 2**(2n) x 2**c map from c carried message qubits.
+
+    Column j is build_encoder(n) applied to |j> on message addresses
+    0..c-1 with every other qubit at |0>.  The array is shared between
+    callers and read-only.
+    """
+    if not 1 <= c <= n:
+        raise GhzError(f"carried qubit count {c} outside [1, {n}]")
+    isometry = np.stack([
+        build_encoder(n).apply(basis_state(
+            2, index_to_digits(j, 2, c) + (0,) * (2 * n - c))).amplitudes
+        for j in range(2**c)], axis=1)
+    isometry.flags.writeable = False
+    return isometry
+
+
+@functools.lru_cache(maxsize=None)
 def build_decoder(n: int, pos: ErasurePosition) -> GateProgram:
     """The decoding program for an erasure at pos.
 
@@ -371,7 +392,7 @@ def corrupt_qubit(s: StateVector, address: int,
     matrix = resolve_corruption(corruption)
     damaged = apply_single_qudit(s, address, matrix)
     norm = damaged.norm()
-    if norm < 1e-12:
+    if norm < BRANCH_NORM_FLOOR:
         raise GhzError("corruption annihilated the state")
     return StateVector(p=s.p, n=s.n, amplitudes=damaged.amplitudes / norm)
 

@@ -43,8 +43,10 @@ from .fp_linalg import (
     mat_vec,
 )
 from .statevec import (
+    DECODED_AMPLITUDE_TOL,
     DETERMINISM_BOUND,
     MAX_AMPLITUDES,
+    ZERO_NORM_FLOOR,
     PauliError,
     StateVector,
     apply_pauli_error,
@@ -175,7 +177,7 @@ class LogicalState:
         if not np.all(np.isfinite(self.coefficients)):
             raise CodeError("coefficients must be finite")
         norm = np.linalg.norm(self.coefficients)
-        if norm < 1e-14:
+        if norm < ZERO_NORM_FLOOR:
             raise CodeError("logical state must be nonzero")
         self.coefficients = self.coefficients / norm
 
@@ -623,7 +625,9 @@ _MBS_TO_WORD = {}
 for _w in CORRECTION_WORDS:
     _MBS_TO_WORD.setdefault(word_mbs(_w, 2), _w)
 
-_LABEL_RE = re.compile(r"^(BSB|SBS|BS|SB|B|S)([1-9][0-9]*)$")
+# The one error-label grammar: a letter word and a one-based position,
+# which on a GHZ register may carry a prime for the ancilla half.
+ERROR_LABEL_RE = re.compile(r"^(BSB|SBS|BS|SB|B|S)([1-9][0-9]*'?)$")
 
 
 def format_error_label(e: PauliError) -> str:
@@ -650,8 +654,8 @@ def parse_error_label(label: str, p: int, n: int) -> PauliError:
     stripped = label.strip()
     if stripped.lower() in ("none", "i", ""):
         return PauliError.identity(p, n)
-    match = _LABEL_RE.match(stripped)
-    if not match:
+    match = ERROR_LABEL_RE.match(stripped)
+    if not match or match.group(2).endswith("'"):
         raise CodeError(f"cannot parse error label {label!r}")
     word, pos = match.group(1), int(match.group(2))
     if not 1 <= pos <= n:
@@ -748,9 +752,9 @@ def _render_residual(residuals: Sequence[StateVector], p: int, k: int) -> str:
     for j, res in enumerate(residuals):
         target = int(np.argmax(np.abs(res.amplitudes)))
         amp = res.amplitudes[target]
-        if abs(amp - 1.0) <= 1e-8:
+        if abs(amp - 1.0) <= DECODED_AMPLITUDE_TOL:
             sign = "+"
-        elif abs(amp + 1.0) <= 1e-8:
+        elif abs(amp + 1.0) <= DECODED_AMPLITUDE_TOL:
             sign = "-"
         else:
             raise CodeError(
@@ -841,7 +845,7 @@ def _find_correction(residuals: Sequence[StateVector],
         op = word_error(word, p, k, q) if word else PauliError.identity(p, k)
         if all(
             np.max(np.abs(apply_pauli_error(res, op).amplitudes
-                          - ref.amplitudes)) <= 1e-8
+                          - ref.amplitudes)) <= DECODED_AMPLITUDE_TOL
             for res, ref in zip(residuals, reference)
         ):
             return word, q, op

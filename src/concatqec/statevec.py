@@ -10,18 +10,15 @@ index arrays.  The qubit kernels see a register as a (2,)*n cube: a
 Hadamard combines the two slices of its axis, a controlled X (CNOT or
 Toffoli) swaps the target-0 and target-1 slabs of the control-1 slice,
 and a controlled Z negates the slice where both qubits are 1.  They
-write in place into a buffer the caller owns; on registers above 16
-qubits they walk it in 2**16-amplitude tiles so temporaries stay in
-cache.  General qudit operations use stride arithmetic on a reshaped
-view.  Every public operation returns a fresh StateVector and leaves its
-argument untouched.
+write in place into a buffer the caller owns.  General qudit operations
+use stride arithmetic on a reshaped view.  Every public operation
+returns a fresh StateVector and leaves its argument untouched.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +29,16 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 DETERMINISM_BOUND = 1.0 - 1e-9
 PURITY_BOUND = 1.0 - 1e-9
+# A Monte-Carlo trial whose fidelity falls below this counts as a failure.
+FIDELITY_BOUND = 1.0 - 1e-9
+# A decoded amplitude within this of an exact value (a signed basis
+# amplitude, or the reference state's) counts as exact.
+DECODED_AMPLITUDE_TOL = 1e-8
+# A measured branch or a disturbed state below this norm is annihilated.
+BRANCH_NORM_FLOOR = 1e-12
+# A state or coefficient vector below this norm is zero; it has no
+# normalized form.
+ZERO_NORM_FLOOR = 1e-14
 # Largest register or operator, in complex amplitudes (1 GiB), that the
 # package builds; bigger requests raise a domain error before allocating.
 MAX_AMPLITUDES = 2**26
@@ -166,7 +173,7 @@ def normalize(s: StateVector) -> StateVector:
         StateError: if the state is numerically zero.
     """
     norm = s.norm()
-    if norm < 1e-14:
+    if norm < ZERO_NORM_FLOOR:
         raise StateError("cannot normalize a zero state")
     return StateVector(p=s.p, n=s.n, amplitudes=s.amplitudes / norm)
 
@@ -184,67 +191,45 @@ def states_close(a: StateVector, b: StateVector, tol: float = AMPLITUDE_TOL) -> 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# Registers above this many qubits are visited in tiles of 2**_TILE_QUBITS
-# amplitudes (1 MiB), so kernel temporaries stay small and in cache.
-_TILE_QUBITS = 16
 
-
-def _fixed_slice(cube: np.ndarray, fixed: Dict[int, int]) -> np.ndarray:
-    """View of a (2,)*m cube with the axes in ``fixed`` held at given bits.
+def _fixed_slice(amps: np.ndarray, n: int,
+                 fixed: Dict[int, int]) -> np.ndarray:
+    """View of an n-qubit buffer as a (2,)*n cube, with the axes in
+    ``fixed`` held at given bits.
 
     The trailing Ellipsis keeps the result a view (0-d when every axis
     is fixed) rather than a scalar copy.
     """
-    index: list = [slice(None)] * cube.ndim
-    for axis, bit in fixed.items():
-        index[axis] = bit
-    return cube[(*index, Ellipsis)]
-
-
-def _tiles(amps: np.ndarray, n: int, qubits: Tuple[int, ...]
-           ) -> Iterator[Tuple[np.ndarray, Tuple[int, ...]]]:
-    """Cover a register with cube views that keep every axis a gate uses.
-
-    Each tile holds the leading untouched qubits at one setting; the
-    gate's qubits are renumbered as axes of the tile.
-    """
-    cube = amps.reshape((2,) * n)
-    if n <= _TILE_QUBITS:
-        yield cube, qubits
-        return
-    held = [q for q in range(n) if q not in qubits][:n - _TILE_QUBITS]
-    axes = tuple(q - sum(h < q for h in held) for q in qubits)
-    for bits in itertools.product((0, 1), repeat=len(held)):
-        yield _fixed_slice(cube, dict(zip(held, bits))), axes
+    index = tuple(fixed.get(axis, slice(None)) for axis in range(n))
+    return amps.reshape((2,) * n)[(*index, Ellipsis)]
 
 
 def _hadamard_in_place(amps: np.ndarray, n: int, qubits: Tuple[int, ...]) -> None:
-    for tile, (q,) in _tiles(amps, n, qubits):
-        a0 = _fixed_slice(tile, {q: 0})
-        a1 = _fixed_slice(tile, {q: 1})
-        total = a0 + a1
-        np.subtract(a0, a1, out=a1)
-        a1 *= _INV_SQRT2
-        np.multiply(total, _INV_SQRT2, out=a0)
+    (q,) = qubits
+    a0 = _fixed_slice(amps, n, {q: 0})
+    a1 = _fixed_slice(amps, n, {q: 1})
+    total = a0 + a1
+    np.subtract(a0, a1, out=a1)
+    a1 *= _INV_SQRT2
+    np.multiply(total, _INV_SQRT2, out=a0)
 
 
 def _controlled_x_in_place(amps: np.ndarray, n: int,
                            qubits: Tuple[int, ...]) -> None:
     """Flip the last qubit where all the others are 1 (CX and CCX)."""
-    for tile, (*controls, target) in _tiles(amps, n, qubits):
-        fixed = dict.fromkeys(controls, 1)
-        low = _fixed_slice(tile, {**fixed, target: 0})
-        high = _fixed_slice(tile, {**fixed, target: 1})
-        saved = low.copy()
-        low[...] = high
-        high[...] = saved
+    *controls, target = qubits
+    fixed = dict.fromkeys(controls, 1)
+    low = _fixed_slice(amps, n, {**fixed, target: 0})
+    high = _fixed_slice(amps, n, {**fixed, target: 1})
+    saved = low.copy()
+    low[...] = high
+    high[...] = saved
 
 
 def _controlled_z_in_place(amps: np.ndarray, n: int,
                            qubits: Tuple[int, ...]) -> None:
-    for tile, axes in _tiles(amps, n, qubits):
-        both = _fixed_slice(tile, dict.fromkeys(axes, 1))
-        np.negative(both, out=both)
+    both = _fixed_slice(amps, n, dict.fromkeys(qubits, 1))
+    np.negative(both, out=both)
 
 
 # Gate kind -> in-place kernel.  A kernel overwrites a C-contiguous
@@ -499,7 +484,7 @@ def project_register(s: StateVector, qs: Sequence[int],
         raise StateError(f"outcome {tuple(digits)} out of range")
     branch = block[outcome]
     norm = np.linalg.norm(branch)
-    if norm < 1e-12:
+    if norm < BRANCH_NORM_FLOOR:
         raise StateError(f"outcome {tuple(digits)} has zero probability")
     return StateVector(p=s.p, n=s.n - len(addrs), amplitudes=branch / norm)
 

@@ -5,6 +5,7 @@ contract (0 success, 1 domain failure, 2 usage failure), and pins the
 machine-readable outputs against golden content and repeat runs.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -235,3 +236,24 @@ def test_module_execution_round_trip():
         capture_output=True, text=True)
     assert result.returncode == EXIT_OK
     assert "result=pass" in result.stdout
+
+
+@pytest.mark.parametrize("inner_n, message", [
+    ("3", "30 qubits"),
+    ("7", "block size n must lie in"),
+])
+def test_channel_statistics_script_reports_domain_errors(inner_n, message):
+    # Like the CLI, the script turns a scheme it cannot build into one
+    # error line and exit code 1, not a traceback.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_channel_statistics.py"),
+         "--per-qubit", "--inner-n", inner_n],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == EXIT_DOMAIN
+    assert result.stderr.startswith("error: ") and message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""

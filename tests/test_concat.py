@@ -3,7 +3,9 @@
 The anchor scenario is the ten-qubit pipeline: encode, erase message
 qubit 1 while ancilla 1' takes a bit flip, recover, and read syndrome
 0110 whose tabulated correction restores the input exactly.  Per-qubit
-blocking scales the same machinery to a twenty-qubit register.
+blocking scales the same machinery to a twenty-qubit register.  The
+register-wide gate-program path, which the block contractions replaced,
+stays here as their oracle.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concatqec import concat, statevec
 from concatqec.concat import (
     PER_QUBIT,
     WHOLE_REGISTER,
@@ -25,6 +28,7 @@ from concatqec.concat import (
     noise_two_pauli,
 )
 from concatqec.ghz_erasure import (
+    MAX_BLOCK,
     ErasurePosition,
     GhzError,
     GhzLayout,
@@ -32,6 +36,7 @@ from concatqec.ghz_erasure import (
     build_decoder,
     build_encoder,
     build_recovery,
+    split_recovered,
 )
 from concatqec.graph_code import (
     CodeError,
@@ -47,6 +52,7 @@ from concatqec.statevec import (
     apply_pauli_error,
     basis_state,
     fidelity_up_to_phase,
+    project_register,
     random_single_qubit_unitary,
     random_state,
     split_factor,
@@ -162,6 +168,114 @@ def test_per_qubit_encoding_places_one_codeword_digit_per_block():
         digits = [(idx >> (4 - i)) & 1 for i in range(5)]
         placed = sum(d << (19 - 4 * i) for i, d in enumerate(digits))
         assert abs(state.amplitudes[placed] - codeword.amplitudes[idx]) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The register-wide gate-program path, kept as the oracle
+# ---------------------------------------------------------------------------
+
+
+def _gate_program_encode(scheme, v):
+    """Scatter the codeword to its block addresses, then run the encoder
+    program at every block offset of the whole register."""
+    n_out, total = scheme.outer.n, scheme.total_qubits
+    span = scheme.inner.total
+    index = np.arange(2**n_out)
+    placed = np.zeros(2**n_out, dtype=np.int64)
+    for block, carried in enumerate(scheme.assignment):
+        for slot, q in enumerate(carried):
+            bit = (index >> (n_out - 1 - q)) & 1
+            placed |= bit << (total - 1 - block * span - slot)
+    amplitudes = np.zeros(2**total, dtype=np.complex128)
+    amplitudes[placed] = encode(scheme.outer, v).amplitudes
+    state = StateVector(p=2, n=total, amplitudes=amplitudes)
+    for block in range(scheme.blocks):
+        state = build_encoder(scheme.inner.n).apply(state, offset=block * span)
+    return state
+
+
+def _gate_program_inner_stage(scheme, s, event):
+    """Decoder and recovery on the erased block and the inverse encoder
+    on every other block, all on the whole register; then padding and
+    ancillas are projected onto |0> and the damaged half split off."""
+    n_in, span = scheme.inner.n, scheme.inner.total
+    erasure = event.erasure
+    erased_block = event.block if erasure is not None else None
+    state = s
+    outer_addrs, zero_addrs, discard_addrs = [], [], []
+    for block, carried in enumerate(scheme.assignment):
+        base = block * span
+        if block == erased_block:
+            state = build_decoder(n_in, erasure).apply(state, offset=base)
+            state = build_recovery(n_in, erasure).apply(state, offset=base)
+            content = base + n_in if erasure.side == "message" else base
+            discard = base if erasure.side == "message" else base + n_in
+            discard_addrs.extend(range(discard, discard + n_in))
+        else:
+            state = build_encoder(n_in).inverse().apply(state, offset=base)
+            content = base
+            zero_addrs.extend(range(base + n_in, base + span))
+        outer_addrs.extend(range(content, content + len(carried)))
+        zero_addrs.extend(range(content + len(carried), content + n_in))
+    if zero_addrs:
+        state = project_register(state, zero_addrs, (0,) * len(zero_addrs))
+    if erased_block is None:
+        return state
+    remaining = sorted(outer_addrs + discard_addrs)
+    kept, _dropped = split_recovered(
+        state, [remaining.index(a) for a in outer_addrs])
+    return kept
+
+
+@given(st.sampled_from([WHOLE_REGISTER, PER_QUBIT]),
+       st.sampled_from(["identity", "correctable", "two-pauli"]),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+@settings(max_examples=20, deadline=None)
+def test_block_contractions_match_the_gate_program_path(blocking, model, seed):
+    scheme = _scheme(blocking)
+    noise = {"identity": noise_identity(),
+             "correctable": noise_correctable(scheme),
+             "two-pauli": noise_two_pauli(scheme)}[model]
+    v = _random_logical(seed)
+    event = noise(np.random.default_rng(seed))
+    expected = _gate_program_encode(scheme, v)
+    got = concat_encode(scheme, v)
+    assert np.max(np.abs(got.amplitudes - expected.amplitudes)) < 1e-12
+    damaged = apply_channel_damage(scheme, expected, event)
+    recovered, trace = concat_decode(scheme, damaged, event)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concat, "_inner_stage", _gate_program_inner_stage)
+        reference, reference_trace = concat_decode(scheme, damaged, event)
+    assert trace == reference_trace
+    # split_factor fixes the global phase on the dropped half's largest
+    # amplitude; the dropped half often holds two of equal size, and
+    # rounding picks one, so the states agree up to one global phase.
+    overlap = np.vdot(reference.coefficients, recovered.coefficients)
+    aligned = recovered.coefficients * np.conj(overlap) / abs(overlap)
+    assert np.max(np.abs(aligned - reference.coefficients)) < 1e-12
+
+
+def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
+    # Only the erased block runs gate programs, on a register reduced to
+    # the other blocks' carried qubits; no kernel sees the whole
+    # 20-qubit per-qubit register.
+    sizes = []
+    for kind, kernel in list(statevec.QUBIT_KERNELS.items()):
+        def recording(amps, n, qubits, kernel=kernel):
+            sizes.append(n)
+            kernel(amps, n, qubits)
+        monkeypatch.setitem(statevec.QUBIT_KERNELS, kind, recording)
+    for blocking in (WHOLE_REGISTER, PER_QUBIT):
+        scheme = _scheme(blocking)
+        v = _random_logical(3)
+        event = ChannelEvent(
+            erasure=ErasurePosition(address=1, n=scheme.inner.n),
+            corruption="Y", block=scheme.blocks - 1)
+        physical = apply_channel_damage(scheme, concat_encode(scheme, v), event)
+        recovered, _ = concat_decode(scheme, physical, event)
+        assert fidelity_up_to_phase(v.as_state(),
+                                    recovered.as_state()) > 1 - 1e-10
+    assert sizes and max(sizes) <= 2 * MAX_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +400,26 @@ def test_undeclared_damage_error_states_the_margin(blocking):
                           corruption=rotation)
     physical = concat_encode(scheme, _random_logical())
     damaged = apply_channel_damage(scheme, physical, sneaky)
-    with pytest.raises(DecodeError,
-                       match=r"probability 0\.5 <= bound 0\.999999999\)"):
+    with pytest.raises(
+            DecodeError,
+            match=r"all-zero probability 0\.5 <= bound 0\.999999999\)"):
         concat_decode(scheme, damaged, ChannelEvent())
+
+
+def test_erased_block_padding_is_checked_before_projection():
+    # Per-qubit blocks pad their message half with |0>.  A Z on ancilla
+    # 1' of block 0, declared as an erasure of qubit 1, leaves the
+    # erased block's padding at |1> after recovery: its all-zero
+    # probability is 0, which must be reported, not projected away.
+    scheme = _scheme(PER_QUBIT)
+    physical = concat_encode(scheme, _random_logical())
+    hit = ChannelEvent(erasure=ErasurePosition(address=2, n=2),
+                       corruption="Z")
+    damaged = apply_channel_damage(scheme, physical, hit)
+    declared = ChannelEvent(erasure=ErasurePosition(address=0, n=2))
+    with pytest.raises(DecodeError,
+                       match=r"all-zero probability 0 <= bound 0\.999999999"):
+        concat_decode(scheme, damaged, declared)
 
 
 @pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])

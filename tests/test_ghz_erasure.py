@@ -22,6 +22,7 @@ from concatqec.ghz_erasure import (
     build_decoder,
     build_encoder,
     build_recovery,
+    encoder_isometry,
     recover,
     resolve_corruption,
 )
@@ -245,6 +246,27 @@ def test_program_builders_and_inverse_are_shared():
     assert build_decoder(4, pos) is build_decoder(4, ErasurePosition(5, 4))
     assert build_recovery(4, pos) is build_recovery(4, pos)
     assert build_encoder(4).inverse() is build_encoder(4).inverse()
+
+
+@pytest.mark.parametrize("n, c", [(2, 1), (3, 2), (5, 5)])
+def test_encoder_isometry_is_the_encoder_on_carried_inputs(n, c):
+    # Column j is the encoder program run on |j> in the first c message
+    # qubits, padding and ancillas at |0>; the columns are orthonormal.
+    iso = encoder_isometry(n, c)
+    assert iso.shape == (4**n, 2**c)
+    for j in range(2**c):
+        digits = [(j >> (c - 1 - q)) & 1 for q in range(c)]
+        column = build_encoder(n).apply(
+            basis_state(2, digits + [0] * (2 * n - c)))
+        assert np.array_equal(iso[:, j], column.amplitudes)
+    assert np.max(np.abs(iso.conj().T @ iso - np.eye(2**c))) < 1e-12
+    assert encoder_isometry(n, c) is iso and not iso.flags.writeable
+
+
+def test_encoder_isometry_rejects_carried_counts_outside_the_half():
+    for c in (0, 3):
+        with pytest.raises(GhzError, match="carried qubit count"):
+            encoder_isometry(2, c)
 
 
 # ---------------------------------------------------------------------------
