@@ -387,14 +387,22 @@ def corrupt_qubit(s: StateVector, address: int,
     Projective disturbances are renormalized.
 
     Raises:
-        GhzError: on a bad corruption or an annihilating disturbance.
+        GhzError: on a bad corruption, or a disturbance that annihilates
+            the state or overflows its norm.
     """
     matrix = resolve_corruption(corruption)
     damaged = apply_single_qudit(s, address, matrix)
-    norm = damaged.norm()
-    if norm < BRANCH_NORM_FLOOR:
-        raise GhzError("corruption annihilated the state")
-    return StateVector(p=s.p, n=s.n, amplitudes=damaged.amplitudes / norm)
+    with np.errstate(over="ignore"):
+        norm = damaged.norm()
+    if not BRANCH_NORM_FLOOR <= norm < np.inf:
+        raise GhzError(
+            f"corruption annihilated the state or overflowed its norm: "
+            f"norm {norm:.6g} outside [{BRANCH_NORM_FLOOR:g}, inf)")
+    # The buffer is fresh, so rescale it in place; dividing the float64
+    # view by the real norm skips numpy's complex division.
+    real = damaged.amplitudes.view(np.float64)
+    real /= norm
+    return damaged
 
 
 def apply_erasure(s: StateVector, pos: ErasurePosition,

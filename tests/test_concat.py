@@ -377,6 +377,20 @@ def test_apply_channel_damage_passthrough_and_validation():
             ChannelEvent(erasure=ErasurePosition(address=0, n=5), block=1))
 
 
+def test_apply_channel_damage_returns_a_fresh_state_and_keeps_its_input():
+    scheme = _scheme(WHOLE_REGISTER)
+    s = concat_encode(scheme, _random_logical())
+    before = s.amplitudes.copy()
+    for address in range(scheme.inner.total):
+        event = ChannelEvent(erasure=ErasurePosition(address=address, n=5),
+                             corruption=random_single_qubit_unitary(RNG))
+        out = apply_channel_damage(scheme, s, event)
+        assert not np.shares_memory(out.amplitudes, s.amplitudes)
+        assert abs(out.norm() - 1.0) < 1e-12
+    assert np.array_equal(s.amplitudes.view(np.uint64),
+                          before.view(np.uint64))
+
+
 def test_undeclared_damage_is_detected():
     scheme = _scheme(WHOLE_REGISTER)
     v = _random_logical()

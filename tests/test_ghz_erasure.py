@@ -6,6 +6,8 @@ the data-hiding property of the encoded state, and full recovery from
 one erased qubit regardless of how the erased qubit was corrupted.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from concatqec.ghz_erasure import (
     build_decoder,
     build_encoder,
     build_recovery,
+    corrupt_qubit,
     encoder_isometry,
     recover,
     resolve_corruption,
@@ -371,6 +374,50 @@ def test_apply_erasure_corrupts_only_the_given_address():
     pos = ErasurePosition(address=1, n=2)
     out = apply_erasure(s, pos, "X")
     assert states_close(out, basis_state(2, (0, 1, 0, 0)))
+
+
+def test_corrupt_qubit_returns_a_fresh_state_and_keeps_its_input():
+    # Ten qubits: the erased address runs both contraction paths of
+    # apply_single_qudit, and the result is rescaled in place.
+    s = random_state(2, 10, RNG)
+    before = s.amplitudes.copy()
+    ops = ["Y", random_single_qubit_unitary(RNG), np.diag([1.0, 0.0]),
+           RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))]
+    for address in range(s.n):
+        for op in ops:
+            out = corrupt_qubit(s, address, op)
+            assert not np.shares_memory(out.amplitudes, s.amplitudes)
+            assert abs(out.norm() - 1.0) < 1e-12
+    assert np.array_equal(s.amplitudes.view(np.uint64),
+                          before.view(np.uint64))
+
+
+def test_projective_corruption_is_renormalized():
+    s = random_state(2, 4, RNG)
+    kept = np.diag([0.0, 1.0])
+    for address in range(s.n):
+        out = corrupt_qubit(s, address, kept)
+        assert abs(out.norm() - 1.0) < 1e-12
+        cube = s.amplitudes.reshape((2,) * s.n).copy()
+        np.moveaxis(cube, address, 0)[0] = 0
+        want = cube.reshape(-1) / np.linalg.norm(cube)
+        assert np.max(np.abs(out.amplitudes - want)) < 1e-12
+
+
+def test_annihilating_corruption_is_rejected():
+    s = basis_state(2, (0, 1, 0, 0))
+    with pytest.raises(GhzError, match=r"annihilated .* norm 0 "):
+        corrupt_qubit(s, 1, np.diag([1.0, 0.0]))
+
+
+def test_overflowing_corruption_is_rejected():
+    # Every amplitude stays finite, but the norm overflows; dividing by
+    # it would return an all-zero register.
+    s = random_state(2, 4, RNG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GhzError, match=r"overflowed its norm: norm inf "):
+            corrupt_qubit(s, 0, 1e308 * np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from concatqec.fp_linalg import FpVector
 from concatqec.statevec import (
+    MATMUL_MIN_POST,
     PauliError,
     StateError,
     StateVector,
@@ -99,21 +100,21 @@ def test_normalize_and_zero_rejection():
 # ---------------------------------------------------------------------------
 
 
-def _lift(op: np.ndarray, qs, n: int) -> np.ndarray:
-    """Build the full 2^n matrix acting as op on qudits qs (in order)."""
+def _lift(op: np.ndarray, qs, n: int, p: int = 2) -> np.ndarray:
+    """Build the full p^n matrix acting as op on qudits qs (in order)."""
     span = len(qs)
-    full = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for col in range(2 ** n):
-        bits = index_to_digits(col, 2, n)
-        sub_in = digits_to_index([bits[q] for q in qs], 2)
-        for sub_out in range(2 ** span):
+    full = np.zeros((p ** n, p ** n), dtype=complex)
+    for col in range(p ** n):
+        digits = index_to_digits(col, p, n)
+        sub_in = digits_to_index([digits[q] for q in qs], p)
+        for sub_out in range(p ** span):
             amp = op[sub_out, sub_in]
             if amp == 0:
                 continue
-            out_bits = list(bits)
-            for q, d in zip(qs, index_to_digits(sub_out, 2, span)):
-                out_bits[q] = d
-            full[digits_to_index(out_bits, 2), col] += amp
+            out_digits = list(digits)
+            for q, d in zip(qs, index_to_digits(sub_out, p, span)):
+                out_digits[q] = d
+            full[digits_to_index(out_digits, p), col] += amp
     return full
 
 
@@ -179,6 +180,36 @@ def test_single_qudit_kernel_matches_dense_oracle(n):
         s = random_state(2, n, RNG)
         got = apply_single_qudit(s, q, u)
         assert np.max(np.abs(got.amplitudes - full @ s.amplitudes)) < 1e-12
+
+
+def _single_qudit_operators(p):
+    """A random unitary, a projector and a random complex p x p matrix."""
+    z = RNG.normal(size=(p, p)) + 1j * RNG.normal(size=(p, p))
+    unitary, _ = np.linalg.qr(z)
+    projector = np.zeros((p, p), dtype=complex)
+    projector[0, 0] = 1
+    general = RNG.normal(size=(p, p)) + 1j * RNG.normal(size=(p, p))
+    return [unitary, projector, general]
+
+
+# Each register is large enough that some address leaves a trailing
+# block of at least MATMUL_MIN_POST amplitudes (batched matmul) and
+# others a shorter one (one gemm against the widened operator).
+@pytest.mark.parametrize("p, n", [(2, 8), (3, 5), (5, 4)])
+def test_single_qudit_kernel_matches_dense_oracle_on_both_paths(p, n):
+    posts = [p ** (n - 1 - q) for q in range(n)]
+    assert max(posts) >= MATMUL_MIN_POST > min(posts)
+    s = random_state(p, n, RNG)
+    before = s.amplitudes.copy()
+    for q in range(n):
+        for op in _single_qudit_operators(p):
+            got = apply_single_qudit(s, q, op)
+            want = _lift(op, [q], n, p) @ s.amplitudes
+            assert np.max(np.abs(got.amplitudes - want)) < 1e-12, (p, n, q)
+            assert (got.p, got.n) == (p, n)
+            assert not np.shares_memory(got.amplitudes, s.amplitudes)
+    assert np.array_equal(s.amplitudes.view(np.uint64),
+                          before.view(np.uint64))
 
 
 def _qubit_gate_cases(n):
