@@ -360,7 +360,8 @@ def resolve_corruption(corruption: Union[None, str, np.ndarray]) -> np.ndarray:
 
     None and "I" mean no disturbance; "X", "Y", "Z" name the Pauli
     matrices; anything else must already be a 2 x 2 array of finite
-    entries.
+    entries, rescaled exactly by the power of two that puts its largest
+    part in [0.5, 1), since renormalization removes the scale anyway.
 
     Raises:
         GhzError: on an unknown label, a wrong shape, or a NaN or
@@ -377,7 +378,9 @@ def resolve_corruption(corruption: Union[None, str, np.ndarray]) -> np.ndarray:
         raise GhzError(f"corruption operator shape {matrix.shape} != (2, 2)")
     if not np.all(np.isfinite(matrix)):
         raise GhzError("corruption operator has non-finite entries")
-    return matrix
+    parts = np.ascontiguousarray(matrix).view(np.float64)
+    _, exponent = np.frexp(np.abs(parts).max())
+    return np.ldexp(parts, -exponent).view(np.complex128)
 
 
 def corrupt_qubit(s: StateVector, address: int,

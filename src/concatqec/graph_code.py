@@ -7,12 +7,13 @@ Encoding attaches a phase to every output string through the edge sum of
 the adjacency matrix; decoding applies the inverse Fourier-type unitary
 of the same graph extended by the syndrome vertices, after which the L
 register holds a classical syndrome and the X register holds the
-logical content up to a Pauli frame fixed by a lookup table.  That
-unitary is never built as a matrix: it factors into two diagonal phase
-layers, a relabelling of basis strings by the cross block between Y and
-L + X (a permutation exactly when admissibility condition c2 holds), and
-a p-point Fourier transform on every qudit, so decoding costs O(p**n)
-memory.  Registers and operators above statevec.MAX_AMPLITUDES
+logical content up to a Pauli frame fixed by a lookup table.  Neither
+map is built as a matrix: the encoder reads a Fourier transform of the
+inputs at the cross block's image of each output string, and the decoder
+is two phase layers, a relabelling of strings by the cross block between
+Y and L + X (a permutation exactly when admissibility condition c2
+holds) and a p-point Fourier transform on every qudit, so both cost
+O(p**n) memory.  Registers and operators above statevec.MAX_AMPLITUDES
 amplitudes are refused with a CodeError before anything is allocated.
 
 Vertices are numbered with the X block first, then Y, then L.  Register
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -129,10 +129,6 @@ class CodeGraph:
             )
         if not self.inputs or not self.outputs:
             raise CodeError("need at least one input and one output vertex")
-
-    @property
-    def n_vertices(self) -> int:
-        return self.adjacency.rows
 
     @property
     def k(self) -> int:
@@ -428,27 +424,36 @@ def _pair_form(sub: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ij,kj->k", digits, upper, digits)
 
 
-@functools.lru_cache(maxsize=32)
-def _encoding_map(g: CodeGraph) -> np.ndarray:
-    """The p**n x p**k matrix of unnormalized codeword amplitudes.
+def _fourier_factor(p: int, h: int) -> np.ndarray:
+    """The p-point inverse Fourier matrix on each of h qudits, as p**h x p**h."""
+    digits = _digit_table(p, h)
+    return np.exp(-2j * np.pi / p)**((digits @ digits.T) % p) / np.sqrt(float(p**h))
 
-    Column x holds the phase pattern omega**theta(x, y) over all output
-    strings y, where theta is the edge sum of the adjacency matrix
-    restricted to the input and output vertices.  Syndrome vertices do
-    not participate in encoding.
+
+@functools.lru_cache(maxsize=32)
+def _encoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """The encoder of a graph, as a map from logical coefficients c.
+
+    Codeword string y has amplitude sum_x c(x) omega**(q_y(y) + y.A x +
+    q_x(x)), with q_y and q_x the edge sums inside Y and inside X and A
+    the block between them; syndrome vertices take no part.  Summed over
+    x, that is omega**q_y(y) * F(omega**q_x * c)[A y mod p] with F the
+    p-point Fourier transform on the inputs: one p**k x p**k product and
+    one gather, unnormalized, in O(p**n) numbers.
 
     Raises:
-        CodeError: if the map would exceed MAX_AMPLITUDES entries.
+        CodeError: if the codeword or F would exceed MAX_AMPLITUDES.
     """
-    check_amplitude_count("the encoding map", g.p**(g.n + g.k))
+    check_amplitude_count("the encoder", max(g.p**g.n, g.p**(2 * g.k)))
     adj = np.array(g.adjacency.entries, dtype=np.int64)
     y_digits = _digit_table(g.p, g.n)
-    x_digits = _digit_table(g.p, g.k)
-    q_y = _pair_form(adj[np.ix_(g.outputs, g.outputs)], y_digits)
-    q_x = _pair_form(adj[np.ix_(g.inputs, g.inputs)], x_digits)
-    cross = y_digits @ adj[np.ix_(g.outputs, g.inputs)] @ x_digits.T
-    exponent = (q_y[:, np.newaxis] + cross + q_x[np.newaxis, :]) % g.p
-    return np.exp(2j * np.pi / g.p)**exponent
+    omega = np.exp(2j * np.pi / g.p)
+    d_y = omega**(_pair_form(adj[np.ix_(g.outputs, g.outputs)], y_digits) % g.p)
+    q_x = _pair_form(adj[np.ix_(g.inputs, g.inputs)], _digit_table(g.p, g.k))
+    fourier = np.conj(_fourier_factor(g.p, g.k)) * omega**(q_x % g.p)
+    images = (y_digits @ adj[np.ix_(g.inputs, g.outputs)].T) % g.p
+    read = images @ g.p**np.arange(g.k - 1, -1, -1)
+    return lambda coefficients: d_y * (fourier @ coefficients)[read]
 
 
 def encode(g: CodeGraph, v: LogicalState) -> StateVector:
@@ -461,10 +466,7 @@ def encode(g: CodeGraph, v: LogicalState) -> StateVector:
         raise CodeError(f"logical field {v.p} does not match code p = {g.p}")
     if v.k != g.k:
         raise CodeError(f"logical register size {v.k} != |X| = {g.k}")
-    # Column by column: the sums of the matrix-vector product, without the
-    # BLAS call, which spreads a product as skinny as 3**7 x 3 over threads.
-    amplitudes = functools.reduce(operator.add, [
-        column * c for column, c in zip(_encoding_map(g).T, v.coefficients)])
+    amplitudes = _encoder(g)(v.coefficients)
     return normalize(StateVector(p=g.p, n=g.n, amplitudes=amplitudes))
 
 
@@ -475,12 +477,6 @@ def encode(g: CodeGraph, v: LogicalState) -> StateVector:
 def _cross_block(g: CodeGraph) -> FpMatrix:
     """The output rows cut at the input and syndrome columns (condition c2)."""
     return mat_submatrix(g.adjacency, g.outputs, g.inputs + g.syndromes)
-
-
-def _fourier_factor(p: int, h: int) -> np.ndarray:
-    """The p-point inverse Fourier matrix on each of h qudits, as p**h x p**h."""
-    digits = _digit_table(p, h)
-    return np.exp(-2j * np.pi / p)**((digits @ digits.T) % p) / np.sqrt(float(p**h))
 
 
 @functools.lru_cache(maxsize=32)

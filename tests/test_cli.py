@@ -97,7 +97,7 @@ def test_syndrome_table_text_has_header_and_rows(capsys):
 
 def test_syndrome_table_rejects_an_oversized_graph(tmp_path, capsys):
     # p = 7 with |Y| = 12 passes parsing, which has no size cap, but its
-    # encoding map would hold 7**13 amplitudes.
+    # encoder would need 7**12 amplitudes.
     edges = ([f"0 {y} 1" for y in range(1, 13)]
              + [f"{13 + i} {2 + i} 1" for i in range(11)])
     big = tmp_path / "big.graph"
@@ -105,7 +105,7 @@ def test_syndrome_table_rejects_an_oversized_graph(tmp_path, capsys):
     code, out, err = _run(capsys, "syndrome-table", "--graph", str(big))
     assert code == EXIT_DOMAIN
     assert out == ""
-    assert err.startswith("error:") and f"{7**13} amplitudes" in err
+    assert err.startswith("error:") and f"{7**12} amplitudes" in err
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +257,23 @@ def test_channel_statistics_script_reports_domain_errors(inner_n, message):
     assert result.stderr.startswith("error: ") and message in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("block_size, lines", [("5", 83), ("3", 79)])
+def test_operator_tables_script_matches_golden(block_size, lines):
+    # The dump prints the adjacency matrix, the admissibility verdict, the
+    # 32 signed codeword forms of the encoder, the syndrome table and the
+    # GHZ block programs; all of it is pinned byte for byte.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    golden = root / "tests" / "golden" / f"operator_tables_n{block_size}.txt"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "dump_operator_tables.py"),
+         "--block-size", block_size],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == EXIT_OK
+    assert result.stderr == ""
+    assert len(result.stdout.splitlines()) == lines
+    assert result.stdout == golden.read_text()

@@ -35,6 +35,7 @@ from concatqec.statevec import (
     apply_cnot,
     apply_controlled_z,
     apply_hadamard,
+    apply_single_qudit,
     apply_toffoli,
     basis_state,
     fidelity_up_to_phase,
@@ -410,14 +411,56 @@ def test_annihilating_corruption_is_rejected():
         corrupt_qubit(s, 1, np.diag([1.0, 0.0]))
 
 
-def test_overflowing_corruption_is_rejected():
-    # Every amplitude stays finite, but the norm overflows; dividing by
-    # it would return an all-zero register.
+def test_zero_corruption_is_rejected():
     s = random_state(2, 4, RNG)
+    with pytest.raises(GhzError, match=r"annihilated .* norm 0 "):
+        corrupt_qubit(s, 2, np.zeros((2, 2)))
+
+
+def test_overflowing_corruption_is_rejected():
+    # Every amplitude of this oversized register stays finite, but the
+    # norm overflows; dividing by it would return an all-zero register.
+    s = StateVector(p=2, n=4, amplitudes=np.full(16, 1e300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(GhzError, match=r"overflowed its norm: norm inf "):
-            corrupt_qubit(s, 0, 1e308 * np.ones((2, 2)))
+            corrupt_qubit(s, 0, np.eye(2))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-13])
+def test_corruption_scale_is_removed(scale):
+    # Unscaled, 1e160 * I overflows the damaged state's norm and
+    # 1e-13 * I falls below the annihilation floor.
+    s = random_state(2, 4, RNG)
+    for address in range(s.n):
+        out = corrupt_qubit(s, address, scale * np.eye(2))
+        assert abs(out.norm() - 1.0) < 1e-12
+        assert np.max(np.abs(out.amplitudes - s.amplitudes)) < 1e-15
+
+
+def test_corruption_rescale_keeps_results_bit_identical():
+    # The rescale is by a power of two, so every operator gives the bits
+    # of the unscaled contraction divided by its norm.  The transposed
+    # unitary is a non-contiguous view.
+    s = random_state(2, 6, RNG)
+    ops = [np.array([[0, -1j], [1j, 0]]), random_single_qubit_unitary(RNG).T,
+           np.diag([1.0, 0.0]),
+           RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))]
+    for address in range(s.n):
+        for op in ops:
+            damaged = apply_single_qudit(s, address, op)
+            want = damaged.amplitudes.view(np.float64) / damaged.norm()
+            got = corrupt_qubit(s, address, op).amplitudes.view(np.float64)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    ones = np.ones((2, 2))
+    for address in range(s.n):
+        plain = corrupt_qubit(s, address, ones).amplitudes
+        huge = corrupt_qubit(s, address, 2.0**1000 * ones).amplitudes
+        assert np.array_equal(huge.view(np.uint64), plain.view(np.uint64))
+        # 1e308 is no power of two, so its products round differently:
+        # the result agrees to the last bits instead of bit for bit.
+        near = corrupt_qubit(s, address, 1e308 * ones).amplitudes
+        assert np.max(np.abs(near - plain)) < 1e-15
 
 
 @pytest.mark.parametrize("n", [3, 5])

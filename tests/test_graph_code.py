@@ -3,7 +3,8 @@
 The frozen oracles here are the 32 signed coefficient forms of the
 five-qubit codeword, the 16-row syndrome lookup table, the closed-form
 action of a shift/phase error on codeword amplitudes, and the dense
-p**n x p**n decoding matrix built from its definition.
+p**n x p**k encoding and p**n x p**n decoding matrices built from their
+definitions.
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ from concatqec.graph_code import (
     word_error,
     word_mbs,
 )
-from concatqec.fp_linalg import FpMatrix, FpVector
+from concatqec.fp_linalg import FpMatrix, FpVector, mat_rank
 from concatqec.statevec import (
     MAX_AMPLITUDES,
     PauliError,
@@ -250,6 +251,114 @@ def test_qutrit_encoding_matches_closed_form():
         assert abs(psi.amplitudes[y] - expected / np.sqrt(3)) < 1e-12
 
 
+def _dense_encoder(g):
+    """Reference: the p**n x p**k matrix of unnormalized codeword amplitudes.
+
+    Column x holds omega**theta(x, y) over all output strings y, where
+    theta is the edge sum of the adjacency matrix restricted to the input
+    and output vertices; syndrome vertices take no part.
+    """
+    adj = np.array(g.adjacency.entries, dtype=np.int64)
+
+    def digits(n):
+        return np.array([index_to_digits(i, g.p, n) for i in range(g.p**n)],
+                        dtype=np.int64).reshape(g.p**n, n)
+
+    def pair_form(idx, d):
+        return np.einsum("ki,ij,kj->k", d, np.triu(adj[np.ix_(idx, idx)], k=1), d)
+
+    y_digits, x_digits = digits(g.n), digits(g.k)
+    q_y = pair_form(list(g.outputs), y_digits)
+    q_x = pair_form(list(g.inputs), x_digits)
+    cross = y_digits @ adj[np.ix_(g.outputs, g.inputs)] @ x_digits.T
+    exponent = (q_y[:, np.newaxis] + cross + q_x[np.newaxis, :]) % g.p
+    return np.exp(2j * np.pi / g.p)**exponent
+
+
+def _random_encoder_graph(p, k, n, m, rng, fail_c2=False):
+    """A graph with random weights on every edge.
+
+    With fail_c2 one output vertex sees neither X nor L, so the cross
+    block has a zero row and the graph fails condition c2.
+    """
+    size = k + n + m
+    upper = np.triu(rng.integers(p, size=(size, size)), k=1)
+    adj = upper + upper.T
+    if fail_c2:
+        lone = k + int(rng.integers(n))
+        others = list(range(k)) + list(range(k + n, size))
+        adj[lone, others] = adj[others, lone] = 0
+    return CodeGraph(
+        p=p, adjacency=FpMatrix.from_rows(adj.tolist(), p),
+        inputs=tuple(range(k)), outputs=tuple(range(k, k + n)),
+        syndromes=tuple(range(k + n, size)))
+
+
+# |Y| stops at 6, 5, 4 and 4 for p = 2, 3, 5, 7, so the dense reference
+# stays below 2401 x 343.  Graphs without syndrome vertices may have
+# |Y| < |X|; the c2 failures meet c1, |X| + |L| = |Y|.
+@pytest.mark.parametrize("shape", ["no syndromes", "fails c2"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p, max_n", [(2, 6), (3, 5), (5, 4), (7, 4)])
+def test_encoder_matches_dense_reference(p, max_n, k, shape):
+    rng = np.random.default_rng([p, k, len(shape)])
+    for _ in range(3):
+        if shape == "no syndromes":
+            n = int(rng.integers(1, max_n + 1))
+            g = _random_encoder_graph(p, k, n, 0, rng)
+        else:
+            n = int(rng.integers(k, max_n + 1))
+            g = _random_encoder_graph(p, k, n, n - k, rng, fail_c2=True)
+            assert mat_rank(graph_code._cross_block(g)) < g.n
+        v = LogicalState(p=p, coefficients=random_state(p, k, rng).amplitudes)
+        expected = _dense_encoder(g) @ v.coefficients
+        expected /= np.linalg.norm(expected)
+        assert np.max(np.abs(encode(g, v).amplitudes - expected)) < 1e-12
+
+
+def test_encoder_reaches_a_graph_beyond_the_dense_map():
+    # p = 7, |X| = 3, |Y| = 7, |L| = 4: a dense encoding map would hold
+    # 7**10 amplitudes, above the package limit, while the codeword holds
+    # 7**7.  Output i links to the i-th vertex of X + L and to later ones,
+    # so the cross block is unit upper triangular and the graph meets c2.
+    k, n, m = 3, 7, 4
+    assert 7**(n + k) > MAX_AMPLITUDES
+    rows = [[0] * (k + n + m) for _ in range(k + n + m)]
+    edges = [(0, 1, 2), (1, 2, 5)]
+    edges += [(k + i, k + (i + 1) % n, 1 + i % 6) for i in range(n)]
+    cols = list(range(k)) + list(range(k + n, k + n + m))
+    edges += [(k + i, cols[j], 1 if i == j else (i + 2 * j) % 7)
+              for i in range(n) for j in range(i, n)]
+    for u, v, w in edges:
+        rows[u][v] = rows[v][u] = w
+    g = CodeGraph(p=7, adjacency=FpMatrix.from_rows(rows, 7),
+                  inputs=tuple(range(k)), outputs=tuple(range(k, k + n)),
+                  syndromes=tuple(range(k + n, k + n + m)))
+    rng = np.random.default_rng(7)
+    v = LogicalState(p=7, coefficients=random_state(7, k, rng).amplitudes)
+    psi = encode(g, v)
+    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+    # The cross block has full rank, so every read-out of the Fourier
+    # image repeats 7**(n - k) times and the codeword norm is sqrt(7**n).
+    adj = np.array(rows)
+    xs = [index_to_digits(x, 7, k) for x in range(7**k)]
+    q_x = [sum(adj[a][b] * x[a] * x[b] for a in range(k) for b in range(a + 1, k))
+           for x in xs]
+    for y_index in rng.integers(7**n, size=40):
+        y = index_to_digits(int(y_index), 7, n)
+        q_y = sum(adj[k + a][k + b] * y[a] * y[b]
+                  for a in range(n) for b in range(a + 1, n))
+        phases = [q_y + q_x[j] + sum(adj[k + a][b] * y[a] * x[b]
+                                     for a in range(n) for b in range(k))
+                  for j, x in enumerate(xs)]
+        amplitude = sum(np.exp(2j * np.pi * (t % 7) / 7) * c
+                        for t, c in zip(phases, v.coefficients))
+        assert abs(psi.amplitudes[y_index] - amplitude / 7**(n / 2)) < 1e-12
+    syndrome, residual = decode(g, psi)
+    assert syndrome.entries == (0,) * m
+    assert fidelity_up_to_phase(residual, v.as_state()) >= 1 - 1e-10
+
+
 def test_encode_validates_field_match():
     g = five_qubit_code_graph()
     with pytest.raises(CodeError):
@@ -444,7 +553,7 @@ def test_oversized_graph_is_refused_before_allocation():
                                         rf"amplitudes, above the limit of "
                                         rf"{MAX_AMPLITUDES}"):
         decoder_unitary(g)
-    with pytest.raises(CodeError, match=rf"the encoding map needs {7**13} "
+    with pytest.raises(CodeError, match=rf"the encoder needs {7**12} "
                                         "amplitudes"):
         encode(g, LogicalState.computational(7, 1, 0))
 
