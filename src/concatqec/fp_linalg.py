@@ -2,16 +2,17 @@
 
 All values are plain Python integers reduced modulo p, wrapped in small
 immutable containers.  Every operation is exact; there is no floating
-point anywhere in this module.  Sizes are desk scale (matrices of a few
-dozen entries, exhaustive enumerations of at most a few thousand
-vectors), so clarity wins over asymptotics throughout.
+point anywhere in this module.  Everything rests on one Gaussian
+elimination to reduced row-echelon form, which yields the rank and a
+kernel basis; nothing enumerates the vectors of F_p^n.  Matrices are
+desk scale (a few dozen rows and columns), so clarity wins over
+asymptotics throughout.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -125,12 +126,9 @@ class FpMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def is_symmetric_zero_diagonal(self) -> bool:
         """True when the matrix is a valid weighted adjacency matrix."""
-        if not self.is_square():
+        if self.rows != self.cols:
             return False
         for i in range(self.rows):
             if self.entries[i][i] != 0:
@@ -173,106 +171,66 @@ def mat_submatrix(a: FpMatrix, row_set: Iterable[int], col_set: Iterable[int]) -
     return FpMatrix(entries=grid, rows=len(rows), cols=len(cols), p=a.p)
 
 
-def mat_vec(a: FpMatrix, v: FpVector) -> FpVector:
-    """Multiply matrix by column vector over F_p.
+def _row_reduce(grid: List[List[int]], cols: int, p: int) -> List[int]:
+    """Bring the rows of grid to reduced row-echelon form over F_p, in place.
 
-    Args:
-        a: matrix of shape rows x cols.
-        v: vector of length cols over the same field.
+    Pivot rows come first, each with a leading 1 that is 0 in every other
+    row; zero rows follow.
 
     Returns:
-        The product vector of length rows.
+        The pivot columns, ascending; their count is the rank.
     """
-    if a.p != v.p:
-        raise FpError(f"field mismatch: {a.p} vs {v.p}")
-    if a.cols != len(v):
-        raise FpError(f"shape mismatch: {a.rows}x{a.cols} times length {len(v)}")
-    out = tuple(
-        sum(a.entries[i][j] * v.entries[j] for j in range(a.cols)) % a.p
-        for i in range(a.rows)
-    )
-    return FpVector(entries=out, p=a.p)
-
-
-def mat_rank(a: FpMatrix) -> int:
-    """Rank over F_p by fraction-free Gaussian elimination."""
-    grid: List[List[int]] = [list(row) for row in a.entries]
-    rank = 0
-    for col in range(a.cols):
-        pivot = None
-        for r in range(rank, a.rows):
-            if grid[r][col] % a.p != 0:
-                pivot = r
-                break
+    pivots: List[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        if rank == len(grid):
+            break
+        pivot = next((r for r in range(rank, len(grid)) if grid[r][col]), None)
         if pivot is None:
             continue
         grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        inv = pow(grid[rank][col], a.p - 2, a.p)
-        grid[rank] = [(v * inv) % a.p for v in grid[rank]]
-        for r in range(a.rows):
-            if r != rank and grid[r][col] % a.p != 0:
+        inv = pow(grid[rank][col], p - 2, p)
+        grid[rank] = [(v * inv) % p for v in grid[rank]]
+        for r in range(len(grid)):
+            if r != rank and grid[r][col]:
                 factor = grid[r][col]
-                grid[r] = [(grid[r][j] - factor * grid[rank][j]) % a.p
-                           for j in range(a.cols)]
-        rank += 1
-        if rank == a.rows:
-            break
-    return rank
+                grid[r] = [(v - factor * w) % p for v, w in zip(grid[r], grid[rank])]
+        pivots.append(col)
+    return pivots
 
 
-def mat_is_invertible(a: FpMatrix) -> bool:
-    """Decide invertibility over F_p.
-
-    Args:
-        a: a square matrix; the empty 0 x 0 matrix counts as invertible.
-
-    Returns:
-        True when the matrix has full rank.
-
-    Raises:
-        FpError: if the matrix is not square.
-    """
-    if not a.is_square():
-        raise FpError(f"invertibility undefined for shape {a.rows}x{a.cols}")
-    return mat_rank(a) == a.rows
+def mat_rank(a: FpMatrix) -> int:
+    """Rank over F_p by Gaussian elimination."""
+    return len(_row_reduce([list(row) for row in a.entries], a.cols, a.p))
 
 
-def all_vectors(p: int, length: int) -> Iterator[FpVector]:
-    """Enumerate F_p^length in lexicographic order (leftmost digit slowest)."""
-    check_prime(p)
-    for digits in itertools.product(range(p), repeat=length):
-        yield FpVector(entries=digits, p=p)
+def kernel_basis(a: FpMatrix) -> List[FpVector]:
+    """A basis of {v : a v = 0} over F_p, in reduced row-echelon form.
 
-
-def kernel_pairs(a_ix: FpMatrix, a_ie: FpMatrix) -> List[Tuple[FpVector, FpVector]]:
-    """Enumerate joint kernel pairs of a stacked pair of blocks.
-
-    Finds every pair (u, w) with a_ix @ u + a_ie @ w = 0 by exhaustive
-    enumeration over F_p^cols(a_ix) x F_p^cols(a_ie).  Pairs are returned
-    in lexicographic order of (u, w), so the zero pair comes first.
+    Each vector has a leading 1 that is 0 in every other vector, and the
+    vectors are ordered by leading column.  So the kernel vector with
+    coefficients c on this basis carries c_i at the i-th leading column
+    and nothing before it, and kernel vectors sort lexicographically in
+    the order of their coefficient vectors.
 
     Args:
-        a_ix: left block; both blocks must share row count and field.
-        a_ie: right block.
+        a: any shape, including 0 rows (the whole space is the kernel)
+            and 0 columns (the kernel is {0} and the basis is empty).
 
     Returns:
-        All solution pairs, including the trivial zero pair.
-
-    Raises:
-        FpError: on field or row-count mismatch.
+        a.cols - rank(a) vectors of length a.cols.
     """
-    if a_ix.p != a_ie.p:
-        raise FpError(f"field mismatch: {a_ix.p} vs {a_ie.p}")
-    if a_ix.rows != a_ie.rows:
-        raise FpError(f"row mismatch: {a_ix.rows} vs {a_ie.rows}")
-    p = a_ix.p
-    pairs: List[Tuple[FpVector, FpVector]] = []
-    for u in all_vectors(p, a_ix.cols):
-        lhs_u = mat_vec(a_ix, u)
-        for w in all_vectors(p, a_ie.cols):
-            lhs_w = mat_vec(a_ie, w)
-            total = tuple((x + y) % p for x, y in zip(lhs_u.entries, lhs_w.entries))
-            if all(v == 0 for v in total):
-                pairs.append((u, w))
-    return pairs
-
+    grid = [list(row) for row in a.entries]
+    pivots = _row_reduce(grid, a.cols, a.p)
+    # One solution per free column f: v_f = 1, the other free entries 0,
+    # and the pivot entries read off the reduced rows.  Reducing these
+    # vectors in turn gives the echelon basis of the same space.
+    basis = []
+    for f in (j for j in range(a.cols) if j not in pivots):
+        v = [0] * a.cols
+        v[f] = 1
+        for row, j in zip(grid, pivots):
+            v[j] = -row[f] % a.p
+        basis.append(v)
+    _row_reduce(basis, a.cols, a.p)
+    return [FpVector(entries=tuple(v), p=a.p) for v in basis]

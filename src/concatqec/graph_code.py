@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,11 +37,9 @@ from .fp_linalg import (
     FpMatrix,
     FpVector,
     check_prime,
-    kernel_pairs,
-    mat_is_invertible,
+    kernel_basis,
     mat_rank,
     mat_submatrix,
-    mat_vec,
 )
 from .statevec import (
     DECODED_AMPLITUDE_TOL,
@@ -57,8 +56,10 @@ from .statevec import (
     register_probabilities,
 )
 
-ADMISSIBILITY_MAX_OUTPUTS = 8
-ADMISSIBILITY_MAX_P = 5
+# Error supports condition c5 may range over: each costs one elimination
+# of a matrix with at most |Y| rows, so 2**15 of them take seconds.  It
+# admits e = 2 up to |Y| = 26, the encoder's limit at p = 2.
+ADMISSIBILITY_MAX_SUPPORTS = 2**15
 # Qudits per Kronecker factor of the decoder's Fourier layer.  Small
 # factors keep each product below the size at which BLAS spreads it over
 # threads (an 81 x 81 factor at 3**7 amplitudes runs on two), so a
@@ -343,7 +344,16 @@ class AdmissibilityReport:
 
 
 def check_admissibility(g: CodeGraph, e: int = 1) -> AdmissibilityReport:
-    """Evaluate the decoding-graph conditions by exhaustive enumeration.
+    """Evaluate the decoding-graph conditions by linear algebra over F_p.
+
+    Condition c5 (Schlingemann & Werner, PRA 65, 012308, 2002) asks,
+    for every output subset E, that each pair (d_X, d_E) in the kernel
+    of [A_IX | A_IE], with I the outputs outside E, has d_X = 0 and
+    A_XE d_E = 0.  Both are linear in the pair, so it suffices to test
+    the vectors of a kernel basis.  In the reduced row-echelon basis
+    kernel vectors sort like their coefficient vectors, so the
+    lexicographically first failing pair is the failing basis vector
+    with the latest leading column.
 
     Args:
         g: graph under test.
@@ -351,51 +361,54 @@ def check_admissibility(g: CodeGraph, e: int = 1) -> AdmissibilityReport:
             output subsets E with 1 <= |E| <= 2 e.
 
     Returns:
-        Per-condition verdicts plus a witness for a c5 failure.
+        Per-condition verdicts plus, for a c5 failure, the first failing
+        support and its lexicographically first failing pair.
 
     Raises:
-        CodeError: when the instance exceeds the exhaustive-search
-            bounds |Y| <= 8 or p <= 5.
+        CodeError: when e < 1, when the graph is too large to encode
+            (see check_amplitude_count), or when c5 would range over
+            more than ADMISSIBILITY_MAX_SUPPORTS supports; all before
+            any elimination.
     """
-    if g.n > ADMISSIBILITY_MAX_OUTPUTS:
-        raise CodeError(
-            f"admissibility check limited to |Y| <= {ADMISSIBILITY_MAX_OUTPUTS}, "
-            f"got {g.n}")
-    if g.p > ADMISSIBILITY_MAX_P:
-        raise CodeError(
-            f"admissibility check limited to p <= {ADMISSIBILITY_MAX_P}, "
-            f"got {g.p}")
     if e < 1:
         raise CodeError(f"need e >= 1, got {e}")
+    check_amplitude_count("the encoder", max(g.p**g.n, g.p**(2 * g.k)))
+    max_support = min(2 * e, g.n)
+    supports = sum(math.comb(g.n, size) for size in range(1, max_support + 1))
+    if supports > ADMISSIBILITY_MAX_SUPPORTS:
+        raise CodeError(
+            f"condition c5 ranges over {supports} error supports, above the "
+            f"limit of {ADMISSIBILITY_MAX_SUPPORTS}")
 
     adj = g.adjacency
     c1 = g.k + g.m == g.n
-    c2 = c1 and mat_is_invertible(_cross_block(g))
+    c2 = c1 and mat_rank(_cross_block(g)) == g.n
     a_ll = mat_submatrix(adj, g.syndromes, g.syndromes)
     c3 = all(v == 0 for row in a_ll.entries for v in row)
     a_xl = mat_submatrix(adj, g.inputs, g.syndromes)
     c4 = all(v == 0 for row in a_xl.entries for v in row)
 
-    c5 = True
-    witness = None
-    max_support = min(2 * e, g.n)
     for size in range(1, max_support + 1):
         for support in itertools.combinations(g.outputs, size):
             interior = tuple(v for v in g.outputs if v not in support)
+            # Columns: sorted inputs, then the sorted support.  One cut at
+            # inputs + support would sort them together, and inputs may be
+            # numbered after outputs.
             a_ix = mat_submatrix(adj, interior, g.inputs)
             a_ie = mat_submatrix(adj, interior, support)
+            joint = FpMatrix(
+                entries=tuple(u + w for u, w in zip(a_ix.entries, a_ie.entries)),
+                rows=len(interior), cols=g.k + size, p=g.p)
             a_xe = mat_submatrix(adj, g.inputs, support)
-            for d_x, d_e in kernel_pairs(a_ix, a_ie):
-                if not d_x.is_zero() or not mat_vec(a_xe, d_e).is_zero():
-                    c5 = False
-                    witness = (support, d_x, d_e)
-                    break
-            if not c5:
-                break
-        if not c5:
-            break
-    return AdmissibilityReport(c1=c1, c2=c2, c3=c3, c4=c4, c5=c5,
-                               failing_witness=witness)
+            # The latest leading column first: see the docstring.
+            for v in reversed(kernel_basis(joint)):
+                d_x, d_e = v.entries[:g.k], v.entries[g.k:]
+                if any(d_x) or any(sum(a * d for a, d in zip(row, d_e)) % g.p
+                                   for row in a_xe.entries):
+                    witness = (support, FpVector(d_x, g.p), FpVector(d_e, g.p))
+                    return AdmissibilityReport(c1=c1, c2=c2, c3=c3, c4=c4,
+                                               c5=False, failing_witness=witness)
+    return AdmissibilityReport(c1=c1, c2=c2, c3=c3, c4=c4, c5=True)
 
 
 # ---------------------------------------------------------------------------
@@ -413,21 +426,51 @@ def check_amplitude_count(what: str, count: int) -> None:
                         f"of {MAX_AMPLITUDES}")
 
 
-def _digit_table(p: int, n: int) -> np.ndarray:
-    """All base-p digit strings of length n as an integer matrix."""
-    return np.indices((p,) * n, dtype=np.int64).reshape(n, p**n).T
+def _pair_form(sub: np.ndarray, p: int) -> np.ndarray:
+    """Edge sums of a symmetric integer matrix at every digit string, mod p.
+
+    Entry y (strings in index order, first digit most significant) is
+    sum_{i<j} sub[i, j] y_i y_j mod p.  It is summed on the (p,)*n grid
+    one edge at a time, so it holds a single p**n array.
+    """
+    n = len(sub)
+    total = np.zeros((p,) * n, dtype=np.int64)
+    products = np.multiply.outer(np.arange(p), np.arange(p))
+    for i, j in zip(*np.nonzero(np.triu(sub, k=1))):
+        total += (sub[i, j] * products % p).reshape(
+            [p if a in (i, j) else 1 for a in range(n)])
+    total %= p
+    return total.reshape(-1)
 
 
-def _pair_form(sub: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """Edge sums of a symmetric integer matrix at many digit rows."""
-    upper = np.triu(sub, k=1)
-    return np.einsum("ki,ij,kj->k", digits, upper, digits)
+def _image_index(block: np.ndarray, p: int) -> np.ndarray:
+    """The index of block @ y mod p, read as base-p digits, at every string y.
+
+    The image's first row is its most significant digit.  It is built on
+    the (p,)*n grid one output row at a time, so it holds two p**n arrays.
+    """
+    n = block.shape[1]
+    index = np.zeros((p,) * n, dtype=np.int64)
+    digit = np.zeros_like(index)
+    for row in block:
+        digit[...] = 0
+        for j in np.nonzero(row)[0]:
+            digit += (row[j] * np.arange(p) % p).reshape(
+                [p if a == j else 1 for a in range(n)])
+        digit %= p
+        index *= p
+        index += digit
+    return index.reshape(-1)
 
 
 def _fourier_factor(p: int, h: int) -> np.ndarray:
-    """The p-point inverse Fourier matrix on each of h qudits, as p**h x p**h."""
-    digits = _digit_table(p, h)
-    return np.exp(-2j * np.pi / p)**((digits @ digits.T) % p) / np.sqrt(float(p**h))
+    """The p-point inverse Fourier matrix on each of h qudits, as p**h x p**h.
+
+    Entry (d, d') is omega_bar**(d . d') / sqrt(p**h), and d . d' is the
+    edge sum of the form [[0, I], [I, 0]] at the 2h digits (d, d').
+    """
+    dot = _pair_form(np.kron([[0, 1], [1, 0]], np.eye(h, dtype=np.int64)), p)
+    return np.exp(-2j * np.pi / p)**dot.reshape(p**h, p**h) / np.sqrt(float(p**h))
 
 
 @functools.lru_cache(maxsize=32)
@@ -446,13 +489,11 @@ def _encoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
     """
     check_amplitude_count("the encoder", max(g.p**g.n, g.p**(2 * g.k)))
     adj = np.array(g.adjacency.entries, dtype=np.int64)
-    y_digits = _digit_table(g.p, g.n)
     omega = np.exp(2j * np.pi / g.p)
-    d_y = omega**(_pair_form(adj[np.ix_(g.outputs, g.outputs)], y_digits) % g.p)
-    q_x = _pair_form(adj[np.ix_(g.inputs, g.inputs)], _digit_table(g.p, g.k))
-    fourier = np.conj(_fourier_factor(g.p, g.k)) * omega**(q_x % g.p)
-    images = (y_digits @ adj[np.ix_(g.inputs, g.outputs)].T) % g.p
-    read = images @ g.p**np.arange(g.k - 1, -1, -1)
+    d_y = omega**_pair_form(adj[np.ix_(g.outputs, g.outputs)], g.p)
+    q_x = _pair_form(adj[np.ix_(g.inputs, g.inputs)], g.p)
+    fourier = np.conj(_fourier_factor(g.p, g.k)) * omega**q_x
+    read = _image_index(adj[np.ix_(g.inputs, g.outputs)], g.p)
     return lambda coefficients: d_y * (fourier @ coefficients)[read]
 
 
@@ -515,12 +556,10 @@ def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
     check_amplitude_count("the decoder", max(g.p**g.n, g.p**(2 * groups[0])))
     adj = np.array(g.adjacency.entries, dtype=np.int64)
     out_order = g.syndromes + g.inputs
-    digits = _digit_table(g.p, g.n)
+    gather = np.argsort(_image_index(adj[np.ix_(out_order, g.outputs)], g.p))
     omega_bar = np.exp(-2j * np.pi / g.p)
-    d_y = omega_bar**(_pair_form(adj[np.ix_(g.outputs, g.outputs)], digits) % g.p)
-    d_out = omega_bar**(_pair_form(adj[np.ix_(out_order, out_order)], digits) % g.p)
-    images = (digits @ adj[np.ix_(out_order, g.outputs)].T) % g.p
-    gather = np.argsort(images @ g.p**np.arange(g.n - 1, -1, -1))
+    d_y = omega_bar**_pair_form(adj[np.ix_(g.outputs, g.outputs)], g.p)
+    d_out = omega_bar**_pair_form(adj[np.ix_(out_order, out_order)], g.p)
     factors = [_fourier_factor(g.p, h) for h in groups]
 
     def apply(amplitudes: np.ndarray) -> np.ndarray:

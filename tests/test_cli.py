@@ -54,6 +54,27 @@ def test_verify_graph_flags_inadmissible_input(tmp_path, capsys):
     assert "result: fail" in out
 
 
+@pytest.mark.parametrize("fmt, expected", [
+    ("records", "c1=pass c2=pass c3=pass c4=pass c5=fail result=fail "
+                "witness_support=1,2,3 witness_dx=0 witness_de=111\n"),
+    ("text", "c1 register sizes balance: pass\n"
+             "c2 output block invertibility: pass\n"
+             "c3 no edges inside syndromes: pass\n"
+             "c4 no input-syndrome edges: pass\n"
+             "c5 error localization: fail\n"
+             "witness: support=(1, 2, 3) dx=0 de=111\n"
+             "result: fail\n"),
+])
+def test_verify_graph_two_errors_matches_golden(capsys, fmt, expected):
+    # The five-qubit code corrects one error, not two: a weight-3 support
+    # carries a kernel vector that moves the codeword without reaching
+    # the input.  The witness is the lexicographically first failing pair.
+    code, out, err = _run(capsys, "verify-graph", "--e", "2", "--format", fmt)
+    assert code == EXIT_DOMAIN
+    assert out == expected
+    assert err == ""
+
+
 def test_verify_graph_missing_file_is_usage_error(capsys):
     code, _, err = _run(capsys, "verify-graph", "--graph", "/no/such.graph")
     assert code == EXIT_USAGE

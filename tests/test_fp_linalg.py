@@ -1,11 +1,12 @@
 """Tests for exact linear algebra over prime fields.
 
 Covers vector/matrix construction rules, submatrix extraction, rank
-and invertibility against a brute-force oracle, and exhaustive kernel
-enumeration.
+against a brute-force search for an inverse, and the reduced
+row-echelon kernel basis.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -13,13 +14,10 @@ from concatqec.fp_linalg import (
     FpError,
     FpMatrix,
     FpVector,
-    all_vectors,
     check_prime,
-    kernel_pairs,
-    mat_is_invertible,
+    kernel_basis,
     mat_rank,
     mat_submatrix,
-    mat_vec,
 )
 from concatqec.graph_code import five_qubit_code_graph
 
@@ -140,22 +138,16 @@ def _brute_force_invertible(m: FpMatrix) -> bool:
 
 def test_identity_is_invertible():
     eye = FpMatrix.from_rows([[1, 0], [0, 1]], 2)
-    assert mat_is_invertible(eye)
+    assert mat_rank(eye) == 2
 
 
 def test_all_ones_2x2_is_singular():
     ones = FpMatrix.from_rows([[1, 1], [1, 1]], 2)
-    assert not mat_is_invertible(ones)
-
-
-def test_non_square_invertibility_is_an_error():
-    rect = FpMatrix.from_rows([[1, 0, 1]], 2)
-    with pytest.raises(FpError):
-        mat_is_invertible(rect)
+    assert mat_rank(ones) < 2
 
 
 def test_empty_matrix_is_invertible():
-    assert mat_is_invertible(FpMatrix.zeros(0, 0, 2))
+    assert mat_rank(FpMatrix.zeros(0, 0, 2)) == 0
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
@@ -163,7 +155,7 @@ def test_invertibility_matches_brute_force(p, n):
     for flat in itertools.product(range(p), repeat=n * n):
         rows = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
         m = FpMatrix.from_rows(rows, p)
-        assert mat_is_invertible(m) == _brute_force_invertible(m)
+        assert (mat_rank(m) == n) == _brute_force_invertible(m)
 
 
 def test_rank_examples():
@@ -173,57 +165,85 @@ def test_rank_examples():
 
 
 # ---------------------------------------------------------------------------
-# Kernel enumeration
+# Kernel basis
 # ---------------------------------------------------------------------------
 
 
+def _product(a: FpMatrix, v: FpVector):
+    return tuple(sum(x * y for x, y in zip(row, v.entries)) % a.p
+                 for row in a.entries)
+
+
+def _span(basis, p, cols):
+    """Every combination of the basis, in lexicographic coefficient order."""
+    return [tuple(sum(c * v.entries[j] for c, v in zip(coeffs, basis)) % p
+                  for j in range(cols))
+            for coeffs in itertools.product(range(p), repeat=len(basis))]
+
+
+def _assert_reduced_echelon(basis):
+    leads = [next(j for j, x in enumerate(v.entries) if x) for v in basis]
+    assert leads == sorted(set(leads))
+    for v, lead in zip(basis, leads):
+        assert v.entries[lead] == 1
+        assert all(w.entries[lead] == 0 for w in basis if w is not v)
+
+
 def test_kernel_trivial_case():
-    a_ix = FpMatrix.from_rows([[1]], 2)
-    a_ie = FpMatrix.zeros(1, 0, 2)
-    pairs = kernel_pairs(a_ix, a_ie)
-    assert len(pairs) == 1
-    dx, de = pairs[0]
-    assert dx.is_zero() and de.length == 0
+    assert kernel_basis(FpMatrix.from_rows([[1]], 2)) == []
 
 
 def test_kernel_full_case():
-    a_ix = FpMatrix.zeros(2, 1, 2)
-    a_ie = FpMatrix.zeros(2, 1, 2)
-    pairs = kernel_pairs(a_ix, a_ie)
-    assert len(pairs) == 4
+    basis = kernel_basis(FpMatrix.zeros(2, 2, 2))
+    assert [v.entries for v in basis] == [(1, 0), (0, 1)]
+    assert len(set(_span(basis, 2, 2))) == 4
 
 
 def test_kernel_zero_pair_comes_first():
+    # The echelon basis spans the kernel in lexicographic order of the
+    # coefficients, which is lexicographic order of the pairs themselves.
     a_ix = FpMatrix.zeros(1, 2, 3)
     a_ie = FpMatrix.zeros(1, 1, 3)
-    pairs = kernel_pairs(a_ix, a_ie)
+    joint = FpMatrix(entries=(a_ix.entries[0] + a_ie.entries[0],),
+                     rows=1, cols=3, p=3)
+    pairs = _span(kernel_basis(joint), 3, 3)
     assert len(pairs) == 27
-    assert pairs[0][0].is_zero() and pairs[0][1].is_zero()
-
-
-def test_kernel_row_mismatch_is_an_error():
-    with pytest.raises(FpError):
-        kernel_pairs(FpMatrix.zeros(2, 1, 2), FpMatrix.zeros(3, 1, 2))
+    assert pairs[0] == (0, 0, 0)
+    assert pairs == sorted(pairs)
 
 
 def test_kernel_pairs_satisfy_the_equation():
-    # Rows = code vertices {3,4,5}, columns split into the input vertex
-    # and the pair {1,2} of the five-qubit code graph.
-    a_ix = mat_submatrix(FIVE_ADJ, [3, 4, 5], [0])
-    a_ie = mat_submatrix(FIVE_ADJ, [3, 4, 5], [1, 2])
-    pairs = kernel_pairs(a_ix, a_ie)
-    assert pairs, "kernel always contains the zero pair"
-    for dx, de in pairs:
-        total = tuple(
-            (x + y) % 2
-            for x, y in zip(mat_vec(a_ix, dx).entries, mat_vec(a_ie, de).entries)
-        )
-        assert all(v == 0 for v in total)
+    # Rows = code vertices {4,5}, columns split into the input vertex and
+    # the support {1,2,3} of the five-qubit code graph: the support on
+    # which the graph fails c5 for e = 2.
+    a = mat_submatrix(FIVE_ADJ, [4, 5], [0, 1, 2, 3])
+    basis = kernel_basis(a)
+    assert [v.entries for v in basis] == [(1, 0, 0, 0), (0, 1, 1, 1)]
+    assert len(basis) == a.cols - mat_rank(a)
+    for v in basis:
+        assert _product(a, v) == (0, 0)
 
 
-def test_all_vectors_order_and_count():
-    vecs = list(all_vectors(3, 2))
-    assert len(vecs) == 9
-    assert vecs[0].entries == (0, 0)
-    assert vecs[1].entries == (0, 1)
-    assert vecs[-1].entries == (2, 2)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kernel_basis_is_the_echelon_basis_of_the_kernel(p):
+    rng = random.Random(p)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        a = FpMatrix(entries=tuple(tuple(rng.randrange(p) * (rng.random() < 0.6)
+                                         for _ in range(cols))
+                                   for _ in range(rows)),
+                     rows=rows, cols=cols, p=p)
+        basis = kernel_basis(a)
+        assert len(basis) == cols - mat_rank(a)
+        assert all(len(v) == cols and _product(a, v) == (0,) * rows for v in basis)
+        _assert_reduced_echelon(basis)
+        # The span is the whole kernel, in lexicographic order.
+        kernel = [v for v in itertools.product(range(p), repeat=cols)
+                  if _product(a, FpVector(v, p)) == (0,) * rows]
+        assert _span(basis, p, cols) == kernel
+
+
+def test_kernel_of_degenerate_shapes():
+    assert kernel_basis(FpMatrix.zeros(3, 0, 5)) == []
+    basis = kernel_basis(FpMatrix.zeros(0, 3, 5))
+    assert [v.entries for v in basis] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

@@ -7,6 +7,9 @@ p**n x p**k encoding and p**n x p**n decoding matrices built from their
 definitions.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,12 +203,150 @@ def test_error_localization_failure_produces_witness():
 
 
 def test_admissibility_bounds_are_enforced():
-    big = parse_graph("p 2 X 1 Y 9 L 8\n" +
-                      "\n".join(f"0 {i} 1" for i in range(1, 10)))
-    with pytest.raises(CodeError):
-        check_admissibility(big, 1)
+    # Every output of the star sees only the input, so on a support {y}
+    # the kernel pair d_X = 0, d_E = 1 moves the input: c5 fails there.
+    star = parse_graph("p 2 X 1 Y 9 L 8\n" +
+                       "\n".join(f"0 {i} 1" for i in range(1, 10)))
+    report = check_admissibility(star, 1)
+    assert (report.c1, report.c2, report.c5) == (True, False, False)
+    assert report.failing_witness == ((1,), FpVector((0,), 2), FpVector((1,), 2))
+    wide = parse_graph("p 2 X 1 Y 20 L 19\n" +
+                       "\n".join(f"0 {i} 1" for i in range(1, 21)))
+    with pytest.raises(CodeError, match=r"ranges over 60459 error supports, "
+                                        r"above the limit of 32768"):
+        check_admissibility(wide, 3)
+    with pytest.raises(CodeError, match="need e >= 1"):
+        check_admissibility(wide, 0)
     with pytest.raises(CodeError):
         check_admissibility(five_qubit_decoding_graph(), 0)
+
+
+def test_wide_input_register_is_refused_before_any_elimination(monkeypatch):
+    # |Y| = 8 and p = 5 are small, but c5 would range over F_5^(10 + |E|);
+    # the encoder's own size check refuses the graph first.
+    g = parse_graph("p 5 X 10 Y 8 L 0\n")
+
+    def no_elimination(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(graph_code, "kernel_basis", no_elimination)
+    monkeypatch.setattr(graph_code, "mat_rank", no_elimination)
+    with pytest.raises(CodeError, match=rf"the encoder needs {5**20} amplitudes"):
+        check_admissibility(g, 1)
+
+
+def kernel_pairs(a_ix, a_ie, p):
+    """Oracle: every (u, w) with a_ix u + a_ie w = 0 over F_p, by enumeration.
+
+    Returns the u and w halves as two arrays whose rows run in
+    lexicographic order of (u, w), so the zero pair comes first.
+    """
+    joint = np.hstack([a_ix, a_ie])
+    cols = joint.shape[1]
+    vectors = np.indices((p,) * cols).reshape(cols, -1).T
+    kernel = vectors[~np.any(vectors @ joint.T % p, axis=1)]
+    return kernel[:, :a_ix.shape[1]], kernel[:, a_ix.shape[1]:]
+
+
+def _enumerated_report(g, e):
+    """Reference: the five decoding conditions from their definitions.
+
+    c5 asks every kernel pair (d_X, d_E) of [A_IX | A_IE] for d_X = 0
+    and A_XE d_E = 0, here by enumerating F_p vectors; the witness is the
+    lexicographically first failing pair of the first failing support.
+    c2 takes the rank, which test_fp_linalg checks against a search for
+    an explicit inverse.
+    """
+    adj = np.array(g.adjacency.entries, dtype=np.int64)
+    c1 = g.k + g.m == g.n
+    c2 = c1 and mat_rank(graph_code._cross_block(g)) == g.n
+    c3 = not adj[np.ix_(g.syndromes, g.syndromes)].any()
+    c4 = not adj[np.ix_(g.inputs, g.syndromes)].any()
+    for size in range(1, min(2 * e, g.n) + 1):
+        for support in itertools.combinations(g.outputs, size):
+            interior = [v for v in g.outputs if v not in support]
+            d_x, d_e = kernel_pairs(adj[np.ix_(interior, g.inputs)],
+                                    adj[np.ix_(interior, support)], g.p)
+            a_xe = adj[np.ix_(g.inputs, support)]
+            fails = d_x.any(axis=1) | (d_e @ a_xe.T % g.p).any(axis=1)
+            if fails.any():
+                first = int(np.argmax(fails))
+                witness = (support, FpVector(d_x[first], g.p),
+                           FpVector(d_e[first], g.p))
+                return graph_code.AdmissibilityReport(
+                    c1, c2, c3, c4, False, failing_witness=witness)
+    return graph_code.AdmissibilityReport(c1, c2, c3, c4, True)
+
+
+def _random_graph_any_numbering(p, k, n, m, rng, density, admissible_shape):
+    """Random weights on a random share of edges, vertices numbered at random.
+
+    With admissible_shape no edge lies inside L or between X and L, so
+    c3 and c4 hold, as in the benchmark's graphs.  Roles are handed out
+    through a random permutation, so inputs may be numbered after
+    outputs and the index sets interleave.
+    """
+    size = k + n + m
+    weights = rng.integers(p, size=(size, size))
+    weights *= rng.random((size, size)) < density
+    upper = np.triu(weights, k=1)
+    if admissible_shape:
+        upper[np.ix_(range(k + n, size), range(k + n, size))] = 0
+        upper[np.ix_(range(k), range(k + n, size))] = 0
+    role = upper + upper.T
+    order = rng.permutation(size) if rng.random() < 0.3 else np.arange(size)
+    adj = np.zeros_like(role)
+    adj[np.ix_(order, order)] = role
+    return CodeGraph(p=p, adjacency=FpMatrix.from_rows(adj.tolist(), p),
+                     inputs=tuple(order[:k].tolist()),
+                     outputs=tuple(order[k:k + n].tolist()),
+                     syndromes=tuple(order[k + n:].tolist()))
+
+
+# |Y| stops where the oracle would enumerate more than 20000 vectors per
+# support, so p = 7 with |X| = 3 and e = 2 keeps |Y| <= 2.
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_admissibility_matches_the_enumeration_oracle(p, k, e):
+    rng = np.random.default_rng([p, k, e])
+    max_n = max(n for n in range(1, 8) if p**(k + min(2 * e, n)) <= 20000)
+    for _ in range(12):
+        n = int(rng.integers(1, max_n + 1))
+        m = n - k if n > k and rng.random() < 0.8 else int(rng.integers(3))
+        g = _random_graph_any_numbering(p, k, n, m, rng,
+                                        density=rng.choice([0.3, 0.6, 1.0]),
+                                        admissible_shape=rng.random() < 0.7)
+        assert check_admissibility(g, e) == _enumerated_report(g, e)
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_admissibility_matches_the_oracle_on_benchmark_shaped_graphs(e):
+    # p = 3, |X| = 1, |Y| = 7, |L| = 6 with every allowed edge weighted,
+    # the benchmark's graph-cold shape; at e = 1 about one in five such
+    # graphs passes c5, so both verdicts and many witnesses are compared.
+    rng = np.random.default_rng(e)
+    verdicts = set()
+    for _ in range(40):
+        g = _random_graph_any_numbering(3, 1, 7, 6, rng, density=1.0,
+                                        admissible_shape=True)
+        report = check_admissibility(g, e)
+        assert report == _enumerated_report(g, e)
+        verdicts.add(report.c5)
+    assert verdicts == ({True, False} if e == 1 else {False})
+
+
+@pytest.mark.parametrize("p, n, seed", [(7, 9, 0), (2, 26, 3)])
+def test_admissibility_reaches_graphs_beyond_enumeration(p, n, seed):
+    # Enumeration would need p**(1 + |E|) pairs per support and used to be
+    # capped at p <= 5 and |Y| <= 8; both graphs pass every condition.
+    rng = np.random.default_rng([p, n, seed])
+    g = _random_graph_any_numbering(p, 1, n, n - 1, rng,
+                                    density=1.0 if p == 7 else 0.5,
+                                    admissible_shape=True)
+    report = check_admissibility(g, 1)
+    assert report.all_pass
+    assert report == _enumerated_report(g, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +673,34 @@ def test_graph_failing_c2_is_refused_before_any_register_work(monkeypatch):
     report = check_admissibility(g)
     assert report.c1 and not report.c2
 
-    def no_digit_tables(*args):
-        raise AssertionError("a p**n digit table was built")
+    def no_register_work(*args):
+        raise AssertionError("a p**n array was built")
 
-    monkeypatch.setattr(graph_code, "_digit_table", no_digit_tables)
+    monkeypatch.setattr(graph_code, "_pair_form", no_register_work)
+    monkeypatch.setattr(graph_code, "_image_index", no_register_work)
     with pytest.raises(DecodeError, match=r"rank 1 < \|Y\| = 2 over F_2"):
         decode(g, basis_state(2, (0, 0)))
     with pytest.raises(DecodeError, match=r"rank 1 < \|Y\| = 2 over F_2"):
         decoder_unitary(g)
+
+
+def test_builds_hold_a_few_register_sized_arrays():
+    # p = 3, |Y| = 11: the codeword holds 3**11 complex amplitudes.  The
+    # encoder keeps one phase vector and one read index; the decoder two
+    # phase vectors and one gather index, and each is built in place.
+    rng = np.random.default_rng(11)
+    g = _random_graph(3, 1, 11, rng, lambda report: report.c2)
+    register_bytes = 16 * 3**11
+    for build in (graph_code._encoder, graph_code._decoder):
+        build.cache_clear()
+        tracemalloc.start()
+        try:
+            build(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            build.cache_clear()
+        assert peak < 4 * register_bytes, (build.__name__, peak / register_bytes)
 
 
 def test_oversized_graph_is_refused_before_allocation():
