@@ -5,31 +5,30 @@ amplitude array of length p**n.  Address 0 is the leftmost ket factor
 and therefore the most significant base-p digit of the array index, so
 |d0 d1 ... d_{n-1}> sits at index sum(d_k * p**(n-1-k)).
 
-Gate application is matrix free and works on reshaped views, never on
-index arrays.  The qubit kernels see a register as a (2,)*n cube: a
-Hadamard combines the two slices of its axis, a controlled X (CNOT or
-Toffoli) swaps the target-0 and target-1 slabs of the control-1 slice,
-and a controlled Z negates the slice where both qubits are 1.  They
-write in place into a buffer the caller owns.  A general single-qudit
-operator is one BLAS contraction over the (pre, p, post) view of its
-address: a batched matmul when the trailing block is long, one gemm
-against the operator tensored with the identity on that block when it
-is short.  Every public operation returns a fresh StateVector and
-leaves its argument untouched.
+Gate application is matrix free.  A Hadamard is the one slab kernel:
+it combines the two slabs of its qubit in the (before, 2, after) view
+of a buffer the caller owns, in place.  CX, CCX and CZ send each basis
+state to a signed basis state, so a run of them over a span of w
+adjacent qubits composes into one signed permutation of length 2**w,
+applied as one gather along that span's axis plus one masked negation.
+A general single-qudit operator is one BLAS contraction over the
+(pre, p, post) view of its address: a batched matmul when the trailing
+block is long, one gemm against the operator tensored with the
+identity on that block when it is short.  Every public operation
+returns a fresh StateVector and leaves its argument untouched.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .fp_linalg import FpVector, check_prime
 
 AMPLITUDE_TOL = 1e-10
-HERMITIAN_TOL = 1e-12
-PSD_TOL = 1e-10
 DETERMINISM_BOUND = 1.0 - 1e-9
 PURITY_BOUND = 1.0 - 1e-9
 # A Monte-Carlo trial whose fidelity falls below this counts as a failure.
@@ -109,46 +108,12 @@ class StateVector:
                 f"expected ({self.p**self.n},)"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.p**self.n
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def _check_address(self, q: int) -> None:
         if not 0 <= q < self.n:
             raise StateError(f"qudit address {q} outside [0, {self.n})")
-
-
-@dataclass(eq=False)
-class DensityMatrix:
-    """A single-qudit density matrix with physicality checks at construction.
-
-    Attributes:
-        p: qudit dimension.
-        matrix: p x p complex matrix; must be Hermitian within 1e-12,
-            unit trace within 1e-12, and positive semidefinite within 1e-10.
-    """
-
-    p: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        self.matrix = np.asarray(self.matrix, dtype=np.complex128)
-        if self.matrix.shape != (self.p, self.p):
-            raise StateError(f"density matrix shape {self.matrix.shape} != "
-                             f"({self.p}, {self.p})")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > HERMITIAN_TOL:
-            raise StateError("density matrix is not Hermitian")
-        if abs(np.trace(self.matrix) - 1.0) > HERMITIAN_TOL:
-            raise StateError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(self.matrix)) < -PSD_TOL:
-            raise StateError("density matrix has a negative eigenvalue")
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
 def basis_state(p: int, digits: Union[FpVector, Sequence[int]]) -> StateVector:
@@ -201,59 +166,82 @@ def states_close(a: StateVector, b: StateVector, tol: float = AMPLITUDE_TOL) -> 
 # ---------------------------------------------------------------------------
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_GATE_NAMES = {"H": "hadamard", "CX": "cnot", "CCX": "toffoli",
+               "CZ": "controlled-z"}
 
 
-def _fixed_slice(amps: np.ndarray, n: int,
-                 fixed: Dict[int, int]) -> np.ndarray:
-    """View of an n-qubit buffer as a (2,)*n cube, with the axes in
-    ``fixed`` held at given bits.
-
-    The trailing Ellipsis keeps the result a view (0-d when every axis
-    is fixed) rather than a scalar copy.
-    """
-    index = tuple(fixed.get(axis, slice(None)) for axis in range(n))
-    return amps.reshape((2,) * n)[(*index, Ellipsis)]
-
-
-def _hadamard_in_place(amps: np.ndarray, n: int, qubits: Tuple[int, ...]) -> None:
-    (q,) = qubits
-    a0 = _fixed_slice(amps, n, {q: 0})
-    a1 = _fixed_slice(amps, n, {q: 1})
+def hadamard_in_place(amps: np.ndarray, n: int, q: int) -> None:
+    """Apply the Hadamard on qubit q to a C-contiguous n-qubit buffer."""
+    view = amps.reshape(2**q, 2, 2**(n - 1 - q))
+    a0 = view[:, 0]
+    a1 = view[:, 1]
     total = a0 + a1
     np.subtract(a0, a1, out=a1)
     a1 *= _INV_SQRT2
     np.multiply(total, _INV_SQRT2, out=a0)
 
 
-def _controlled_x_in_place(amps: np.ndarray, n: int,
-                           qubits: Tuple[int, ...]) -> None:
-    """Flip the last qubit where all the others are 1 (CX and CCX)."""
-    *controls, target = qubits
-    fixed = dict.fromkeys(controls, 1)
-    low = _fixed_slice(amps, n, {**fixed, target: 0})
-    high = _fixed_slice(amps, n, {**fixed, target: 1})
-    saved = low.copy()
-    low[...] = high
-    high[...] = saved
+def compile_gates(gates: Sequence[Tuple[str, Tuple[int, ...]]]
+                  ) -> Tuple[int, tuple]:
+    """Compile (kind, addresses) qubit gates, in execution order.
+
+    An H stays a step: its address.  A maximal run of CX, CCX and CZ
+    gates (target last) becomes one step (src, negate) on the span from
+    the lowest to the highest touched address: it moves the amplitude at
+    span index src[y] to y, negated where negate[y] holds (None if none).
+
+    Returns:
+        (span start, steps), the input of run_compiled.
+    """
+    touched = [q for _, qubits in gates for q in qubits]
+    lo = min(touched, default=0)
+    width = max(touched, default=0) - lo + 1
+    index = np.arange(2**width)
+    place = {q: 1 << (width - 1 - q + lo) for q in touched}
+    steps: list = []
+    for is_h, run in itertools.groupby(gates, key=lambda g: g[0] == "H"):
+        if is_h:
+            steps.extend(qubits[0] for _, qubits in run)
+            continue
+        src, negate = index, np.zeros(index.size, dtype=bool)
+        for kind, (*controls, last) in run:
+            active = np.all([index & place[q] for q in controls], axis=0)
+            if kind == "CZ":
+                negate = negate ^ (active & (index & place[last] > 0))
+            else:
+                before = np.where(active, index ^ place[last], index)
+                src, negate = src[before], negate[before]
+        steps.append((src, negate if negate.any() else None))
+    return lo, tuple(steps)
 
 
-def _controlled_z_in_place(amps: np.ndarray, n: int,
-                           qubits: Tuple[int, ...]) -> None:
-    both = _fixed_slice(amps, n, dict.fromkeys(qubits, 1))
-    np.negative(both, out=both)
+def permute_signed(amps: np.ndarray, lo: int, src: np.ndarray,
+                   negate: Optional[np.ndarray]) -> np.ndarray:
+    """A fresh buffer: amps with (src, negate) applied from address lo."""
+    out = np.take(amps.reshape(2**lo, src.size, -1), src, axis=1)
+    if negate is not None:
+        np.negative(out, out=out, where=negate[:, np.newaxis])
+    return out.reshape(-1)
 
 
-# Gate kind -> in-place kernel.  A kernel overwrites a C-contiguous
-# amplitude buffer of an n-qubit register and trusts its addresses;
-# check_qubit_gate validates them first.
-QUBIT_KERNELS: Dict[str, Callable[[np.ndarray, int, Tuple[int, ...]], None]] = {
-    "H": _hadamard_in_place,
-    "CX": _controlled_x_in_place,
-    "CCX": _controlled_x_in_place,
-    "CZ": _controlled_z_in_place,
-}
-_GATE_NAMES = {"H": "hadamard", "CX": "cnot", "CCX": "toffoli",
-               "CZ": "controlled-z"}
+def run_compiled(amps: np.ndarray, n: int, offset: int,
+                 compiled: Tuple[int, tuple]) -> np.ndarray:
+    """Run compiled gates, each address shifted by offset, on a copy of
+    an n-qubit buffer.  Addresses are trusted (see check_qubit_gate).
+
+    Permuting and negating are exact, so the result is bit for bit that
+    of the gates run one at a time.
+    """
+    lo, steps = compiled
+    out = amps
+    for step in steps:
+        if isinstance(step, tuple):
+            out = permute_signed(out, lo + offset, *step)
+            continue
+        if out is amps:
+            out = amps.copy()
+        hadamard_in_place(out, n, step + offset)
+    return out.copy() if out is amps else out
 
 
 def check_qubit_gate(s: StateVector, kind: str, qubits: Tuple[int, ...]) -> None:
@@ -270,8 +258,7 @@ def check_qubit_gate(s: StateVector, kind: str, qubits: Tuple[int, ...]) -> None
 def _apply_qubit_gate(s: StateVector, kind: str,
                       qubits: Tuple[int, ...]) -> StateVector:
     check_qubit_gate(s, kind, qubits)
-    out = s.amplitudes.copy()
-    QUBIT_KERNELS[kind](out, s.n, qubits)
+    out = run_compiled(s.amplitudes, s.n, 0, compile_gates([(kind, qubits)]))
     return StateVector(p=2, n=s.n, amplitudes=out)
 
 
@@ -451,14 +438,11 @@ def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def reduced_density(s: StateVector, q: int) -> DensityMatrix:
-    """Trace out all qudits except q and return its density matrix."""
+def reduced_density(s: StateVector, q: int) -> np.ndarray:
+    """Trace out all qudits except q; returns its p x p density matrix."""
     s._check_address(q)
-    pre = s.p**q
-    post = s.p**(s.n - 1 - q)
-    view = s.amplitudes.reshape(pre, s.p, post)
-    rho = np.einsum("iaj,ibj->ab", view, view.conj())
-    return DensityMatrix(p=s.p, matrix=rho)
+    view = s.amplitudes.reshape(s.p**q, s.p, s.p**(s.n - 1 - q))
+    return np.einsum("iaj,ibj->ab", view, view.conj())
 
 
 def _register_split(s: StateVector, qs: Sequence[int]) -> np.ndarray:
@@ -516,6 +500,14 @@ def split_factor(s: StateVector, keep: Sequence[int]
                  ) -> Tuple[StateVector, StateVector, float]:
     """Split a (near) product state into kept and dropped factors.
 
+    B is the kept x dropped matrix of the state scaled to unit norm and
+    rho = B B^dagger.  The purity ||rho||_F^2 / tr(rho)^2 is
+    sum(sigma^4) / sum(sigma^2)^2 over B's singular values.  The kept
+    factor is rho times B's longest column, normalized: one power step,
+    within about 1e-13 of the top left singular vector above
+    PURITY_BOUND.  The dropped factor is kept^dagger B, normalized.  The
+    roles swap if the kept side is the larger, so rho stays small.
+
     The kept addresses are sorted into ascending order in the returned
     factor.  The dropped factor's largest amplitude is rotated to the
     positive real axis; the kept factor absorbs the compensating phase,
@@ -523,28 +515,36 @@ def split_factor(s: StateVector, keep: Sequence[int]
 
     Returns:
         (kept factor, dropped factor, purity of the kept subsystem).
-        Purity 1 certifies a clean product; callers decide how much
-        residual entanglement to tolerate.
+
+    Raises:
+        StateError: on a bad address, a non-finite amplitude, or a norm
+            outside [ZERO_NORM_FLOOR, inf).
     """
     kept_addrs = sorted(set(int(q) for q in keep))
-    for q in kept_addrs:
-        s._check_address(q)
-    dropped_addrs = [q for q in range(s.n) if q not in kept_addrs]
-    perm = kept_addrs + dropped_addrs
-    cube = s.amplitudes.reshape((s.p,) * s.n)
-    block = np.transpose(cube, perm).reshape(
-        s.p ** len(kept_addrs), s.p ** len(dropped_addrs))
-    u, sv, vh = np.linalg.svd(block, full_matrices=False)
-    total = float(np.sum(sv**2))
-    purity = float(np.sum(sv**4)) / (total**2)
-    kept_vec = u[:, 0]
-    dropped_vec = vh[0, :]
+    block = _register_split(s, kept_addrs)
+    if not np.all(np.isfinite(block)):
+        raise StateError("cannot split a state with non-finite amplitudes")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(block))
+    if not ZERO_NORM_FLOOR <= norm < np.inf:
+        raise StateError(f"cannot split a state of norm {norm:.6g} outside "
+                         f"[{ZERO_NORM_FLOOR:g}, inf)")
+    flip = block.shape[0] > block.shape[1]
+    block = (block.T if flip else block) / norm
+    rho = block @ block.conj().T
+    purity = float(np.vdot(rho, rho).real / np.trace(rho).real ** 2)
+    longest = int(np.argmax(np.einsum("ij,ij->j", block, block.conj()).real))
+    left = rho @ block[:, longest]
+    left /= np.linalg.norm(left)
+    right = left.conj() @ block
+    right /= np.linalg.norm(right)
+    kept_vec, dropped_vec = (right, left) if flip else (left, right)
     anchor = int(np.argmax(np.abs(dropped_vec)))
     phase = dropped_vec[anchor] / abs(dropped_vec[anchor])
     dropped_vec = dropped_vec * np.conj(phase)
     kept_vec = kept_vec * phase
     kept = StateVector(p=s.p, n=len(kept_addrs), amplitudes=kept_vec)
-    dropped = StateVector(p=s.p, n=len(dropped_addrs), amplitudes=dropped_vec)
+    dropped = StateVector(p=s.p, n=s.n - len(kept_addrs), amplitudes=dropped_vec)
     return kept, dropped, purity
 
 

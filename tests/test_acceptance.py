@@ -169,7 +169,7 @@ def criterion_4_ghz_operators() -> bool:
     padded = np.kron(message.amplitudes, basis_state(2, (0,) * 5).amplitudes)
     encoded = build_encoder(5).apply(StateVector(p=2, n=10, amplitudes=padded))
     for q in range(10):
-        rho = reduced_density(encoded, q).matrix
+        rho = reduced_density(encoded, q)
         ok = ok and np.max(np.abs(rho - np.eye(2) / 2)) < 1e-10
     return _report(4, "block operator products and data hiding reproduced",
                    ok, time.perf_counter() - start)

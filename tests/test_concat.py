@@ -260,11 +260,18 @@ def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
     # the other blocks' carried qubits; no kernel sees the whole
     # 20-qubit per-qubit register.
     sizes = []
-    for kind, kernel in list(statevec.QUBIT_KERNELS.items()):
-        def recording(amps, n, qubits, kernel=kernel):
-            sizes.append(n)
-            kernel(amps, n, qubits)
-        monkeypatch.setitem(statevec.QUBIT_KERNELS, kind, recording)
+    permute, hadamard = statevec.permute_signed, statevec.hadamard_in_place
+
+    def recording_permute(amps, lo, src, negate):
+        sizes.append(int(np.log2(amps.size)))
+        return permute(amps, lo, src, negate)
+
+    def recording_hadamard(amps, n, q):
+        sizes.append(n)
+        hadamard(amps, n, q)
+
+    monkeypatch.setattr(statevec, "permute_signed", recording_permute)
+    monkeypatch.setattr(statevec, "hadamard_in_place", recording_hadamard)
     for blocking in (WHOLE_REGISTER, PER_QUBIT):
         scheme = _scheme(blocking)
         v = _random_logical(3)

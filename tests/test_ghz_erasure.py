@@ -6,14 +6,18 @@ the data-hiding property of the encoded state, and full recovery from
 one erased qubit regardless of how the erased qubit was corrupted.
 """
 
+import re
 import warnings
 
 import numpy as np
 import pytest
+import slab_kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concatqec.ghz_erasure import (
+    MAX_BLOCK,
+    MIN_BLOCK,
     ErasurePosition,
     Gate,
     GateProgram,
@@ -28,6 +32,7 @@ from concatqec.ghz_erasure import (
     encoder_isometry,
     recover,
     resolve_corruption,
+    split_recovered,
 )
 from concatqec.statevec import (
     StateError,
@@ -218,8 +223,9 @@ def test_program_apply_matches_dense_oracle_and_public_kernels(case, seed):
         assert not np.shares_memory(stepped.amplitudes, gate_by_gate.amplitudes)
         gate_by_gate = stepped
     assert np.max(np.abs(out.amplitudes - dense @ before)) < 1e-12
-    # The public kernels share the in-place code, so the results agree
-    # to the bit, signed zeros included.
+    # Permutations, negations and the shared Hadamard kernel round the
+    # same way in any grouping, so the results agree to the bit, signed
+    # zeros included.
     assert np.array_equal(out.amplitudes.view(np.uint64),
                           gate_by_gate.amplitudes.view(np.uint64))
     assert not np.shares_memory(out.amplitudes, s.amplitudes)
@@ -242,6 +248,49 @@ def test_program_apply_validates_every_gate_before_writing():
     with pytest.raises(StateError):
         prog.apply(qutrits)
     assert np.array_equal(qutrits.amplitudes, before)
+
+
+# (qubits before the block, qubits after it) in the register.
+PLACEMENTS = [(0, 0), (0, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("n", range(MIN_BLOCK, MAX_BLOCK + 1))
+def test_builder_programs_match_the_slab_oracle_bit_for_bit(n):
+    # Every encoder, decoder and recovery program and its inverse, run
+    # as compiled signed permutations plus Hadamards, against the same
+    # gates run one slab kernel at a time on random complex input.
+    rng = np.random.default_rng(n)
+    programs = [build_encoder(n)]
+    for address in range(2 * n):
+        pos = ErasurePosition(address, n)
+        programs += [build_decoder(n, pos), build_recovery(n, pos)]
+    programs += [prog.inverse() for prog in programs]
+    for prog in programs:
+        for before, after in PLACEMENTS:
+            total = before + 2 * n + after
+            amps = rng.normal(size=2**total) + 1j * rng.normal(size=2**total)
+            s = StateVector(p=2, n=total, amplitudes=amps)
+            kept = amps.copy()
+            out = prog.apply(s, offset=before)
+            want = slab_kernels.run_gates(
+                kept, total, [(g.kind, tuple(q + before for q in g.qubits))
+                              for g in prog.gates])
+            assert np.array_equal(out.amplitudes.view(np.uint64),
+                                  want.view(np.uint64)), (
+                prog.product_notation(), before, after)
+            assert np.array_equal(s.amplitudes.view(np.uint64),
+                                  kept.view(np.uint64))
+
+
+def test_program_errors_name_the_first_bad_gate():
+    prog = GateProgram(gates=(Gate("H", (0,)), Gate("CCX", (0, 1, 3)),
+                              Gate("CZ", (1, 3))), half=2)
+    with pytest.raises(StateError,
+                       match=re.escape("qudit address 4 outside [0, 4)")):
+        prog.apply(random_state(2, 4, RNG), offset=1)
+    with pytest.raises(StateError, match=re.escape(
+            "hadamard is defined for p = 2 registers, got p = 3")):
+        prog.apply(random_state(3, 4, RNG))
 
 
 def test_program_builders_and_inverse_are_shared():
@@ -332,7 +381,7 @@ def test_every_qubit_of_the_encoded_state_is_hidden(n):
     message = random_state(2, n, RNG)
     encoded = _encode(n, message)
     for q in range(2 * n):
-        rho = reduced_density(encoded, q).matrix
+        rho = reduced_density(encoded, q)
         assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-10
 
 
@@ -519,6 +568,21 @@ def test_recovery_error_states_the_purity_and_bound():
     with pytest.raises(RecoveryError,
                        match=r"purity 0\.5 <= bound 0\.999999999\)"):
         recover(damaged, ErasurePosition(address=0, n=3))
+
+
+def test_recovery_refuses_zero_and_non_finite_registers():
+    # A zero register or a NaN amplitude is a StateError from the split,
+    # not a ZeroDivisionError or a failed SVD.
+    nan = _encode(3, basis_state(2, (0, 1, 0))).amplitudes.copy()
+    nan[5] = complex(np.nan, 0)
+    pos = ErasurePosition(address=0, n=3)
+    for amps, text in ((np.zeros(64, dtype=complex), "norm 0 outside"),
+                       (nan, "non-finite")):
+        s = StateVector(p=2, n=6, amplitudes=amps)
+        with pytest.raises(StateError, match=text):
+            split_recovered(s, [3, 4, 5])
+        with pytest.raises(StateError, match=text):
+            recover(s, pos)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),

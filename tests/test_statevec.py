@@ -2,21 +2,26 @@
 
 The central oracle is a naive dense-matrix simulator built inline with
 Kronecker products: every qubit gate kernel must agree with the
-explicit matrix route on small registers.  The rest covers indexing
-conventions, generalized Pauli action, measurement, reduction, and the
-product-factor extraction used by erasure recovery.
+explicit matrix route on small registers, and bit for bit with the
+slab kernels of slab_kernels.py.  The rest covers indexing conventions,
+generalized Pauli action, measurement, reduction, and the
+product-factor extraction used by erasure recovery, against
+np.linalg.svd.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
+import slab_kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concatqec.fp_linalg import FpVector
 from concatqec.statevec import (
     MATMUL_MIN_POST,
+    PURITY_BOUND,
     PauliError,
     StateError,
     StateVector,
@@ -243,6 +248,41 @@ def test_gates_reject_bad_addresses():
         apply_controlled_z(s, 1, 1)
 
 
+_KINDS = {apply_hadamard: "H", apply_cnot: "CX", apply_toffoli: "CCX",
+          apply_controlled_z: "CZ"}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_single_gates_match_the_slab_oracle_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    s = StateVector(p=2, n=n, amplitudes=rng.normal(size=2**n)
+                    + 1j * rng.normal(size=2**n))
+    before = s.amplitudes.copy()
+    for kernel, qs in _qubit_gate_cases(n):
+        got = kernel(s, *qs)
+        want = slab_kernels.run_gates(before, n, [(_KINDS[kernel], qs)])
+        assert np.array_equal(got.amplitudes.view(np.uint64),
+                              want.view(np.uint64)), (kernel.__name__, qs)
+    assert np.array_equal(s.amplitudes.view(np.uint64), before.view(np.uint64))
+
+
+def test_gate_errors_name_the_gate_and_the_address():
+    s = basis_state(2, (0, 0, 0))
+    qutrits = basis_state(3, (0, 0))
+    cases = [
+        (lambda: apply_hadamard(s, 3), "qudit address 3 outside [0, 3)"),
+        (lambda: apply_cnot(s, 0, 0), "cnot addresses must be distinct: (0, 0)"),
+        (lambda: apply_toffoli(s, 0, 1, 5), "qudit address 5 outside [0, 3)"),
+        (lambda: apply_controlled_z(s, -1, 1),
+         "qudit address -1 outside [0, 3)"),
+        (lambda: apply_cnot(qutrits, 0, 1),
+         "cnot is defined for p = 2 registers, got p = 3"),
+    ]
+    for call, text in cases:
+        with pytest.raises(StateError, match=f"^{re.escape(text)}$"):
+            call()
+
+
 def test_qubit_gates_reject_higher_dimension():
     s = basis_state(3, (0, 0))
     with pytest.raises(StateError):
@@ -328,8 +368,8 @@ def test_fidelity_ignores_global_phase():
 
 def test_reduced_density_of_product_state():
     s = basis_state(2, (0, 1))
-    rho0 = reduced_density(s, 0).matrix
-    rho1 = reduced_density(s, 1).matrix
+    rho0 = reduced_density(s, 0)
+    rho1 = reduced_density(s, 1)
     assert np.allclose(rho0, [[1, 0], [0, 0]])
     assert np.allclose(rho1, [[0, 0], [0, 1]])
 
@@ -338,7 +378,7 @@ def test_reduced_density_of_entangled_pair_is_maximally_mixed():
     bell = normalize(StateVector(p=2, n=2,
                                  amplitudes=np.array([1, 0, 0, 1], dtype=complex)))
     for q in range(2):
-        assert np.max(np.abs(reduced_density(bell, q).matrix - I2 / 2)) < 1e-12
+        assert np.max(np.abs(reduced_density(bell, q) - I2 / 2)) < 1e-12
 
 
 def test_register_probabilities_orders_by_register_digits():
@@ -386,6 +426,108 @@ def test_split_factor_reports_low_purity_for_entangled_cuts():
                                  amplitudes=np.array([1, 0, 0, 1], dtype=complex)))
     _, _, purity = split_factor(bell, keep=[0])
     assert abs(purity - 0.5) < 1e-12
+
+
+def _place(kept, dropped, p, keep, n):
+    """Amplitudes of kept (x) dropped with kept on the sorted addresses
+    keep and dropped on the others, each in ascending order."""
+    order = list(keep) + [q for q in range(n) if q not in keep]
+    joint = np.multiply.outer(kept, dropped).reshape((p,) * n)
+    return np.transpose(joint, np.argsort(order)).reshape(-1)
+
+
+def _svd_split(s, keep):
+    """The SVD oracle: (top left vector, top right vector, purity)."""
+    dropped = [q for q in range(s.n) if q not in keep]
+    block = np.transpose(s.amplitudes.reshape((s.p,) * s.n),
+                         list(keep) + dropped).reshape(
+        s.p ** len(keep), s.p ** len(dropped))
+    u, sv, vh = np.linalg.svd(block, full_matrices=False)
+    return u[:, 0], vh[0], float(np.sum(sv**4) / np.sum(sv**2) ** 2)
+
+
+# (p, n, kept addresses): the kept side smaller, equal and larger than
+# the dropped one, empty and full.
+SPLIT_CASES = [(2, 3, (2,)), (2, 4, (0, 2)), (2, 10, (5, 6, 7, 8, 9)),
+               (2, 10, (0, 3, 4, 7, 8, 9)), (3, 4, (1, 3)), (3, 3, (0, 1)),
+               (5, 3, (1,)), (2, 4, ()), (2, 3, (0, 1, 2))]
+
+
+def _assert_anchored(dropped):
+    # The dropped factor's largest amplitude sits on the positive real axis.
+    top = dropped.amplitudes[np.argmax(np.abs(dropped.amplitudes))]
+    assert top.real > 0 and abs(top.imag) <= 1e-15 * top.real
+
+
+@pytest.mark.parametrize("p, n, keep", SPLIT_CASES)
+def test_split_factor_of_exact_products_multiplies_back(p, n, keep):
+    a = random_state(p, len(keep), RNG).amplitudes
+    b = random_state(p, n - len(keep), RNG).amplitudes
+    s = StateVector(p=p, n=n, amplitudes=_place(a, b, p, keep, n))
+    kept, dropped, purity = split_factor(s, keep)
+    rebuilt = _place(kept.amplitudes, dropped.amplitudes, p, keep, n)
+    assert np.max(np.abs(rebuilt - s.amplitudes)) < 1e-15
+    assert abs(purity - 1) < 1e-15
+    assert abs(abs(np.vdot(a, kept.amplitudes)) - 1) < 1e-15
+    _assert_anchored(dropped)
+    # The state is scaled to unit norm first, so a power-of-two scale
+    # that would overflow rho changes nothing.
+    big = StateVector(p=p, n=n, amplitudes=s.amplitudes * 2.0**300)
+    big_kept, big_dropped, big_purity = split_factor(big, keep)
+    assert np.array_equal(big_kept.amplitudes, kept.amplitudes)
+    assert np.array_equal(big_dropped.amplitudes, dropped.amplitudes)
+    assert big_purity == purity
+
+
+@pytest.mark.parametrize("p, n, keep", SPLIT_CASES)
+def test_split_factor_purity_matches_the_svd(p, n, keep):
+    s = random_state(p, n, RNG)
+    _kept, dropped, purity = split_factor(s, keep)
+    _u, _v, want = _svd_split(s, keep)
+    assert abs(purity - want) < 1e-12
+    _assert_anchored(dropped)
+
+
+def _near_product(p, n, keep, purity, rng):
+    """sqrt(1 - e) u1 v1 + sqrt(e) u2 v2 with orthonormal pairs, where
+    (1 - e)^2 + e^2 = purity."""
+    e = (1 - np.sqrt(2 * purity - 1)) / 2
+    pairs = []
+    for size in (p ** len(keep), p ** (n - len(keep))):
+        z = rng.normal(size=(size, 2)) + 1j * rng.normal(size=(size, 2))
+        pairs.append(np.linalg.qr(z)[0].T)
+    (u1, u2), (v1, v2) = pairs
+    return StateVector(p=p, n=n, amplitudes=(
+        np.sqrt(1 - e) * _place(u1, v1, p, keep, n)
+        + np.sqrt(e) * _place(u2, v2, p, keep, n)))
+
+
+@pytest.mark.parametrize("p, n, keep", [c for c in SPLIT_CASES
+                                        if 0 < len(c[2]) < c[1]])
+@pytest.mark.parametrize("margin", [-1e-11, 1e-11])
+def test_split_factor_near_products_fall_on_the_svd_side_of_the_bound(
+        p, n, keep, margin):
+    s = _near_product(p, n, keep, PURITY_BOUND + margin, RNG)
+    kept, dropped, purity = split_factor(s, keep)
+    u1, v1, want = _svd_split(s, keep)
+    assert abs(purity - want) < 1e-13
+    assert (purity > PURITY_BOUND) == (want > PURITY_BOUND) == (margin > 0)
+    assert abs(np.vdot(u1, kept.amplitudes)) ** 2 > 1 - 1e-12
+    assert abs(np.vdot(v1, dropped.amplitudes)) ** 2 > 1 - 1e-12
+    _assert_anchored(dropped)
+
+
+def test_split_factor_refuses_zero_and_non_finite_states():
+    zero = np.zeros(16, dtype=complex)
+    tiny = np.full(16, 1e-16, dtype=complex)
+    nan = random_state(2, 4, RNG).amplitudes
+    nan[3] = np.nan
+    inf = random_state(2, 4, RNG).amplitudes
+    inf[0] = complex(0, np.inf)
+    for amps, text in ((zero, "norm 0 outside"), (tiny, "norm 4e-16 outside"),
+                       (nan, "non-finite"), (inf, "non-finite")):
+        with pytest.raises(StateError, match=text):
+            split_factor(StateVector(p=2, n=4, amplitudes=amps), [0, 1])
 
 
 def test_random_state_is_normalized_and_seeded():
