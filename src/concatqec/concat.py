@@ -14,15 +14,20 @@ names an instance of it:
   n = outer n, so there is no padding).
 * ``per-qubit``: n blocks, each carrying one codeword qubit.
 
-Both layers work per block through the block's encoder isometry: the
+Both layers work per block through the block's encoder isometry E: the
 encoder program's action on the qubits the block carries, with its
-padding at |0>.  Encoding contracts it with each block's axis of the
-outer codeword.  Decoding contracts its adjoint with every undamaged
-block, which leaves only their carried qubits, and runs erasure recovery
-on the flagged block alone in that reduced register.  It then checks
-that padding and ancillas read |0>, applies any computational error
-carried by the channel event to the surviving codeword, and finally
-runs outer syndrome decoding plus table lookup correction.
+padding at |0>.  E sends each input to four GHZ branches, so only a few
+of its rows are nonzero, and it is held by those rows alone.  Encoding
+contracts them with each block's axis of the outer codeword and
+scatters the small core this leaves into a zeroed register.  Decoding
+checks the register's norm, gathers the support rows of every undamaged
+block in one step and contracts them with E's adjoint, which leaves only
+their carried qubits, and runs erasure recovery on the flagged block
+alone in that reduced register.  It then checks that padding and
+ancillas read |0>, scored against the whole register's norm so that
+amplitudes off the support count as damage, applies any computational
+error carried by the channel event to the surviving codeword, and
+finally runs outer syndrome decoding plus table lookup correction.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from .graph_code import (
 from .statevec import (
     DETERMINISM_BOUND,
     FIDELITY_BOUND,
+    ZERO_NORM_FLOOR,
     PauliError,
     StateVector,
     apply_pauli_error,
@@ -236,8 +242,10 @@ def _map_block(t: np.ndarray, b: int, m: np.ndarray) -> np.ndarray:
 def concat_encode(scheme: ConcatScheme, v: LogicalState) -> StateVector:
     """Encode logical content through both layers.
 
-    Each block's encoder isometry acts on the codeword qubits it
-    carries, so no gate runs on the whole register.
+    Each block axis of the outer codeword is contracted with the
+    support rows of the block's encoder isometry, and the core this
+    leaves is scattered into a zeroed register in one step; no gate
+    runs on the whole register.
 
     Returns:
         The physical register of scheme.total_qubits qubits: 2n for
@@ -246,12 +254,17 @@ def concat_encode(scheme: ConcatScheme, v: LogicalState) -> StateVector:
     """
     t = encode(scheme.outer, v).amplitudes.reshape(
         [2**len(carried) for carried in scheme.assignment])
+    supports = [encoder_isometry(scheme.inner.n, len(carried))
+                for carried in scheme.assignment]
     # Last block first: the blocks before it are still narrow, so the
     # matmul loops over few leading slices.
     for b in reversed(range(scheme.blocks)):
-        isometry = encoder_isometry(scheme.inner.n, len(scheme.assignment[b]))
-        t = _map_block(t, b, isometry)
-    return StateVector(p=2, n=scheme.total_qubits, amplitudes=t.reshape(-1))
+        t = _map_block(t, b, supports[b].block)
+    register = np.zeros((2**scheme.inner.total,) * scheme.blocks,
+                        dtype=np.complex128)
+    register[np.ix_(*(support.rows for support in supports))] = t
+    return StateVector(p=2, n=scheme.total_qubits,
+                       amplitudes=register.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +314,44 @@ def _inner_stage(scheme: ConcatScheme, s: StateVector,
                  event: ChannelEvent) -> StateVector:
     """Reduce the inner blocks to the outer codeword register.
 
-    Every undamaged block is contracted with the adjoint of its encoder
-    isometry, which keeps only its carried qubits; the squared norm
-    left is the probability that its padding and ancillas read |0>.
-    The erased block then runs its decoder and recovery programs on the
-    reduced register, which move its content to the undamaged half.
-    Padding and ancillas must have read |0>, and the erased block's
-    damaged half must split off as a product.
+    The register's norm is checked first.  The support rows of every
+    undamaged block are then gathered in one step, and each gathered
+    axis is contracted with the adjoint of its block's encoder
+    isometry, which keeps only its carried qubits.  The probability
+    that their padding and ancillas read |0> is the squared norm left
+    over the register's squared norm, so amplitudes the gather skips,
+    off the support, count against it.  The erased block then runs its
+    decoder and recovery programs on the reduced register, which move
+    its content to the undamaged half.  Padding and ancillas must have
+    read |0>, and the erased block's damaged half must split off as a
+    product.
+
+    Raises:
+        CodeError: on a register whose norm is zero or not finite.
     """
     n_in, span = scheme.inner.n, scheme.inner.total
     erasure = event.erasure
     erased = event.block if erasure is not None else None
+    # One read of the register, as a dot product of its real and
+    # imaginary parts with themselves: a NaN anywhere makes the sum NaN,
+    # and an infinity or an overflowing square makes it infinite.
+    parts = np.ascontiguousarray(s.amplitudes).view(np.float64)
+    with np.errstate(over="ignore"):
+        norm2 = float(np.dot(parts, parts))
+    norm = math.sqrt(norm2)
+    if not ZERO_NORM_FLOOR <= norm < np.inf:
+        raise CodeError(f"register norm {norm:.6g} outside "
+                        f"[{ZERO_NORM_FLOOR:g}, inf)")
     t = s.amplitudes.reshape((2**span,) * scheme.blocks)
-    for block, carried in enumerate(scheme.assignment):
-        if block != erased:
-            adjoint = encoder_isometry(n_in, len(carried)).conj().T
-            t = _map_block(t, block, adjoint)
+    gathered = {block: encoder_isometry(n_in, len(carried))
+                for block, carried in enumerate(scheme.assignment)
+                if block != erased}
+    if gathered:
+        t = t[np.ix_(*(gathered[block].rows if block in gathered
+                       else np.arange(2**span)
+                       for block in range(scheme.blocks)))]
+    for block, support in gathered.items():
+        t = _map_block(t, block, support.adjoint)
     state = StateVector(p=2, n=int(np.log2(t.size)), amplitudes=t.reshape(-1))
     zero_addrs: List[int] = []
     if erasure is not None:
@@ -327,10 +362,11 @@ def _inner_stage(scheme: ConcatScheme, s: StateVector,
         content = base + n_in if erasure.side == "message" else base
         zero_addrs = list(range(content + c, content + n_in))
 
-    # The contraction's norm counts in the all-zero probability; only a
-    # lone erased block without padding has nothing to check.
+    # The contractions' norm counts in the all-zero probability; only a
+    # lone erased block without padding has nothing to check.  (It has
+    # no support to gather either: no amplitude is skipped.)
     if zero_addrs or state.n < s.n:
-        probs = register_probabilities(state, zero_addrs)
+        probs = register_probabilities(state, zero_addrs) / norm2
         if int(np.argmax(probs)) != 0 or probs[0] <= DETERMINISM_BOUND:
             raise DecodeError(
                 "inner unencoding left padding or ancilla qubits excited "
@@ -363,7 +399,8 @@ def concat_decode(scheme: ConcatScheme, s: StateVector, event: ChannelEvent
     Raises:
         GhzError: when the event's erasure does not fit the scheme.
         CodeError: when the register or the event's Pauli error does
-            not fit the scheme.
+            not fit the scheme, or the register's norm is zero or not
+            finite.
         DecodeError: when a syndrome is unreadable or unknown.
         RecoveryError: when inner recovery fails.
     """

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -208,21 +208,31 @@ class GateProgram:
     def _compiled(self) -> Tuple[int, tuple]:
         return compile_gates([(gate.kind, gate.qubits) for gate in self.gates])
 
+    @functools.cached_property
+    def _span(self) -> Tuple[int, int]:
+        """Lowest and highest touched address; (0, -1) with no gates."""
+        touched = self.touched_addresses()
+        return min(touched, default=0), max(touched, default=-1)
+
     def apply(self, s: StateVector, offset: int = 0) -> StateVector:
         """Run the program; offset shifts every address by a block base.
 
-        Every gate is checked before any amplitude is written.  The
-        program, compiled once by statevec.compile_gates, runs as one
-        gather per run of CX, CCX and CZ gates and an in-place kernel
-        per H, bit for bit like the gates one at a time, on a copy.
+        The shifted address span is checked against the register before
+        any amplitude is written; only a failing check walks the gates,
+        to name the first bad one.  The program, compiled once by
+        statevec.compile_gates, runs as one gather per run of CX, CCX
+        and CZ gates and an in-place kernel per H, bit for bit like the
+        gates one at a time, on a copy.
 
         Raises:
             StateError: if s is not a qubit register or a shifted
                 address falls outside it.
         """
-        for gate in self.gates:
-            check_qubit_gate(s, gate.kind,
-                             tuple(q + offset for q in gate.qubits))
+        lo, hi = self._span
+        if s.p != 2 or lo + offset < 0 or hi + offset >= s.n:
+            for gate in self.gates:
+                check_qubit_gate(s, gate.kind,
+                                 tuple(q + offset for q in gate.qubits))
         return StateVector(p=s.p, n=s.n, amplitudes=run_compiled(
             s.amplitudes, s.n, offset, self._compiled))
 
@@ -270,22 +280,44 @@ def build_encoder(n: int) -> GateProgram:
     return GateProgram(gates=tuple(gates), half=n)
 
 
-@functools.lru_cache(maxsize=None)
-def encoder_isometry(n: int, c: int) -> np.ndarray:
-    """The encoder as a 2**(2n) x 2**c map from c carried message qubits.
+class BlockSupport(NamedTuple):
+    """A block's encoder isometry E, held by its nonzero rows.
 
-    Column j is build_encoder(n) applied to |j> on message addresses
-    0..c-1 with every other qubit at |0>.  The array is shared between
-    callers and read-only.
+    Attributes:
+        rows: ascending indices of the nonzero rows of E.
+        block: E[rows], of shape (len(rows), 2**c).
+        adjoint: block's conjugate transpose, C-contiguous.
+    """
+
+    rows: np.ndarray
+    block: np.ndarray
+    adjoint: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def encoder_isometry(n: int, c: int) -> BlockSupport:
+    """The encoder on c carried message qubits, by its support rows.
+
+    E is the 2**(2n) x 2**c map whose column j is build_encoder(n)
+    applied to |j> on message addresses 0..c-1 with every other qubit at
+    |0>.  Each input goes to four GHZ branches of amplitude about +-1/2,
+    so E has only 4 * 2**c nonzero rows, or 2**(c+1) when c = n and the
+    last carried qubit sets only signs.  Only those rows are kept; the
+    arrays are shared between callers and read-only.
     """
     if not 1 <= c <= n:
         raise GhzError(f"carried qubit count {c} outside [1, {n}]")
-    isometry = np.stack([
+    columns = np.stack([
         build_encoder(n).apply(basis_state(
             2, index_to_digits(j, 2, c) + (0,) * (2 * n - c))).amplitudes
         for j in range(2**c)], axis=1)
-    isometry.flags.writeable = False
-    return isometry
+    rows = np.flatnonzero(np.any(columns, axis=1))
+    block = columns[rows]
+    support = BlockSupport(rows=rows, block=block,
+                           adjoint=np.ascontiguousarray(block.conj().T))
+    for array in support:
+        array.flags.writeable = False
+    return support
 
 
 @functools.lru_cache(maxsize=None)

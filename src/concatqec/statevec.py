@@ -146,11 +146,14 @@ def normalize(s: StateVector) -> StateVector:
     """Rescale to unit norm.
 
     Raises:
-        StateError: if the state is numerically zero.
+        StateError: if the norm lies outside [ZERO_NORM_FLOOR, inf): the
+            state is numerically zero, or its norm overflows or is NaN.
     """
-    norm = s.norm()
-    if norm < ZERO_NORM_FLOOR:
-        raise StateError("cannot normalize a zero state")
+    with np.errstate(over="ignore"):
+        norm = s.norm()
+    if not ZERO_NORM_FLOOR <= norm < np.inf:
+        raise StateError(f"cannot normalize a state of norm {norm:.6g} "
+                         f"outside [{ZERO_NORM_FLOOR:g}, inf)")
     return StateVector(p=s.p, n=s.n, amplitudes=s.amplitudes / norm)
 
 

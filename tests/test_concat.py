@@ -5,9 +5,13 @@ qubit 1 while ancilla 1' takes a bit flip, recover, and read syndrome
 0110 whose tabulated correction restores the input exactly.  Per-qubit
 blocking scales the same machinery to a twenty-qubit register.  The
 register-wide gate-program path, which the block contractions replaced,
-stays here as their oracle.
+stays here as their oracle, and the dense block isometries (module
+dense_blocks) as the oracle of the support-row encode and gather.
 """
 
+import re
+
+import dense_blocks
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +40,7 @@ from concatqec.ghz_erasure import (
     build_decoder,
     build_encoder,
     build_recovery,
+    encoder_isometry,
     split_recovered,
 )
 from concatqec.graph_code import (
@@ -227,6 +232,17 @@ def _gate_program_inner_stage(scheme, s, event):
     return kept
 
 
+def _aligned_gap(a, b):
+    """Largest amplitude gap between a and b up to one global phase.
+
+    split_factor fixes the global phase on the dropped half's largest
+    amplitude; the dropped half often holds two of equal size, and
+    rounding picks one, so two paths agree up to one global phase.
+    """
+    overlap = np.vdot(b, a)
+    return np.max(np.abs(a * np.conj(overlap) / abs(overlap) - b))
+
+
 @given(st.sampled_from([WHOLE_REGISTER, PER_QUBIT]),
        st.sampled_from(["identity", "correctable", "two-pauli"]),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -247,12 +263,7 @@ def test_block_contractions_match_the_gate_program_path(blocking, model, seed):
         mp.setattr(concat, "_inner_stage", _gate_program_inner_stage)
         reference, reference_trace = concat_decode(scheme, damaged, event)
     assert trace == reference_trace
-    # split_factor fixes the global phase on the dropped half's largest
-    # amplitude; the dropped half often holds two of equal size, and
-    # rounding picks one, so the states agree up to one global phase.
-    overlap = np.vdot(reference.coefficients, recovered.coefficients)
-    aligned = recovered.coefficients * np.conj(overlap) / abs(overlap)
-    assert np.max(np.abs(aligned - reference.coefficients)) < 1e-12
+    assert _aligned_gap(recovered.coefficients, reference.coefficients) < 1e-12
 
 
 def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
@@ -283,6 +294,59 @@ def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
         assert fidelity_up_to_phase(v.as_state(),
                                     recovered.as_state()) > 1 - 1e-10
     assert sizes and max(sizes) <= 2 * MAX_BLOCK
+
+
+# ---------------------------------------------------------------------------
+# The dense block isometries, kept as the oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+def test_encoding_matches_the_dense_isometries_bit_for_bit(blocking):
+    scheme = _scheme(blocking)
+    inputs = [LogicalState(p=2, coefficients=[1, 0]),
+              LogicalState(p=2, coefficients=[0, 1])]
+    inputs += [_random_logical(seed) for seed in range(6)]
+    for v in inputs:
+        got = concat_encode(scheme, v).amplitudes
+        want = dense_blocks.dense_encode(scheme, v).amplitudes
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_inner_stage_matches_the_dense_isometries_on_every_event(monkeypatch):
+    # Every enumerable per-qubit n = 2 event: no erasure, or an erasure
+    # at each address of each block with no corruption or a Pauli one,
+    # each with every outer Pauli of weight at most one.
+    scheme = _scheme(PER_QUBIT)
+    physical = concat_encode(scheme, _random_logical(11))
+    paulis = [None] + [PauliError.single(2, scheme.outer.n, q, b=b, s=sp)
+                       for q in range(scheme.outer.n)
+                       for b, sp in ((1, 0), (0, 1), (1, 1))]
+    inner_events = [ChannelEvent()] + [
+        ChannelEvent(erasure=ErasurePosition(address=a, n=scheme.inner.n),
+                     corruption=corruption, block=block)
+        for block in range(scheme.blocks)
+        for a in range(scheme.inner.total)
+        for corruption in (None, "X", "Y", "Z")]
+    inner_stage = concat._inner_stage
+    for inner in inner_events:
+        damaged = apply_channel_damage(scheme, physical, inner)
+        got = inner_stage(scheme, damaged, inner)
+        want = dense_blocks.dense_inner_stage(scheme, damaged, inner)
+        assert _aligned_gap(got.amplitudes, want.amplitudes) <= 1e-15
+        for pauli in paulis:
+            event = ChannelEvent(pauli=pauli, erasure=inner.erasure,
+                                 corruption=inner.corruption,
+                                 block=inner.block)
+            decoded = []
+            for reduced in (got, want):
+                monkeypatch.setattr(concat, "_inner_stage",
+                                    lambda *_, state=reduced: state)
+                decoded.append(concat_decode(scheme, damaged, event))
+            (recovered, trace), (reference, reference_trace) = decoded
+            assert trace == reference_trace
+            assert _aligned_gap(recovered.coefficients,
+                                reference.coefficients) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +544,82 @@ def test_register_size_mismatch_is_rejected():
     scheme = _scheme(WHOLE_REGISTER)
     with pytest.raises(CodeError):
         concat_decode(scheme, basis_state(2, (0,) * 9), ChannelEvent())
+
+
+def _off_support_index(scheme, block):
+    """A register index whose digit for block lies off the support rows
+    of that block's encoder isometry, the other blocks' digits on theirs."""
+    span = 2**scheme.inner.total
+    digits = []
+    for b, carried in enumerate(scheme.assignment):
+        rows = encoder_isometry(scheme.inner.n, len(carried)).rows
+        digits.append(np.setdiff1d(np.arange(span), rows)[0] if b == block
+                      else rows[0])
+    return int(np.ravel_multi_index(digits, (span,) * scheme.blocks))
+
+
+def _last_block_erasure(scheme):
+    return ChannelEvent(erasure=ErasurePosition(address=1, n=scheme.inner.n),
+                        block=scheme.blocks - 1)
+
+
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+@pytest.mark.parametrize("erased", [False, True])
+@pytest.mark.parametrize("bad, shown", [
+    (np.nan, "nan"), (np.inf, "inf"), (1e300, "inf"), (0.0, "0")])
+def test_a_register_of_bad_norm_is_refused_before_any_gather(
+        blocking, erased, bad, shown, monkeypatch):
+    # A NaN, an infinity or a 1e300 (whose square overflows) off the
+    # encoder's support, or an all-zero register, must raise with the
+    # norm quoted before a support row is read.
+    scheme = _scheme(blocking)
+    event = _last_block_erasure(scheme) if erased else ChannelEvent()
+    amplitudes = concat_encode(scheme, _random_logical(5)).amplitudes.copy()
+    if bad == 0:
+        amplitudes[:] = 0
+    else:
+        amplitudes[_off_support_index(scheme, 0)] = bad
+    register = StateVector(p=2, n=scheme.total_qubits, amplitudes=amplitudes)
+
+    def no_gather(*args):
+        raise AssertionError("support rows read before the norm check")
+
+    monkeypatch.setattr(concat, "encoder_isometry", no_gather)
+    with pytest.raises(CodeError, match=re.escape(
+            f"register norm {shown} outside [1e-14, inf)")):
+        concat_decode(scheme, register, event)
+
+
+@pytest.mark.parametrize("blocking, erased", [
+    (WHOLE_REGISTER, False), (PER_QUBIT, False), (PER_QUBIT, True)])
+@pytest.mark.parametrize("junk, shown", [(1.0, "0.5"), (1e150, "1e-300")])
+def test_junk_off_the_support_fails_the_all_zero_check(blocking, erased,
+                                                      junk, shown):
+    # The gather never reads an amplitude off the support; the junk
+    # still counts in the register norm, so the all-zero probability
+    # drops to 1 / (1 + junk**2).  These decoded as clean before.
+    scheme = _scheme(blocking)
+    event = _last_block_erasure(scheme) if erased else ChannelEvent()
+    amplitudes = concat_encode(scheme, _random_logical(5)).amplitudes.copy()
+    amplitudes[_off_support_index(scheme, 0)] = junk
+    register = StateVector(p=2, n=scheme.total_qubits, amplitudes=amplitudes)
+    with pytest.raises(DecodeError, match=re.escape(
+            f"all-zero probability {shown} <= bound")):
+        concat_decode(scheme, register, event)
+
+
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+@pytest.mark.parametrize("erased", [False, True])
+def test_a_scaled_clean_register_still_decodes(blocking, erased):
+    scheme = _scheme(blocking)
+    event = _last_block_erasure(scheme) if erased else ChannelEvent()
+    v = _random_logical(6)
+    physical = concat_encode(scheme, v)
+    scaled = StateVector(p=2, n=physical.n, amplitudes=2 * physical.amplitudes)
+    recovered, trace = concat_decode(scheme, scaled, event)
+    assert trace.syndrome == "0" * scheme.outer.m
+    assert fidelity_up_to_phase(v.as_state(),
+                                recovered.as_state()) > 1 - 1e-12
 
 
 # ---------------------------------------------------------------------------

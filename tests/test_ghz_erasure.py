@@ -15,6 +15,8 @@ import slab_kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concatqec import ghz_erasure
+
 from concatqec.ghz_erasure import (
     MAX_BLOCK,
     MIN_BLOCK,
@@ -293,6 +295,30 @@ def test_program_errors_name_the_first_bad_gate():
         prog.apply(random_state(3, 4, RNG))
 
 
+def test_program_checks_its_address_span_once(monkeypatch):
+    # A program whose shifted span fits the register runs without a
+    # per-gate check; one that does not walks the gates to name the
+    # first bad address.
+    calls = []
+    check = ghz_erasure.check_qubit_gate
+
+    def recording_check(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(ghz_erasure, "check_qubit_gate", recording_check)
+    prog = build_encoder(3)
+    s = random_state(2, 10, RNG)
+    for offset in range(5):
+        prog.apply(s, offset=offset)
+    assert calls == []
+    for offset, address in ((5, 10), (-1, -1)):
+        with pytest.raises(StateError, match=re.escape(
+                f"qudit address {address} outside [0, 10)")):
+            prog.apply(s, offset=offset)
+    assert calls
+
+
 def test_program_builders_and_inverse_are_shared():
     pos = ErasurePosition.from_label("2'", 4)
     assert build_encoder(4) is build_encoder(4)
@@ -301,19 +327,37 @@ def test_program_builders_and_inverse_are_shared():
     assert build_encoder(4).inverse() is build_encoder(4).inverse()
 
 
-@pytest.mark.parametrize("n, c", [(2, 1), (3, 2), (5, 5)])
+@pytest.mark.parametrize("n, c", [(n, c) for n in range(MIN_BLOCK, MAX_BLOCK + 1)
+                                  for c in range(1, n + 1)])
 def test_encoder_isometry_is_the_encoder_on_carried_inputs(n, c):
-    # Column j is the encoder program run on |j> in the first c message
-    # qubits, padding and ancillas at |0>; the columns are orthonormal.
-    iso = encoder_isometry(n, c)
-    assert iso.shape == (4**n, 2**c)
+    # Column j of E is the encoder program run on |j> in the first c
+    # message qubits, padding and ancillas at |0>.  E is held by its
+    # nonzero rows: scattered back, they give every such column bit for
+    # bit, and no other row of E is nonzero.
+    support = encoder_isometry(n, c)
+    rows, block, adjoint = support
+    assert block.shape == (rows.size, 2**c)
+    assert rows.size == (2**(c + 1) if c == n else 4 * 2**c)
+    assert np.all(np.diff(rows) > 0)
+    dense = np.zeros((4**n, 2**c), dtype=np.complex128)
+    dense[rows] = block
     for j in range(2**c):
         digits = [(j >> (c - 1 - q)) & 1 for q in range(c)]
         column = build_encoder(n).apply(
             basis_state(2, digits + [0] * (2 * n - c)))
-        assert np.array_equal(iso[:, j], column.amplitudes)
-    assert np.max(np.abs(iso.conj().T @ iso - np.eye(2**c))) < 1e-12
-    assert encoder_isometry(n, c) is iso and not iso.flags.writeable
+        got = np.ascontiguousarray(dense[:, j])
+        assert np.array_equal(got.view(np.uint64),
+                              column.amplitudes.view(np.uint64))
+    assert np.array_equal(np.flatnonzero(np.any(dense, axis=1)), rows)
+    assert np.all(np.any(block, axis=1))
+    assert np.array_equal(adjoint, block.conj().T)
+    assert adjoint.flags.c_contiguous
+    assert np.max(np.abs(adjoint @ block - np.eye(2**c))) < 1e-12
+    assert encoder_isometry(n, c) is support
+    for array in support:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
 
 
 def test_encoder_isometry_rejects_carried_counts_outside_the_half():

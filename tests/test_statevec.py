@@ -100,6 +100,21 @@ def test_normalize_and_zero_rejection():
         normalize(StateVector(p=2, n=1, amplitudes=np.zeros(2, dtype=complex)))
 
 
+@pytest.mark.parametrize("amplitudes, shown", [
+    ([1e200, 0], "inf"), ([np.inf, 0], "inf"), ([np.nan, 1], "nan"),
+    ([0, 0], "0"), ([1e-15, 0], "1e-15")])
+def test_normalize_refuses_a_norm_outside_the_floor_and_infinity(
+        amplitudes, shown):
+    # An overflowing norm used to divide the state down to all zeros.
+    s = StateVector(p=2, n=1, amplitudes=np.array(amplitudes, dtype=complex))
+    with pytest.raises(StateError, match=re.escape(
+            f"cannot normalize a state of norm {shown} outside [1e-14, inf)")):
+        normalize(s)
+    assert np.array_equal(normalize(StateVector(
+        p=2, n=1, amplitudes=np.array([1e150, 0], dtype=complex))).amplitudes,
+        [1, 0])
+
+
 # ---------------------------------------------------------------------------
 # Gate kernels versus explicit dense matrices
 # ---------------------------------------------------------------------------
