@@ -240,6 +240,14 @@ def cmd_monte_carlo(config: RunConfig) -> int:
 # Argument handling
 # ---------------------------------------------------------------------------
 
+def seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators need."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--graph", metavar="PATH", default=None,
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="erased qubit label, e.g. 1 or 5'")
     shared.add_argument("--error", default="B1'", metavar="LABEL",
                         help="physical error label, e.g. B1' or none")
-    shared.add_argument("--seed", type=int, default=1234,
+    shared.add_argument("--seed", type=seed, default=1234,
                         help="random seed")
     shared.add_argument("--trials", type=int, default=200,
                         help="Monte-Carlo sample count")

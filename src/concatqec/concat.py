@@ -57,6 +57,7 @@ from .graph_code import (
     SyndromeTable,
     build_syndrome_table,
     check_amplitude_count,
+    correct,
     decode,
     encode,
     format_error_label,
@@ -70,10 +71,10 @@ from .statevec import (
     StateVector,
     apply_pauli_error,
     fidelity_up_to_phase,
+    guard_norm,
     project_register,
     random_single_qubit_unitary,
     random_state,
-    register_probabilities,
 )
 
 __all__ = [
@@ -332,16 +333,7 @@ def _inner_stage(scheme: ConcatScheme, s: StateVector,
     n_in, span = scheme.inner.n, scheme.inner.total
     erasure = event.erasure
     erased = event.block if erasure is not None else None
-    # One read of the register, as a dot product of its real and
-    # imaginary parts with themselves: a NaN anywhere makes the sum NaN,
-    # and an infinity or an overflowing square makes it infinite.
-    parts = np.ascontiguousarray(s.amplitudes).view(np.float64)
-    with np.errstate(over="ignore"):
-        norm2 = float(np.dot(parts, parts))
-    norm = math.sqrt(norm2)
-    if not ZERO_NORM_FLOOR <= norm < np.inf:
-        raise CodeError(f"register norm {norm:.6g} outside "
-                        f"[{ZERO_NORM_FLOOR:g}, inf)")
+    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, CodeError, "register ")
     t = s.amplitudes.reshape((2**span,) * scheme.blocks)
     gathered = {block: encoder_isometry(n_in, len(carried))
                 for block, carried in enumerate(scheme.assignment)
@@ -353,26 +345,27 @@ def _inner_stage(scheme: ConcatScheme, s: StateVector,
     for block, support in gathered.items():
         t = _map_block(t, block, support.adjoint)
     state = StateVector(p=2, n=int(np.log2(t.size)), amplitudes=t.reshape(-1))
-    zero_addrs: List[int] = []
+    padding = (0, 0)
     if erasure is not None:
         base = sum(map(len, scheme.assignment[:event.block]))
         c = len(scheme.assignment[event.block])
         state = build_decoder(n_in, erasure).apply(state, offset=base)
         state = build_recovery(n_in, erasure).apply(state, offset=base)
         content = base + n_in if erasure.side == "message" else base
-        zero_addrs = list(range(content + c, content + n_in))
+        padding = (content + c, n_in - c)
 
     # The contractions' norm counts in the all-zero probability; only a
     # lone erased block without padding has nothing to check.  (It has
     # no support to gather either: no amplitude is skipped.)
-    if zero_addrs or state.n < s.n:
-        probs = register_probabilities(state, zero_addrs) / norm2
+    if padding[1] or state.n < s.n:
+        # A register wholly off the support leaves no branch to keep.
+        probs, state = project_register(state, *padding, norm * norm,
+                                        DecodeError)
         if int(np.argmax(probs)) != 0 or probs[0] <= DETERMINISM_BOUND:
             raise DecodeError(
                 "inner unencoding left padding or ancilla qubits excited "
                 f"(all-zero probability {probs[0]:.12g} <= bound "
                 f"{DETERMINISM_BOUND:.12g}); undeclared damage present")
-        state = project_register(state, zero_addrs, (0,) * len(zero_addrs))
 
     if erasure is None:
         return state
@@ -413,14 +406,13 @@ def concat_decode(scheme: ConcatScheme, s: StateVector, event: ChannelEvent
     if event.pauli is not None:
         codeword = apply_pauli_error(codeword, event.pauli)
     syndrome, residual = decode(scheme.outer, codeword)
-    key = "".join(str(d) for d in syndrome.entries)
-    row = _outer_table(scheme.outer).rows.get(syndrome.entries)
-    if row is None:
-        raise DecodeError(f"unrecognized syndrome {key}")
-    corrected = apply_pauli_error(residual, row.correction)
+    table = _outer_table(scheme.outer)
+    corrected = correct(residual, syndrome, table)
     recovered = LogicalState(p=2, coefficients=corrected.amplitudes)
-    trace = DecodeTrace(event=event.describe(), syndrome=key,
-                        correction=row.correction_label)
+    trace = DecodeTrace(
+        event=event.describe(),
+        syndrome="".join(str(d) for d in syndrome.entries),
+        correction=table.rows[syndrome.entries].correction_label)
     return recovered, trace
 
 
@@ -497,9 +489,15 @@ def effective_channel(scheme: ConcatScheme, noise: NoiseModel,
         Flat statistics: trial count, mean and minimum fidelity, the
         number and rate of trials below FIDELITY_BOUND, plus per-event-kind
         counts and mean fidelities.  Fixed seed gives identical output.
+
+    Raises:
+        CodeError: on fewer than one trial or a negative seed, before
+            any draw.
     """
     if trials < 1:
         raise CodeError(f"need at least one trial, got {trials}")
+    if seed < 0:
+        raise CodeError(f"need a seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     k = scheme.outer.k
     fidelities: List[float] = []

@@ -29,11 +29,13 @@ import numpy as np
 from .statevec import (
     BRANCH_NORM_FLOOR,
     PURITY_BOUND,
+    ZERO_NORM_FLOOR,
     StateVector,
     apply_single_qudit,
     basis_state,
     check_qubit_gate,
     compile_gates,
+    guard_norm,
     index_to_digits,
     run_compiled,
     split_factor,
@@ -419,24 +421,23 @@ def corrupt_qubit(s: StateVector, address: int,
                   corruption: Union[None, str, np.ndarray]) -> StateVector:
     """Apply a corruption to the qubit at one register address.
 
-    Projective disturbances are renormalized.
+    Projective disturbances are renormalized.  A disturbance that
+    leaves less than BRANCH_NORM_FLOOR of the state's norm annihilates it.
 
     Raises:
-        GhzError: on a bad corruption, or a disturbance that annihilates
-            the state or overflows its norm.
+        GhzError: on a bad corruption, a state of norm outside
+            [ZERO_NORM_FLOOR, inf), or an annihilating disturbance.
     """
     matrix = resolve_corruption(corruption)
+    what = "corruption annihilated the state or overflowed its norm: "
+    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, GhzError, what)
     damaged = apply_single_qudit(s, address, matrix)
-    with np.errstate(over="ignore"):
-        norm = damaged.norm()
-    if not BRANCH_NORM_FLOOR <= norm < np.inf:
-        raise GhzError(
-            f"corruption annihilated the state or overflowed its norm: "
-            f"norm {norm:.6g} outside [{BRANCH_NORM_FLOOR:g}, inf)")
+    damaged_norm = damaged.norm()
+    guard_norm(damaged_norm / norm, BRANCH_NORM_FLOOR, GhzError, what)
     # The buffer is fresh, so rescale it in place; dividing the float64
     # view by the real norm skips numpy's complex division.
     real = damaged.amplitudes.view(np.float64)
-    real /= norm
+    real /= damaged_norm
     return damaged
 
 

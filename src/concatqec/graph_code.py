@@ -50,10 +50,10 @@ from .statevec import (
     StateVector,
     apply_pauli_error,
     basis_state,
+    guard_norm,
     index_to_digits,
     normalize,
     project_register,
-    register_probabilities,
 )
 
 # Error supports condition c5 may range over: each costs one elimination
@@ -154,8 +154,8 @@ class LogicalState:
     Attributes:
         p: qudit dimension.
         coefficients: complex array of length p**k; normalized at
-            construction, so the zero vector and non-finite entries are
-            rejected.
+            construction, so a norm outside [ZERO_NORM_FLOOR, inf) (zero,
+            NaN or overflowing) is rejected.
     """
 
     p: int
@@ -171,11 +171,9 @@ class LogicalState:
             raise CodeError(
                 f"coefficient count {self.coefficients.size} is not a power of {self.p}"
             )
-        if not np.all(np.isfinite(self.coefficients)):
-            raise CodeError("coefficients must be finite")
-        norm = np.linalg.norm(self.coefficients)
-        if norm < ZERO_NORM_FLOOR:
-            raise CodeError("logical state must be nonzero")
+        norm = guard_norm(StateVector(self.p, k, self.coefficients).norm(),
+                          ZERO_NORM_FLOOR, CodeError,
+                          "logical state must be nonzero and finite: ")
         self.coefficients = self.coefficients / norm
 
     @property
@@ -207,6 +205,8 @@ def parse_graph(text: str) -> CodeGraph:
 
     Raises:
         GraphParseError: naming the first offending line.
+        CodeError: when the header declares a vertex set too large for
+            any register (see MAX_AMPLITUDES).
     """
     header: Optional[Tuple[int, int, int, int]] = None
     adjacency: List[List[int]] = []
@@ -230,6 +230,14 @@ def parse_graph(text: str) -> CodeGraph:
                 raise GraphParseError(f"unsupported field order {p}", lineno)
             if k < 1 or n < 1 or m < 0:
                 raise GraphParseError("need X >= 1, Y >= 1, L >= 0", lineno)
+            # Refused before the adjacency list is built: a register of
+            # more qudits exceeds MAX_AMPLITUDES for every p >= 2.
+            limit = MAX_AMPLITUDES.bit_length() - 1
+            for name, count in (("X", k), ("Y", n), ("L", m)):
+                if count > limit:
+                    raise CodeError(
+                        f"graph declares {count} {name} vertices, above the "
+                        f"limit of {limit} qudits per register")
             header = (p, k, n, m)
             total = k + n + m
             adjacency = [[0] * total for _ in range(total)]
@@ -268,8 +276,21 @@ def parse_graph(text: str) -> CodeGraph:
 
 
 def load_graph(path: Union[str, Path]) -> CodeGraph:
-    """Read and parse a graph file from disk."""
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a UTF-8 graph file from disk.
+
+    Raises:
+        GraphParseError: naming the first offending line, also when it
+            holds a byte that is not UTF-8.
+        CodeError: as parse_graph.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        raise GraphParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
+                              len((before + "x").splitlines())) from None
+    return parse_graph(text)
 
 
 _FIVE_QUBIT_EDGES = (
@@ -422,7 +443,10 @@ def check_amplitude_count(what: str, count: int) -> None:
         CodeError: quoting the requested size and the limit.
     """
     if count > MAX_AMPLITUDES:
-        raise CodeError(f"{what} needs {count} amplitudes, above the limit "
+        # str() refuses an int of more than 4300 digits.
+        shown = (count if count.bit_length() <= 64
+                 else f"at least 2**{count.bit_length() - 1}")
+        raise CodeError(f"{what} needs {shown} amplitudes, above the limit "
                         f"of {MAX_AMPLITUDES}")
 
 
@@ -591,32 +615,36 @@ def decode(g: CodeGraph, corrupted: StateVector) -> Tuple[FpVector, StateVector]
 
     The syndrome measurement must be deterministic; a spread-out
     syndrome distribution means the input carries more damage than the
-    graph can localize.
+    graph can localize.  The decoder is unitary, so the syndrome is
+    scored against the input's squared norm.
 
     Returns:
         (syndrome digits over the L register, residual logical state on
         the X register).
 
     Raises:
-        DecodeError: when the syndrome is not deterministic.
+        CodeError: when the register does not fit the code, or its norm
+            lies outside [ZERO_NORM_FLOOR, inf).
+        DecodeError: when the syndrome is not deterministic, or its
+            likeliest branch is too small to normalize.
     """
     if corrupted.p != g.p or corrupted.n != g.n:
         raise CodeError(
             f"register ({corrupted.p}, {corrupted.n}) does not match "
             f"code ({g.p}, {g.n})")
-    amplitudes = _decoder(g)(corrupted.amplitudes)
-    decoded = StateVector(p=g.p, n=g.n, amplitudes=amplitudes)
-    syn_addrs = list(range(g.m))
-    probs = register_probabilities(decoded, syn_addrs)
+    norm = guard_norm(corrupted.norm(), ZERO_NORM_FLOOR, CodeError,
+                      "register ")
+    decoded = StateVector(p=g.p, n=g.n,
+                          amplitudes=_decoder(g)(corrupted.amplitudes))
+    probs, residual = project_register(decoded, 0, g.m, norm * norm,
+                                       DecodeError)
     top = int(np.argmax(probs))
     if probs[top] <= DETERMINISM_BOUND:
         raise DecodeError(
             "uncorrectable or multi-error input: syndrome measurement is "
             f"not deterministic (top probability {probs[top]:.12g} <= "
             f"bound {DETERMINISM_BOUND:.12g})")
-    digits = index_to_digits(top, g.p, g.m)
-    residual = project_register(decoded, syn_addrs, digits)
-    return FpVector(entries=digits, p=g.p), residual
+    return FpVector(entries=index_to_digits(top, g.p, g.m), p=g.p), residual
 
 
 # ---------------------------------------------------------------------------

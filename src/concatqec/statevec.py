@@ -21,8 +21,9 @@ returns a fresh StateVector and leaves its argument untouched.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -36,7 +37,8 @@ FIDELITY_BOUND = 1.0 - 1e-9
 # A decoded amplitude within this of an exact value (a signed basis
 # amplitude, or the reference state's) counts as exact.
 DECODED_AMPLITUDE_TOL = 1e-8
-# A measured branch or a disturbed state below this norm is annihilated.
+# A disturbance that leaves less than this fraction of a state's norm
+# annihilates it.
 BRANCH_NORM_FLOOR = 1e-12
 # A state or coefficient vector below this norm is zero; it has no
 # normalized form.
@@ -109,7 +111,11 @@ class StateVector:
             )
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """Euclidean norm, as one dot of the float64 view: NaN on a NaN
+        amplitude, inf on overflow, without a warning."""
+        parts = np.ascontiguousarray(self.amplitudes).view(np.float64)
+        with np.errstate(over="ignore"):
+            return math.sqrt(float(np.dot(parts, parts)))
 
     def _check_address(self, q: int) -> None:
         if not 0 <= q < self.n:
@@ -142,6 +148,16 @@ def basis_state(p: int, digits: Union[FpVector, Sequence[int]]) -> StateVector:
     return StateVector(p=p, n=n, amplitudes=amplitudes)
 
 
+def guard_norm(norm: float, floor: float, error: Type[Exception],
+               what: str) -> float:
+    """The one rule for a register's size: return norm if it lies in
+    [floor, inf), else raise error("<what>norm <norm> outside [<floor>,
+    inf)"), as the state is numerically zero, overflows or is NaN."""
+    if not floor <= norm < math.inf:
+        raise error(f"{what}norm {norm:.6g} outside [{floor:g}, inf)")
+    return norm
+
+
 def normalize(s: StateVector) -> StateVector:
     """Rescale to unit norm.
 
@@ -149,11 +165,8 @@ def normalize(s: StateVector) -> StateVector:
         StateError: if the norm lies outside [ZERO_NORM_FLOOR, inf): the
             state is numerically zero, or its norm overflows or is NaN.
     """
-    with np.errstate(over="ignore"):
-        norm = s.norm()
-    if not ZERO_NORM_FLOOR <= norm < np.inf:
-        raise StateError(f"cannot normalize a state of norm {norm:.6g} "
-                         f"outside [{ZERO_NORM_FLOOR:g}, inf)")
+    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, StateError,
+                      "cannot normalize a state of ")
     return StateVector(p=s.p, n=s.n, amplitudes=s.amplitudes / norm)
 
 
@@ -448,51 +461,37 @@ def reduced_density(s: StateVector, q: int) -> np.ndarray:
     return np.einsum("iaj,ibj->ab", view, view.conj())
 
 
-def _register_split(s: StateVector, qs: Sequence[int]) -> np.ndarray:
-    """Reshape amplitudes to (outcomes of qs) x (rest), qs most significant."""
-    addrs = list(qs)
-    if len(set(addrs)) != len(addrs):
-        raise StateError("measured addresses must be distinct")
-    for q in addrs:
-        s._check_address(q)
-    rest = [q for q in range(s.n) if q not in addrs]
-    perm = addrs + rest
-    cube = s.amplitudes.reshape((s.p,) * s.n) if s.n else s.amplitudes.reshape(())
-    moved = np.transpose(cube, perm) if s.n else cube
-    return moved.reshape(s.p ** len(addrs), s.p ** len(rest))
+def project_register(s: StateVector, lo: int, width: int, norm2: float,
+                     error: Type[Exception] = StateError
+                     ) -> Tuple[np.ndarray, StateVector]:
+    """Measure the qudits at addresses [lo, lo + width).
 
-
-def register_probabilities(s: StateVector, qs: Sequence[int]) -> np.ndarray:
-    """Outcome distribution of a projective measurement of the qudits qs.
-
-    Outcome index packs the digits of qs in the order given, most
-    significant first.
-    """
-    block = _register_split(s, qs)
-    return np.sum(np.abs(block) ** 2, axis=1)
-
-
-def project_register(s: StateVector, qs: Sequence[int],
-                     digits: Sequence[int]) -> StateVector:
-    """Condition on a measurement outcome and drop the measured qudits.
+    Outcome j packs the span's digits, most significant first; its
+    probability is its branch's squared norm over norm2, the squared norm
+    of the register this one was reduced from (or its own).
 
     Returns:
-        The renormalized state of the unmeasured qudits, which keep
-        their relative order.
+        (outcome probabilities, the likeliest branch normalized, on the
+        unmeasured qudits in their order).
 
     Raises:
-        StateError: if the outcome has vanishing probability.
+        StateError: on a span outside the register.
+        error: when the likeliest branch's norm lies outside
+            [ZERO_NORM_FLOOR, inf): the register is zero, NaN or overflows.
     """
-    addrs = list(qs)
-    block = _register_split(s, addrs)
-    outcome = digits_to_index(digits, s.p)
-    if not 0 <= outcome < block.shape[0]:
-        raise StateError(f"outcome {tuple(digits)} out of range")
-    branch = block[outcome]
-    norm = np.linalg.norm(branch)
-    if norm < BRANCH_NORM_FLOOR:
-        raise StateError(f"outcome {tuple(digits)} has zero probability")
-    return StateVector(p=s.p, n=s.n - len(addrs), amplitudes=branch / norm)
+    if not 0 <= lo <= lo + width <= s.n:
+        raise StateError(
+            f"measured span [{lo}, {lo + width}) outside [0, {s.n}]")
+    view = np.ascontiguousarray(s.amplitudes).reshape(s.p**lo, s.p**width, -1)
+    parts = view.view(np.float64)
+    # einsum checks no floating-point flags, so an overflow is a quiet inf.
+    branch2 = np.einsum("ijk,ijk->j", parts, parts)
+    top = int(np.argmax(branch2))
+    norm = guard_norm(math.sqrt(branch2[top]), ZERO_NORM_FLOOR, error,
+                      "cannot normalize a measured branch of ")
+    branch = view[:, top] / norm
+    return branch2 / norm2, StateVector(p=s.p, n=s.n - width,
+                                        amplitudes=branch.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +519,17 @@ def split_factor(s: StateVector, keep: Sequence[int]
         (kept factor, dropped factor, purity of the kept subsystem).
 
     Raises:
-        StateError: on a bad address, a non-finite amplitude, or a norm
-            outside [ZERO_NORM_FLOOR, inf).
+        StateError: on a bad address, or a norm outside
+            [ZERO_NORM_FLOOR, inf).
     """
     kept_addrs = sorted(set(int(q) for q in keep))
-    block = _register_split(s, kept_addrs)
-    if not np.all(np.isfinite(block)):
-        raise StateError("cannot split a state with non-finite amplitudes")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(block))
-    if not ZERO_NORM_FLOOR <= norm < np.inf:
-        raise StateError(f"cannot split a state of norm {norm:.6g} outside "
-                         f"[{ZERO_NORM_FLOOR:g}, inf)")
+    for q in kept_addrs:
+        s._check_address(q)
+    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, StateError,
+                      "cannot split a state of zero or non-finite norm: ")
+    rest = [q for q in range(s.n) if q not in kept_addrs]
+    block = np.transpose(s.amplitudes.reshape((s.p,) * s.n),
+                         kept_addrs + rest).reshape(s.p**len(kept_addrs), -1)
     flip = block.shape[0] > block.shape[1]
     block = (block.T if flip else block) / norm
     rho = block @ block.conj().T

@@ -10,7 +10,7 @@ path's bit for bit and its inner stage to agree to rounding.
 """
 
 import functools
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,9 +27,20 @@ from concatqec.statevec import (
     StateVector,
     basis_state,
     index_to_digits,
-    project_register,
-    register_probabilities,
 )
+
+
+def project_zero(s: StateVector, addrs: Sequence[int]
+                 ) -> Tuple[float, StateVector]:
+    """A plain-numpy readout: the probability that the qubits at addrs
+    all read |0>, and the normalized state of the others given that."""
+    cube = s.amplitudes.reshape((2,) * s.n)
+    branch = cube[tuple(0 if q in addrs else slice(None)
+                        for q in range(s.n))]
+    weight = np.sum(np.abs(branch) ** 2)
+    rest = StateVector(p=2, n=s.n - len(addrs),
+                       amplitudes=branch.reshape(-1) / np.sqrt(weight))
+    return weight / np.sum(np.abs(cube) ** 2), rest
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,10 +86,9 @@ def dense_inner_stage(scheme: ConcatScheme, s: StateVector,
         content = base + n_in if erasure.side == "message" else base
         zero_addrs = list(range(content + c, content + n_in))
     if zero_addrs or state.n < s.n:
-        probs = register_probabilities(state, zero_addrs)
-        if int(np.argmax(probs)) != 0 or probs[0] <= DETERMINISM_BOUND:
+        prob, state = project_zero(state, zero_addrs)
+        if prob <= DETERMINISM_BOUND:
             raise DecodeError("padding or ancilla qubits excited")
-        state = project_register(state, zero_addrs, (0,) * len(zero_addrs))
     if erasure is None:
         return state
     damaged = base if erasure.side == "message" else base + c

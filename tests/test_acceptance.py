@@ -6,7 +6,8 @@ Under pytest every criterion is its own test.
 
 The criteria:
   1. The shipped five-qubit decoding graph is admissible for one error,
-     with the exhaustive kernel search finishing under a second.
+     with the check (one F_p kernel basis per error support) finishing
+     under a second.
   2. Encoding reproduces all 32 signed codeword coefficient forms.
   3. The generated syndrome table matches the golden sixteen-row file.
   4. The block operator programs match their rendered products and the

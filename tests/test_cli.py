@@ -117,8 +117,9 @@ def test_syndrome_table_text_has_header_and_rows(capsys):
 
 
 def test_syndrome_table_rejects_an_oversized_graph(tmp_path, capsys):
-    # p = 7 with |Y| = 12 passes parsing, which has no size cap, but its
-    # encoder would need 7**12 amplitudes.
+    # p = 7 with |Y| = 12 passes parsing, whose cap of 26 qudits per
+    # vertex set holds for every p, but its encoder would need 7**12
+    # amplitudes.
     edges = ([f"0 {y} 1" for y in range(1, 13)]
              + [f"{13 + i} {2 + i} 1" for i in range(11)])
     big = tmp_path / "big.graph"
@@ -127,6 +128,25 @@ def test_syndrome_table_rejects_an_oversized_graph(tmp_path, capsys):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert err.startswith("error:") and f"{7**12} amplitudes" in err
+
+
+def test_verify_graph_refuses_an_oversized_header_at_once(tmp_path, capsys):
+    big = tmp_path / "big.graph"
+    big.write_text("p 2 X 1 Y 1000000000 L 0\n")
+    code, out, err = _run(capsys, "verify-graph", "--graph", str(big))
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err == ("error: graph declares 1000000000 Y vertices, above the "
+                   "limit of 26 qudits per register\n")
+
+
+def test_verify_graph_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    binary = tmp_path / "binary.graph"
+    binary.write_bytes(b"p 2 X 1 Y 1 L 0\n0 1 1 \xff\n")
+    code, out, err = _run(capsys, "verify-graph", "--graph", str(binary))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: line 2: byte 0xff is not UTF-8\n"
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +251,14 @@ def test_monte_carlo_rejects_unknown_noise():
     with pytest.raises(SystemExit) as exc:
         main(["monte-carlo", "--noise", "bogus"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_monte_carlo_rejects_a_negative_seed(capsys):
+    # numpy's generators used to refuse it with a traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(["monte-carlo", "--seed", "-1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_monte_carlo_rejects_zero_trials(capsys):

@@ -57,7 +57,6 @@ from concatqec.statevec import (
     apply_pauli_error,
     basis_state,
     fidelity_up_to_phase,
-    project_register,
     random_single_qubit_unitary,
     random_state,
     split_factor,
@@ -223,7 +222,7 @@ def _gate_program_inner_stage(scheme, s, event):
         outer_addrs.extend(range(content, content + len(carried)))
         zero_addrs.extend(range(content + len(carried), content + n_in))
     if zero_addrs:
-        state = project_register(state, zero_addrs, (0,) * len(zero_addrs))
+        _prob, state = dense_blocks.project_zero(state, zero_addrs)
     if erased_block is None:
         return state
     remaining = sorted(outer_addrs + discard_addrs)
@@ -703,6 +702,14 @@ def test_effective_channel_is_deterministic_per_seed():
     c = effective_channel(scheme, noise_correctable(scheme), trials=20, seed=8)
     assert a == b
     assert a != c
+
+
+def test_effective_channel_refuses_a_negative_seed_before_drawing():
+    def never(rng):
+        raise AssertionError("drew an event")
+
+    with pytest.raises(CodeError, match=r"need a seed >= 0, got -1"):
+        effective_channel(_scheme(), never, trials=3, seed=-1)
 
 
 def test_effective_channel_statistics_by_model():

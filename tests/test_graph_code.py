@@ -8,6 +8,7 @@ definitions.
 """
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from concatqec.graph_code import (
     LogicalState,
     build_syndrome_table,
     check_admissibility,
+    check_amplitude_count,
     correct,
     decode,
     decoder_unitary,
@@ -125,6 +127,43 @@ def test_load_graph_round_trips_through_files(tmp_path):
     assert g.p == 3 and g.adjacency.entry(0, 1) == 2
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"\xff", 1),
+    (b"p 3 X 1 Y 1 L 0\n# caf\xc3\xa9 \xff\n0 1 2\n", 2),
+    (b"p 3 X 1 Y 1 L 0\r\n\r\n0 1 2 \x80\r\n", 3),
+])
+def test_load_graph_names_the_line_of_a_byte_that_is_not_utf8(
+        tmp_path, data, line):
+    path = tmp_path / "binary.graph"
+    path.write_bytes(data)
+    with pytest.raises(GraphParseError, match="is not UTF-8") as exc:
+        load_graph(path)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("header, shown", [
+    ("p 2 X 27 Y 1 L 0", "27 X vertices"),
+    ("p 7 X 1 Y 1000000000 L 0", "1000000000 Y vertices"),
+    ("p 3 X 1 Y 26 L 100000", "100000 L vertices"),
+])
+def test_an_oversized_vertex_set_is_refused_at_the_header(header, shown):
+    # The header used to size a (|X| + |Y| + |L|)**2 adjacency list
+    # before any check: |Y| = 1500 took over a second and 10**9 would
+    # ask for 10**18 entries.
+    start = time.perf_counter()
+    with pytest.raises(CodeError, match=f"declares {shown}, above the limit "
+                                        "of 26 qudits per register"):
+        parse_graph(header + "\n0 1 1\n")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_huge_amplitude_count_is_quoted_by_its_bit_length():
+    # str() refuses an int of more than 4300 digits.
+    with pytest.raises(CodeError, match=r"the encoder needs at least "
+                                        r"2\*\*15000 amplitudes"):
+        check_amplitude_count("the encoder", 2**15000 + 1)
+
+
 # ---------------------------------------------------------------------------
 # Structural validation
 # ---------------------------------------------------------------------------
@@ -149,8 +188,10 @@ def test_code_graph_requires_full_vertex_cover():
 
 
 def test_logical_state_rejects_non_finite_coefficients():
-    # Normalizing by an infinite norm would silently turn inf into nan.
-    for bad in ([np.inf, 1.0], [np.nan, 1.0], [1.0, complex(0, -np.inf)]):
+    # Normalizing by an infinite norm would silently turn inf into nan,
+    # and [1e200, 1e200], whose norm overflows, into zeros.
+    for bad in ([np.inf, 1.0], [np.nan, 1.0], [1.0, complex(0, -np.inf)],
+                [1e200, 1e200]):
         with pytest.raises(CodeError, match="finite"):
             LogicalState(p=2, coefficients=bad)
 

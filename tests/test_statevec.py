@@ -39,7 +39,6 @@ from concatqec.statevec import (
     normalize,
     project_register,
     reduced_density,
-    register_probabilities,
     random_single_qubit_unitary,
     random_state,
     split_factor,
@@ -396,24 +395,34 @@ def test_reduced_density_of_entangled_pair_is_maximally_mixed():
         assert np.max(np.abs(reduced_density(bell, q) - I2 / 2)) < 1e-12
 
 
-def test_register_probabilities_orders_by_register_digits():
+def test_project_register_orders_outcomes_by_register_digits():
     s = normalize(StateVector(p=2, n=2,
                               amplitudes=np.array([1, 0, 0, 2], dtype=complex)))
-    probs = register_probabilities(s, [1])
+    probs, _ = project_register(s, 1, 1, 1.0)
     assert np.allclose(probs, [0.2, 0.8])
+    # A p = 3 span in the middle: outcome j packs the digits of addresses
+    # 1 and 2, most significant first.
+    t = random_state(3, 4, np.random.default_rng(5))
+    cube = np.abs(t.amplitudes.reshape(3, 3, 3, 3)) ** 2
+    probs, _ = project_register(t, 1, 2, 1.0)
+    assert np.allclose(probs, cube.sum(axis=(0, 3)).reshape(-1))
 
 
 def test_project_register_drops_measured_qudits():
-    s = normalize(StateVector(p=2, n=2,
-                              amplitudes=np.array([1, 0, 0, 1], dtype=complex)))
-    t = project_register(s, [0], [1])
-    # conditioning a Bell pair on qubit 0 = 1 leaves the second qubit in |1>
+    s = normalize(StateVector(
+        p=2, n=2, amplitudes=np.array([1, 0, 0, 1.1], dtype=complex)))
+    probs, t = project_register(s, 0, 1, 1.0)
+    # conditioning on the likelier outcome of qubit 0, 1, leaves the
+    # second qubit in |1>
+    assert int(np.argmax(probs)) == 1
     assert t.n == 1
     assert states_close(t, basis_state(2, (1,)))
-    with pytest.raises(StateError):
-        project_register(s, [0], [1, 0])
-    with pytest.raises(StateError):
-        project_register(basis_state(2, (0, 0)), [0], [1])
+    # Scored against twice the squared norm, each outcome counts half.
+    halved, _ = project_register(s, 0, 1, 2.0)
+    assert np.allclose(halved, probs / 2)
+    for lo, width in ((-1, 1), (2, 1), (1, 2)):
+        with pytest.raises(StateError, match="measured span"):
+            project_register(s, lo, width, 1.0)
 
 
 # ---------------------------------------------------------------------------
