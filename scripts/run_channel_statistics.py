@@ -77,7 +77,7 @@ def main() -> int:
         description="Monte-Carlo logical channel statistics")
     parser.add_argument("--trials", type=int, default=None,
                         help="samples per model (default 100, or 10 "
-                             "per-qubit: that mode simulates 20 qubits)")
+                             "per-qubit)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--per-qubit", action="store_true",
                         help="use one inner block per codeword qubit")

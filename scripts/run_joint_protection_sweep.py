@@ -12,6 +12,7 @@ Usage:
 """
 
 import argparse
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -114,6 +115,9 @@ def main() -> int:
     parser.add_argument("--unitaries", type=int, default=5,
                         help="random corruption unitaries beyond I/X/Y/Z")
     args = parser.parse_args()
+    if args.seed < 0:
+        print(f"error: need a seed >= 0, got {args.seed}", file=sys.stderr)
+        return 1
     config = SweepConfig(seed=args.seed, unitaries=args.unitaries)
 
     start = time.perf_counter()

@@ -186,7 +186,7 @@ def cmd_worked_example(config: RunConfig) -> int:
 
     coeffs = [0.6, 0.8]
     v = LogicalState(p=2, coefficients=coeffs)
-    state = concat_encode(scheme, v)
+    state = concat_encode(scheme, v).to_state()
     if physical_error is not None:
         state = apply_pauli_error(state, physical_error)
     event = ChannelEvent(erasure=pos)

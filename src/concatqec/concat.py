@@ -17,17 +17,29 @@ names an instance of it:
 Both layers work per block through the block's encoder isometry E: the
 encoder program's action on the qubits the block carries, with its
 padding at |0>.  E sends each input to four GHZ branches, so only a few
-of its rows are nonzero, and it is held by those rows alone.  Encoding
-contracts them with each block's axis of the outer codeword and
-scatters the small core this leaves into a zeroed register.  Decoding
-checks the register's norm, gathers the support rows of every undamaged
-block in one step and contracts them with E's adjoint, which leaves only
-their carried qubits, and runs erasure recovery on the flagged block
-alone in that reduced register.  It then checks that padding and
-ancillas read |0>, scored against the whole register's norm so that
-amplitudes off the support count as damage, applies any computational
-error carried by the channel event to the surviving codeword, and
-finally runs outer syndrome decoding plus table lookup correction.
+of its rows are nonzero, and it is held by those rows alone.
+
+The physical register is a BlockRegister: one tensor with one axis per
+inner block.  An axis is carried, holding the block's 2**c codeword
+amplitudes with E implied, or physical, holding its 2**(2n) amplitudes.
+Encoding leaves every axis carried, so it is the outer codeword
+reshaped.  A channel event touches one block, so damage makes only that
+block's axis physical, by contracting it with E's support rows and
+scattering them onto the block's register indices; every other block
+keeps its carried amplitudes, since its encoding would cancel against
+its unencoding.  A dense StateVector is the register with every axis
+physical, and only BlockRegister.to_state builds it.
+
+Decoding checks the register's norm, which E's isometry makes the
+physical one, and makes the erased block's axis physical.  It gathers
+the support rows of every other physical axis in one step and contracts
+them with E's adjoint, which leaves only their carried qubits, and runs
+erasure recovery on the flagged block alone in that reduced register.
+It then checks that padding and ancillas read |0>, scored against the
+whole register's norm so that amplitudes off the support count as
+damage, applies any computational error carried by the channel event to
+the surviving codeword, and finally runs outer syndrome decoding plus
+table lookup correction.
 """
 
 from __future__ import annotations
@@ -80,6 +92,7 @@ from .statevec import (
 __all__ = [
     "PauliError",
     "apply_pauli_error",
+    "BlockRegister",
     "ChannelEvent",
     "ConcatScheme",
     "DecodeTrace",
@@ -164,8 +177,10 @@ class ConcatScheme:
             inner block carries at its message addresses 0..c-1, in
             codeword order across the register.
 
-    Construction raises CodeError when the physical register would
-    exceed MAX_AMPLITUDES amplitudes.
+    A scheme allocates nothing: its BlockRegister holds each block by
+    its carried amplitudes until a block is hit, so per-qubit blocking
+    runs at any inner n.  Only a dense array of more than MAX_AMPLITUDES
+    amplitudes, such as BlockRegister.to_state at 30 qubits, is refused.
     """
 
     outer: CodeGraph
@@ -187,10 +202,6 @@ class ConcatScheme:
             assignment = tuple((q,) for q in range(self.outer.n))
         else:
             raise CodeError(f"unknown blocking {self.blocking!r}")
-        qubits = len(assignment) * self.inner.total
-        check_amplitude_count(
-            f"{self.blocking} blocking with inner n = {self.inner.n} "
-            f"({qubits} qubits)", 2**qubits)
         object.__setattr__(self, "assignment", assignment)
 
     @property
@@ -240,32 +251,144 @@ def _map_block(t: np.ndarray, b: int, m: np.ndarray) -> np.ndarray:
     return t.reshape(shape[:b] + (len(m),) + shape[b + 1:])
 
 
-def concat_encode(scheme: ConcatScheme, v: LogicalState) -> StateVector:
+@dataclass(eq=False)
+class BlockRegister:
+    """The physical register of a scheme, held as one tensor axis per block.
+
+    Axis b of the core is either carried or physical.  A carried axis
+    has 2**c entries, the amplitudes of the c codeword qubits block b
+    carries, and stands for E applied to them.  A physical axis has
+    2**(2n) entries, the block's register amplitudes.  As c <= n < 2n,
+    the length tells the two apart.  E is an isometry, so the core's
+    norm is the physical register's.
+
+    Attributes:
+        scheme: the scheme whose blocks the axes follow.
+        core: complex tensor with one axis per block, block 0 first.
+
+    Raises:
+        CodeError: on a core whose axes do not fit the scheme's blocks.
+    """
+
+    scheme: ConcatScheme
+    core: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.core = np.asarray(self.core, dtype=np.complex128)
+        span = 2**self.scheme.inner.total
+        widths = [2**len(carried) for carried in self.scheme.assignment]
+        if self.core.ndim != len(widths) or any(
+                size not in (width, span)
+                for size, width in zip(self.core.shape, widths)):
+            raise CodeError(
+                f"core of shape {self.core.shape} does not fit blocks "
+                f"{tuple(widths)} carried or {span} physical")
+
+    @classmethod
+    def of(cls, scheme: ConcatScheme, s: Register) -> "BlockRegister":
+        """s itself, or a dense register read as every axis physical,
+        by a reshape that copies nothing.
+
+        Raises:
+            CodeError: when s belongs to another scheme or size.
+        """
+        if isinstance(s, BlockRegister):
+            if s.scheme != scheme:
+                raise CodeError("block register of another scheme")
+            return s
+        if s.p != 2 or s.n != scheme.total_qubits:
+            raise CodeError(
+                f"register ({s.p}, {s.n}) does not match scheme "
+                f"(2, {scheme.total_qubits})")
+        return cls(scheme, s.amplitudes.reshape(
+            (2**scheme.inner.total,) * scheme.blocks))
+
+    def physical(self, block: int) -> bool:
+        return self.core.shape[block] == 2**self.scheme.inner.total
+
+    def flat(self) -> StateVector:
+        """The core as a register of its axes' qubits; no copy."""
+        return StateVector(p=2, n=self.core.size.bit_length() - 1,
+                           amplitudes=self.core.reshape(-1))
+
+    def expand(self, block: int) -> "BlockRegister":
+        """The register with block's axis made physical, or self if it is.
+
+        The carried amplitudes are contracted with the support rows of
+        the block's encoder isometry and placed on those rows of a
+        zeroed core.
+
+        Raises:
+            CodeError: when the new core would exceed MAX_AMPLITUDES
+                amplitudes, before it is allocated.
+        """
+        if self.physical(block):
+            return self
+        scheme = self.scheme
+        support = encoder_isometry(scheme.inner.n,
+                                   len(scheme.assignment[block]))
+        shape = list(self.core.shape)
+        shape[block] = 2**scheme.inner.total
+        core = self._zeros(shape)
+        core[(slice(None),) * block + (support.rows,)] = _map_block(
+            self.core, block, support.block)
+        return BlockRegister(scheme, core)
+
+    def to_state(self) -> StateVector:
+        """The dense register of scheme.total_qubits qubits, fresh.
+
+        Every carried axis is contracted with the support rows of its
+        block's encoder isometry, and the result is scattered onto
+        those rows of a zeroed register in one step.
+
+        Raises:
+            CodeError: when it would exceed MAX_AMPLITUDES amplitudes,
+                before it is allocated.
+        """
+        scheme = self.scheme
+        register = self._zeros([2**scheme.inner.total] * scheme.blocks)
+        supports = {b: encoder_isometry(scheme.inner.n, len(carried))
+                    for b, carried in enumerate(scheme.assignment)
+                    if not self.physical(b)}
+        t = self.core
+        # Last block first: the blocks before it are still narrow, so the
+        # matmul loops over few leading slices.
+        for b in sorted(supports, reverse=True):
+            t = _map_block(t, b, supports[b].block)
+        register[np.ix_(*(supports[b].rows if b in supports
+                          else np.arange(size)
+                          for b, size in enumerate(register.shape)))] = t
+        return StateVector(p=2, n=scheme.total_qubits,
+                           amplitudes=register.reshape(-1))
+
+    def _zeros(self, shape: List[int]) -> np.ndarray:
+        """A zeroed core of the given shape, refused before allocation
+        when it exceeds MAX_AMPLITUDES amplitudes."""
+        count = math.prod(shape)
+        check_amplitude_count(
+            f"{self.scheme.blocking} blocking with inner n = "
+            f"{self.scheme.inner.n} ({count.bit_length() - 1} qubits)", count)
+        return np.zeros(shape, dtype=np.complex128)
+
+
+Register = Union[StateVector, BlockRegister]
+
+
+def concat_encode(scheme: ConcatScheme, v: LogicalState) -> BlockRegister:
     """Encode logical content through both layers.
 
-    Each block axis of the outer codeword is contracted with the
-    support rows of the block's encoder isometry, and the core this
-    leaves is scattered into a zeroed register in one step; no gate
-    runs on the whole register.
+    Every block axis stays carried, so the register is the outer
+    codeword reshaped to one axis per block: no inner amplitude is
+    computed until a block is hit or the dense form is asked for.
 
     Returns:
-        The physical register of scheme.total_qubits qubits: 2n for
+        The register of scheme.total_qubits qubits (2n for
         whole-register blocking, outer_n * 2 * inner_n for per-qubit
-        blocking.
+        blocking) as a BlockRegister; its to_state is the dense form.
     """
     t = encode(scheme.outer, v).amplitudes.reshape(
         [2**len(carried) for carried in scheme.assignment])
-    supports = [encoder_isometry(scheme.inner.n, len(carried))
-                for carried in scheme.assignment]
-    # Last block first: the blocks before it are still narrow, so the
-    # matmul loops over few leading slices.
-    for b in reversed(range(scheme.blocks)):
-        t = _map_block(t, b, supports[b].block)
-    register = np.zeros((2**scheme.inner.total,) * scheme.blocks,
-                        dtype=np.complex128)
-    register[np.ix_(*(support.rows for support in supports))] = t
-    return StateVector(p=2, n=scheme.total_qubits,
-                       amplitudes=register.reshape(-1))
+    return BlockRegister(scheme, t)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +416,13 @@ def _check_event(scheme: ConcatScheme, event: ChannelEvent) -> None:
             f"match the codeword (2, {scheme.outer.n})")
 
 
-def apply_channel_damage(scheme: ConcatScheme, s: StateVector,
-                         event: ChannelEvent) -> StateVector:
+def apply_channel_damage(scheme: ConcatScheme, s: Register,
+                         event: ChannelEvent) -> Register:
     """Apply the physical part of an event: the erasure-site corruption.
+
+    Only the hit block's axis is made physical; the corruption then acts
+    on the erased qubit of that axis.  The result is fresh and of the
+    type given, or s itself for an event without an erasure.
 
     The computational part (event.pauli) strikes the surviving codeword
     and is injected by concat_decode after inner recovery.
@@ -303,22 +430,29 @@ def apply_channel_damage(scheme: ConcatScheme, s: StateVector,
     _check_event(scheme, event)
     if event.erasure is None:
         return s
-    address = event.block * scheme.inner.total + event.erasure.address
-    return corrupt_qubit(s, address, event.corruption)
+    register = BlockRegister.of(scheme, s).expand(event.block)
+    shape = register.core.shape
+    address = sum(size.bit_length() - 1 for size in shape[:event.block])
+    damaged = corrupt_qubit(register.flat(), address + event.erasure.address,
+                            event.corruption)
+    if isinstance(s, StateVector):
+        return damaged
+    return BlockRegister(scheme, damaged.amplitudes.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
 
-def _inner_stage(scheme: ConcatScheme, s: StateVector,
+def _inner_stage(scheme: ConcatScheme, s: Register,
                  event: ChannelEvent) -> StateVector:
     """Reduce the inner blocks to the outer codeword register.
 
-    The register's norm is checked first.  The support rows of every
-    undamaged block are then gathered in one step, and each gathered
-    axis is contracted with the adjoint of its block's encoder
-    isometry, which keeps only its carried qubits.  The probability
+    The register's norm is checked first, and the erased block's axis is
+    made physical.  The support rows of every other physical axis are
+    then gathered in one step, and each gathered axis is contracted with
+    the adjoint of its block's encoder isometry, which keeps only its
+    carried qubits; carried axes are already there.  The probability
     that their padding and ancillas read |0> is the squared norm left
     over the register's squared norm, so amplitudes the gather skips,
     off the support, count against it.  The erased block then runs its
@@ -328,23 +462,29 @@ def _inner_stage(scheme: ConcatScheme, s: StateVector,
     product.
 
     Raises:
-        CodeError: on a register whose norm is zero or not finite.
+        CodeError: on a register that does not fit the scheme, or whose
+            norm is zero or not finite.
     """
-    n_in, span = scheme.inner.n, scheme.inner.total
+    n_in = scheme.inner.n
     erasure = event.erasure
     erased = event.block if erasure is not None else None
-    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, CodeError, "register ")
-    t = s.amplitudes.reshape((2**span,) * scheme.blocks)
+    register = BlockRegister.of(scheme, s)
+    norm = guard_norm(register.flat().norm(), ZERO_NORM_FLOOR, CodeError,
+                      "register ")
+    if erased is not None:
+        register = register.expand(erased)
+    t = register.core
     gathered = {block: encoder_isometry(n_in, len(carried))
                 for block, carried in enumerate(scheme.assignment)
-                if block != erased}
+                if block != erased and register.physical(block)}
     if gathered:
         t = t[np.ix_(*(gathered[block].rows if block in gathered
-                       else np.arange(2**span)
-                       for block in range(scheme.blocks)))]
+                       else np.arange(size)
+                       for block, size in enumerate(t.shape)))]
     for block, support in gathered.items():
         t = _map_block(t, block, support.adjoint)
-    state = StateVector(p=2, n=int(np.log2(t.size)), amplitudes=t.reshape(-1))
+    state = StateVector(p=2, n=t.size.bit_length() - 1,
+                        amplitudes=t.reshape(-1))
     padding = (0, 0)
     if erasure is not None:
         base = sum(map(len, scheme.assignment[:event.block]))
@@ -354,10 +494,10 @@ def _inner_stage(scheme: ConcatScheme, s: StateVector,
         content = base + n_in if erasure.side == "message" else base
         padding = (content + c, n_in - c)
 
-    # The contractions' norm counts in the all-zero probability; only a
-    # lone erased block without padding has nothing to check.  (It has
-    # no support to gather either: no amplitude is skipped.)
-    if padding[1] or state.n < s.n:
+    # The contractions' norm counts in the all-zero probability.  A
+    # carried axis reads |0> with probability exactly 1, so only padding
+    # or a gather leaves anything to check.
+    if padding[1] or gathered:
         # A register wholly off the support leaves no branch to keep.
         probs, state = project_register(state, *padding, norm * norm,
                                         DecodeError)
@@ -378,9 +518,12 @@ def _inner_stage(scheme: ConcatScheme, s: StateVector,
     return kept
 
 
-def concat_decode(scheme: ConcatScheme, s: StateVector, event: ChannelEvent
+def concat_decode(scheme: ConcatScheme, s: Register, event: ChannelEvent
                   ) -> Tuple[LogicalState, DecodeTrace]:
     """Decode a physical register given known channel side information.
+
+    The register is a BlockRegister or its dense StateVector form; both
+    run the same inner stage.
 
     The event's erasure position selects the inner recovery path; its
     Pauli component models a computational error on the surviving
@@ -398,10 +541,6 @@ def concat_decode(scheme: ConcatScheme, s: StateVector, event: ChannelEvent
         RecoveryError: when inner recovery fails.
     """
     _check_event(scheme, event)
-    if s.p != 2 or s.n != scheme.total_qubits:
-        raise CodeError(
-            f"register ({s.p}, {s.n}) does not match scheme "
-            f"(2, {scheme.total_qubits})")
     codeword = _inner_stage(scheme, s, event)
     if event.pauli is not None:
         codeword = apply_pauli_error(codeword, event.pauli)

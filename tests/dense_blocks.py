@@ -4,9 +4,13 @@ The concatenated code once held each block's encoder isometry E as a
 dense 2**(2n) x 2**c matrix.  Encoding contracted E with every block
 axis of the outer codeword, and the inner stage contracted E^dagger
 with every undamaged block.  The library now keeps only E's nonzero
-rows: it scatters the encoded core into the register and gathers the
-support rows back.  The tests require its encoding to equal this
-path's bit for bit and its inner stage to agree to rounding.
+rows, and its register keeps one axis per block: carried (E implied,
+never applied) until the block is hit, physical after.  Its dense form,
+BlockRegister.to_state, scatters the support rows of every carried axis
+into the register.  The tests require that dense form of an encoding to
+equal this path's bit for bit, and the inner stage, on a block register
+or its dense form, to agree with this path's on the dense form to
+rounding.
 """
 
 import functools

@@ -186,7 +186,7 @@ def criterion_5_worked_example() -> bool:
     # intermediate state, basis input by basis input
     for coeffs in ((1.0, 0.0), (0.0, 1.0)):
         v = LogicalState(p=2, coefficients=list(coeffs))
-        damaged = apply_pauli_error(concat_encode(scheme, v), flip)
+        damaged = apply_pauli_error(concat_encode(scheme, v).to_state(), flip)
         staged = build_recovery(5, pos).apply(
             build_decoder(5, pos).apply(damaged))
         kept, _dropped, purity = split_factor(staged, keep=range(5, 10))
@@ -197,7 +197,7 @@ def criterion_5_worked_example() -> bool:
         ok = ok and purity > 1 - 1e-10
     # full pipeline on a superposition input
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    damaged = apply_pauli_error(concat_encode(scheme, v), flip)
+    damaged = apply_pauli_error(concat_encode(scheme, v).to_state(), flip)
     recovered, trace = concat_decode(scheme, damaged,
                                      ChannelEvent(erasure=pos))
     ok = ok and trace.syndrome == "0110" and trace.correction == "S5"

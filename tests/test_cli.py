@@ -287,24 +287,48 @@ def test_module_execution_round_trip():
     assert "result=pass" in result.stdout
 
 
+def _script(name, *args):
+    """Run scripts/<name> with the package on its path."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name), *args],
+        capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("inner_n, message", [
-    ("3", "30 qubits"),
     ("7", "block size n must lie in"),
 ])
 def test_channel_statistics_script_reports_domain_errors(inner_n, message):
     # Like the CLI, the script turns a scheme it cannot build into one
     # error line and exit code 1, not a traceback.
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_channel_statistics.py"),
-         "--per-qubit", "--inner-n", inner_n],
-        capture_output=True, text=True, env=env)
+    result = _script("run_channel_statistics.py", "--per-qubit",
+                     "--inner-n", inner_n)
     assert result.returncode == EXIT_DOMAIN
     assert result.stderr.startswith("error: ") and message in result.stderr
     assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_channel_statistics_script_runs_per_qubit_blocks_of_three():
+    # Inner n = 3 makes a 30-qubit register, past the dense size limit;
+    # the block register never builds it, so the run completes.
+    result = _script("run_channel_statistics.py", "--per-qubit",
+                     "--inner-n", "3")
+    assert result.returncode == EXIT_OK
+    assert result.stderr == ""
+    assert "register=30 qubits" in result.stdout
+    assert "correctable    1.000000    1.000000     0.0000" in result.stdout
+
+
+def test_joint_protection_sweep_refuses_a_negative_seed():
+    # numpy's generators take no negative seed; the script says so in
+    # one error line before any case runs.
+    result = _script("run_joint_protection_sweep.py", "--seed", "-1")
+    assert result.returncode == EXIT_DOMAIN
+    assert result.stderr == "error: need a seed >= 0, got -1\n"
     assert result.stdout == ""
 
 
@@ -313,15 +337,9 @@ def test_operator_tables_script_matches_golden(block_size, lines):
     # The dump prints the adjacency matrix, the admissibility verdict, the
     # 32 signed codeword forms of the encoder, the syndrome table and the
     # GHZ block programs; all of it is pinned byte for byte.
-    root = pathlib.Path(__file__).resolve().parent.parent
-    golden = root / "tests" / "golden" / f"operator_tables_n{block_size}.txt"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(root / "scripts" / "dump_operator_tables.py"),
-         "--block-size", block_size],
-        capture_output=True, text=True, env=env)
+    golden = (pathlib.Path(__file__).parent / "golden"
+              / f"operator_tables_n{block_size}.txt")
+    result = _script("dump_operator_tables.py", "--block-size", block_size)
     assert result.returncode == EXIT_OK
     assert result.stderr == ""
     assert len(result.stdout.splitlines()) == lines

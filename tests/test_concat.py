@@ -21,6 +21,7 @@ from concatqec import concat, statevec
 from concatqec.concat import (
     PER_QUBIT,
     WHOLE_REGISTER,
+    BlockRegister,
     ChannelEvent,
     ConcatScheme,
     apply_channel_damage,
@@ -135,13 +136,15 @@ def test_scheme_rejects_bad_configuration():
 
 
 def test_scheme_rejects_a_register_above_the_size_limit():
-    # Per-qubit blocking with inner n = 3 needs 5 * 6 = 30 qubits; the
-    # scheme refuses it before any register exists, quoting both sizes.
-    g = five_qubit_decoding_graph()
+    # Per-qubit blocking with inner n = 3 needs 5 * 6 = 30 qubits.  The
+    # scheme and its block register hold 2**5 amplitudes; only the dense
+    # form is refused, before it is allocated, quoting both sizes.
+    scheme = _scheme(PER_QUBIT, inner_n=3)
+    physical = concat_encode(scheme, _random_logical())
     with pytest.raises(CodeError,
                        match=rf"30 qubits\) needs {2**30} amplitudes, "
                              rf"above the limit of {MAX_AMPLITUDES}"):
-        ConcatScheme(outer=g, inner=GhzLayout(3), blocking=PER_QUBIT)
+        physical.to_state()
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +155,7 @@ def test_scheme_rejects_a_register_above_the_size_limit():
 def test_whole_register_encoding_wraps_the_codeword():
     scheme = _scheme(WHOLE_REGISTER)
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    got = concat_encode(scheme, v)
+    got = concat_encode(scheme, v).to_state()
     codeword = encode(scheme.outer, v)
     manual = np.kron(codeword.amplitudes, basis_state(2, (0,) * 5).amplitudes)
     expected = build_encoder(5).apply(StateVector(p=2, n=10, amplitudes=manual))
@@ -162,7 +165,7 @@ def test_whole_register_encoding_wraps_the_codeword():
 def test_per_qubit_encoding_places_one_codeword_digit_per_block():
     scheme = _scheme(PER_QUBIT)
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    state = concat_encode(scheme, v)
+    state = concat_encode(scheme, v).to_state()
     # undo every block encoder; slot 0 of each 4-qubit block carries the
     # codeword digit and the rest returns to |0>
     for i in range(5):
@@ -255,14 +258,17 @@ def test_block_contractions_match_the_gate_program_path(blocking, model, seed):
     event = noise(np.random.default_rng(seed))
     expected = _gate_program_encode(scheme, v)
     got = concat_encode(scheme, v)
-    assert np.max(np.abs(got.amplitudes - expected.amplitudes)) < 1e-12
+    assert np.max(np.abs(got.to_state().amplitudes
+                         - expected.amplitudes)) < 1e-12
     damaged = apply_channel_damage(scheme, expected, event)
-    recovered, trace = concat_decode(scheme, damaged, event)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(concat, "_inner_stage", _gate_program_inner_stage)
         reference, reference_trace = concat_decode(scheme, damaged, event)
-    assert trace == reference_trace
-    assert _aligned_gap(recovered.coefficients, reference.coefficients) < 1e-12
+    for physical in (damaged, apply_channel_damage(scheme, got, event)):
+        recovered, trace = concat_decode(scheme, physical, event)
+        assert trace == reference_trace
+        assert _aligned_gap(recovered.coefficients,
+                            reference.coefficients) < 1e-12
 
 
 def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
@@ -307,17 +313,24 @@ def test_encoding_matches_the_dense_isometries_bit_for_bit(blocking):
               LogicalState(p=2, coefficients=[0, 1])]
     inputs += [_random_logical(seed) for seed in range(6)]
     for v in inputs:
-        got = concat_encode(scheme, v).amplitudes
+        got = concat_encode(scheme, v).to_state().amplitudes
         want = dense_blocks.dense_encode(scheme, v).amplitudes
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_inner_stage_matches_the_dense_isometries_on_every_event(monkeypatch):
-    # Every enumerable per-qubit n = 2 event: no erasure, or an erasure
-    # at each address of each block with no corruption or a Pauli one,
-    # each with every outer Pauli of weight at most one.
-    scheme = _scheme(PER_QUBIT)
+@pytest.mark.parametrize("form", ["blocks", "dense"])
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+def test_inner_stage_matches_the_dense_isometries_on_every_event(
+        blocking, form, monkeypatch):
+    # Every enumerable event, whole-register and per-qubit at n = 2: no
+    # erasure, or an erasure at each address of each block with no
+    # corruption or a Pauli one, each with every outer Pauli of weight at
+    # most one.  The block register and its dense form run the one inner
+    # stage; the dense isometries on the dense form are the oracle.
+    scheme = _scheme(blocking)
     physical = concat_encode(scheme, _random_logical(11))
+    if form == "dense":
+        physical = physical.to_state()
     paulis = [None] + [PauliError.single(2, scheme.outer.n, q, b=b, s=sp)
                        for q in range(scheme.outer.n)
                        for b, sp in ((1, 0), (0, 1), (1, 1))]
@@ -330,8 +343,9 @@ def test_inner_stage_matches_the_dense_isometries_on_every_event(monkeypatch):
     inner_stage = concat._inner_stage
     for inner in inner_events:
         damaged = apply_channel_damage(scheme, physical, inner)
+        dense = damaged if form == "dense" else damaged.to_state()
         got = inner_stage(scheme, damaged, inner)
-        want = dense_blocks.dense_inner_stage(scheme, damaged, inner)
+        want = dense_blocks.dense_inner_stage(scheme, dense, inner)
         assert _aligned_gap(got.amplitudes, want.amplitudes) <= 1e-15
         for pauli in paulis:
             event = ChannelEvent(pauli=pauli, erasure=inner.erasure,
@@ -348,6 +362,31 @@ def test_inner_stage_matches_the_dense_isometries_on_every_event(monkeypatch):
                                 reference.coefficients) <= 1e-15
 
 
+@pytest.mark.parametrize("declared", [None, 1])
+def test_mixed_axes_report_undeclared_damage_like_the_dense_form(declared):
+    # An undeclared half-strength X rotation makes block 0's axis
+    # physical while the others stay carried; declaring nothing, or an
+    # erasure in block 1 (whose axis decoding expands), must fail with
+    # the all-zero probability 1/2, word for word as the dense form does.
+    scheme = _scheme(PER_QUBIT)
+    rotation = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    hit = ChannelEvent(erasure=ErasurePosition(address=0, n=2),
+                       corruption=rotation)
+    damaged = apply_channel_damage(
+        scheme, concat_encode(scheme, _random_logical()), hit)
+    assert [damaged.physical(b) for b in range(scheme.blocks)] == [
+        True, False, False, False, False]
+    event = ChannelEvent() if declared is None else ChannelEvent(
+        erasure=ErasurePosition(address=0, n=2), block=declared)
+    messages = []
+    for form in (damaged, damaged.to_state()):
+        with pytest.raises(DecodeError, match=re.escape(
+                "all-zero probability 0.5 <= bound")) as info:
+            concat_decode(scheme, form, event)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 # ---------------------------------------------------------------------------
 # The ten-qubit pipeline
 # ---------------------------------------------------------------------------
@@ -356,7 +395,7 @@ def test_inner_stage_matches_the_dense_isometries_on_every_event(monkeypatch):
 def test_erasure_with_ancilla_bit_flip_end_to_end():
     scheme = _scheme(WHOLE_REGISTER)
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    physical = concat_encode(scheme, v)
+    physical = concat_encode(scheme, v).to_state()
     # qubit 1 is erased; ancilla 1' (address 5) suffers a bit flip
     flipped = apply_pauli_error(physical, PauliError.single(2, 10, 5, b=1))
     event = ChannelEvent(erasure=ErasurePosition.from_label("1", 5))
@@ -373,7 +412,7 @@ def test_recovery_intermediate_state_is_the_shifted_codeword(coeffs):
     # its first digit flipped, amplitude by amplitude.
     scheme = _scheme(WHOLE_REGISTER)
     v = LogicalState(p=2, coefficients=list(coeffs))
-    physical = concat_encode(scheme, v)
+    physical = concat_encode(scheme, v).to_state()
     flipped = apply_pauli_error(physical, PauliError.single(2, 10, 5, b=1))
     pos = ErasurePosition.from_label("1", 5)
     staged = build_recovery(5, pos).apply(build_decoder(5, pos).apply(flipped))
@@ -447,18 +486,34 @@ def test_apply_channel_damage_passthrough_and_validation():
             ChannelEvent(erasure=ErasurePosition(address=0, n=5), block=1))
 
 
+def _amplitudes(register):
+    if isinstance(register, BlockRegister):
+        return register.core
+    return register.amplitudes
+
+
 def test_apply_channel_damage_returns_a_fresh_state_and_keeps_its_input():
-    scheme = _scheme(WHOLE_REGISTER)
-    s = concat_encode(scheme, _random_logical())
-    before = s.amplitudes.copy()
-    for address in range(scheme.inner.total):
-        event = ChannelEvent(erasure=ErasurePosition(address=address, n=5),
-                             corruption=random_single_qubit_unitary(RNG))
-        out = apply_channel_damage(scheme, s, event)
-        assert not np.shares_memory(out.amplitudes, s.amplitudes)
-        assert abs(out.norm() - 1.0) < 1e-12
-    assert np.array_equal(s.amplitudes.view(np.uint64),
-                          before.view(np.uint64))
+    # Either form comes back as its own type, fresh, and of unit norm;
+    # a block register has only the hit block's axis made physical.
+    for scheme in (_scheme(WHOLE_REGISTER), _scheme(PER_QUBIT)):
+        blocks = concat_encode(scheme, _random_logical())
+        for s in (blocks, blocks.to_state()):
+            before = _amplitudes(s).copy()
+            for address in range(scheme.inner.total):
+                event = ChannelEvent(
+                    erasure=ErasurePosition(address=address, n=scheme.inner.n),
+                    corruption=random_single_qubit_unitary(RNG),
+                    block=scheme.blocks - 1)
+                out = apply_channel_damage(scheme, s, event)
+                assert type(out) is type(s)
+                assert not np.shares_memory(_amplitudes(out), _amplitudes(s))
+                if s is blocks:
+                    assert [out.physical(b) for b in range(scheme.blocks)] == [
+                        b == event.block for b in range(scheme.blocks)]
+                    out = out.to_state()
+                assert abs(out.norm() - 1.0) < 1e-12
+            assert np.array_equal(_amplitudes(s).view(np.uint64),
+                                  before.view(np.uint64))
 
 
 def test_undeclared_damage_is_detected():
@@ -562,23 +617,38 @@ def _last_block_erasure(scheme):
                         block=scheme.blocks - 1)
 
 
-@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+@pytest.mark.parametrize("blocking, form", [
+    pytest.param(WHOLE_REGISTER, "dense", id=WHOLE_REGISTER),
+    pytest.param(PER_QUBIT, "dense", id=PER_QUBIT),
+    pytest.param(WHOLE_REGISTER, "blocks", id=f"{WHOLE_REGISTER}-blocks"),
+    pytest.param(PER_QUBIT, "blocks", id=f"{PER_QUBIT}-blocks")])
 @pytest.mark.parametrize("erased", [False, True])
 @pytest.mark.parametrize("bad, shown", [
     (np.nan, "nan"), (np.inf, "inf"), (1e300, "inf"), (0.0, "0")])
 def test_a_register_of_bad_norm_is_refused_before_any_gather(
-        blocking, erased, bad, shown, monkeypatch):
+        blocking, form, erased, bad, shown, monkeypatch):
     # A NaN, an infinity or a 1e300 (whose square overflows) off the
-    # encoder's support, or an all-zero register, must raise with the
+    # encoder's support of a dense register, or in a block register's
+    # core, or an all-zero register of either form, must raise with the
     # norm quoted before a support row is read.
     scheme = _scheme(blocking)
     event = _last_block_erasure(scheme) if erased else ChannelEvent()
-    amplitudes = concat_encode(scheme, _random_logical(5)).amplitudes.copy()
+    blocks = concat_encode(scheme, _random_logical(5))
+    if form == "dense":
+        amplitudes = blocks.to_state().amplitudes.copy()
+        index = _off_support_index(scheme, 0)
+    else:
+        amplitudes = blocks.core.reshape(-1).copy()
+        index = 0
     if bad == 0:
         amplitudes[:] = 0
     else:
-        amplitudes[_off_support_index(scheme, 0)] = bad
-    register = StateVector(p=2, n=scheme.total_qubits, amplitudes=amplitudes)
+        amplitudes[index] = bad
+    if form == "dense":
+        register = StateVector(p=2, n=scheme.total_qubits,
+                               amplitudes=amplitudes)
+    else:
+        register = BlockRegister(scheme, amplitudes.reshape(blocks.core.shape))
 
     def no_gather(*args):
         raise AssertionError("support rows read before the norm check")
@@ -599,7 +669,8 @@ def test_junk_off_the_support_fails_the_all_zero_check(blocking, erased,
     # drops to 1 / (1 + junk**2).  These decoded as clean before.
     scheme = _scheme(blocking)
     event = _last_block_erasure(scheme) if erased else ChannelEvent()
-    amplitudes = concat_encode(scheme, _random_logical(5)).amplitudes.copy()
+    amplitudes = concat_encode(
+        scheme, _random_logical(5)).to_state().amplitudes.copy()
     amplitudes[_off_support_index(scheme, 0)] = junk
     register = StateVector(p=2, n=scheme.total_qubits, amplitudes=amplitudes)
     with pytest.raises(DecodeError, match=re.escape(
@@ -613,12 +684,14 @@ def test_a_scaled_clean_register_still_decodes(blocking, erased):
     scheme = _scheme(blocking)
     event = _last_block_erasure(scheme) if erased else ChannelEvent()
     v = _random_logical(6)
-    physical = concat_encode(scheme, v)
-    scaled = StateVector(p=2, n=physical.n, amplitudes=2 * physical.amplitudes)
-    recovered, trace = concat_decode(scheme, scaled, event)
-    assert trace.syndrome == "0" * scheme.outer.m
-    assert fidelity_up_to_phase(v.as_state(),
-                                recovered.as_state()) > 1 - 1e-12
+    blocks = concat_encode(scheme, v)
+    dense = blocks.to_state()
+    for scaled in (BlockRegister(scheme, 2 * blocks.core),
+                   StateVector(p=2, n=dense.n, amplitudes=2 * dense.amplitudes)):
+        recovered, trace = concat_decode(scheme, scaled, event)
+        assert trace.syndrome == "0" * scheme.outer.m
+        assert fidelity_up_to_phase(v.as_state(),
+                                    recovered.as_state()) > 1 - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +761,16 @@ def test_two_damaged_qubits_in_the_declared_block_never_decode(blocking):
                 block=block)
             with pytest.raises((RecoveryError, DecodeError)):
                 concat_decode(scheme, physical, event)
+
+
+def test_per_qubit_blocking_runs_past_the_dense_size_limit():
+    # Inner n = 6 makes a 60-qubit register.  Its blocks stay carried
+    # until hit, so correctable events decode exactly without it.
+    scheme = _scheme(PER_QUBIT, inner_n=6)
+    stats = effective_channel(scheme, noise_correctable(scheme), trials=20,
+                              seed=3)
+    assert stats["failures"] == 0
+    assert stats["min_fidelity"] > 1 - 1e-9
 
 
 # ---------------------------------------------------------------------------

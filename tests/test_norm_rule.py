@@ -120,7 +120,7 @@ def _concat_decode(blocking):
             erasure=ErasurePosition(address=1, n=scheme.inner.n),
             corruption="Y", block=scheme.blocks - 1)
         physical = apply_channel_damage(
-            scheme, concat_encode(scheme, V), event)
+            scheme, concat_encode(scheme, V).to_state(), event)
 
         def run(amps):
             register = StateVector(p=2, n=scheme.total_qubits, amplitudes=amps)
