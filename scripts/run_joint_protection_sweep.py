@@ -118,6 +118,10 @@ def main() -> int:
     if args.seed < 0:
         print(f"error: need a seed >= 0, got {args.seed}", file=sys.stderr)
         return 1
+    if args.unitaries < 0:
+        print(f"error: need --unitaries >= 0, got {args.unitaries}",
+              file=sys.stderr)
+        return 1
     config = SweepConfig(seed=args.seed, unitaries=args.unitaries)
 
     start = time.perf_counter()

@@ -35,7 +35,6 @@ from .graph_code import (
     check_admissibility,
     correct,
     decode,
-    decoder_unitary,
     encode,
     five_qubit_code_graph,
     five_qubit_decoding_graph,
@@ -73,7 +72,6 @@ __all__ = [
     "concat_encode",
     "correct",
     "decode",
-    "decoder_unitary",
     "effective_channel",
     "encode",
     "five_qubit_code_graph",

@@ -35,7 +35,6 @@ from .concat import (
 )
 from .ghz_erasure import ErasurePosition, GhzError, GhzLayout, RecoveryError
 from .graph_code import (
-    ERROR_LABEL_RE,
     CodeError,
     CodeGraph,
     DecodeError,
@@ -44,11 +43,11 @@ from .graph_code import (
     build_syndrome_table,
     check_admissibility,
     load_graph,
+    parse_error_label,
     parse_graph,
     weight_one_errors,
-    word_mbs,
 )
-from .statevec import PauliError, StateError, apply_pauli_error, fidelity_up_to_phase
+from .statevec import StateError, apply_pauli_error, fidelity_up_to_phase
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -102,20 +101,6 @@ def _load_configured_graph(config: RunConfig) -> CodeGraph:
         raise GraphParseError(f"graph declares p={g.p}, expected p={config.p}",
                               line=1)
     return g
-
-
-def _parse_physical_error(label: str, n: int) -> Optional[PauliError]:
-    """Parse an error label on the 2n-qubit register; primes hit ancillas."""
-    stripped = label.strip()
-    if stripped.lower() in ("none", "i", ""):
-        return None
-    match = ERROR_LABEL_RE.match(stripped)
-    if not match:
-        raise CodeError(f"cannot parse error label {label!r}")
-    word = match.group(1)
-    address = ErasurePosition.from_label(match.group(2), n).address
-    m, b, s = word_mbs(word, 2)
-    return PauliError.single(p=2, n=2 * n, q=address, b=b, s=s, m=m)
 
 
 def _emit(lines: List[str]) -> None:
@@ -180,20 +165,22 @@ def cmd_worked_example(config: RunConfig) -> int:
     scheme = ConcatScheme(outer=g, inner=GhzLayout(n))
     try:
         pos = ErasurePosition.from_label(config.erasure_pos, n)
-        physical_error = _parse_physical_error(config.error, n)
+        physical_error = parse_error_label(
+            config.error, 2, 2 * n,
+            lambda label: ErasurePosition.from_label(label, n).address)
     except (GhzError, CodeError) as exc:
         raise UsageError(str(exc))
 
     coeffs = [0.6, 0.8]
     v = LogicalState(p=2, coefficients=coeffs)
     state = concat_encode(scheme, v).to_state()
-    if physical_error is not None:
+    if physical_error.weight:
         state = apply_pauli_error(state, physical_error)
     event = ChannelEvent(erasure=pos)
     recovered, trace = concat_decode(scheme, state, event)
     fidelity = fidelity_up_to_phase(v.as_state(), recovered.as_state())
 
-    error_name = "none" if physical_error is None else config.error.strip()
+    error_name = config.error.strip() if physical_error.weight else "none"
     surviving = "ancilla" if pos.side == "message" else "message"
     if config.format == "records":
         _emit([f"erasure={pos.label} error={error_name} "

@@ -3,10 +3,10 @@
 All values are plain Python integers reduced modulo p, wrapped in small
 immutable containers.  Every operation is exact; there is no floating
 point anywhere in this module.  Everything rests on one Gaussian
-elimination to reduced row-echelon form, which yields the rank and a
-kernel basis; nothing enumerates the vectors of F_p^n.  Matrices are
-desk scale (a few dozen rows and columns), so clarity wins over
-asymptotics throughout.
+elimination to reduced row-echelon form, which yields the rank, a
+kernel basis and inverses; nothing enumerates the vectors of F_p^n.
+Matrices are desk scale (a few dozen rows and columns), so clarity wins
+over asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -202,6 +202,21 @@ def _row_reduce(grid: List[List[int]], cols: int, p: int) -> List[int]:
 def mat_rank(a: FpMatrix) -> int:
     """Rank over F_p by Gaussian elimination."""
     return len(_row_reduce([list(row) for row in a.entries], a.cols, a.p))
+
+
+def mat_inverse(a: FpMatrix) -> FpMatrix:
+    """The inverse over F_p, read off the reduced form of [a | I].
+
+    Raises:
+        FpError: if a is not square or is singular.
+    """
+    n = a.rows
+    grid = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(a.entries)]
+    if a.cols != n or _row_reduce(grid, n, a.p) != list(range(n)):
+        raise FpError(f"the {n} x {a.cols} matrix has no inverse over F_{a.p}")
+    return FpMatrix(entries=tuple(tuple(row[n:]) for row in grid),
+                    rows=n, cols=n, p=a.p)
 
 
 def kernel_basis(a: FpMatrix) -> List[FpVector]:

@@ -16,6 +16,11 @@ holds) and a p-point Fourier transform on every qudit, so both cost
 O(p**n) memory.  Registers and operators above statevec.MAX_AMPLITUDES
 amplitudes are refused with a CodeError before anything is allocated.
 
+The decoder is a Clifford map, so the syndrome table needs no state
+vector: build_syndrome_table pushes each error's Pauli label (m, b, s)
+through the decoder's four layers by exact arithmetic over F_p and
+reads the syndrome and the residual logical Pauli off the image.
+
 Vertices are numbered with the X block first, then Y, then L.  Register
 addresses follow vertex order, so the decoded register reads syndrome
 digits first and logical digits last.
@@ -38,18 +43,17 @@ from .fp_linalg import (
     FpVector,
     check_prime,
     kernel_basis,
+    mat_inverse,
     mat_rank,
     mat_submatrix,
 )
 from .statevec import (
-    DECODED_AMPLITUDE_TOL,
     DETERMINISM_BOUND,
     MAX_AMPLITUDES,
     ZERO_NORM_FLOOR,
     PauliError,
     StateVector,
     apply_pauli_error,
-    basis_state,
     guard_norm,
     index_to_digits,
     normalize,
@@ -544,22 +548,8 @@ def _cross_block(g: CodeGraph) -> FpMatrix:
     return mat_submatrix(g.adjacency, g.outputs, g.inputs + g.syndromes)
 
 
-@functools.lru_cache(maxsize=32)
-def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """The inverse Fourier-type decoding unitary T of a graph, as a map.
-
-    T sends codeword string y to decoded string r (syndrome digits
-    first, logical digits last) with amplitude p**(-n/2) times
-    omega_bar**(q_out(r) + r.A_cross y + q_y(y)), where q_out and q_y are
-    the edge sums inside L + X and inside Y, and A_cross links the two.
-    It factors as T = D_out F^(x)n Pi_A D_Y (Schlingemann & Werner,
-    PRA 65, 012308, 2002): the phases of q_y, the relabelling
-    y -> A_cross y mod p, which is a permutation exactly when condition
-    c2 holds, the p-point inverse Fourier transform on every qudit, and
-    the phases of q_out.  The transform runs as Kronecker factors on
-    consecutive groups of at most FOURIER_GROUP qudits, each applied to
-    the leading group and then rotated to the back, so the map keeps
-    O(p**n) numbers and acts along the last axis of its argument.
+def _decoder_groups(g: CodeGraph) -> List[int]:
+    """Refuse a graph the decoder cannot run; give its Fourier group sizes.
 
     Raises:
         CodeError: if |X| + |L| != |Y|, which makes the operator
@@ -578,6 +568,30 @@ def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
             "invertibility condition c2")
     groups = [len(q) for q in np.array_split(range(g.n), -(-g.n // FOURIER_GROUP))]
     check_amplitude_count("the decoder", max(g.p**g.n, g.p**(2 * groups[0])))
+    return groups
+
+
+@functools.lru_cache(maxsize=32)
+def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """The inverse Fourier-type decoding unitary T of a graph, as a map.
+
+    T sends codeword string y to decoded string r (syndrome digits
+    first, logical digits last) with amplitude p**(-n/2) times
+    omega_bar**(q_out(r) + r.A_cross y + q_y(y)), where q_out and q_y are
+    the edge sums inside L + X and inside Y, and A_cross links the two.
+    It factors as T = D_out F^(x)n Pi_A D_Y (Schlingemann & Werner,
+    PRA 65, 012308, 2002): the phases of q_y, the relabelling
+    y -> A_cross y mod p, which is a permutation exactly when condition
+    c2 holds, the p-point inverse Fourier transform on every qudit, and
+    the phases of q_out.  The transform runs as Kronecker factors on
+    consecutive groups of at most FOURIER_GROUP qudits, each applied to
+    the leading group and then rotated to the back, so the map keeps
+    O(p**n) numbers and acts along the last axis of its argument.
+
+    Raises:
+        CodeError, DecodeError: as _decoder_groups.
+    """
+    groups = _decoder_groups(g)
     adj = np.array(g.adjacency.entries, dtype=np.int64)
     out_order = g.syndromes + g.inputs
     gather = np.argsort(_image_index(adj[np.ix_(out_order, g.outputs)], g.p))
@@ -593,21 +607,6 @@ def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
             x = x.reshape(len(f), -1).T @ f
         return d_out * x.reshape(amplitudes.shape)
     return apply
-
-
-def decoder_unitary(g: CodeGraph) -> np.ndarray:
-    """The decoding unitary as a dense p**n x p**n matrix.
-
-    Its columns are the images of the codeword basis states under the
-    map decode applies, so checks of this matrix check decode.
-
-    Raises:
-        CodeError, DecodeError: as the decoder does, and CodeError when
-            the matrix would exceed MAX_AMPLITUDES entries.
-    """
-    apply = _decoder(g)
-    check_amplitude_count("the dense decoding matrix", g.p**(2 * g.n))
-    return apply(np.eye(g.p**g.n)).T
 
 
 def decode(g: CodeGraph, corrupted: StateVector) -> Tuple[FpVector, StateVector]:
@@ -654,9 +653,8 @@ def decode(g: CodeGraph, corrupted: StateVector) -> Tuple[FpVector, StateVector]
 # Single-qudit building blocks: B shifts the digit, S grades the phase.
 _LETTERS = {"B": (0, 1, 0), "S": (0, 0, 1)}
 
-# Search order for corrections.  Exact amplitude matching makes the
-# phase-bearing words meaningful: a residual equal to minus a flipped
-# state needs SBS, not B, to land back on the reference exactly.
+# Letter words of the qubit Paulis.  A label names an (m, b, s) by the
+# first word here that reduces to it, so minus a flip reads SBS, not B.
 CORRECTION_WORDS = ("", "B", "S", "BS", "SB", "BSB", "SBS")
 
 
@@ -693,37 +691,50 @@ for _w in CORRECTION_WORDS:
 ERROR_LABEL_RE = re.compile(r"^(BSB|SBS|BS|SB|B|S)([1-9][0-9]*'?)$")
 
 
-def format_error_label(e: PauliError) -> str:
-    """Human-readable name of a weight <= 1 error, e.g. ``B1`` or ``None``."""
-    if e.weight == 0:
+def format_error_label(e: PauliError, offset: int = 0) -> str:
+    """Human-readable name of an error, e.g. ``B1``, ``B5S6`` or ``None``.
+
+    A label is the product of one term per qudit acted on; the phase
+    omega**m joins the first, and a pure phase names the first position,
+    so only the identity is ``None``.  Positions are shifted by offset.
+    """
+    if e.weight == 0 and e.m == 0:
         return "None"
-    if e.weight > 1:
-        raise CodeError("labels are defined for weight <= 1 errors")
-    q = next(i for i in range(e.n) if e.b[i] or e.s[i])
-    key = (e.m, e.b[q], e.s[q])
-    if e.p == 2 and key in _MBS_TO_WORD and _MBS_TO_WORD[key]:
-        return f"{_MBS_TO_WORD[key]}{q + 1}"
-    return f"P(m={e.m},b={e.b[q]},s={e.s[q]}){q + 1}"
+    support = [q for q in range(e.n) if e.b[q] or e.s[q]] or [0]
+    label = ""
+    for q in support:
+        m = e.m if q == support[0] else 0
+        word = _MBS_TO_WORD.get((m, e.b[q], e.s[q])) if e.p == 2 else None
+        label += (f"P(m={m},b={e.b[q]},s={e.s[q]})" if word is None
+                  else word) + str(offset + q + 1)
+    return label
 
 
-def parse_error_label(label: str, p: int, n: int) -> PauliError:
-    """Parse labels like ``B1``, ``S3``, ``BS5``, or ``None``.
+def parse_error_label(label: str, p: int, n: int,
+                      address: Optional[Callable[[str], int]] = None
+                      ) -> PauliError:
+    """Parse labels like ``B1``, ``S3``, ``BS5``, or ``None`` on n qudits.
 
-    Positions are one-based and must lie in [1, n].
+    Args:
+        address: maps the position text, which may end in a prime, to a
+            zero-based address.  By default positions are one-based and
+            unprimed.
 
     Raises:
-        CodeError: on unknown words or out-of-range positions.
+        CodeError: on unknown words or out-of-range positions, and
+            whatever address raises.
     """
     stripped = label.strip()
     if stripped.lower() in ("none", "i", ""):
         return PauliError.identity(p, n)
     match = ERROR_LABEL_RE.match(stripped)
-    if not match or match.group(2).endswith("'"):
+    if not match or (address is None and match.group(2).endswith("'")):
         raise CodeError(f"cannot parse error label {label!r}")
-    word, pos = match.group(1), int(match.group(2))
-    if not 1 <= pos <= n:
-        raise CodeError(f"error position {pos} outside [1, {n}]")
-    return word_error(word, p, n, pos - 1)
+    word, pos = match.groups()
+    q = address(pos) if address else int(pos) - 1
+    if not 0 <= q < n:
+        raise CodeError(f"error position {q + 1} outside [1, {n}]")
+    return word_error(word, p, n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +749,8 @@ class SyndromeRow:
         error_label: name of the first error observed with this syndrome.
         residual: rendering of the decoded logical register before
             correction, as a combination of the logical coefficients.
-        correction_label: name of the correction, e.g. ``S5`` or ``None``.
+        correction_label: name of the correction on the decoded register
+            (syndrome digits first), e.g. ``S5`` or ``None``.
         correction: the correction operator on the logical register.
     """
 
@@ -769,23 +781,23 @@ class SyndromeTable:
 
     def to_records(self) -> List[str]:
         """One ``key=value`` record per row, sorted by syndrome."""
-        lines = []
-        for digits, row in self.sorted_rows():
-            syndrome = "".join(str(d) for d in digits)
-            lines.append(
-                f"syndrome={syndrome} error={row.error_label} "
-                f"residual={row.residual} correction={row.correction_label}")
-        return lines
+        return [f"syndrome={''.join(str(d) for d in digits)} "
+                f"error={row.error_label} residual={row.residual} "
+                f"correction={row.correction_label}"
+                for digits, row in self.sorted_rows()]
 
     def to_text(self) -> List[str]:
-        """Aligned human-readable rows, sorted by syndrome."""
-        header = (f"{'syndrome':<10}{'error':<8}{'residual':<22}correction")
-        lines = [header]
-        for digits, row in self.sorted_rows():
-            syndrome = "".join(str(d) for d in digits)
-            lines.append(f"{syndrome:<10}{row.error_label:<8}"
-                         f"{row.residual:<22}{row.correction_label}")
-        return lines
+        """Aligned human-readable rows, sorted by syndrome.
+
+        A column is 10, 8 or 22 wide, or two more than its widest cell.
+        """
+        cells = [("syndrome", "error", "residual", "correction")] + [
+            ("".join(str(d) for d in digits), row.error_label, row.residual,
+             row.correction_label) for digits, row in self.sorted_rows()]
+        widths = [max([least] + [len(c[i]) + 2 for c in cells])
+                  for i, least in enumerate((10, 8, 22))]
+        return ["".join(c.ljust(w) for c, w in zip(row, widths)) + row[3]
+                for row in cells]
 
 
 def weight_one_errors(p: int, n: int) -> List[PauliError]:
@@ -804,115 +816,105 @@ def weight_one_errors(p: int, n: int) -> List[PauliError]:
     return errors
 
 
-def _render_residual(residuals: Sequence[StateVector], p: int, k: int) -> str:
-    """Describe decoded basis responses as signed coefficient terms.
+def _decoded_pauli(g: CodeGraph
+                   ) -> Callable[[PauliError], Tuple[int, np.ndarray, np.ndarray]]:
+    """The decoder's conjugation P -> T P T^dagger, as a map of (m, b, s).
 
-    Each residual must be a signed basis state; the j-th one contributes
-    a term ``c(j)|t>`` with its sign.  This covers qubit codes, where
-    decoded frames are real signed permutations.
+    T = D_out F^(x)n Pi_A D_Y is a Clifford map, so it sends the Pauli
+    omega**m X**b Z**s on Y to a Pauli on L + X, one F_p step per layer
+    (Gottesman, quant-ph/9705052):
+
+    * D_Y and D_out, the phases of the edge sums Q(y) = sum_{i<j} A_ij
+      y_i y_j inside Y and inside L + X: (m - Q(b), b, s - A b);
+    * Pi_A, which is |y> -> |M y> with M the cross block: (m, M b, M^-T s);
+    * the inverse Fourier transform on every qudit: (m - b.s, s, -b).
     """
-    parts = []
-    for j, res in enumerate(residuals):
-        target = int(np.argmax(np.abs(res.amplitudes)))
-        amp = res.amplitudes[target]
-        if abs(amp - 1.0) <= DECODED_AMPLITUDE_TOL:
-            sign = "+"
-        elif abs(amp + 1.0) <= DECODED_AMPLITUDE_TOL:
-            sign = "-"
-        else:
-            raise CodeError(
-                "residual rendering expects signed basis states; "
-                f"got amplitude {amp:.3f}")
-        ket = "".join(str(d) for d in index_to_digits(target, p, k))
-        parts.append((sign, f"c({j})|{ket}>"))
-    rendered = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    for sign, term in parts[1:]:
-        rendered += sign + term
-    return rendered
+    p = g.p
+    adj = np.array(g.adjacency.entries, dtype=np.int64)
+    out_order = g.syndromes + g.inputs
+    a_y = adj[np.ix_(g.outputs, g.outputs)]
+    a_out = adj[np.ix_(out_order, out_order)]
+    cross = adj[np.ix_(out_order, g.outputs)]
+    cross_inv_t = np.array(
+        mat_inverse(FpMatrix.from_rows(cross.tolist(), p)).entries).T
+
+    def phase_layer(a: np.ndarray, m: int, b: np.ndarray, s: np.ndarray):
+        return (m - b @ np.triu(a) @ b) % p, b, (s - a @ b) % p
+
+    def push(e: PauliError) -> Tuple[int, np.ndarray, np.ndarray]:
+        m, b, s = phase_layer(a_y, e.m, np.array(e.b), np.array(e.s))
+        b, s = cross @ b % p, cross_inv_t @ s % p
+        m, b, s = (m - b @ s) % p, s, -b % p
+        m, b, s = phase_layer(a_out, m, b, s)
+        return int(m), b, s
+    return push
+
+
+def _render_residual(r: PauliError) -> str:
+    """Describe a residual Pauli by its action on the logical coefficients.
+
+    Coefficient c(j) lands on |j + b> with phase omega**(m + s.j).  For
+    p = 2 the phase is a sign; otherwise it is written ``w^e*``.
+    """
+    rendered = ""
+    for j in range(r.p**r.n):
+        digits = np.array(index_to_digits(j, r.p, r.n))
+        power = (r.m + digits @ r.s) % r.p
+        ket = "".join(str(d) for d in (digits + r.b) % r.p)
+        sign = "-" if r.p == 2 and power else "+"
+        phase = f"w^{power}*" if r.p > 2 and power else ""
+        rendered += f"{sign}{phase}c({j})|{ket}>"
+    return rendered.removeprefix("+")
 
 
 def build_syndrome_table(g: CodeGraph,
                          errors: Sequence[PauliError]) -> SyndromeTable:
     """Map each correctable error to its syndrome and correction.
 
-    For every error the full decode pipeline runs on each logical basis
-    state.  The correction is the first single-qudit Pauli word (length
-    up to three, searched in a fixed order) that maps every decoded
-    residual back onto its reference basis state exactly, amplitudes
-    and phases included.  The identity row is always present.
+    Each error is pushed through the decoder as a Pauli (_decoded_pauli),
+    with no state vector.  A clean codeword of |x> decodes to exactly
+    |0>|x> once c1 and c2 hold, so an error's image reads its syndrome
+    off the L digits and leaves a residual Pauli on the X register,
+    whose exact inverse is the correction.  The identity row is always
+    present.
 
     Raises:
-        CodeError: if an error has weight above one or wrong shape.
-        DecodeError: on syndrome collisions between errors that need
-            different corrections, or if no correction word works.
+        CodeError: if an error has weight above one or wrong shape, or
+            as _decoder_groups.
+        DecodeError: as _decoder_groups, and on syndrome collisions
+            between errors that need different corrections.
     """
+    _decoder_groups(g)
+    # A row renders p**k terms; the encoder's limit keeps that small.
+    check_amplitude_count("the encoder", max(g.p**g.n, g.p**(2 * g.k)))
+    push = _decoded_pauli(g)
     table = SyndromeTable(p=g.p, k=g.k, m=g.m)
-    all_errors = [PauliError.identity(g.p, g.n)] + list(errors)
-    encoded_basis = [encode(g, LogicalState.computational(g.p, g.k, j))
-                     for j in range(g.p**g.k)]
-    reference = [basis_state(g.p, index_to_digits(j, g.p, g.k))
-                 for j in range(g.p**g.k)]
-    for error in all_errors:
+    for error in [PauliError.identity(g.p, g.n)] + list(errors):
         if error.p != g.p or error.n != g.n:
             raise CodeError(f"error shape ({error.p}, {error.n}) does not "
                             f"match code ({g.p}, {g.n})")
         if error.weight > 1:
             raise CodeError("syndrome table covers weight <= 1 errors")
-        syndrome: Optional[Tuple[int, ...]] = None
-        residuals: List[StateVector] = []
-        for j, codeword in enumerate(encoded_basis):
-            syn, res = decode(g, apply_pauli_error(codeword, error))
-            if syndrome is None:
-                syndrome = syn.entries
-            elif syn.entries != syndrome:
-                raise DecodeError(
-                    f"error {format_error_label(error)} produces an "
-                    "input-dependent syndrome")
-            residuals.append(res)
-        correction = _find_correction(residuals, reference, g.p, g.k)
-        if correction is None:
-            raise DecodeError(
-                f"no correction found for error {format_error_label(error)}")
-        word, q, op = correction
-        label = "None" if word == "" else f"{word}{g.m + q + 1}"
-        row = SyndromeRow(
-            error_label=format_error_label(error),
-            residual=_render_residual(residuals, g.p, g.k),
-            correction_label=label,
-            correction=op,
-        )
-        assert syndrome is not None
+        m, b, s = push(error)
+        syndrome = tuple(int(v) for v in b[:g.m])
+        b, s = b[g.m:], s[g.m:]
+        residual = PauliError(m=m, b=b, s=s, p=g.p)
+        # The exact inverse: (X**b Z**s)**-1 = omega**(b.s) X**-b Z**-s.
+        op = PauliError(m=int(b @ s - m) % g.p, b=-b % g.p, s=-s % g.p, p=g.p)
+        row = SyndromeRow(error_label=format_error_label(error),
+                          residual=_render_residual(residual),
+                          correction_label=format_error_label(op, offset=g.m),
+                          correction=op)
         existing = table.rows.get(syndrome)
         if existing is None:
             table.rows[syndrome] = row
-        elif (existing.correction.m, existing.correction.b,
-              existing.correction.s) != (op.m, op.b, op.s):
+        elif existing.correction != op:
             raise DecodeError(
                 f"syndrome collision: {existing.error_label} and "
                 f"{row.error_label} share syndrome "
                 f"{''.join(str(d) for d in syndrome)} but need different "
                 "corrections")
     return table
-
-
-def _find_correction(residuals: Sequence[StateVector],
-                     reference: Sequence[StateVector],
-                     p: int, k: int
-                     ) -> Optional[Tuple[str, int, PauliError]]:
-    """First Pauli word restoring every residual to its reference exactly."""
-    candidates: List[Tuple[str, int]] = [("", 0)]
-    for word in CORRECTION_WORDS[1:]:
-        for q in range(k):
-            candidates.append((word, q))
-    for word, q in candidates:
-        op = word_error(word, p, k, q) if word else PauliError.identity(p, k)
-        if all(
-            np.max(np.abs(apply_pauli_error(res, op).amplitudes
-                          - ref.amplitudes)) <= DECODED_AMPLITUDE_TOL
-            for res, ref in zip(residuals, reference)
-        ):
-            return word, q, op
-    return None
 
 
 def correct(residual: StateVector, syndrome: FpVector,

@@ -34,9 +34,6 @@ DETERMINISM_BOUND = 1.0 - 1e-9
 PURITY_BOUND = 1.0 - 1e-9
 # A Monte-Carlo trial whose fidelity falls below this counts as a failure.
 FIDELITY_BOUND = 1.0 - 1e-9
-# A decoded amplitude within this of an exact value (a signed basis
-# amplitude, or the reference state's) counts as exact.
-DECODED_AMPLITUDE_TOL = 1e-8
 # A disturbance that leaves less than this fraction of a state's norm
 # annihilates it.
 BRANCH_NORM_FLOOR = 1e-12

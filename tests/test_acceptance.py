@@ -28,6 +28,7 @@ import pathlib
 import time
 
 import numpy as np
+from decoding_oracles import decoder_unitary
 
 from concatqec.cli import main as cli_main
 from concatqec.concat import (
@@ -48,7 +49,6 @@ from concatqec.graph_code import (
     LogicalState,
     build_syndrome_table,
     check_admissibility,
-    decoder_unitary,
     encode,
     five_qubit_decoding_graph,
     weight_one_errors,

@@ -108,6 +108,19 @@ def test_syndrome_table_records_match_golden(capsys):
     assert out.splitlines() == GOLDEN.read_text().splitlines()
 
 
+def test_syndrome_table_of_a_qutrit_graph_matches_golden(capsys):
+    # Rows name qutrit errors as P(m=..,b=..,s=..) and write residual
+    # phases as powers of w = exp(2 pi i / 3).
+    graph = str(GOLDEN.parent / "qutrit_decoding.graph")
+    assert _run(capsys, "verify-graph", "--graph", graph)[0] == EXIT_OK
+    golden = GOLDEN.parent / "qutrit_syndrome_table.records"
+    code, out, err = _run(capsys, "syndrome-table", "--format", "records",
+                          "--graph", graph)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == golden.read_text()
+    assert len(out.splitlines()) == 41
+
+
 def test_syndrome_table_text_has_header_and_rows(capsys):
     code, out, _ = _run(capsys, "syndrome-table")
     assert code == EXIT_OK
@@ -329,6 +342,14 @@ def test_joint_protection_sweep_refuses_a_negative_seed():
     result = _script("run_joint_protection_sweep.py", "--seed", "-1")
     assert result.returncode == EXIT_DOMAIN
     assert result.stderr == "error: need a seed >= 0, got -1\n"
+    assert result.stdout == ""
+
+
+def test_joint_protection_sweep_refuses_a_negative_unitary_count():
+    # range(-5) would add no unitary and run the sweep as --unitaries 0.
+    result = _script("run_joint_protection_sweep.py", "--unitaries", "-5")
+    assert result.returncode == EXIT_DOMAIN
+    assert result.stderr == "error: need --unitaries >= 0, got -5\n"
     assert result.stdout == ""
 
 

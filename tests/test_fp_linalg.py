@@ -16,6 +16,7 @@ from concatqec.fp_linalg import (
     FpVector,
     check_prime,
     kernel_basis,
+    mat_inverse,
     mat_rank,
     mat_submatrix,
 )
@@ -162,6 +163,39 @@ def test_rank_examples():
     assert mat_rank(FpMatrix.from_rows([[1, 1], [1, 1]], 2)) == 1
     assert mat_rank(FpMatrix.zeros(3, 2, 5)) == 0
     assert mat_rank(FpMatrix.from_rows([[2, 1], [1, 2]], 3)) == 1
+
+
+def _matmul(a: FpMatrix, b: FpMatrix):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % a.p
+                       for col in zip(*b.entries))
+                 for row in a.entries)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_inverse_of_random_invertible_matrices(p):
+    rng = random.Random(1000 + p)
+    checked = 0
+    while checked < 20:
+        n = rng.randint(1, 8)
+        m = FpMatrix.from_rows(
+            [[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
+        if mat_rank(m) < n:
+            with pytest.raises(FpError, match="has no inverse"):
+                mat_inverse(m)
+            continue
+        inv = mat_inverse(m)
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert (inv.rows, inv.cols, inv.p) == (n, n, p)
+        assert _matmul(m, inv) == eye and _matmul(inv, m) == eye
+        checked += 1
+
+
+def test_inverse_refuses_singular_and_non_square_matrices():
+    with pytest.raises(FpError, match="the 2 x 2 matrix has no inverse over F_2"):
+        mat_inverse(FpMatrix.from_rows([[1, 1], [1, 1]], 2))
+    with pytest.raises(FpError, match="the 3 x 2 matrix has no inverse over F_5"):
+        mat_inverse(FpMatrix.zeros(3, 2, 5))
+    assert mat_inverse(FpMatrix.zeros(0, 0, 3)).rows == 0
 
 
 # ---------------------------------------------------------------------------

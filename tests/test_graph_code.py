@@ -4,10 +4,13 @@ The frozen oracles here are the 32 signed coefficient forms of the
 five-qubit codeword, the 16-row syndrome lookup table, the closed-form
 action of a shift/phase error on codeword amplitudes, and the dense
 p**n x p**k encoding and p**n x p**n decoding matrices built from their
-definitions.
+definitions.  The syndrome table, built by F_p Pauli algebra, is also
+checked by decoding every error on every basis input, and against the
+state-vector build kept in decoding_oracles.py.
 """
 
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from decoding_oracles import build_syndrome_table_by_decoding, decoder_unitary
 
 from concatqec import graph_code
 from concatqec.graph_code import (
@@ -29,7 +33,6 @@ from concatqec.graph_code import (
     check_amplitude_count,
     correct,
     decode,
-    decoder_unitary,
     encode,
     five_qubit_code_graph,
     five_qubit_decoding_graph,
@@ -937,3 +940,129 @@ def test_correct_rejects_untabulated_syndrome():
     assert len(table.rows) == 1
     with pytest.raises(DecodeError):
         correct(basis_state(2, (0,)), FpVector((0, 1, 1, 0), 2), table)
+
+
+def _decode_every_input(g, errors, table):
+    """Decode every error on every logical basis input against the table.
+
+    Each decoded syndrome must have a row, whose correction sends the
+    decoded residual to the exact basis state.  Returns the decoded
+    syndrome of each error label.
+    """
+    codewords = [encode(g, LogicalState.computational(g.p, g.k, j))
+                 for j in range(g.p**g.k)]
+    seen = {}
+    for error in [PauliError.identity(g.p, g.n)] + list(errors):
+        for j, codeword in enumerate(codewords):
+            syndrome, residual = decode(g, apply_pauli_error(codeword, error))
+            assert seen.setdefault(format_error_label(error),
+                                   syndrome.entries) == syndrome.entries
+            fixed = correct(residual, syndrome, table)
+            target = np.zeros(g.p**g.k)
+            target[j] = 1.0
+            assert np.max(np.abs(fixed.amplitudes - target)) <= 1e-12
+    return seen
+
+
+# Random admissible graphs, three per case; p = 2 needs |Y| = 7 for one
+# to turn up within a few hundred draws.
+@pytest.mark.parametrize("p, n", [(2, 7), (3, 5), (5, 5)])
+def test_syndrome_table_agrees_with_decoding_every_error(p, n):
+    rng = np.random.default_rng(100 + p)
+    for _ in range(3):
+        g = _random_graph(p, 1, n, rng, lambda report: report.all_pass)
+        errors = weight_one_errors(p, n)
+        table = build_syndrome_table(g, errors)
+        seen = _decode_every_input(g, errors, table)
+        assert set(seen.values()) == set(table.rows)
+        for key, row in table.rows.items():
+            assert seen[row.error_label] == key
+
+
+def test_syndrome_table_matches_the_decoding_oracle_on_qubit_graphs():
+    g, table = _full_table()
+    oracle = build_syndrome_table_by_decoding(
+        g, weight_one_errors(2, 5))
+    assert table.to_records() == oracle.to_records()
+    assert table.rows == oracle.rows
+    # The oracle's word search has no word for a pure -1 phase, so it
+    # refuses some random graphs; the tables it does build must agree.
+    rng = np.random.default_rng(5)
+    compared = 0
+    for _ in range(4):
+        g = _random_graph(2, 1, 5, rng, lambda report: report.all_pass)
+        errors = weight_one_errors(2, 5)
+        try:
+            oracle = build_syndrome_table_by_decoding(g, errors)
+        except DecodeError as exc:
+            assert "no correction found" in str(exc)
+            continue
+        assert build_syndrome_table(g, errors).to_records() == oracle.to_records()
+        compared += 1
+    assert compared >= 1
+
+
+def test_syndrome_table_names_corrections_on_several_logical_qudits():
+    # Two logical qutrits: a residual may act on both, and its label is
+    # the product of one term per qudit, positions after the syndrome.
+    rng = np.random.default_rng(7)
+    g = _random_graph(3, 2, 7, rng, lambda report: report.c2)
+    for error in weight_one_errors(3, 7):
+        table = build_syndrome_table(g, [error])
+        row = table.rows[max(table.rows)]
+        if row.correction.weight == 2:
+            break
+    else:
+        pytest.fail("no error leaves a residual on both logical qudits")
+    _decode_every_input(g, [error], table)
+    assert re.fullmatch(r"P\(m=\d,b=\d,s=\d\)6P\(m=0,b=\d,s=\d\)7",
+                        row.correction_label)
+
+
+def test_syndrome_table_runs_no_state_vector(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the table must not encode or decode")
+    monkeypatch.setattr(graph_code, "encode", refuse)
+    monkeypatch.setattr(graph_code, "decode", refuse)
+    monkeypatch.setattr(graph_code, "_decoder", refuse)
+    _, table = _full_table()
+    assert len(table.rows) == 16
+
+
+def test_syndrome_table_keeps_the_decoder_refusals():
+    g = five_qubit_decoding_graph()
+    unbalanced = CodeGraph(p=2, adjacency=g.adjacency, inputs=g.inputs,
+                           outputs=g.outputs + (9,), syndromes=(6, 7, 8))
+    with pytest.raises(CodeError, match=r"\|X\| \+ \|L\| = \|Y\|, got 1 \+ 3 != 6"):
+        build_syndrome_table(unbalanced, [])
+    # Cutting the edge 2-7 leaves syndrome vertex 7 isolated, so the
+    # cross block loses rank.
+    rows = [list(r) for r in g.adjacency.entries]
+    rows[2][7] = rows[7][2] = 0
+    singular = CodeGraph(p=2, adjacency=FpMatrix.from_rows(rows, 2),
+                         inputs=g.inputs, outputs=g.outputs,
+                         syndromes=g.syndromes)
+    with pytest.raises(DecodeError, match="rank 4 < |Y| = 5 over F_2"):
+        build_syndrome_table(singular, [])
+
+
+def test_pure_phase_labels_are_not_the_identity():
+    assert format_error_label(PauliError.identity(3, 4)) == "None"
+    phase = PauliError(m=2, b=(0,) * 4, s=(0,) * 4, p=3)
+    assert format_error_label(phase) == "P(m=2,b=0,s=0)1"
+    assert format_error_label(phase, offset=4) == "P(m=2,b=0,s=0)5"
+    minus = PauliError(m=1, b=(0,), s=(0,), p=2)
+    assert format_error_label(minus, offset=4) == "P(m=1,b=0,s=0)5"
+
+
+def test_error_labels_take_a_position_resolver():
+    # Primed positions are the resolver's business; by default they fail.
+    def resolve(pos):
+        return int(pos.rstrip("'")) - 1 + (3 if pos.endswith("'") else 0)
+    e = parse_error_label(" SB2' ", 2, 6, resolve)
+    assert format_error_label(e) == "SB5"
+    assert parse_error_label("i", 2, 6, resolve).weight == 0
+    with pytest.raises(CodeError, match="cannot parse error label \"B2'\""):
+        parse_error_label("B2'", 2, 6)
+    with pytest.raises(CodeError, match=r"error position 7 outside \[1, 6\]"):
+        parse_error_label("B7", 2, 6)
