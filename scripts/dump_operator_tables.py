@@ -11,11 +11,13 @@ Usage:
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 from concatqec.ghz_erasure import (
     ErasurePosition,
+    GhzError,
     GhzLayout,
     build_decoder,
     build_encoder,
@@ -74,8 +76,8 @@ def dump_syndrome_table() -> None:
     print()
 
 
-def dump_block_operators(n: int) -> None:
-    layout = GhzLayout(n)
+def dump_block_operators(layout: GhzLayout) -> None:
+    n = layout.n
     print(f"=== GHZ block operators (n={n}, {layout.total} qubits) ===")
     print(f"encoder:  {build_encoder(n).product_notation()}")
     msg = build_decoder(n, ErasurePosition(address=0, n=n))
@@ -94,10 +96,15 @@ def main() -> int:
     parser.add_argument("--block-size", type=int, default=5,
                         help="GHZ block size n (2..6)")
     args = parser.parse_args()
+    try:
+        layout = GhzLayout(args.block_size)
+    except GhzError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     dump_graph()
     dump_codeword()
     dump_syndrome_table()
-    dump_block_operators(args.block_size)
+    dump_block_operators(layout)
     return 0
 
 

@@ -24,6 +24,7 @@ from importlib import resources
 from typing import List, Optional
 
 from .concat import (
+    BlockRegister,
     ChannelEvent,
     ConcatScheme,
     effective_channel,
@@ -173,11 +174,14 @@ def cmd_worked_example(config: RunConfig) -> int:
 
     coeffs = [0.6, 0.8]
     v = LogicalState(p=2, coefficients=coeffs)
-    state = concat_encode(scheme, v).to_state()
+    # The one block's axis made physical carries the register's 2n qubits.
+    register = concat_encode(scheme, v).expand(0)
     if physical_error.weight:
-        state = apply_pauli_error(state, physical_error)
+        damaged = apply_pauli_error(register.flat(), physical_error)
+        register = BlockRegister(
+            scheme, damaged.amplitudes.reshape(register.core.shape))
     event = ChannelEvent(erasure=pos)
-    recovered, trace = concat_decode(scheme, state, event)
+    recovered, trace = concat_decode(scheme, register, event)
     fidelity = fidelity_up_to_phase(v.as_state(), recovered.as_state())
 
     error_name = config.error.strip() if physical_error.weight else "none"

@@ -27,8 +27,8 @@ reshaped.  A channel event touches one block, so damage makes only that
 block's axis physical, by contracting it with E's support rows and
 scattering them onto the block's register indices; every other block
 keeps its carried amplitudes, since its encoding would cancel against
-its unencoding.  A dense StateVector is the register with every axis
-physical, and only BlockRegister.to_state builds it.
+its unencoding.  No dense form is built: an axis turns physical only
+when damage or decoding reaches its block.
 
 Decoding checks the register's norm, which E's isometry makes the
 physical one, and makes the erased block's axis physical.  It gathers
@@ -179,8 +179,8 @@ class ConcatScheme:
 
     A scheme allocates nothing: its BlockRegister holds each block by
     its carried amplitudes until a block is hit, so per-qubit blocking
-    runs at any inner n.  Only a dense array of more than MAX_AMPLITUDES
-    amplitudes, such as BlockRegister.to_state at 30 qubits, is refused.
+    runs at any inner n.  Only a core of more than MAX_AMPLITUDES
+    amplitudes, such as two physical axes at inner n = 6, is refused.
     """
 
     outer: CodeGraph
@@ -284,25 +284,6 @@ class BlockRegister:
                 f"core of shape {self.core.shape} does not fit blocks "
                 f"{tuple(widths)} carried or {span} physical")
 
-    @classmethod
-    def of(cls, scheme: ConcatScheme, s: Register) -> "BlockRegister":
-        """s itself, or a dense register read as every axis physical,
-        by a reshape that copies nothing.
-
-        Raises:
-            CodeError: when s belongs to another scheme or size.
-        """
-        if isinstance(s, BlockRegister):
-            if s.scheme != scheme:
-                raise CodeError("block register of another scheme")
-            return s
-        if s.p != 2 or s.n != scheme.total_qubits:
-            raise CodeError(
-                f"register ({s.p}, {s.n}) does not match scheme "
-                f"(2, {scheme.total_qubits})")
-        return cls(scheme, s.amplitudes.reshape(
-            (2**scheme.inner.total,) * scheme.blocks))
-
     def physical(self, block: int) -> bool:
         return self.core.shape[block] == 2**self.scheme.inner.total
 
@@ -334,33 +315,6 @@ class BlockRegister:
             self.core, block, support.block)
         return BlockRegister(scheme, core)
 
-    def to_state(self) -> StateVector:
-        """The dense register of scheme.total_qubits qubits, fresh.
-
-        Every carried axis is contracted with the support rows of its
-        block's encoder isometry, and the result is scattered onto
-        those rows of a zeroed register in one step.
-
-        Raises:
-            CodeError: when it would exceed MAX_AMPLITUDES amplitudes,
-                before it is allocated.
-        """
-        scheme = self.scheme
-        register = self._zeros([2**scheme.inner.total] * scheme.blocks)
-        supports = {b: encoder_isometry(scheme.inner.n, len(carried))
-                    for b, carried in enumerate(scheme.assignment)
-                    if not self.physical(b)}
-        t = self.core
-        # Last block first: the blocks before it are still narrow, so the
-        # matmul loops over few leading slices.
-        for b in sorted(supports, reverse=True):
-            t = _map_block(t, b, supports[b].block)
-        register[np.ix_(*(supports[b].rows if b in supports
-                          else np.arange(size)
-                          for b, size in enumerate(register.shape)))] = t
-        return StateVector(p=2, n=scheme.total_qubits,
-                           amplitudes=register.reshape(-1))
-
     def _zeros(self, shape: List[int]) -> np.ndarray:
         """A zeroed core of the given shape, refused before allocation
         when it exceeds MAX_AMPLITUDES amplitudes."""
@@ -371,20 +325,17 @@ class BlockRegister:
         return np.zeros(shape, dtype=np.complex128)
 
 
-Register = Union[StateVector, BlockRegister]
-
-
 def concat_encode(scheme: ConcatScheme, v: LogicalState) -> BlockRegister:
     """Encode logical content through both layers.
 
     Every block axis stays carried, so the register is the outer
     codeword reshaped to one axis per block: no inner amplitude is
-    computed until a block is hit or the dense form is asked for.
+    computed until a block is hit.
 
     Returns:
         The register of scheme.total_qubits qubits (2n for
         whole-register blocking, outer_n * 2 * inner_n for per-qubit
-        blocking) as a BlockRegister; its to_state is the dense form.
+        blocking) as a BlockRegister.
     """
     t = encode(scheme.outer, v).amplitudes.reshape(
         [2**len(carried) for carried in scheme.assignment])
@@ -395,15 +346,21 @@ def concat_encode(scheme: ConcatScheme, v: LogicalState) -> BlockRegister:
 # Channel application
 # ---------------------------------------------------------------------------
 
-def _check_event(scheme: ConcatScheme, event: ChannelEvent) -> None:
-    """Reject side information that does not fit the scheme.
+def _check_inputs(scheme: ConcatScheme, s: BlockRegister,
+                  event: ChannelEvent) -> None:
+    """Reject a register or side information that does not fit the scheme.
 
     Raises:
+        CodeError: on a register that is not a BlockRegister of the
+            scheme, or a Pauli error that is not a qubit error on the
+            outer codeword.
         GhzError: on an erasure of another block size or a block index
             outside the scheme.
-        CodeError: on a Pauli error that is not a qubit error on the
-            outer codeword.
     """
+    if not isinstance(s, BlockRegister):
+        raise CodeError(f"need a BlockRegister, got {type(s).__name__}")
+    if s.scheme != scheme:
+        raise CodeError("block register of another scheme")
     if event.erasure is not None and event.erasure.n != scheme.inner.n:
         raise GhzError(
             f"erasure block size {event.erasure.n} != inner {scheme.inner.n}")
@@ -416,27 +373,25 @@ def _check_event(scheme: ConcatScheme, event: ChannelEvent) -> None:
             f"match the codeword (2, {scheme.outer.n})")
 
 
-def apply_channel_damage(scheme: ConcatScheme, s: Register,
-                         event: ChannelEvent) -> Register:
+def apply_channel_damage(scheme: ConcatScheme, s: BlockRegister,
+                         event: ChannelEvent) -> BlockRegister:
     """Apply the physical part of an event: the erasure-site corruption.
 
     Only the hit block's axis is made physical; the corruption then acts
-    on the erased qubit of that axis.  The result is fresh and of the
-    type given, or s itself for an event without an erasure.
+    on the erased qubit of that axis.  The result is fresh, or s itself
+    for an event without an erasure.
 
     The computational part (event.pauli) strikes the surviving codeword
     and is injected by concat_decode after inner recovery.
     """
-    _check_event(scheme, event)
+    _check_inputs(scheme, s, event)
     if event.erasure is None:
         return s
-    register = BlockRegister.of(scheme, s).expand(event.block)
+    register = s.expand(event.block)
     shape = register.core.shape
     address = sum(size.bit_length() - 1 for size in shape[:event.block])
     damaged = corrupt_qubit(register.flat(), address + event.erasure.address,
                             event.corruption)
-    if isinstance(s, StateVector):
-        return damaged
     return BlockRegister(scheme, damaged.amplitudes.reshape(shape))
 
 
@@ -444,7 +399,7 @@ def apply_channel_damage(scheme: ConcatScheme, s: Register,
 # Decoding
 # ---------------------------------------------------------------------------
 
-def _inner_stage(scheme: ConcatScheme, s: Register,
+def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
                  event: ChannelEvent) -> StateVector:
     """Reduce the inner blocks to the outer codeword register.
 
@@ -462,13 +417,11 @@ def _inner_stage(scheme: ConcatScheme, s: Register,
     product.
 
     Raises:
-        CodeError: on a register that does not fit the scheme, or whose
-            norm is zero or not finite.
+        CodeError: on a register whose norm is zero or not finite.
     """
     n_in = scheme.inner.n
     erasure = event.erasure
     erased = event.block if erasure is not None else None
-    register = BlockRegister.of(scheme, s)
     norm = guard_norm(register.flat().norm(), ZERO_NORM_FLOOR, CodeError,
                       "register ")
     if erased is not None:
@@ -518,12 +471,9 @@ def _inner_stage(scheme: ConcatScheme, s: Register,
     return kept
 
 
-def concat_decode(scheme: ConcatScheme, s: Register, event: ChannelEvent
-                  ) -> Tuple[LogicalState, DecodeTrace]:
+def concat_decode(scheme: ConcatScheme, s: BlockRegister,
+                  event: ChannelEvent) -> Tuple[LogicalState, DecodeTrace]:
     """Decode a physical register given known channel side information.
-
-    The register is a BlockRegister or its dense StateVector form; both
-    run the same inner stage.
 
     The event's erasure position selects the inner recovery path; its
     Pauli component models a computational error on the surviving
@@ -534,13 +484,13 @@ def concat_decode(scheme: ConcatScheme, s: Register, event: ChannelEvent
 
     Raises:
         GhzError: when the event's erasure does not fit the scheme.
-        CodeError: when the register or the event's Pauli error does
-            not fit the scheme, or the register's norm is zero or not
-            finite.
+        CodeError: when the register is not a BlockRegister of the
+            scheme, the event's Pauli error does not fit it, or the
+            register's norm is zero or not finite.
         DecodeError: when a syndrome is unreadable or unknown.
         RecoveryError: when inner recovery fails.
     """
-    _check_event(scheme, event)
+    _check_inputs(scheme, s, event)
     codeword = _inner_stage(scheme, s, event)
     if event.pauli is not None:
         codeword = apply_pauli_error(codeword, event.pauli)

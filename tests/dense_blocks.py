@@ -5,12 +5,11 @@ dense 2**(2n) x 2**c matrix.  Encoding contracted E with every block
 axis of the outer codeword, and the inner stage contracted E^dagger
 with every undamaged block.  The library now keeps only E's nonzero
 rows, and its register keeps one axis per block: carried (E implied,
-never applied) until the block is hit, physical after.  Its dense form,
-BlockRegister.to_state, scatters the support rows of every carried axis
-into the register.  The tests require that dense form of an encoding to
-equal this path's bit for bit, and the inner stage, on a block register
-or its dense form, to agree with this path's on the dense form to
-rounding.
+never applied) until the block is hit, physical after.  It never builds
+the dense register; dense_form does, by contracting every carried axis
+with the dense E.  The tests require the library's support-row scatter
+of each axis to equal this path bit for bit, and its inner stage to
+agree with this path's on the dense form to rounding.
 """
 
 import functools
@@ -18,14 +17,19 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from concatqec.concat import ConcatScheme, ChannelEvent, _map_block
+from concatqec.concat import (
+    BlockRegister,
+    ChannelEvent,
+    ConcatScheme,
+    _map_block,
+)
 from concatqec.ghz_erasure import (
     build_decoder,
     build_encoder,
     build_recovery,
     split_recovered,
 )
-from concatqec.graph_code import DecodeError, LogicalState, encode
+from concatqec.graph_code import DecodeError
 from concatqec.statevec import (
     DETERMINISM_BOUND,
     StateVector,
@@ -57,14 +61,21 @@ def dense_isometry(n: int, c: int) -> np.ndarray:
         for j in range(2**c)], axis=1)
 
 
-def dense_encode(scheme: ConcatScheme, v: LogicalState) -> StateVector:
-    """Contract E with each block axis of the outer codeword, last first."""
-    t = encode(scheme.outer, v).amplitudes.reshape(
-        [2**len(carried) for carried in scheme.assignment])
+def dense_form(register: BlockRegister) -> StateVector:
+    """Contract E with each carried axis of the register, last first."""
+    scheme = register.scheme
+    t = register.core
     for b in reversed(range(scheme.blocks)):
-        t = _map_block(t, b, dense_isometry(scheme.inner.n,
-                                            len(scheme.assignment[b])))
+        if not register.physical(b):
+            t = _map_block(t, b, dense_isometry(scheme.inner.n,
+                                                len(scheme.assignment[b])))
     return StateVector(p=2, n=scheme.total_qubits, amplitudes=t.reshape(-1))
+
+
+def physical_blocks(scheme: ConcatScheme, s: StateVector) -> BlockRegister:
+    """The dense register s as a block register with every axis physical."""
+    return BlockRegister(scheme, s.amplitudes.reshape(
+        (2**scheme.inner.total,) * scheme.blocks))
 
 
 def dense_inner_stage(scheme: ConcatScheme, s: StateVector,

@@ -29,6 +29,7 @@ import time
 
 import numpy as np
 from decoding_oracles import decoder_unitary
+from dense_blocks import dense_form, physical_blocks
 
 from concatqec.cli import main as cli_main
 from concatqec.concat import (
@@ -186,7 +187,7 @@ def criterion_5_worked_example() -> bool:
     # intermediate state, basis input by basis input
     for coeffs in ((1.0, 0.0), (0.0, 1.0)):
         v = LogicalState(p=2, coefficients=list(coeffs))
-        damaged = apply_pauli_error(concat_encode(scheme, v).to_state(), flip)
+        damaged = apply_pauli_error(dense_form(concat_encode(scheme, v)), flip)
         staged = build_recovery(5, pos).apply(
             build_decoder(5, pos).apply(damaged))
         kept, _dropped, purity = split_factor(staged, keep=range(5, 10))
@@ -197,8 +198,8 @@ def criterion_5_worked_example() -> bool:
         ok = ok and purity > 1 - 1e-10
     # full pipeline on a superposition input
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    damaged = apply_pauli_error(concat_encode(scheme, v).to_state(), flip)
-    recovered, trace = concat_decode(scheme, damaged,
+    damaged = apply_pauli_error(dense_form(concat_encode(scheme, v)), flip)
+    recovered, trace = concat_decode(scheme, physical_blocks(scheme, damaged),
                                      ChannelEvent(erasure=pos))
     ok = ok and trace.syndrome == "0110" and trace.correction == "S5"
     fid = fidelity_up_to_phase(v.as_state(), recovered.as_state())

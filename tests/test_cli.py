@@ -17,6 +17,8 @@ from concatqec.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "syndrome_table.records"
 MONTE_CARLO_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                       / "monte_carlo.records")
+WORKED_EXAMPLE_GOLDEN = (pathlib.Path(__file__).parent / "golden"
+                         / "worked_example.records")
 
 
 def _run(capsys, *argv):
@@ -205,6 +207,27 @@ def test_worked_example_reports_honest_miscorrection(capsys):
     assert "fidelity 1.000000" not in out
 
 
+def test_worked_example_records_match_golden(capsys):
+    # Every erasure position against no error and every weight-one B, S
+    # and BS label, byte for byte: 310 runs, 138 of which report a
+    # fidelity below 1 because the error does not commute through
+    # recovery.
+    positions = [str(q) for q in range(1, 6)] + [f"{q}'" for q in range(1, 6)]
+    errors = ["None"] + [kind + label for kind in ("B", "S", "BS")
+                         for label in positions]
+    out = ""
+    for erasure in positions:
+        for error in errors:
+            code, text, err = _run(capsys, "worked-example", "--format",
+                                   "records", "--erasure-pos", erasure,
+                                   "--error", error)
+            assert (code, err) == (EXIT_OK, "")
+            out += text
+    assert out == WORKED_EXAMPLE_GOLDEN.read_text()
+    assert sum("fidelity=1.000000" not in line
+               for line in out.splitlines()) == 138
+
+
 def test_worked_example_rejects_bad_error_label(capsys):
     code, _, err = _run(capsys, "worked-example", "--error", "Q7")
     assert code == EXIT_USAGE
@@ -322,6 +345,17 @@ def test_channel_statistics_script_reports_domain_errors(inner_n, message):
     assert result.returncode == EXIT_DOMAIN
     assert result.stderr.startswith("error: ") and message in result.stderr
     assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("block_size", ["9", "1", "-3"])
+def test_operator_tables_script_refuses_a_bad_block_size(block_size):
+    # The dump used to print 68 lines of tables before the GHZ block
+    # programs raised a traceback; the size is now checked first.
+    result = _script("dump_operator_tables.py", "--block-size", block_size)
+    assert result.returncode == EXIT_DOMAIN
+    assert result.stderr == (f"error: block size n must lie in [2, 6], "
+                             f"got {block_size}\n")
     assert result.stdout == ""
 
 

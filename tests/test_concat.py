@@ -6,7 +6,7 @@ qubit 1 while ancilla 1' takes a bit flip, recover, and read syndrome
 blocking scales the same machinery to a twenty-qubit register.  The
 register-wide gate-program path, which the block contractions replaced,
 stays here as their oracle, and the dense block isometries (module
-dense_blocks) as the oracle of the support-row encode and gather.
+dense_blocks) as the oracle of the support-row scatter and gather.
 """
 
 import re
@@ -41,6 +41,7 @@ from concatqec.ghz_erasure import (
     build_decoder,
     build_encoder,
     build_recovery,
+    corrupt_qubit,
     encoder_isometry,
     split_recovered,
 )
@@ -76,6 +77,14 @@ def _scheme(blocking=WHOLE_REGISTER, inner_n=None):
 def _random_logical(seed=None):
     rng = RNG if seed is None else np.random.default_rng(seed)
     return LogicalState(p=2, coefficients=random_state(2, 1, rng).amplitudes)
+
+
+def _expand_all(register):
+    """The register with every axis made physical by the library, last
+    block first."""
+    for b in reversed(range(register.scheme.blocks)):
+        register = register.expand(b)
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +144,19 @@ def test_scheme_rejects_bad_configuration():
         ConcatScheme(outer=g, inner=GhzLayout(3), blocking=WHOLE_REGISTER)
 
 
-def test_scheme_rejects_a_register_above_the_size_limit():
-    # Per-qubit blocking with inner n = 3 needs 5 * 6 = 30 qubits.  The
-    # scheme and its block register hold 2**5 amplitudes; only the dense
-    # form is refused, before it is allocated, quoting both sizes.
-    scheme = _scheme(PER_QUBIT, inner_n=3)
-    physical = concat_encode(scheme, _random_logical())
+def test_scheme_rejects_a_register_above_the_size_limit(monkeypatch):
+    # Per-qubit blocking with inner n = 6 makes a 60-qubit register.  Its
+    # block register holds 2**5 amplitudes, and one physical axis 2**16;
+    # a second physical axis is refused, before it is allocated, quoting
+    # both sizes.
+    scheme = _scheme(PER_QUBIT, inner_n=6)
+    one = concat_encode(scheme, _random_logical()).expand(0)
+    assert one.core.size == 2**16
+    monkeypatch.setattr(np, "zeros", None)
     with pytest.raises(CodeError,
-                       match=rf"30 qubits\) needs {2**30} amplitudes, "
+                       match=rf"27 qubits\) needs {2**27} amplitudes, "
                              rf"above the limit of {MAX_AMPLITUDES}"):
-        physical.to_state()
+        one.expand(1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +167,7 @@ def test_scheme_rejects_a_register_above_the_size_limit():
 def test_whole_register_encoding_wraps_the_codeword():
     scheme = _scheme(WHOLE_REGISTER)
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    got = concat_encode(scheme, v).to_state()
+    got = concat_encode(scheme, v).expand(0).flat()
     codeword = encode(scheme.outer, v)
     manual = np.kron(codeword.amplitudes, basis_state(2, (0,) * 5).amplitudes)
     expected = build_encoder(5).apply(StateVector(p=2, n=10, amplitudes=manual))
@@ -165,7 +177,7 @@ def test_whole_register_encoding_wraps_the_codeword():
 def test_per_qubit_encoding_places_one_codeword_digit_per_block():
     scheme = _scheme(PER_QUBIT)
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    state = concat_encode(scheme, v).to_state()
+    state = _expand_all(concat_encode(scheme, v)).flat()
     # undo every block encoder; slot 0 of each 4-qubit block carries the
     # codeword digit and the rest returns to |0>
     for i in range(5):
@@ -201,14 +213,14 @@ def _gate_program_encode(scheme, v):
     return state
 
 
-def _gate_program_inner_stage(scheme, s, event):
+def _gate_program_inner_stage(scheme, register, event):
     """Decoder and recovery on the erased block and the inverse encoder
-    on every other block, all on the whole register; then padding and
+    on every other block, all on the dense register; then padding and
     ancillas are projected onto |0> and the damaged half split off."""
     n_in, span = scheme.inner.n, scheme.inner.total
     erasure = event.erasure
     erased_block = event.block if erasure is not None else None
-    state = s
+    state = dense_blocks.dense_form(register)
     outer_addrs, zero_addrs, discard_addrs = [], [], []
     for block, carried in enumerate(scheme.assignment):
         base = block * span
@@ -258,9 +270,10 @@ def test_block_contractions_match_the_gate_program_path(blocking, model, seed):
     event = noise(np.random.default_rng(seed))
     expected = _gate_program_encode(scheme, v)
     got = concat_encode(scheme, v)
-    assert np.max(np.abs(got.to_state().amplitudes
+    assert np.max(np.abs(_expand_all(got).flat().amplitudes
                          - expected.amplitudes)) < 1e-12
-    damaged = apply_channel_damage(scheme, expected, event)
+    damaged = apply_channel_damage(
+        scheme, dense_blocks.physical_blocks(scheme, expected), event)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(concat, "_inner_stage", _gate_program_inner_stage)
         reference, reference_trace = concat_decode(scheme, damaged, event)
@@ -308,13 +321,16 @@ def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
 
 @pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
 def test_encoding_matches_the_dense_isometries_bit_for_bit(blocking):
+    # Expanding every axis scatters each block's support rows; the dense
+    # form contracts each carried axis with the whole of E.
     scheme = _scheme(blocking)
     inputs = [LogicalState(p=2, coefficients=[1, 0]),
               LogicalState(p=2, coefficients=[0, 1])]
     inputs += [_random_logical(seed) for seed in range(6)]
     for v in inputs:
-        got = concat_encode(scheme, v).to_state().amplitudes
-        want = dense_blocks.dense_encode(scheme, v).amplitudes
+        register = concat_encode(scheme, v)
+        got = _expand_all(register).core.reshape(-1)
+        want = dense_blocks.dense_form(register).amplitudes
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -325,12 +341,14 @@ def test_inner_stage_matches_the_dense_isometries_on_every_event(
     # Every enumerable event, whole-register and per-qubit at n = 2: no
     # erasure, or an erasure at each address of each block with no
     # corruption or a Pauli one, each with every outer Pauli of weight at
-    # most one.  The block register and its dense form run the one inner
-    # stage; the dense isometries on the dense form are the oracle.
+    # most one.  The block register, carried or with every axis physical,
+    # runs the one inner stage; the dense isometries on its dense form
+    # are the oracle.
     scheme = _scheme(blocking)
     physical = concat_encode(scheme, _random_logical(11))
     if form == "dense":
-        physical = physical.to_state()
+        physical = dense_blocks.physical_blocks(
+            scheme, dense_blocks.dense_form(physical))
     paulis = [None] + [PauliError.single(2, scheme.outer.n, q, b=b, s=sp)
                        for q in range(scheme.outer.n)
                        for b, sp in ((1, 0), (0, 1), (1, 1))]
@@ -343,7 +361,7 @@ def test_inner_stage_matches_the_dense_isometries_on_every_event(
     inner_stage = concat._inner_stage
     for inner in inner_events:
         damaged = apply_channel_damage(scheme, physical, inner)
-        dense = damaged if form == "dense" else damaged.to_state()
+        dense = dense_blocks.dense_form(damaged)
         got = inner_stage(scheme, damaged, inner)
         want = dense_blocks.dense_inner_stage(scheme, dense, inner)
         assert _aligned_gap(got.amplitudes, want.amplitudes) <= 1e-15
@@ -367,7 +385,8 @@ def test_mixed_axes_report_undeclared_damage_like_the_dense_form(declared):
     # An undeclared half-strength X rotation makes block 0's axis
     # physical while the others stay carried; declaring nothing, or an
     # erasure in block 1 (whose axis decoding expands), must fail with
-    # the all-zero probability 1/2, word for word as the dense form does.
+    # the all-zero probability 1/2, word for word as the register with
+    # every axis physical does.
     scheme = _scheme(PER_QUBIT)
     rotation = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
     hit = ChannelEvent(erasure=ErasurePosition(address=0, n=2),
@@ -379,7 +398,8 @@ def test_mixed_axes_report_undeclared_damage_like_the_dense_form(declared):
     event = ChannelEvent() if declared is None else ChannelEvent(
         erasure=ErasurePosition(address=0, n=2), block=declared)
     messages = []
-    for form in (damaged, damaged.to_state()):
+    for form in (damaged, dense_blocks.physical_blocks(
+            scheme, dense_blocks.dense_form(damaged))):
         with pytest.raises(DecodeError, match=re.escape(
                 "all-zero probability 0.5 <= bound")) as info:
             concat_decode(scheme, form, event)
@@ -395,11 +415,12 @@ def test_mixed_axes_report_undeclared_damage_like_the_dense_form(declared):
 def test_erasure_with_ancilla_bit_flip_end_to_end():
     scheme = _scheme(WHOLE_REGISTER)
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    physical = concat_encode(scheme, v).to_state()
+    physical = concat_encode(scheme, v).expand(0).flat()
     # qubit 1 is erased; ancilla 1' (address 5) suffers a bit flip
     flipped = apply_pauli_error(physical, PauliError.single(2, 10, 5, b=1))
     event = ChannelEvent(erasure=ErasurePosition.from_label("1", 5))
-    recovered, trace = concat_decode(scheme, flipped, event)
+    recovered, trace = concat_decode(
+        scheme, dense_blocks.physical_blocks(scheme, flipped), event)
     assert trace.syndrome == "0110"
     assert trace.correction == "S5"
     assert fidelity_up_to_phase(v.as_state(), recovered.as_state()) > 1 - 1e-10
@@ -412,7 +433,7 @@ def test_recovery_intermediate_state_is_the_shifted_codeword(coeffs):
     # its first digit flipped, amplitude by amplitude.
     scheme = _scheme(WHOLE_REGISTER)
     v = LogicalState(p=2, coefficients=list(coeffs))
-    physical = concat_encode(scheme, v).to_state()
+    physical = concat_encode(scheme, v).expand(0).flat()
     flipped = apply_pauli_error(physical, PauliError.single(2, 10, 5, b=1))
     pos = ErasurePosition.from_label("1", 5)
     staged = build_recovery(5, pos).apply(build_decoder(5, pos).apply(flipped))
@@ -486,34 +507,32 @@ def test_apply_channel_damage_passthrough_and_validation():
             ChannelEvent(erasure=ErasurePosition(address=0, n=5), block=1))
 
 
-def _amplitudes(register):
-    if isinstance(register, BlockRegister):
-        return register.core
-    return register.amplitudes
-
-
 def test_apply_channel_damage_returns_a_fresh_state_and_keeps_its_input():
-    # Either form comes back as its own type, fresh, and of unit norm;
-    # a block register has only the hit block's axis made physical.
+    # The damaged register is fresh, of unit norm, and has only the hit
+    # block's axis made physical; its dense form is the corruption
+    # applied to the dense form of the input.
     for scheme in (_scheme(WHOLE_REGISTER), _scheme(PER_QUBIT)):
         blocks = concat_encode(scheme, _random_logical())
-        for s in (blocks, blocks.to_state()):
-            before = _amplitudes(s).copy()
-            for address in range(scheme.inner.total):
-                event = ChannelEvent(
-                    erasure=ErasurePosition(address=address, n=scheme.inner.n),
-                    corruption=random_single_qubit_unitary(RNG),
-                    block=scheme.blocks - 1)
-                out = apply_channel_damage(scheme, s, event)
-                assert type(out) is type(s)
-                assert not np.shares_memory(_amplitudes(out), _amplitudes(s))
-                if s is blocks:
-                    assert [out.physical(b) for b in range(scheme.blocks)] == [
-                        b == event.block for b in range(scheme.blocks)]
-                    out = out.to_state()
-                assert abs(out.norm() - 1.0) < 1e-12
-            assert np.array_equal(_amplitudes(s).view(np.uint64),
-                                  before.view(np.uint64))
+        before = blocks.core.copy()
+        dense = dense_blocks.dense_form(blocks)
+        for address in range(scheme.inner.total):
+            event = ChannelEvent(
+                erasure=ErasurePosition(address=address, n=scheme.inner.n),
+                corruption=random_single_qubit_unitary(RNG),
+                block=scheme.blocks - 1)
+            out = apply_channel_damage(scheme, blocks, event)
+            assert type(out) is BlockRegister
+            assert not np.shares_memory(out.core, blocks.core)
+            assert [out.physical(b) for b in range(scheme.blocks)] == [
+                b == event.block for b in range(scheme.blocks)]
+            assert abs(out.flat().norm() - 1.0) < 1e-12
+            want = corrupt_qubit(
+                dense, event.block * scheme.inner.total + address,
+                event.corruption)
+            assert np.max(np.abs(dense_blocks.dense_form(out).amplitudes
+                                 - want.amplitudes)) < 1e-15
+        assert np.array_equal(blocks.core.view(np.uint64),
+                              before.view(np.uint64))
 
 
 def test_undeclared_damage_is_detected():
@@ -594,10 +613,40 @@ def test_events_that_do_not_fit_the_scheme_are_rejected(blocking):
                 run(scheme, physical, event)
 
 
-def test_register_size_mismatch_is_rejected():
+@pytest.mark.parametrize("run", [apply_channel_damage, concat_decode])
+@pytest.mark.parametrize("erased", [False, True])
+@pytest.mark.parametrize("register, message", [
+    pytest.param(lambda scheme: dense_blocks.dense_form(
+        concat_encode(scheme, _random_logical(2))),
+        "need a BlockRegister, got StateVector", id="dense"),
+    pytest.param(lambda scheme: basis_state(2, (0,) * 9),
+                 "need a BlockRegister, got StateVector", id="nine-qubits"),
+    pytest.param(lambda scheme: None,
+                 "need a BlockRegister, got NoneType", id="none"),
+    pytest.param(lambda scheme: "x", "need a BlockRegister, got str",
+                 id="string"),
+    pytest.param(lambda scheme: np.zeros(2**scheme.total_qubits),
+                 "need a BlockRegister, got ndarray", id="ndarray"),
+    pytest.param(lambda scheme: concat_encode(_scheme(PER_QUBIT),
+                                              _random_logical(2)),
+                 "block register of another scheme", id="per-qubit")])
+def test_a_register_that_is_not_a_block_register_of_the_scheme_is_rejected(
+        run, erased, register, message, monkeypatch):
+    # Both entry points take only a BlockRegister of their own scheme and
+    # refuse anything else before any work: a dense register of the right
+    # size is no longer read as every axis physical, and an event without
+    # an erasure no longer passes its register through unchecked.
     scheme = _scheme(WHOLE_REGISTER)
-    with pytest.raises(CodeError):
-        concat_decode(scheme, basis_state(2, (0,) * 9), ChannelEvent())
+    event = _last_block_erasure(scheme) if erased else ChannelEvent()
+    s = register(scheme)
+
+    def no_work(*args):
+        raise AssertionError("work began before the register was checked")
+
+    for name in ("encoder_isometry", "corrupt_qubit", "_inner_stage"):
+        monkeypatch.setattr(concat, name, no_work)
+    with pytest.raises(CodeError, match=re.escape(message)):
+        run(scheme, s, event)
 
 
 def _off_support_index(scheme, block):
@@ -628,27 +677,24 @@ def _last_block_erasure(scheme):
 def test_a_register_of_bad_norm_is_refused_before_any_gather(
         blocking, form, erased, bad, shown, monkeypatch):
     # A NaN, an infinity or a 1e300 (whose square overflows) off the
-    # encoder's support of a dense register, or in a block register's
-    # core, or an all-zero register of either form, must raise with the
-    # norm quoted before a support row is read.
+    # encoder's support of a register with every axis physical, or in a
+    # carried register's core, or an all-zero register of either form,
+    # must raise with the norm quoted before a support row is read.
     scheme = _scheme(blocking)
     event = _last_block_erasure(scheme) if erased else ChannelEvent()
     blocks = concat_encode(scheme, _random_logical(5))
     if form == "dense":
-        amplitudes = blocks.to_state().amplitudes.copy()
+        blocks = dense_blocks.physical_blocks(
+            scheme, dense_blocks.dense_form(blocks))
         index = _off_support_index(scheme, 0)
     else:
-        amplitudes = blocks.core.reshape(-1).copy()
         index = 0
+    amplitudes = blocks.core.reshape(-1).copy()
     if bad == 0:
         amplitudes[:] = 0
     else:
         amplitudes[index] = bad
-    if form == "dense":
-        register = StateVector(p=2, n=scheme.total_qubits,
-                               amplitudes=amplitudes)
-    else:
-        register = BlockRegister(scheme, amplitudes.reshape(blocks.core.shape))
+    register = BlockRegister(scheme, amplitudes.reshape(blocks.core.shape))
 
     def no_gather(*args):
         raise AssertionError("support rows read before the norm check")
@@ -669,10 +715,11 @@ def test_junk_off_the_support_fails_the_all_zero_check(blocking, erased,
     # drops to 1 / (1 + junk**2).  These decoded as clean before.
     scheme = _scheme(blocking)
     event = _last_block_erasure(scheme) if erased else ChannelEvent()
-    amplitudes = concat_encode(
-        scheme, _random_logical(5)).to_state().amplitudes.copy()
+    amplitudes = dense_blocks.dense_form(
+        concat_encode(scheme, _random_logical(5))).amplitudes.copy()
     amplitudes[_off_support_index(scheme, 0)] = junk
-    register = StateVector(p=2, n=scheme.total_qubits, amplitudes=amplitudes)
+    register = dense_blocks.physical_blocks(
+        scheme, StateVector(p=2, n=scheme.total_qubits, amplitudes=amplitudes))
     with pytest.raises(DecodeError, match=re.escape(
             f"all-zero probability {shown} <= bound")):
         concat_decode(scheme, register, event)
@@ -685,9 +732,10 @@ def test_a_scaled_clean_register_still_decodes(blocking, erased):
     event = _last_block_erasure(scheme) if erased else ChannelEvent()
     v = _random_logical(6)
     blocks = concat_encode(scheme, v)
-    dense = blocks.to_state()
+    dense = dense_blocks.dense_form(blocks)
     for scaled in (BlockRegister(scheme, 2 * blocks.core),
-                   StateVector(p=2, n=dense.n, amplitudes=2 * dense.amplitudes)):
+                   dense_blocks.physical_blocks(scheme, StateVector(
+                       p=2, n=dense.n, amplitudes=2 * dense.amplitudes))):
         recovered, trace = concat_decode(scheme, scaled, event)
         assert trace.syndrome == "0" * scheme.outer.m
         assert fidelity_up_to_phase(v.as_state(),

@@ -15,6 +15,7 @@ import pytest
 from concatqec.concat import (
     PER_QUBIT,
     WHOLE_REGISTER,
+    BlockRegister,
     ChannelEvent,
     ConcatScheme,
     apply_channel_damage,
@@ -120,13 +121,13 @@ def _concat_decode(blocking):
             erasure=ErasurePosition(address=1, n=scheme.inner.n),
             corruption="Y", block=scheme.blocks - 1)
         physical = apply_channel_damage(
-            scheme, concat_encode(scheme, V).to_state(), event)
+            scheme, concat_encode(scheme, V), event)
 
         def run(amps):
-            register = StateVector(p=2, n=scheme.total_qubits, amplitudes=amps)
+            register = BlockRegister(scheme, amps.reshape(physical.core.shape))
             recovered, trace = concat_decode(scheme, register, event)
             return trace.syndrome, [recovered.coefficients]
-        return physical.amplitudes, run, CodeError
+        return physical.core.reshape(-1), run, CodeError
     return build
 
 
