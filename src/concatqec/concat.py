@@ -33,13 +33,17 @@ when damage or decoding reaches its block.
 Decoding checks the register's norm, which E's isometry makes the
 physical one, and makes the erased block's axis physical.  It gathers
 the support rows of every other physical axis in one step and contracts
-them with E's adjoint, which leaves only their carried qubits, and runs
-erasure recovery on the flagged block alone in that reduced register.
-It then checks that padding and ancillas read |0>, scored against the
-whole register's norm so that amplitudes off the support count as
-damage, applies any computational error carried by the channel event to
-the surviving codeword, and finally runs outer syndrome decoding plus
-table lookup correction.
+them with E's adjoint, which leaves only their carried qubits.  The
+erasure position alone picks the decoder and recovery programs, which
+compile to a signed gather, one H and a signed gather; so the flagged
+block is decoded by one cached block map along its axis of that reduced
+register, which writes only the rows whose padding reads |0>, damaged
+half first.  Their share of the whole register's norm is the
+probability that padding and ancillas read |0>, so amplitudes off the
+support count as damage, and they reshape to the matrix from which the
+damaged half splits off.  Decoding then applies any computational error
+carried by the channel event to the surviving codeword, and finally
+runs outer syndrome decoding plus table lookup correction.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,11 +59,11 @@ from .ghz_erasure import (
     ErasurePosition,
     GhzError,
     GhzLayout,
+    _require_product,
     build_decoder,
     build_recovery,
     corrupt_qubit,
     encoder_isometry,
-    split_recovered,
 )
 from .graph_code import (
     CodeGraph,
@@ -78,10 +82,15 @@ from .graph_code import (
 from .statevec import (
     DETERMINISM_BOUND,
     FIDELITY_BOUND,
+    MAX_AMPLITUDES,
     ZERO_NORM_FLOOR,
     PauliError,
     StateVector,
+    _INV_SQRT2,
+    _norm2,
+    _split_matrix,
     apply_pauli_error,
+    compile_gates,
     fidelity_up_to_phase,
     guard_norm,
     project_register,
@@ -289,15 +298,10 @@ class BlockRegister:
 
     def flat(self) -> StateVector:
         """The core as a register of its axes' qubits; no copy."""
-        return StateVector(p=2, n=self.core.size.bit_length() - 1,
-                           amplitudes=self.core.reshape(-1))
+        return _flat(self.core)
 
     def expand(self, block: int) -> "BlockRegister":
         """The register with block's axis made physical, or self if it is.
-
-        The carried amplitudes are contracted with the support rows of
-        the block's encoder isometry and placed on those rows of a
-        zeroed core.
 
         Raises:
             CodeError: when the new core would exceed MAX_AMPLITUDES
@@ -305,24 +309,38 @@ class BlockRegister:
         """
         if self.physical(block):
             return self
+        return BlockRegister(self.scheme, self._expanded(block))
+
+    def _expanded(self, block: int) -> np.ndarray:
+        """The core with block's axis made physical, or the core itself.
+
+        The carried amplitudes are contracted with the support rows of
+        the block's encoder isometry and placed on those rows of a
+        zeroed core.
+        """
+        if self.physical(block):
+            return self.core
         scheme = self.scheme
         support = encoder_isometry(scheme.inner.n,
                                    len(scheme.assignment[block]))
         shape = list(self.core.shape)
         shape[block] = 2**scheme.inner.total
-        core = self._zeros(shape)
+        count = math.prod(shape)
+        if count > MAX_AMPLITUDES:
+            # The message is formatted only for a refusal.
+            check_amplitude_count(
+                f"{scheme.blocking} blocking with inner n = "
+                f"{scheme.inner.n} ({count.bit_length() - 1} qubits)", count)
+        core = np.zeros(shape, dtype=np.complex128)
         core[(slice(None),) * block + (support.rows,)] = _map_block(
             self.core, block, support.block)
-        return BlockRegister(scheme, core)
+        return core
 
-    def _zeros(self, shape: List[int]) -> np.ndarray:
-        """A zeroed core of the given shape, refused before allocation
-        when it exceeds MAX_AMPLITUDES amplitudes."""
-        count = math.prod(shape)
-        check_amplitude_count(
-            f"{self.scheme.blocking} blocking with inner n = "
-            f"{self.scheme.inner.n} ({count.bit_length() - 1} qubits)", count)
-        return np.zeros(shape, dtype=np.complex128)
+
+def _flat(core: np.ndarray) -> StateVector:
+    """A core as a register of its axes' qubits; no copy."""
+    return StateVector(p=2, n=core.size.bit_length() - 1,
+                       amplitudes=core.reshape(-1))
 
 
 def concat_encode(scheme: ConcatScheme, v: LogicalState) -> BlockRegister:
@@ -387,17 +405,126 @@ def apply_channel_damage(scheme: ConcatScheme, s: BlockRegister,
     _check_inputs(scheme, s, event)
     if event.erasure is None:
         return s
-    register = s.expand(event.block)
-    shape = register.core.shape
-    address = sum(size.bit_length() - 1 for size in shape[:event.block])
-    damaged = corrupt_qubit(register.flat(), address + event.erasure.address,
+    core = s._expanded(event.block)
+    address = sum(size.bit_length() - 1 for size in core.shape[:event.block])
+    damaged = corrupt_qubit(_flat(core), address + event.erasure.address,
                             event.corruption)
-    return BlockRegister(scheme, damaged.amplitudes.reshape(shape))
+    return BlockRegister(scheme, damaged.amplitudes.reshape(core.shape))
 
 
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
+
+class _BlockMap(NamedTuple):
+    """The erased block's decoder then recovery, on the rows it keeps.
+
+    The map reads a core viewed as (pre, 4**n, post), the erased axis in
+    the middle.  It writes only the rows whose surviving half reads 0 on
+    its padding, in (damaged half, pre, carried qubits, post) order, so
+    that they reshape to the dropped x kept matrix.  Output r is
+    +-(x[source[0, r]] +- x[source[1, r]]) / sqrt(2) over the core's
+    flat amplitudes x: the inner sign is minus where minus[r] holds, the
+    outer where negate[r] does.
+
+    Attributes:
+        source: (2, rows) flat core indices.
+        minus: (rows,) booleans.
+        negate: (rows,) booleans.
+    """
+
+    source: np.ndarray
+    minus: np.ndarray
+    negate: np.ndarray
+
+    def rows(self, core: np.ndarray) -> np.ndarray:
+        """The decoded rows of a core, as a fresh 1-D array.
+
+        A take, the H kernel's sum and scaling, and masked negations:
+        the gates' own steps, so each row is bit for bit theirs.
+        """
+        first, second = core.reshape(-1).take(self.source)
+        np.negative(second, out=second, where=self.minus)
+        first += second
+        first *= _INV_SQRT2
+        np.negative(first, out=first, where=self.negate)
+        return first
+
+
+@functools.lru_cache(maxsize=None)
+def _erased_block_map(n: int, c: int, pos: ErasurePosition, pre: int,
+                      post: int) -> _BlockMap:
+    """The decoder and recovery for an erasure at pos, as one block map.
+
+    The block carries c qubits, and pre and post amplitudes of the
+    reduced register sit before and after its axis.  statevec's
+    compile_gates turns the two programs into a signed gather, one H and
+    a signed gather.  Pushing each kept row back through them gives its
+    two source rows, the H's sign between them and the last gather's
+    sign.  A sign of the first gather is folded into the other two,
+    which can flip the sign of a zero; the paper's programs negate only
+    in the last.
+
+    Raises:
+        GhzError: unless the programs compile to (signed gather, H,
+            signed gather).
+    """
+    gates = build_decoder(n, pos).gates + build_recovery(n, pos).gates
+    lo, steps = compile_gates([(gate.kind, gate.qubits) for gate in gates])
+    kinds = ["H" if isinstance(step, int) else "gather" for step in steps]
+    if kinds != ["gather", "H", "gather"]:
+        raise GhzError(
+            f"decoder and recovery for erasure {pos.label} compile to "
+            f"{kinds}, not a signed gather, one H and a signed gather")
+    size = 4**n
+
+    def gather(step: tuple) -> Tuple[np.ndarray, np.ndarray]:
+        # A compiled step's (source, negate) widened to the whole block.
+        src, negate = step
+        shape = (2**lo, src.size, size >> lo >> (src.size.bit_length() - 1))
+        index = ((np.arange(shape[0])[:, None, None] * shape[1]
+                  + src[:, None]) * shape[2] + np.arange(shape[2]))
+        if negate is None:
+            negate = np.zeros(src.size, dtype=bool)
+        return (index.reshape(-1),
+                np.broadcast_to(negate[:, None], shape).reshape(-1))
+
+    (src1, neg1), (src2, neg2) = gather(steps[0]), gather(steps[2])
+    bit = 1 << (2 * n - 1 - steps[1])
+    # Block rows by (damaged, pre, carried, post), with singleton axes
+    # for pre and post.
+    damaged = np.arange(2**n)[:, None, None, None]
+    carried = np.arange(2**c)[None, None, :, None] << (n - c)
+    rows = ((damaged << n) + carried if pos.side == "message"
+            else (carried << n) + damaged)
+    z = src2[rows]
+    low, high = z & ~bit, z | bit
+    shape = (2**n, pre, 2**c, post)
+    before = np.arange(pre)[:, None, None] * size
+
+    def flat(block_rows: np.ndarray) -> np.ndarray:
+        return ((before + block_rows) * post + np.arange(post)).reshape(-1)
+
+    # s_a x_a +- s_b x_b = s_a (x_a +- s_a s_b x_b).
+    block_map = _BlockMap(
+        source=np.stack([flat(src1[low]), flat(src1[high])]),
+        minus=np.broadcast_to((z & bit > 0) ^ neg1[low] ^ neg1[high],
+                              shape).reshape(-1),
+        negate=np.broadcast_to(neg2[rows] ^ neg1[low], shape).reshape(-1))
+    for array in block_map:
+        array.flags.writeable = False
+    return block_map
+
+
+def _require_all_zero(probability: float) -> None:
+    """Raise DecodeError unless padding and ancillas read |0> with a
+    probability above DETERMINISM_BOUND."""
+    if probability <= DETERMINISM_BOUND:
+        raise DecodeError(
+            "inner unencoding left padding or ancilla qubits excited "
+            f"(all-zero probability {probability:.12g} <= bound "
+            f"{DETERMINISM_BOUND:.12g}); undeclared damage present")
+
 
 def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
                  event: ChannelEvent) -> StateVector:
@@ -410,11 +537,15 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
     carried qubits; carried axes are already there.  The probability
     that their padding and ancillas read |0> is the squared norm left
     over the register's squared norm, so amplitudes the gather skips,
-    off the support, count against it.  The erased block then runs its
-    decoder and recovery programs on the reduced register, which move
-    its content to the undamaged half.  Padding and ancillas must have
-    read |0>, and the erased block's damaged half must split off as a
-    product.
+    off the support, count against it.
+
+    The erased block runs its cached block map along its axis of the
+    reduced register: decoder and recovery, read only on the rows whose
+    padding reads |0>, with the damaged half first.  Their squared norm
+    over the register's is the all-zero probability, and when neither
+    padding nor a gather can lose norm it is 1 and goes unchecked.  The
+    damaged half must then split off as a product; the rows reshape to
+    its dropped x kept matrix.
 
     Raises:
         CodeError: on a register whose norm is zero or not finite.
@@ -422,53 +553,42 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
     n_in = scheme.inner.n
     erasure = event.erasure
     erased = event.block if erasure is not None else None
-    norm = guard_norm(register.flat().norm(), ZERO_NORM_FLOOR, CodeError,
-                      "register ")
-    if erased is not None:
-        register = register.expand(erased)
-    t = register.core
+    norm = guard_norm(math.sqrt(_norm2(register.core)), ZERO_NORM_FLOOR,
+                      CodeError, "register ")
+    t = register.core if erased is None else register._expanded(erased)
     gathered = {block: encoder_isometry(n_in, len(carried))
                 for block, carried in enumerate(scheme.assignment)
-                if block != erased and register.physical(block)}
+                if block != erased and t.shape[block] == 2**(2 * n_in)}
     if gathered:
         t = t[np.ix_(*(gathered[block].rows if block in gathered
                        else np.arange(size)
                        for block, size in enumerate(t.shape)))]
     for block, support in gathered.items():
         t = _map_block(t, block, support.adjoint)
-    state = StateVector(p=2, n=t.size.bit_length() - 1,
-                        amplitudes=t.reshape(-1))
-    padding = (0, 0)
-    if erasure is not None:
-        base = sum(map(len, scheme.assignment[:event.block]))
-        c = len(scheme.assignment[event.block])
-        state = build_decoder(n_in, erasure).apply(state, offset=base)
-        state = build_recovery(n_in, erasure).apply(state, offset=base)
-        content = base + n_in if erasure.side == "message" else base
-        padding = (content + c, n_in - c)
-
-    # The contractions' norm counts in the all-zero probability.  A
-    # carried axis reads |0> with probability exactly 1, so only padding
-    # or a gather leaves anything to check.
-    if padding[1] or gathered:
-        # A register wholly off the support leaves no branch to keep.
-        probs, state = project_register(state, *padding, norm * norm,
-                                        DecodeError)
-        if int(np.argmax(probs)) != 0 or probs[0] <= DETERMINISM_BOUND:
-            raise DecodeError(
-                "inner unencoding left padding or ancilla qubits excited "
-                f"(all-zero probability {probs[0]:.12g} <= bound "
-                f"{DETERMINISM_BOUND:.12g}); undeclared damage present")
 
     if erasure is None:
+        state = _flat(t)
+        # A carried axis reads |0> with probability exactly 1, so only a
+        # gather leaves anything to check.
+        if gathered:
+            # A register wholly off the support leaves no branch to keep.
+            probs, state = project_register(state, 0, 0, norm * norm,
+                                            DecodeError)
+            _require_all_zero(probs[0])
         return state
-    # What is left of the erased block: its n_in-qubit damaged half, and
-    # its carried qubits before (ancilla side) or after (message side).
-    damaged = base if erasure.side == "message" else base + c
-    kept, _dropped = split_recovered(
-        state, [q for q in range(state.n)
-                if not damaged <= q < damaged + n_in])
-    return kept
+
+    c = len(scheme.assignment[erased])
+    pre = math.prod(t.shape[:erased])
+    rows = _erased_block_map(n_in, c, erasure, pre,
+                             t.size // pre // t.shape[erased]).rows(t)
+    kept2 = _norm2(rows)
+    if c < n_in or gathered:
+        _require_all_zero(kept2 / (norm * norm))
+    # The rows, damaged half first, reshape to the dropped x kept matrix.
+    kept, _dropped, purity = _split_matrix(rows.reshape(2**n_in, -1).T,
+                                           math.sqrt(kept2))
+    _require_product(purity)
+    return StateVector(p=2, n=kept.size.bit_length() - 1, amplitudes=kept)
 
 
 def concat_decode(scheme: ConcatScheme, s: BlockRegister,

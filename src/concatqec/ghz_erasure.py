@@ -475,11 +475,16 @@ def split_recovered(s: StateVector, keep: Sequence[int]
             which means the damage exceeded one erasure.
     """
     kept, dropped, purity = split_factor(s, keep)
+    _require_product(purity)
+    return kept, dropped
+
+
+def _require_product(purity: float) -> None:
+    """Raise RecoveryError unless the kept side's purity tops PURITY_BOUND."""
     if purity <= PURITY_BOUND:
         raise RecoveryError(
             "recovery failed: residual entanglement with the damaged half "
             f"(purity {purity:.12g} <= bound {PURITY_BOUND:.12g})")
-    return kept, dropped
 
 
 def recover(s: StateVector, pos: ErasurePosition

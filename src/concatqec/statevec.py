@@ -20,6 +20,7 @@ returns a fresh StateVector and leaves its argument untouched.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -108,15 +109,20 @@ class StateVector:
             )
 
     def norm(self) -> float:
-        """Euclidean norm, as one dot of the float64 view: NaN on a NaN
-        amplitude, inf on overflow, without a warning."""
-        parts = np.ascontiguousarray(self.amplitudes).view(np.float64)
-        with np.errstate(over="ignore"):
-            return math.sqrt(float(np.dot(parts, parts)))
+        """Euclidean norm; see _norm2."""
+        return math.sqrt(_norm2(self.amplitudes))
 
     def _check_address(self, q: int) -> None:
         if not 0 <= q < self.n:
             raise StateError(f"qudit address {q} outside [0, {self.n})")
+
+
+def _norm2(amplitudes: np.ndarray) -> float:
+    """Squared Euclidean norm of a complex array, as one einsum over its
+    float64 view: NaN on a NaN amplitude, and inf on overflow without a
+    warning, as einsum checks no floating-point flags."""
+    parts = np.ascontiguousarray(amplitudes).view(np.float64).reshape(-1)
+    return float(np.einsum("i,i->", parts, parts))
 
 
 def basis_state(p: int, digits: Union[FpVector, Sequence[int]]) -> StateVector:
@@ -334,21 +340,12 @@ def apply_pauli(s: StateVector, q: int, b: int, shift_phase: int) -> StateVector
     Args:
         s: input register.
         q: qudit address.
-        b: cyclic shift amount in [0, p).
-        shift_phase: phase gradient exponent in [0, p).
+        b: cyclic shift amount, taken mod p.
+        shift_phase: phase gradient exponent, taken mod p.
     """
     s._check_address(q)
-    b = int(b) % s.p
-    shift_phase = int(shift_phase) % s.p
-    pre = s.p**q
-    post = s.p**(s.n - 1 - q)
-    view = s.amplitudes.reshape(pre, s.p, post).copy()
-    if shift_phase:
-        phases = np.exp(2j * np.pi * shift_phase * np.arange(s.p) / s.p)
-        view *= phases[np.newaxis, :, np.newaxis]
-    if b:
-        view = np.roll(view, b, axis=1)
-    return StateVector(p=s.p, n=s.n, amplitudes=view.reshape(-1))
+    return apply_pauli_error(s, PauliError.single(s.p, s.n, q, b=b,
+                                                  s=shift_phase))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +411,46 @@ class PauliError:
         return cls(m=m % p, b=tuple(bs), s=tuple(ss), p=p)
 
 
+@functools.lru_cache(maxsize=None)
+def _roots(p: int) -> np.ndarray:
+    """exp(2 pi i k / p) for k in [0, p), read-only; at p = 2 exactly
+    +-1, where exp(i pi) would leave an imaginary part of 1.2e-16."""
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    if p == 2:
+        roots[1] = -1
+    roots.flags.writeable = False
+    return roots
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_column(p: int, shift: int, stride: int) -> np.ndarray:
+    """What a qudit of the given index stride adds to the source index:
+    output digit y reads digit y - shift mod p."""
+    digits = np.arange(p)
+    column = (((digits - shift) % p - digits) * stride)[:, np.newaxis]
+    column.flags.writeable = False
+    return column
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_column(p: int, gradient: int, shift: int, m: int) -> np.ndarray:
+    """The phases a qudit's output digit y takes: exp(2 pi i (m +
+    gradient * (y - shift)) / p), as y came from y - shift."""
+    column = _roots(p)[(gradient * (np.arange(p) - shift) + m) % p]
+    column = column[:, np.newaxis]
+    column.flags.writeable = False
+    return column
+
+
 def apply_pauli_error(s: StateVector, e: PauliError) -> StateVector:
     """Apply a generalized Pauli error to a register.
+
+    The whole word's shifts are one gather: amplitude y comes from y - b,
+    digit by digit mod p, through a source index built by one broadcast
+    add per shifted qudit.  Each phased qudit's axis is then multiplied
+    by a p-entry column of roots of unity, with the global phase folded
+    into the first.  The roots are exact where they are +-1, so at p = 2
+    a Z only negates.
 
     Raises:
         StateError: if the error and register disagree on p or n.
@@ -424,16 +459,25 @@ def apply_pauli_error(s: StateVector, e: PauliError) -> StateVector:
         raise StateError(f"error field {e.p} does not match register p={s.p}")
     if e.n != s.n:
         raise StateError(f"error length {e.n} does not match register n={s.n}")
-    out = s
-    for q in range(s.n):
-        if e.b[q] or e.s[q]:
-            out = apply_pauli(out, q, e.b[q], e.s[q])
-    if e.m:
-        phase = np.exp(2j * np.pi * e.m / s.p)
-        out = StateVector(p=s.p, n=s.n, amplitudes=out.amplitudes * phase)
-    elif out is s:
-        out = StateVector(p=s.p, n=s.n, amplitudes=s.amplitudes.copy())
-    return out
+    p, n = s.p, s.n
+    if any(e.b):
+        source = np.arange(p**n)
+        for q, shift in enumerate(e.b):
+            if shift:
+                view = source.reshape(p**q, p, -1)
+                view += _shift_column(p, shift, p**(n - 1 - q))
+        out = s.amplitudes.take(source)
+    else:
+        out = s.amplitudes.copy()
+    m = e.m
+    for q, (shift, gradient) in enumerate(zip(e.b, e.s)):
+        if gradient:
+            view = out.reshape(p**q, p, -1)
+            view *= _phase_column(p, gradient, shift, m)
+            m = 0
+    if m:
+        out *= _roots(p)[m]
+    return StateVector(p=p, n=n, amplitudes=out)
 
 
 # ---------------------------------------------------------------------------
@@ -495,22 +539,46 @@ def project_register(s: StateVector, lo: int, width: int, norm2: float,
 # Factor extraction
 # ---------------------------------------------------------------------------
 
+def _split_matrix(block: np.ndarray, norm: float
+                  ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Split a (near) product kept x dropped matrix into its two factors.
+
+    B is block / norm and rho = B B^dagger.  The purity ||rho||_F^2 /
+    tr(rho)^2 is sum(sigma^4) / sum(sigma^2)^2 over B's singular values.
+    The kept factor is rho times B's longest column, normalized: one
+    power step, within about 1e-13 of the top left singular vector above
+    PURITY_BOUND.  The dropped factor is kept^dagger B, normalized.  The
+    roles swap if the kept side is the larger, so rho stays small.
+
+    The dropped factor's largest amplitude is rotated to the positive
+    real axis; the kept factor absorbs the compensating phase, so the
+    pair multiplies back to block / norm.
+
+    Returns:
+        (kept factor, dropped factor, purity of the kept side).
+    """
+    flip = block.shape[0] > block.shape[1]
+    block = (block.T if flip else block) / norm
+    rho = block @ block.conj().T
+    purity = float(np.vdot(rho, rho).real / rho.trace().real ** 2)
+    longest = int(np.einsum("ij,ij->j", block, block.conj()).real.argmax())
+    left = rho @ block[:, longest]
+    left /= np.linalg.norm(left)
+    right = left.conj() @ block
+    right /= np.linalg.norm(right)
+    kept, dropped = (right, left) if flip else (left, right)
+    anchor = int(np.abs(dropped).argmax())
+    phase = dropped[anchor] / abs(dropped[anchor])
+    return kept * phase, dropped * np.conj(phase), purity
+
+
 def split_factor(s: StateVector, keep: Sequence[int]
                  ) -> Tuple[StateVector, StateVector, float]:
     """Split a (near) product state into kept and dropped factors.
 
-    B is the kept x dropped matrix of the state scaled to unit norm and
-    rho = B B^dagger.  The purity ||rho||_F^2 / tr(rho)^2 is
-    sum(sigma^4) / sum(sigma^2)^2 over B's singular values.  The kept
-    factor is rho times B's longest column, normalized: one power step,
-    within about 1e-13 of the top left singular vector above
-    PURITY_BOUND.  The dropped factor is kept^dagger B, normalized.  The
-    roles swap if the kept side is the larger, so rho stays small.
-
-    The kept addresses are sorted into ascending order in the returned
-    factor.  The dropped factor's largest amplitude is rotated to the
-    positive real axis; the kept factor absorbs the compensating phase,
-    so the pair multiplies back to the original state.
+    The state's kept x dropped matrix, read through one transpose of its
+    qudit axes, goes to _split_matrix with the state's norm.  The kept
+    addresses are sorted into ascending order in the returned factor.
 
     Returns:
         (kept factor, dropped factor, purity of the kept subsystem).
@@ -527,23 +595,9 @@ def split_factor(s: StateVector, keep: Sequence[int]
     rest = [q for q in range(s.n) if q not in kept_addrs]
     block = np.transpose(s.amplitudes.reshape((s.p,) * s.n),
                          kept_addrs + rest).reshape(s.p**len(kept_addrs), -1)
-    flip = block.shape[0] > block.shape[1]
-    block = (block.T if flip else block) / norm
-    rho = block @ block.conj().T
-    purity = float(np.vdot(rho, rho).real / np.trace(rho).real ** 2)
-    longest = int(np.argmax(np.einsum("ij,ij->j", block, block.conj()).real))
-    left = rho @ block[:, longest]
-    left /= np.linalg.norm(left)
-    right = left.conj() @ block
-    right /= np.linalg.norm(right)
-    kept_vec, dropped_vec = (right, left) if flip else (left, right)
-    anchor = int(np.argmax(np.abs(dropped_vec)))
-    phase = dropped_vec[anchor] / abs(dropped_vec[anchor])
-    dropped_vec = dropped_vec * np.conj(phase)
-    kept_vec = kept_vec * phase
-    kept = StateVector(p=s.p, n=len(kept_addrs), amplitudes=kept_vec)
-    dropped = StateVector(p=s.p, n=s.n - len(kept_addrs), amplitudes=dropped_vec)
-    return kept, dropped, purity
+    kept, dropped, purity = _split_matrix(block, norm)
+    return (StateVector(p=s.p, n=len(kept_addrs), amplitudes=kept),
+            StateVector(p=s.p, n=len(rest), amplitudes=dropped), purity)
 
 
 # ---------------------------------------------------------------------------

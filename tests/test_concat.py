@@ -9,6 +9,7 @@ stays here as their oracle, and the dense block isometries (module
 dense_blocks) as the oracle of the support-row scatter and gather.
 """
 
+import math
 import re
 
 import dense_blocks
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concatqec import concat, statevec
+from concatqec import concat
 from concatqec.concat import (
     PER_QUBIT,
     WHOLE_REGISTER,
@@ -34,7 +35,10 @@ from concatqec.concat import (
 )
 from concatqec.ghz_erasure import (
     MAX_BLOCK,
+    MIN_BLOCK,
     ErasurePosition,
+    Gate,
+    GateProgram,
     GhzError,
     GhzLayout,
     RecoveryError,
@@ -285,22 +289,19 @@ def test_block_contractions_match_the_gate_program_path(blocking, model, seed):
 
 
 def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
-    # Only the erased block runs gate programs, on a register reduced to
-    # the other blocks' carried qubits; no kernel sees the whole
-    # 20-qubit per-qubit register.
-    sizes = []
-    permute, hadamard = statevec.permute_signed, statevec.hadamard_in_place
+    # Only the erased block is decoded, by its block map along its axis
+    # of a register reduced to the other blocks' carried qubits: the map
+    # reads 2**(2n) <= 2**(2 MAX_BLOCK) entries along that axis, times
+    # the other blocks' carried amplitudes, never the whole 20-qubit
+    # per-qubit register.
+    reads = []
+    rows = concat._BlockMap.rows
 
-    def recording_permute(amps, lo, src, negate):
-        sizes.append(int(np.log2(amps.size)))
-        return permute(amps, lo, src, negate)
+    def recording_rows(self, core):
+        reads.append(core.shape)
+        return rows(self, core)
 
-    def recording_hadamard(amps, n, q):
-        sizes.append(n)
-        hadamard(amps, n, q)
-
-    monkeypatch.setattr(statevec, "permute_signed", recording_permute)
-    monkeypatch.setattr(statevec, "hadamard_in_place", recording_hadamard)
+    monkeypatch.setattr(concat._BlockMap, "rows", recording_rows)
     for blocking in (WHOLE_REGISTER, PER_QUBIT):
         scheme = _scheme(blocking)
         v = _random_logical(3)
@@ -308,10 +309,83 @@ def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
             erasure=ErasurePosition(address=1, n=scheme.inner.n),
             corruption="Y", block=scheme.blocks - 1)
         physical = apply_channel_damage(scheme, concat_encode(scheme, v), event)
+        del reads[:]
         recovered, _ = concat_decode(scheme, physical, event)
         assert fidelity_up_to_phase(v.as_state(),
                                     recovered.as_state()) > 1 - 1e-10
-    assert sizes and max(sizes) <= 2 * MAX_BLOCK
+        assert len(reads) == 1
+        axis = reads[0][event.block]
+        others = scheme.outer.n - len(scheme.assignment[event.block])
+        assert axis == 2**scheme.inner.total <= 2**(2 * MAX_BLOCK)
+        assert math.prod(reads[0]) == axis * 2**others
+
+
+def _exact_norm2(a):
+    return math.fsum((np.abs(a.reshape(-1))**2).tolist())
+
+
+def _block_map_cases():
+    """Every inner n, carried count c and erasure address, each with
+    0-2 carried qubits before and after the block, cycled."""
+    cases = []
+    for n in range(MIN_BLOCK, MAX_BLOCK + 1):
+        for c in range(1, n + 1):
+            for address in range(2 * n):
+                before, after = divmod(len(cases) % 9, 3)
+                cases.append((n, c, address, before, after))
+    return cases
+
+
+@pytest.mark.parametrize("n, c, address, before, after", _block_map_cases())
+def test_block_map_rows_are_the_programs_rows_bit_for_bit(
+        n, c, address, before, after):
+    # Random complex blocks, mostly off the support, dense and with half
+    # the entries +-0: the map's rows are the rows decoder then recovery
+    # write where the padding reads 0, signed zeros included, and their
+    # share of the input's norm is the programs' all-zero probability.
+    pos = ErasurePosition(address=address, n=n)
+    rng = np.random.default_rng([n, c, address])
+    size = 2**(before + 2 * n + after)
+    dense = rng.normal(size=size) + 1j * rng.normal(size=size)
+    for x in (dense, dense * (rng.random(size) < 0.5)):
+        state = StateVector(p=2, n=before + 2 * n + after, amplitudes=x)
+        state = build_decoder(n, pos).apply(state, offset=before)
+        state = build_recovery(n, pos).apply(state, offset=before)
+        content = before + (n if pos.side == "message" else 0)
+        cube = state.amplitudes.reshape((2,) * state.n)
+        kept = cube[(slice(None),) * (content + c) + (0,) * (n - c)]
+        # (before, damaged, carried, after), damaged half first.
+        want = kept.reshape(2**before, 2**n, 2**c, 2**after) if (
+            pos.side == "message") else kept.reshape(
+                2**before, 2**c, 2**n, 2**after).transpose(0, 2, 1, 3)
+        got = concat._erased_block_map(
+            n, c, pos, 2**before, 2**after).rows(x).reshape(
+                2**n, 2**before, 2**c, 2**after)
+        assert np.array_equal(got.transpose(1, 0, 2, 3).view(np.uint64),
+                              np.ascontiguousarray(want).view(np.uint64))
+        # Sums rounded once, so only the programs' own rounding differs:
+        # the map's rows over its input, against the programs' branch
+        # over their output.
+        got_probability = _exact_norm2(got) / _exact_norm2(x)
+        want_probability = (_exact_norm2(want)
+                            / _exact_norm2(state.amplitudes))
+        assert abs(got_probability - want_probability) <= 1e-15
+
+
+def test_block_map_refuses_programs_off_the_perm_h_perm_form(monkeypatch):
+    # A second H in recovery no longer compiles to one H between signed
+    # gathers, so building the map must fail before any decode.
+    pos = ErasurePosition(address=0, n=3)
+    recovery = build_recovery(3, pos)
+    twice = GateProgram(gates=recovery.gates + (Gate("H", (4,)),), half=3)
+    monkeypatch.setattr(concat, "build_recovery", lambda n, p: twice)
+    concat._erased_block_map.cache_clear()
+    try:
+        with pytest.raises(GhzError, match=re.escape(
+                "compile to ['gather', 'H', 'gather', 'H']")):
+            concat._erased_block_map(3, 2, pos, 1, 1)
+    finally:
+        concat._erased_block_map.cache_clear()
 
 
 # ---------------------------------------------------------------------------

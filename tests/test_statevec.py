@@ -351,6 +351,68 @@ def test_apply_pauli_error_matches_per_qubit_route():
     assert states_close(direct, manual)
 
 
+def _bits(s):
+    return s.amplitudes.view(np.uint64)
+
+
+def test_qubit_paulis_square_to_the_input_bit_for_bit():
+    # X and Z are their own inverses, and so is the global phase -1: the
+    # roots of unity at p = 2 are exactly +-1, so nothing is left over.
+    s = random_state(2, 3, RNG)
+    for q in range(3):
+        for b, z in ((1, 0), (0, 1)):
+            e = PauliError.single(2, 3, q, b=b, s=z)
+            twice = apply_pauli_error(apply_pauli_error(s, e), e)
+            assert np.array_equal(_bits(twice), _bits(s))
+    phase = PauliError(m=1, b=(0, 0, 0), s=(0, 0, 0), p=2)
+    twice = apply_pauli_error(apply_pauli_error(s, phase), phase)
+    assert np.array_equal(_bits(twice), _bits(s))
+
+
+def test_qubit_z_keeps_a_real_state_real():
+    s = StateVector(p=2, n=3, amplitudes=RNG.normal(size=8))
+    for q in range(3):
+        out = apply_pauli_error(s, PauliError.single(2, 3, q, s=1))
+        assert np.all(out.amplitudes.imag == 0)
+        assert np.array_equal(out.amplitudes.real,
+                              s.amplitudes.real * Z2.diagonal().real[
+                                  (np.arange(8) >> (2 - q)) & 1])
+
+
+def _kronecker_oracle(e):
+    """The dense matrix of e: omega^m times the Kronecker product of
+    X^b Z^s per qudit, with every root of unity taken mod p."""
+    p = e.p
+
+    def root(k):
+        return np.exp(2j * np.pi * (k % p) / p)
+    matrix = np.array([[root(e.m)]])
+    for b, z in zip(e.b, e.s):
+        factor = np.zeros((p, p), dtype=complex)
+        for a in range(p):
+            factor[(a + b) % p, a] = root(z * a)
+        matrix = np.kron(matrix, factor)
+    return matrix
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 3), (5, 1), (5, 3)])
+def test_pauli_words_of_every_weight_match_the_kronecker_oracle(p, n):
+    rng = np.random.default_rng([p, n])
+    for weight in range(n + 1):
+        for _ in range(6):
+            b, z = [0] * n, [0] * n
+            for q in rng.choice(n, size=weight, replace=False):
+                while not (b[q] or z[q]):
+                    b[q], z[q] = (int(v) for v in rng.integers(p, size=2))
+            e = PauliError(m=int(rng.integers(p)), b=tuple(b), s=tuple(z),
+                           p=p)
+            assert e.weight == weight
+            s = random_state(p, n, rng)
+            want = _kronecker_oracle(e) @ s.amplitudes
+            assert np.max(np.abs(apply_pauli_error(s, e).amplitudes
+                                 - want)) <= 1e-15
+
+
 @given(st.integers(min_value=0, max_value=1), st.integers(min_value=0, max_value=1),
        st.integers(min_value=0, max_value=1), st.integers(min_value=0, max_value=1))
 @settings(max_examples=40, deadline=None)
