@@ -36,7 +36,6 @@ from .graph_code import (
     correct,
     decode,
     encode,
-    five_qubit_code_graph,
     five_qubit_decoding_graph,
     load_graph,
     parse_graph,
@@ -74,7 +73,6 @@ __all__ = [
     "decode",
     "effective_channel",
     "encode",
-    "five_qubit_code_graph",
     "five_qubit_decoding_graph",
     "load_graph",
     "parse_graph",

@@ -1,18 +1,23 @@
 """Exact linear algebra over the prime fields F_p for small p.
 
-All values are plain Python integers reduced modulo p, wrapped in small
-immutable containers.  Every operation is exact; there is no floating
-point anywhere in this module.  Everything rests on one Gaussian
-elimination to reduced row-echelon form, which yields the rank, a
-kernel basis and inverses; nothing enumerates the vectors of F_p^n.
-Matrices are desk scale (a few dozen rows and columns), so clarity wins
-over asymptotics throughout.
+Vectors and matrices are small immutable containers of plain Python
+integers reduced modulo p.  Every operation is exact; there is no
+floating point anywhere in this module.  Everything rests on one
+kernel, row_reduce: Gauss-Jordan elimination to reduced row-echelon
+form over a stack of int64 matrices at once, vectorized across the
+stack, with entries below p <= 7 so no product can overflow.  It yields
+the rank, a kernel basis and inverses, for which the container
+functions pass a stack of one; the admissibility check passes every
+error support of one size in a single stack.  Nothing enumerates the
+vectors of F_p^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
+
+import numpy as np
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -32,6 +37,11 @@ def check_prime(p: int) -> None:
     """
     if p not in SUPPORTED_PRIMES:
         raise FpError(f"field order must be one of {SUPPORTED_PRIMES}, got {p}")
+
+
+# The inverse of each residue mod p, with 0 sent to 0.
+_INVERSES = {p: np.array([0] + [pow(v, p - 2, p) for v in range(1, p)])
+             for p in SUPPORTED_PRIMES}
 
 
 # ---------------------------------------------------------------------------
@@ -171,37 +181,81 @@ def mat_submatrix(a: FpMatrix, row_set: Iterable[int], col_set: Iterable[int]) -
     return FpMatrix(entries=grid, rows=len(rows), cols=len(cols), p=a.p)
 
 
-def _row_reduce(grid: List[List[int]], cols: int, p: int) -> List[int]:
-    """Bring the rows of grid to reduced row-echelon form over F_p, in place.
+# ---------------------------------------------------------------------------
+# Elimination
+# ---------------------------------------------------------------------------
 
-    Pivot rows come first, each with a leading 1 that is 0 in every other
-    row; zero rows follow.
+def row_reduce(stack: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon forms over F_p of a stack of matrices, all at once.
+
+    Gauss-Jordan elimination runs on every matrix of the stack together,
+    one column at a time.  In each matrix some row not yet holding a
+    pivot, with a nonzero entry in the column, becomes the pivot row: it
+    is scaled to a leading 1 and cleared from every other row.  Which
+    row does so changes nothing, as the reduced form is unique.  A
+    matrix whose column has no such row meets a zero pivot row, which
+    clears nothing.  Rows are put in echelon order once, at the end.
+
+    Args:
+        stack: integer array of shape (S, R, C), read modulo p; any of
+            S, R and C may be 0.  It is not modified.
+        p: field order, a supported prime.
 
     Returns:
-        The pivot columns, ascending; their count is the rank.
+        (reduced, pivots): the (S, R, C) int64 stack of reduced forms,
+        each with its pivot rows first, a leading 1 that is 0 in every
+        other row, then its zero rows; and the (S, C) boolean mask of
+        each matrix's pivot columns, whose count is its rank.
+
+    Raises:
+        FpError: if p is not supported or the stack is not 3-d.
     """
-    pivots: List[int] = []
+    check_prime(p)
+    # C order, so that flat below is a view of a.
+    a = np.ascontiguousarray(np.asarray(stack, dtype=np.int64) % p)
+    if a.ndim != 3:
+        raise FpError(f"expected a stack of matrices, got shape {a.shape}")
+    count, rows, cols = a.shape
+    pivots = np.zeros((count, cols), dtype=bool)
+    if not rows or not cols:
+        return a, pivots
+    # Flat views index a row of any matrix by one number.
+    flat = a.reshape(count * rows, cols)
+    # 1 for a row that holds no pivot yet, 0 for a pivot row.
+    free = np.ones((count, rows), dtype=np.int64)
+    free_flat = free.reshape(-1)
+    first_row = np.arange(0, count * rows, rows)
+    inverse = _INVERSES[p]
     for col in range(cols):
-        rank = len(pivots)
-        if rank == len(grid):
-            break
-        pivot = next((r for r in range(rank, len(grid)) if grid[r][col]), None)
-        if pivot is None:
-            continue
-        grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        inv = pow(grid[rank][col], p - 2, p)
-        grid[rank] = [(v * inv) % p for v in grid[rank]]
-        for r in range(len(grid)):
-            if r != rank and grid[r][col]:
-                factor = grid[r][col]
-                grid[r] = [(v - factor * w) % p for v, w in zip(grid[r], grid[rank])]
-        pivots.append(col)
-    return pivots
+        column = a[:, :, col]
+        # The largest entry of the free rows is nonzero when any is.
+        candidates = column * free
+        at = first_row + candidates.argmax(axis=1)
+        value = candidates.take(at)
+        # Row r loses factor_r times the scaled pivot row.  The pivot row's
+        # factor is its entry less 1, which leaves it scaled.
+        pivot = flat.take(at, axis=0) * inverse[value][:, np.newaxis]
+        factor = column.flatten()
+        factor[at] -= 1
+        a -= factor.reshape(count, rows, 1) * pivot[:, np.newaxis, :]
+        a %= p
+        found = value != 0
+        free_flat[at] -= found
+        pivots[:, col] = found
+    # A pivot row leads with its pivot column; the zero rows go last.
+    lead = np.where(free, cols, (a != 0).argmax(axis=2))
+    order = lead.argsort(axis=1, kind="stable")
+    return flat.take(first_row[:, np.newaxis] + order, axis=0), pivots
+
+
+def _array(a: FpMatrix) -> np.ndarray:
+    """The entries of a as an int64 array of shape (a.rows, a.cols)."""
+    return np.array(a.entries, dtype=np.int64).reshape(a.rows, a.cols)
 
 
 def mat_rank(a: FpMatrix) -> int:
     """Rank over F_p by Gaussian elimination."""
-    return len(_row_reduce([list(row) for row in a.entries], a.cols, a.p))
+    return int(row_reduce(_array(a)[np.newaxis], a.p)[1].sum())
 
 
 def mat_inverse(a: FpMatrix) -> FpMatrix:
@@ -211,11 +265,11 @@ def mat_inverse(a: FpMatrix) -> FpMatrix:
         FpError: if a is not square or is singular.
     """
     n = a.rows
-    grid = [list(row) + [int(i == j) for j in range(n)]
-            for i, row in enumerate(a.entries)]
-    if a.cols != n or _row_reduce(grid, n, a.p) != list(range(n)):
+    grid = np.hstack([_array(a), np.eye(n, dtype=np.int64)])
+    reduced, pivots = row_reduce(grid[np.newaxis], a.p)
+    if a.cols != n or not pivots[0, :n].all():
         raise FpError(f"the {n} x {a.cols} matrix has no inverse over F_{a.p}")
-    return FpMatrix(entries=tuple(tuple(row[n:]) for row in grid),
+    return FpMatrix(entries=tuple(map(tuple, reduced[0, :, n:].tolist())),
                     rows=n, cols=n, p=a.p)
 
 
@@ -235,17 +289,27 @@ def kernel_basis(a: FpMatrix) -> List[FpVector]:
     Returns:
         a.cols - rank(a) vectors of length a.cols.
     """
-    grid = [list(row) for row in a.entries]
-    pivots = _row_reduce(grid, a.cols, a.p)
+    reduced, pivots = row_reduce(_array(a)[np.newaxis], a.p)
+    basis = echelon_kernel(reduced[0], pivots[0], a.p)
+    return [FpVector(entries=tuple(v), p=a.p) for v in basis.tolist()]
+
+
+def echelon_kernel(reduced: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
+    """The basis kernel_basis gives, read off a matrix's reduced form.
+
+    Args:
+        reduced: an (R, C) reduced row-echelon form, as row_reduce gives.
+        pivots: its (C,) boolean mask of pivot columns.
+        p: field order.
+
+    Returns:
+        The (C - rank, C) int64 array of basis vectors, one per row.
+    """
+    free = np.flatnonzero(~pivots)
     # One solution per free column f: v_f = 1, the other free entries 0,
     # and the pivot entries read off the reduced rows.  Reducing these
     # vectors in turn gives the echelon basis of the same space.
-    basis = []
-    for f in (j for j in range(a.cols) if j not in pivots):
-        v = [0] * a.cols
-        v[f] = 1
-        for row, j in zip(grid, pivots):
-            v[j] = -row[f] % a.p
-        basis.append(v)
-    _row_reduce(basis, a.cols, a.p)
-    return [FpVector(entries=tuple(v), p=a.p) for v in basis]
+    basis = np.zeros((len(free), len(pivots)), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -reduced[:pivots.sum()][:, free].T
+    return row_reduce(basis[np.newaxis], p)[0][0]

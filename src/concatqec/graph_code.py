@@ -42,10 +42,11 @@ from .fp_linalg import (
     FpMatrix,
     FpVector,
     check_prime,
-    kernel_basis,
+    echelon_kernel,
     mat_inverse,
     mat_rank,
     mat_submatrix,
+    row_reduce,
 )
 from .statevec import (
     DETERMINISM_BOUND,
@@ -60,9 +61,12 @@ from .statevec import (
     project_register,
 )
 
-# Error supports condition c5 may range over: each costs one elimination
-# of a matrix with at most |Y| rows, so 2**15 of them take seconds.  It
-# admits e = 2 up to |Y| = 26, the encoder's limit at p = 2.
+# Error supports condition c5 may range over.  It admits e = 2 up to
+# |Y| = 26, the encoder's limit at p = 2.  The supports of each size go
+# through one elimination, of two (|Y| + 2 |X|) x (|X| + |E|) matrices
+# per support: the 17901 supports of a 26-output graph with |X| = 1 that
+# passes c5 take 0.6 s and 142 MiB on a 2-core VM, and 2.8 s and
+# 427 MiB with |X| = 8, failing at |E| = 4.
 ADMISSIBILITY_MAX_SUPPORTS = 2**15
 # Qudits per Kronecker factor of the decoder's Fourier layer.  Small
 # factors keep each product below the size at which BLAS spreads it over
@@ -319,11 +323,6 @@ def _graph_from_edges(total: int, edges: Sequence[Tuple[int, int]],
     )
 
 
-def five_qubit_code_graph() -> CodeGraph:
-    """The 3-regular six-vertex graph of the distance-3 five-qubit code."""
-    return _graph_from_edges(6, _FIVE_QUBIT_EDGES, k=1, n=5, m=0)
-
-
 def five_qubit_decoding_graph() -> CodeGraph:
     """The five-qubit code graph extended by four syndrome vertices."""
     return _graph_from_edges(
@@ -373,10 +372,21 @@ def check_admissibility(g: CodeGraph, e: int = 1) -> AdmissibilityReport:
 
     Condition c5 (Schlingemann & Werner, PRA 65, 012308, 2002) asks,
     for every output subset E, that each pair (d_X, d_E) in the kernel
-    of [A_IX | A_IE], with I the outputs outside E, has d_X = 0 and
-    A_XE d_E = 0.  Both are linear in the pair, so it suffices to test
-    the vectors of a kernel basis.  In the reduced row-echelon basis
-    kernel vectors sort like their coefficient vectors, so the
+    of J_E = [A_IX | A_IE], with I the outputs outside E, has d_X = 0
+    and A_XE d_E = 0, that is, lies in the kernel of M_E = [[I_k, 0],
+    [0, A_XE]].  Over F_p that is a rank test (Ketkar, Klappenecker,
+    Kumar & Sarvepalli, IEEE TIT 52, 4892, 2006): c5 fails at E exactly
+    when rank [J_E; M_E] exceeds rank J_E.  The supports of one size are
+    decided together, by one elimination of a stack that holds both
+    matrices of each.  Zero rows stand in for the rows of E and, below
+    J_E alone, for those of M_E, so that all share one shape; zero rows
+    change no rank.  The sizes run upwards and stop at the first that
+    fails.
+
+    Only the first failing support, in itertools.combinations order,
+    needs a witness.  Both conditions are linear in the pair, so some
+    vector of a kernel basis of J_E fails.  In the reduced row-echelon
+    basis kernel vectors sort like their coefficient vectors, so the
     lexicographically first failing pair is the failing basis vector
     with the latest leading column.
 
@@ -405,34 +415,47 @@ def check_admissibility(g: CodeGraph, e: int = 1) -> AdmissibilityReport:
             f"condition c5 ranges over {supports} error supports, above the "
             f"limit of {ADMISSIBILITY_MAX_SUPPORTS}")
 
-    adj = g.adjacency
-    c1 = g.k + g.m == g.n
-    c2 = c1 and mat_rank(_cross_block(g)) == g.n
-    a_ll = mat_submatrix(adj, g.syndromes, g.syndromes)
-    c3 = all(v == 0 for row in a_ll.entries for v in row)
-    a_xl = mat_submatrix(adj, g.inputs, g.syndromes)
-    c4 = all(v == 0 for row in a_xl.entries for v in row)
+    # Renumbered Y, then X, then L.
+    order = g.outputs + g.inputs + g.syndromes
+    adj = np.array(g.adjacency.entries, dtype=np.int64)[np.ix_(order, order)]
+    k, n = g.k, g.n
+    c1 = k + g.m == n
+    c2 = c1 and bool(row_reduce(adj[np.newaxis, :n, n:], g.p)[1].all())
+    c3 = not adj[n + k:, n + k:].any()
+    c4 = not adj[n:n + k, n + k:].any()
 
+    # The rows of [J_E; M_E] for every E, at the columns Y + X: the Y rows,
+    # the X rows cut to Y, and the identity on X.
+    whole = np.zeros((n + 2 * k, n + k), dtype=np.int64)
+    whole[:n + k, :n] = adj[:n + k, :n]
+    whole[:n, n:] = adj[:n, n:n + k]
+    whole[n + k:, n:] = np.eye(k, dtype=np.int64)
     for size in range(1, max_support + 1):
-        for support in itertools.combinations(g.outputs, size):
-            interior = tuple(v for v in g.outputs if v not in support)
-            # Columns: sorted inputs, then the sorted support.  One cut at
-            # inputs + support would sort them together, and inputs may be
-            # numbered after outputs.
-            a_ix = mat_submatrix(adj, interior, g.inputs)
-            a_ie = mat_submatrix(adj, interior, support)
-            joint = FpMatrix(
-                entries=tuple(u + w for u, w in zip(a_ix.entries, a_ie.entries)),
-                rows=len(interior), cols=g.k + size, p=g.p)
-            a_xe = mat_submatrix(adj, g.inputs, support)
-            # The latest leading column first: see the docstring.
-            for v in reversed(kernel_basis(joint)):
-                d_x, d_e = v.entries[:g.k], v.entries[g.k:]
-                if any(d_x) or any(sum(a * d for a, d in zip(row, d_e)) % g.p
-                                   for row in a_xe.entries):
-                    witness = (support, FpVector(d_x, g.p), FpVector(d_e, g.p))
-                    return AdmissibilityReport(c1=c1, c2=c2, c3=c3, c4=c4,
-                                               c5=False, failing_witness=witness)
+        # Two copies of the columns X + E per support.  Zero rows replace
+        # the rows of E in both, and those of M_E in the first.
+        cols = np.array([tuple(range(n, n + k)) + support for support in
+                         itertools.combinations(range(n), size)])
+        count = len(cols)
+        stack = whole[:, cols].transpose(1, 0, 2)[:, np.newaxis].repeat(2, axis=1)
+        stack[np.arange(count)[:, np.newaxis], :, cols[:, k:]] = 0
+        stack[:, 0, n:] = 0
+        reduced, pivots = row_reduce(
+            stack.reshape(2 * count, n + 2 * k, k + size), g.p)
+        ranks = pivots.sum(axis=1).reshape(count, 2)
+        fails = ranks[:, 1] > ranks[:, 0]
+        if not fails.any():
+            continue
+        first = int(np.argmax(fails))
+        basis = echelon_kernel(reduced[2 * first], pivots[2 * first], g.p)
+        a_xe = stack[first, 1, n:n + k, k:]
+        # The failing vector with the latest leading column: see above.
+        moved = (basis[:, :k].any(axis=1)
+                 | (basis[:, k:] @ a_xe.T % g.p).any(axis=1))
+        pair = basis[np.flatnonzero(moved)[-1]].tolist()
+        witness = (tuple(g.outputs[q] for q in cols[first, k:]),
+                   FpVector(pair[:k], g.p), FpVector(pair[k:], g.p))
+        return AdmissibilityReport(c1=c1, c2=c2, c3=c3, c4=c4, c5=False,
+                                   failing_witness=witness)
     return AdmissibilityReport(c1=c1, c2=c2, c3=c3, c4=c4, c5=True)
 
 
@@ -491,14 +514,18 @@ def _image_index(block: np.ndarray, p: int) -> np.ndarray:
     return index.reshape(-1)
 
 
+@functools.lru_cache(maxsize=None)
 def _fourier_factor(p: int, h: int) -> np.ndarray:
     """The p-point inverse Fourier matrix on each of h qudits, as p**h x p**h.
 
     Entry (d, d') is omega_bar**(d . d') / sqrt(p**h), and d . d' is the
-    edge sum of the form [[0, I], [I, 0]] at the 2h digits (d, d').
+    edge sum of the form [[0, I], [I, 0]] at the 2h digits (d, d').  Every
+    encoder and decoder of the same p shares it, so it is read-only.
     """
     dot = _pair_form(np.kron([[0, 1], [1, 0]], np.eye(h, dtype=np.int64)), p)
-    return np.exp(-2j * np.pi / p)**dot.reshape(p**h, p**h) / np.sqrt(float(p**h))
+    factor = np.exp(-2j * np.pi / p)**dot.reshape(p**h, p**h) / np.sqrt(float(p**h))
+    factor.flags.writeable = False
+    return factor
 
 
 @functools.lru_cache(maxsize=32)

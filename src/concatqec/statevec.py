@@ -30,7 +30,6 @@ import numpy as np
 
 from .fp_linalg import FpVector, check_prime
 
-AMPLITUDE_TOL = 1e-10
 DETERMINISM_BOUND = 1.0 - 1e-9
 PURITY_BOUND = 1.0 - 1e-9
 # A Monte-Carlo trial whose fidelity falls below this counts as a failure.
@@ -171,13 +170,6 @@ def normalize(s: StateVector) -> StateVector:
     norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, StateError,
                       "cannot normalize a state of ")
     return StateVector(p=s.p, n=s.n, amplitudes=s.amplitudes / norm)
-
-
-def states_close(a: StateVector, b: StateVector, tol: float = AMPLITUDE_TOL) -> bool:
-    """Amplitude-wise equality within tolerance (phase sensitive)."""
-    if a.p != b.p or a.n != b.n:
-        return False
-    return bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +485,6 @@ def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
     if a.p != b.p or a.n != b.n:
         raise StateError(f"register mismatch: ({a.p},{a.n}) vs ({b.p},{b.n})")
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def reduced_density(s: StateVector, q: int) -> np.ndarray:
-    """Trace out all qudits except q; returns its p x p density matrix."""
-    s._check_address(q)
-    view = s.amplitudes.reshape(s.p**q, s.p, s.p**(s.n - 1 - q))
-    return np.einsum("iaj,ibj->ab", view, view.conj())
 
 
 def project_register(s: StateVector, lo: int, width: int, norm2: float,

@@ -14,6 +14,10 @@ from the sign of each decoded amplitude.  So it covers only qubit codes
 whose corrections are such words.  The library now pushes Pauli labels
 through the decoder over F_p instead; where this build returns a table,
 the tests require the two to print the same records.
+
+five_qubit_code_graph is the five-qubit code's graph without syndrome
+vertices, which no decoder can run; the tests use it for the codeword
+and the conditions it fails.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -28,7 +32,9 @@ from concatqec.graph_code import (
     LogicalState,
     SyndromeRow,
     SyndromeTable,
+    _FIVE_QUBIT_EDGES,
     _decoder,
+    _graph_from_edges,
     check_amplitude_count,
     decode,
     encode,
@@ -42,6 +48,12 @@ from concatqec.statevec import (
     basis_state,
     index_to_digits,
 )
+
+
+def five_qubit_code_graph() -> CodeGraph:
+    """The 3-regular six-vertex graph of the distance-3 five-qubit code."""
+    return _graph_from_edges(6, _FIVE_QUBIT_EDGES, k=1, n=5, m=0)
+
 
 def decoder_unitary(g: CodeGraph) -> np.ndarray:
     """The decoding unitary as a dense p**n x p**n matrix.

@@ -1,0 +1,39 @@
+"""The F_p elimination the library once ran, kept as an oracle.
+
+The library reduced one matrix at a time in pure Python: a list of row
+lists, the pivot of each column the first row from the current rank
+down with a nonzero entry, swapped up, scaled to 1 and cleared from
+every other row.  It now reduces a whole stack of matrices in one
+vectorized pass (fp_linalg.row_reduce); the tests require it to give
+this path's reduced rows and pivot columns, matrix by matrix.
+"""
+
+from typing import List
+
+
+def row_reduce_lists(grid: List[List[int]], cols: int, p: int) -> List[int]:
+    """Bring the rows of grid to reduced row-echelon form over F_p, in place.
+
+    Pivot rows come first, each with a leading 1 that is 0 in every other
+    row; zero rows follow.
+
+    Returns:
+        The pivot columns, ascending; their count is the rank.
+    """
+    pivots: List[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        if rank == len(grid):
+            break
+        pivot = next((r for r in range(rank, len(grid)) if grid[r][col]), None)
+        if pivot is None:
+            continue
+        grid[rank], grid[pivot] = grid[pivot], grid[rank]
+        inv = pow(grid[rank][col], p - 2, p)
+        grid[rank] = [(v * inv) % p for v in grid[rank]]
+        for r in range(len(grid)):
+            if r != rank and grid[r][col]:
+                factor = grid[r][col]
+                grid[r] = [(v - factor * w) % p for v, w in zip(grid[r], grid[rank])]
+        pivots.append(col)
+    return pivots

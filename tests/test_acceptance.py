@@ -69,9 +69,9 @@ from concatqec.statevec import (
     index_to_digits,
     random_single_qubit_unitary,
     random_state,
-    reduced_density,
     split_factor,
 )
+from state_oracles import reduced_density
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "syndrome_table.records"
 

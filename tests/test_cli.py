@@ -19,6 +19,9 @@ MONTE_CARLO_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                       / "monte_carlo.records")
 WORKED_EXAMPLE_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                          / "worked_example.records")
+# The installed console script is checked against the same file in CI.
+VERIFY_GRAPH_E2_GOLDEN = (pathlib.Path(__file__).parent / "golden"
+                          / "verify_graph_e2.records")
 
 
 def _run(capsys, *argv):
@@ -57,8 +60,7 @@ def test_verify_graph_flags_inadmissible_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt, expected", [
-    ("records", "c1=pass c2=pass c3=pass c4=pass c5=fail result=fail "
-                "witness_support=1,2,3 witness_dx=0 witness_de=111\n"),
+    ("records", VERIFY_GRAPH_E2_GOLDEN.read_text()),
     ("text", "c1 register sizes balance: pass\n"
              "c2 output block invertibility: pass\n"
              "c3 no edges inside syndromes: pass\n"

@@ -1,16 +1,22 @@
 """Tests for exact linear algebra over prime fields.
 
-Covers vector/matrix construction rules, submatrix extraction, rank
-against a brute-force search for an inverse, and the reduced
-row-echelon kernel basis.
+Covers vector/matrix construction rules, submatrix extraction, the
+batched elimination kernel against the one-matrix Python elimination
+kept in fp_oracles.py, rank against a brute-force search for an inverse,
+and the reduced row-echelon kernel basis.
 """
 
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from fp_oracles import row_reduce_lists
 
 from concatqec.fp_linalg import (
+    SUPPORTED_PRIMES,
     FpError,
     FpMatrix,
     FpVector,
@@ -19,8 +25,9 @@ from concatqec.fp_linalg import (
     mat_inverse,
     mat_rank,
     mat_submatrix,
+    row_reduce,
 )
-from concatqec.graph_code import five_qubit_code_graph
+from decoding_oracles import five_qubit_code_graph
 
 # ---------------------------------------------------------------------------
 # Construction and validation
@@ -110,6 +117,76 @@ def test_submatrix_rejects_out_of_range_and_repeats():
         mat_submatrix(FIVE_ADJ, [0, 6], [0])
     with pytest.raises(FpError):
         mat_submatrix(FIVE_ADJ, [0, 0], [1])
+
+
+# ---------------------------------------------------------------------------
+# The elimination kernel
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def stacks(draw):
+    """A stack of matrices over F_p with p, all three sizes and the kind drawn.
+
+    Kinds: dense and sparse random entries, all zero, and rank deficient
+    (a product through an inner size below both sides).
+    """
+    p = draw(st.sampled_from(SUPPORTED_PRIMES))
+    count, rows, cols = (draw(st.integers(0, top)) for top in (4, 6, 6))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero", "deficient"]))
+
+    def entries(*shape, values=st.integers(0, p - 1)):
+        flat = draw(st.lists(values, min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    if kind == "dense":
+        stack = entries(count, rows, cols)
+    elif kind == "sparse":
+        stack = entries(count, rows, cols,
+                        values=st.one_of(st.just(0), st.integers(1, p - 1)))
+    elif kind == "zero":
+        stack = np.zeros((count, rows, cols), dtype=np.int64)
+    else:
+        inner = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+        stack = entries(count, rows, inner) @ entries(count, inner, cols) % p
+    return p, stack
+
+
+@given(stacks(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_row_reduce_matches_the_python_elimination(drawn, data):
+    p, stack = drawn
+    before = stack.copy()
+    reduced, pivots = row_reduce(stack, p)
+    assert np.array_equal(stack, before)
+    assert reduced.shape == stack.shape and pivots.shape == stack.shape[::2]
+    for matrix, got_rows, got_pivots in zip(stack, reduced, pivots):
+        grid = matrix.tolist()
+        want = row_reduce_lists(grid, stack.shape[2], p)
+        assert got_rows.tolist() == grid
+        assert np.flatnonzero(got_pivots).tolist() == want
+        assert int(got_pivots.sum()) == len(want)
+    # The same values in another memory layout reduce the same way.
+    other = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+    again, again_pivots = row_reduce(other, p)
+    assert np.array_equal(again, reduced) and np.array_equal(again_pivots, pivots)
+    # Zero rows and columns anywhere change no rank; admissibility
+    # pads every support of one size to one shape this way.
+    count, rows, cols = stack.shape
+    at_rows = data.draw(st.lists(st.integers(0, rows), max_size=3))
+    at_cols = data.draw(st.lists(st.integers(0, cols), max_size=3))
+    padded = np.insert(np.insert(stack, at_rows, 0, axis=1), at_cols, 0, axis=2)
+    assert np.array_equal(row_reduce(padded, p)[1].sum(axis=1), pivots.sum(axis=1))
+
+
+def test_row_reduce_reads_entries_mod_p_and_refuses_bad_input():
+    reduced, pivots = row_reduce([[[4, -1], [6, 9]]], 3)
+    assert reduced.tolist() == [[[1, 2], [0, 0]]] and pivots.tolist() == [[True, False]]
+    with pytest.raises(FpError, match="stack of matrices"):
+        row_reduce(np.zeros((2, 2), dtype=np.int64), 3)
+    with pytest.raises(FpError, match="field order"):
+        row_reduce(np.zeros((1, 2, 2), dtype=np.int64), 4)
 
 
 # ---------------------------------------------------------------------------

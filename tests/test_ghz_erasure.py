@@ -49,9 +49,8 @@ from concatqec.statevec import (
     normalize,
     random_single_qubit_unitary,
     random_state,
-    reduced_density,
-    states_close,
 )
+from state_oracles import reduced_density, states_close
 
 RNG = np.random.default_rng(20240819)
 

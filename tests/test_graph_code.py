@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from decoding_oracles import build_syndrome_table_by_decoding, decoder_unitary
+from decoding_oracles import (build_syndrome_table_by_decoding, decoder_unitary,
+                              five_qubit_code_graph)
 
-from concatqec import graph_code
+from concatqec import fp_linalg, graph_code
 from concatqec.graph_code import (
     CORRECTION_WORDS,
     CodeError,
@@ -34,7 +35,6 @@ from concatqec.graph_code import (
     correct,
     decode,
     encode,
-    five_qubit_code_graph,
     five_qubit_decoding_graph,
     format_error_label,
     parse_error_label,
@@ -44,7 +44,8 @@ from concatqec.graph_code import (
     word_error,
     word_mbs,
 )
-from concatqec.fp_linalg import FpMatrix, FpVector, mat_rank
+from concatqec.fp_linalg import (FpMatrix, FpVector, kernel_basis, mat_rank,
+                                 mat_submatrix)
 from concatqec.statevec import (
     MAX_AMPLITUDES,
     PauliError,
@@ -54,8 +55,8 @@ from concatqec.statevec import (
     fidelity_up_to_phase,
     index_to_digits,
     random_state,
-    states_close,
 )
+from state_oracles import states_close
 
 RNG = np.random.default_rng(20240818)
 
@@ -273,10 +274,19 @@ def test_wide_input_register_is_refused_before_any_elimination(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("an elimination ran")
 
-    monkeypatch.setattr(graph_code, "kernel_basis", no_elimination)
-    monkeypatch.setattr(graph_code, "mat_rank", no_elimination)
+    # Every way graph_code reaches the elimination kernel: directly, and
+    # through the fp_linalg functions it imports, which call the kernel
+    # by its fp_linalg name.
+    monkeypatch.setattr(graph_code, "row_reduce", no_elimination)
+    monkeypatch.setattr(fp_linalg, "row_reduce", no_elimination)
+    for name in ("echelon_kernel", "mat_inverse", "mat_rank"):
+        monkeypatch.setattr(graph_code, name, no_elimination)
     with pytest.raises(CodeError, match=rf"the encoder needs {5**20} amplitudes"):
         check_admissibility(g, 1)
+    # The patches do stop an elimination: a graph the size check lets
+    # through runs into them.
+    with pytest.raises(AssertionError, match="an elimination ran"):
+        check_admissibility(five_qubit_decoding_graph(), 1)
 
 
 def kernel_pairs(a_ix, a_ie, p):
@@ -391,6 +401,55 @@ def test_admissibility_reaches_graphs_beyond_enumeration(p, n, seed):
     report = check_admissibility(g, 1)
     assert report.all_pass
     assert report == _enumerated_report(g, 1)
+
+
+def _sequential_report(g, e):
+    """Reference: condition c5 one support at a time, as the library once ran it.
+
+    Each support cuts [A_IX | A_IE] and A_XE out of the adjacency matrix
+    and scans the echelon kernel basis from its latest leading column
+    for a pair that moves the input or reaches it.
+    """
+    adj = g.adjacency
+    c1 = g.k + g.m == g.n
+    c2 = c1 and mat_rank(graph_code._cross_block(g)) == g.n
+    c3 = not any(map(any, mat_submatrix(adj, g.syndromes, g.syndromes).entries))
+    c4 = not any(map(any, mat_submatrix(adj, g.inputs, g.syndromes).entries))
+    for size in range(1, min(2 * e, g.n) + 1):
+        for support in itertools.combinations(g.outputs, size):
+            interior = tuple(v for v in g.outputs if v not in support)
+            a_ix = mat_submatrix(adj, interior, g.inputs)
+            a_ie = mat_submatrix(adj, interior, support)
+            joint = FpMatrix(
+                entries=tuple(u + w for u, w in zip(a_ix.entries, a_ie.entries)),
+                rows=len(interior), cols=g.k + size, p=g.p)
+            a_xe = mat_submatrix(adj, g.inputs, support)
+            for v in reversed(kernel_basis(joint)):
+                d_x, d_e = v.entries[:g.k], v.entries[g.k:]
+                if any(d_x) or any(sum(a * d for a, d in zip(row, d_e)) % g.p
+                                   for row in a_xe.entries):
+                    witness = (support, FpVector(d_x, g.p), FpVector(d_e, g.p))
+                    return graph_code.AdmissibilityReport(
+                        c1, c2, c3, c4, False, failing_witness=witness)
+    return graph_code.AdmissibilityReport(c1, c2, c3, c4, True)
+
+
+@pytest.mark.parametrize("p, n, seed, e, support", [
+    (2, 16, 3, 2, (1, 4, 6, 16)),
+    (2, 26, 3, 1, None),
+    (7, 9, 0, 1, None),
+])
+def test_batched_c5_matches_the_per_support_loop(p, n, seed, e, support):
+    # Larger than the graphs the enumeration oracle is run on: a c5
+    # failure at the 886th of 2516 supports, and the two graphs of the
+    # test above, which pass every condition.
+    rng = np.random.default_rng([p, n, seed])
+    g = _random_graph_any_numbering(p, 1, n, n - 1, rng,
+                                    density=1.0 if p == 7 else 0.5,
+                                    admissible_shape=True)
+    report = check_admissibility(g, e)
+    assert report == _sequential_report(g, e)
+    assert (report.failing_witness or (None,))[0] == support
 
 
 # ---------------------------------------------------------------------------

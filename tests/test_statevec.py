@@ -38,12 +38,11 @@ from concatqec.statevec import (
     index_to_digits,
     normalize,
     project_register,
-    reduced_density,
     random_single_qubit_unitary,
     random_state,
     split_factor,
-    states_close,
 )
+from state_oracles import reduced_density, states_close
 
 RNG = np.random.default_rng(20240817)
 
