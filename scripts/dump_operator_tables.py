@@ -38,7 +38,7 @@ def dump_graph() -> None:
     print("=== decoding graph ===")
     print(f"p={g.p}  inputs={g.k}  outputs={g.n}  syndromes={g.m}")
     print("adjacency matrix (inputs, then outputs, then syndromes):")
-    for row in g.adjacency.entries:
+    for row in g.adjacency.array.tolist():
         print("  " + " ".join(str(v) for v in row))
     report = check_admissibility(g, 1)
     checks = [("c1", report.c1), ("c2", report.c2), ("c3", report.c3),

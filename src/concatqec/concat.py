@@ -93,7 +93,6 @@ from .statevec import (
     compile_gates,
     fidelity_up_to_phase,
     guard_norm,
-    project_register,
     random_single_qubit_unitary,
     random_state,
 )
@@ -572,9 +571,12 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
         # gather leaves anything to check.
         if gathered:
             # A register wholly off the support leaves no branch to keep.
-            probs, state = project_register(state, 0, 0, norm * norm,
-                                            DecodeError)
-            _require_all_zero(probs[0])
+            kept2 = _norm2(state.amplitudes)
+            kept = guard_norm(math.sqrt(kept2), ZERO_NORM_FLOOR, DecodeError,
+                              "cannot normalize a measured branch of ")
+            _require_all_zero(kept2 / (norm * norm))
+            state = StateVector(p=2, n=state.n,
+                                amplitudes=state.amplitudes / kept)
         return state
 
     c = len(scheme.assignment[erased])

@@ -1,21 +1,22 @@
 """Exact linear algebra over the prime fields F_p for small p.
 
-Vectors and matrices are small immutable containers of plain Python
-integers reduced modulo p.  Every operation is exact; there is no
-floating point anywhere in this module.  Everything rests on one
-kernel, row_reduce: Gauss-Jordan elimination to reduced row-echelon
-form over a stack of int64 matrices at once, vectorized across the
-stack, with entries below p <= 7 so no product can overflow.  It yields
-the rank, a kernel basis and inverses, for which the container
-functions pass a stack of one; the admissibility check passes every
-error support of one size in a single stack.  Nothing enumerates the
-vectors of F_p^n.
+A matrix over F_p is one read-only int64 array with entries in [0, p),
+validated once when it is built; every consumer reads that array.  A
+vector is a small immutable tuple of plain Python integers, which keys
+the syndrome table.  Every operation is exact; there is no floating
+point anywhere in this module.  Everything rests on one kernel,
+row_reduce: Gauss-Jordan elimination to reduced row-echelon form over a
+stack of int64 matrices at once, vectorized across the stack, with
+entries below p <= 7 so no product can overflow.  It yields ranks,
+kernel bases and inverses; the admissibility check passes every error
+support of one size in a single stack.  Nothing enumerates the vectors
+of F_p^n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from dataclasses import dataclass, field
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,115 +71,95 @@ class FpVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FpMatrix:
-    """A rectangular matrix over F_p with explicit shape.
+    """A rectangular matrix over F_p, held as one read-only int64 array.
 
-    The explicit row and column counts keep degenerate shapes such as
-    0 x k and k x 0 well defined; those shapes arise naturally when an
-    index set used to cut a submatrix is empty.
+    Construction validates the array once, with array operations, and
+    keeps a read-only C-contiguous int64 copy, so no other reference can
+    change it: the array must be 2-d and integer, with every entry in
+    [0, p).  The 0 x k and k x 0 shapes are legal; they arise when an
+    index set used to cut a submatrix is empty.  Matrices compare equal
+    when p, the shape and the entries agree, however they were built, so
+    a matrix can key a cache; its hash is computed once.
 
     Attributes:
-        entries: row-major tuple of row tuples, canonical values in [0, p).
-        rows: number of rows.
-        cols: number of columns.
+        array: the (rows, cols) int64 entries, read-only.
         p: field order, a supported prime.
     """
 
-    entries: Tuple[Tuple[int, ...], ...]
-    rows: int
-    cols: int
+    array: np.ndarray
     p: int
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_prime(self.p)
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(v) for v in row) for row in self.entries)
-        )
-        if len(self.entries) != self.rows:
-            raise FpError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise FpError(f"expected {self.cols} columns, got {len(row)}")
-            for v in row:
-                if not 0 <= v < self.p:
-                    raise FpError(f"matrix entry {v} outside [0, {self.p})")
+        a = np.asarray(self.array)
+        if a.ndim != 2:
+            raise FpError(f"expected a 2-d matrix, got shape {a.shape}")
+        if a.dtype.kind not in "iu":
+            raise FpError(f"matrix entries must be integers, got {a.dtype}")
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        # Read as unsigned, a negative entry lies above every p.
+        if a.view(np.uint64).max(initial=0) >= self.p:
+            bad = a[(a < 0) | (a >= self.p)][0]
+            raise FpError(f"matrix entry {bad} outside [0, {self.p})")
+        # A view of immutable bytes, which nothing can make writeable.
+        data = a.tobytes()
+        object.__setattr__(self, "array",
+                           np.frombuffer(data, dtype=np.int64).reshape(a.shape))
+        object.__setattr__(self, "_hash", hash((self.p, a.shape, data)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FpMatrix):
+            return NotImplemented
+        return (self._hash == other._hash and self.p == other.p
+                and self.array.shape == other.array.shape
+                and self.array.tobytes() == other.array.tobytes())
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], p: int) -> "FpMatrix":
-        """Build a matrix from an iterable of equal-length rows.
+    def from_rows(cls, rows: Union[np.ndarray, Sequence[Sequence[int]]],
+                  p: int) -> "FpMatrix":
+        """Build a matrix from equal-length integer rows, read modulo p.
 
         Args:
-            rows: row iterables; must be nonempty so the shape is defined.
+            rows: a sequence of rows, or a 2-d integer array; it must
+                be nonempty so the shape is defined.
             p: field order.
 
         Returns:
             The matrix with inferred shape.
         """
-        grid = tuple(tuple(int(v) % p for v in row) for row in rows)
-        if not grid:
+        check_prime(p)
+        if not len(rows):
             raise FpError("cannot infer shape from an empty row list")
-        return cls(entries=grid, rows=len(grid), cols=len(grid[0]), p=p)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "FpMatrix":
-        return cls(entries=tuple((0,) * cols for _ in range(rows)),
-                   rows=rows, cols=cols, p=p)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
+        try:
+            grid = np.array(rows, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FpError(f"rows must be equal-length integer sequences: {exc}"
+                          ) from None
+        return cls(grid % p, p)
 
     def is_symmetric_zero_diagonal(self) -> bool:
         """True when the matrix is a valid weighted adjacency matrix."""
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            if self.entries[i][i] != 0:
-                return False
-            for j in range(i + 1, self.cols):
-                if self.entries[i][j] != self.entries[j][i]:
-                    return False
-        return True
-
-
-# ---------------------------------------------------------------------------
-# Elementary operations
-# ---------------------------------------------------------------------------
-
-def mat_submatrix(a: FpMatrix, row_set: Iterable[int], col_set: Iterable[int]) -> FpMatrix:
-    """Cut the block of a indexed by sorted row and column index sets.
-
-    Args:
-        a: source matrix.
-        row_set: row indices, any iterable; used in sorted order.
-        col_set: column indices, any iterable; used in sorted order.
-
-    Returns:
-        The |row_set| x |col_set| block.
-
-    Raises:
-        FpError: if any index is out of range or repeated.
-    """
-    rows = sorted(int(i) for i in row_set)
-    cols = sorted(int(j) for j in col_set)
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-        raise FpError("index sets must not contain repeats")
-    for i in rows:
-        if not 0 <= i < a.rows:
-            raise FpError(f"row index {i} outside [0, {a.rows})")
-    for j in cols:
-        if not 0 <= j < a.cols:
-            raise FpError(f"column index {j} outside [0, {a.cols})")
-    grid = tuple(tuple(a.entries[i][j] for j in cols) for i in rows)
-    return FpMatrix(entries=grid, rows=len(rows), cols=len(cols), p=a.p)
+        a = self.array
+        return (a.shape[0] == a.shape[1] and not a.diagonal().any()
+                and bool((a == a.T).all()))
 
 
 # ---------------------------------------------------------------------------
@@ -248,54 +229,36 @@ def row_reduce(stack: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     return flat.take(first_row[:, np.newaxis] + order, axis=0), pivots
 
 
-def _array(a: FpMatrix) -> np.ndarray:
-    """The entries of a as an int64 array of shape (a.rows, a.cols)."""
-    return np.array(a.entries, dtype=np.int64).reshape(a.rows, a.cols)
+def mat_inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """The inverse over F_p of an integer matrix, read off the reduced
+    form of [a | I].
 
+    Args:
+        a: 2-d integer array, read modulo p.  It is not modified.
+        p: field order, a supported prime.
 
-def mat_rank(a: FpMatrix) -> int:
-    """Rank over F_p by Gaussian elimination."""
-    return int(row_reduce(_array(a)[np.newaxis], a.p)[1].sum())
-
-
-def mat_inverse(a: FpMatrix) -> FpMatrix:
-    """The inverse over F_p, read off the reduced form of [a | I].
+    Returns:
+        The int64 inverse, with entries in [0, p).
 
     Raises:
         FpError: if a is not square or is singular.
     """
-    n = a.rows
-    grid = np.hstack([_array(a), np.eye(n, dtype=np.int64)])
-    reduced, pivots = row_reduce(grid[np.newaxis], a.p)
-    if a.cols != n or not pivots[0, :n].all():
-        raise FpError(f"the {n} x {a.cols} matrix has no inverse over F_{a.p}")
-    return FpMatrix(entries=tuple(map(tuple, reduced[0, :, n:].tolist())),
-                    rows=n, cols=n, p=a.p)
+    rows, cols = a.shape
+    grid = np.hstack([a, np.eye(rows, dtype=np.int64)])
+    reduced, pivots = row_reduce(grid[np.newaxis], p)
+    if cols != rows or not pivots[0, :rows].all():
+        raise FpError(f"the {rows} x {cols} matrix has no inverse over F_{p}")
+    return reduced[0, :, rows:]
 
 
-def kernel_basis(a: FpMatrix) -> List[FpVector]:
-    """A basis of {v : a v = 0} over F_p, in reduced row-echelon form.
+def echelon_kernel(reduced: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
+    """The echelon basis of a matrix's kernel, read off its reduced form.
 
     Each vector has a leading 1 that is 0 in every other vector, and the
     vectors are ordered by leading column.  So the kernel vector with
     coefficients c on this basis carries c_i at the i-th leading column
     and nothing before it, and kernel vectors sort lexicographically in
     the order of their coefficient vectors.
-
-    Args:
-        a: any shape, including 0 rows (the whole space is the kernel)
-            and 0 columns (the kernel is {0} and the basis is empty).
-
-    Returns:
-        a.cols - rank(a) vectors of length a.cols.
-    """
-    reduced, pivots = row_reduce(_array(a)[np.newaxis], a.p)
-    basis = echelon_kernel(reduced[0], pivots[0], a.p)
-    return [FpVector(entries=tuple(v), p=a.p) for v in basis.tolist()]
-
-
-def echelon_kernel(reduced: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
-    """The basis kernel_basis gives, read off a matrix's reduced form.
 
     Args:
         reduced: an (R, C) reduced row-echelon form, as row_reduce gives.

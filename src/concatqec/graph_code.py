@@ -39,13 +39,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .fp_linalg import (
+    SUPPORTED_PRIMES,
     FpMatrix,
     FpVector,
     check_prime,
     echelon_kernel,
     mat_inverse,
-    mat_rank,
-    mat_submatrix,
     row_reduce,
 )
 from .statevec import (
@@ -58,7 +57,6 @@ from .statevec import (
     guard_norm,
     index_to_digits,
     normalize,
-    project_register,
 )
 
 # Error supports condition c5 may range over.  It admits e = 2 up to
@@ -217,8 +215,7 @@ def parse_graph(text: str) -> CodeGraph:
             any register (see MAX_AMPLITUDES).
     """
     header: Optional[Tuple[int, int, int, int]] = None
-    adjacency: List[List[int]] = []
-    seen: set = set()
+    adjacency = np.zeros((0, 0), dtype=np.int64)
     total = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -234,11 +231,11 @@ def parse_graph(text: str) -> CodeGraph:
                 p, k, n, m = (int(tokens[i]) for i in (1, 3, 5, 7))
             except ValueError:
                 raise GraphParseError("header counts must be integers", lineno)
-            if p not in (2, 3, 5, 7):
+            if p not in SUPPORTED_PRIMES:
                 raise GraphParseError(f"unsupported field order {p}", lineno)
             if k < 1 or n < 1 or m < 0:
                 raise GraphParseError("need X >= 1, Y >= 1, L >= 0", lineno)
-            # Refused before the adjacency list is built: a register of
+            # Refused before the adjacency matrix is built: a register of
             # more qudits exceeds MAX_AMPLITUDES for every p >= 2.
             limit = MAX_AMPLITUDES.bit_length() - 1
             for name, count in (("X", k), ("Y", n), ("L", m)):
@@ -248,7 +245,7 @@ def parse_graph(text: str) -> CodeGraph:
                         f"limit of {limit} qudits per register")
             header = (p, k, n, m)
             total = k + n + m
-            adjacency = [[0] * total for _ in range(total)]
+            adjacency = np.zeros((total, total), dtype=np.int64)
             continue
         if len(tokens) != 3:
             raise GraphParseError("expected edge 'u v w'", lineno)
@@ -265,18 +262,17 @@ def parse_graph(text: str) -> CodeGraph:
         if not 1 <= w < p:
             raise GraphParseError(
                 f"edge weight {w} outside [1, {p})", lineno)
-        pair = (min(u, v), max(u, v))
-        if pair in seen:
-            raise GraphParseError(f"duplicate edge {pair[0]} {pair[1]}", lineno)
-        seen.add(pair)
-        adjacency[u][v] = w
-        adjacency[v][u] = w
+        # Every edge weight is nonzero, so a nonzero entry is an earlier edge.
+        if adjacency[u, v]:
+            raise GraphParseError(
+                f"duplicate edge {min(u, v)} {max(u, v)}", lineno)
+        adjacency[u, v] = adjacency[v, u] = w
     if header is None:
         raise GraphParseError("empty graph file", 1)
     p, k, n, m = header
     return CodeGraph(
         p=p,
-        adjacency=FpMatrix.from_rows(adjacency, p=p),
+        adjacency=FpMatrix(adjacency, p),
         inputs=tuple(range(k)),
         outputs=tuple(range(k, k + n)),
         syndromes=tuple(range(k + n, total)),
@@ -310,13 +306,12 @@ _FIVE_QUBIT_SYNDROME_EDGES = ((1, 6), (2, 7), (4, 8), (5, 9))
 
 def _graph_from_edges(total: int, edges: Sequence[Tuple[int, int]],
                       k: int, n: int, m: int) -> CodeGraph:
-    rows = [[0] * total for _ in range(total)]
-    for u, v in edges:
-        rows[u][v] = 1
-        rows[v][u] = 1
+    adjacency = np.zeros((total, total), dtype=np.int64)
+    u, v = np.array(edges).T
+    adjacency[u, v] = adjacency[v, u] = 1
     return CodeGraph(
         p=2,
-        adjacency=FpMatrix.from_rows(rows, p=2),
+        adjacency=FpMatrix(adjacency, 2),
         inputs=tuple(range(k)),
         outputs=tuple(range(k, k + n)),
         syndromes=tuple(range(k + n, total)),
@@ -417,7 +412,7 @@ def check_admissibility(g: CodeGraph, e: int = 1) -> AdmissibilityReport:
 
     # Renumbered Y, then X, then L.
     order = g.outputs + g.inputs + g.syndromes
-    adj = np.array(g.adjacency.entries, dtype=np.int64)[np.ix_(order, order)]
+    adj = g.adjacency.array[np.ix_(order, order)]
     k, n = g.k, g.n
     c1 = k + g.m == n
     c2 = c1 and bool(row_reduce(adj[np.newaxis, :n, n:], g.p)[1].all())
@@ -543,7 +538,7 @@ def _encoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
         CodeError: if the codeword or F would exceed MAX_AMPLITUDES.
     """
     check_amplitude_count("the encoder", max(g.p**g.n, g.p**(2 * g.k)))
-    adj = np.array(g.adjacency.entries, dtype=np.int64)
+    adj = g.adjacency.array
     omega = np.exp(2j * np.pi / g.p)
     d_y = omega**_pair_form(adj[np.ix_(g.outputs, g.outputs)], g.p)
     q_x = _pair_form(adj[np.ix_(g.inputs, g.inputs)], g.p)
@@ -570,9 +565,9 @@ def encode(g: CodeGraph, v: LogicalState) -> StateVector:
 # Decoding
 # ---------------------------------------------------------------------------
 
-def _cross_block(g: CodeGraph) -> FpMatrix:
+def _cross_block(g: CodeGraph) -> np.ndarray:
     """The output rows cut at the input and syndrome columns (condition c2)."""
-    return mat_submatrix(g.adjacency, g.outputs, g.inputs + g.syndromes)
+    return g.adjacency.array[np.ix_(g.outputs, g.inputs + g.syndromes)]
 
 
 def _decoder_groups(g: CodeGraph) -> List[int]:
@@ -587,7 +582,7 @@ def _decoder_groups(g: CodeGraph) -> List[int]:
     if g.k + g.m != g.n:
         raise CodeError(
             f"decoder needs |X| + |L| = |Y|, got {g.k} + {g.m} != {g.n}")
-    rank = mat_rank(_cross_block(g))
+    rank = int(row_reduce(_cross_block(g)[np.newaxis], g.p)[1].sum())
     if rank != g.n:
         raise DecodeError(
             f"decoding operator is not unitary: the cross block has rank "
@@ -619,7 +614,7 @@ def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
         CodeError, DecodeError: as _decoder_groups.
     """
     groups = _decoder_groups(g)
-    adj = np.array(g.adjacency.entries, dtype=np.int64)
+    adj = g.adjacency.array
     out_order = g.syndromes + g.inputs
     gather = np.argsort(_image_index(adj[np.ix_(out_order, g.outputs)], g.p))
     omega_bar = np.exp(-2j * np.pi / g.p)
@@ -639,10 +634,12 @@ def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
 def decode(g: CodeGraph, corrupted: StateVector) -> Tuple[FpVector, StateVector]:
     """Apply the decoding unitary and read out the syndrome register.
 
-    The syndrome measurement must be deterministic; a spread-out
-    syndrome distribution means the input carries more damage than the
-    graph can localize.  The decoder is unitary, so the syndrome is
-    scored against the input's squared norm.
+    The decoded register, syndrome digits first, is read as a p**m x p**k
+    matrix whose row j is the branch of syndrome j.  The syndrome
+    measurement must be deterministic; a spread-out syndrome
+    distribution means the input carries more damage than the graph can
+    localize.  The decoder is unitary, so the syndrome is scored against
+    the input's squared norm.
 
     Returns:
         (syndrome digits over the L register, residual logical state on
@@ -660,17 +657,21 @@ def decode(g: CodeGraph, corrupted: StateVector) -> Tuple[FpVector, StateVector]
             f"code ({g.p}, {g.n})")
     norm = guard_norm(corrupted.norm(), ZERO_NORM_FLOOR, CodeError,
                       "register ")
-    decoded = StateVector(p=g.p, n=g.n,
-                          amplitudes=_decoder(g)(corrupted.amplitudes))
-    probs, residual = project_register(decoded, 0, g.m, norm * norm,
-                                       DecodeError)
-    top = int(np.argmax(probs))
-    if probs[top] <= DETERMINISM_BOUND:
+    branches = _decoder(g)(corrupted.amplitudes).reshape(g.p**g.m, -1)
+    parts = branches.view(np.float64)
+    # einsum checks no floating-point flags, so an overflow is a quiet inf.
+    branch2 = np.einsum("jk,jk->j", parts, parts)
+    top = int(np.argmax(branch2))
+    top_norm = guard_norm(math.sqrt(branch2[top]), ZERO_NORM_FLOOR, DecodeError,
+                          "cannot normalize a measured branch of ")
+    probability = branch2[top] / (norm * norm)
+    if probability <= DETERMINISM_BOUND:
         raise DecodeError(
             "uncorrectable or multi-error input: syndrome measurement is "
-            f"not deterministic (top probability {probs[top]:.12g} <= "
+            f"not deterministic (top probability {probability:.12g} <= "
             f"bound {DETERMINISM_BOUND:.12g})")
-    return FpVector(entries=index_to_digits(top, g.p, g.m), p=g.p), residual
+    return (FpVector(entries=index_to_digits(top, g.p, g.m), p=g.p),
+            StateVector(p=g.p, n=g.k, amplitudes=branches[top] / top_norm))
 
 
 # ---------------------------------------------------------------------------
@@ -857,13 +858,12 @@ def _decoded_pauli(g: CodeGraph
     * the inverse Fourier transform on every qudit: (m - b.s, s, -b).
     """
     p = g.p
-    adj = np.array(g.adjacency.entries, dtype=np.int64)
+    adj = g.adjacency.array
     out_order = g.syndromes + g.inputs
     a_y = adj[np.ix_(g.outputs, g.outputs)]
     a_out = adj[np.ix_(out_order, out_order)]
     cross = adj[np.ix_(out_order, g.outputs)]
-    cross_inv_t = np.array(
-        mat_inverse(FpMatrix.from_rows(cross.tolist(), p)).entries).T
+    cross_inv_t = mat_inverse(cross, p).T
 
     def phase_layer(a: np.ndarray, m: int, b: np.ndarray, s: np.ndarray):
         return (m - b @ np.triu(a) @ b) % p, b, (s - a @ b) % p

@@ -54,7 +54,7 @@ MATMUL_MIN_POST = 32
 
 
 class StateError(ValueError):
-    """Raised when a state, gate address, or measurement request is invalid."""
+    """Raised when a state or gate address is invalid."""
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +473,7 @@ def apply_pauli_error(s: StateVector, e: PauliError) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Comparison, reduction, projection
+# Comparison
 # ---------------------------------------------------------------------------
 
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
@@ -485,39 +485,6 @@ def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
     if a.p != b.p or a.n != b.n:
         raise StateError(f"register mismatch: ({a.p},{a.n}) vs ({b.p},{b.n})")
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def project_register(s: StateVector, lo: int, width: int, norm2: float,
-                     error: Type[Exception] = StateError
-                     ) -> Tuple[np.ndarray, StateVector]:
-    """Measure the qudits at addresses [lo, lo + width).
-
-    Outcome j packs the span's digits, most significant first; its
-    probability is its branch's squared norm over norm2, the squared norm
-    of the register this one was reduced from (or its own).
-
-    Returns:
-        (outcome probabilities, the likeliest branch normalized, on the
-        unmeasured qudits in their order).
-
-    Raises:
-        StateError: on a span outside the register.
-        error: when the likeliest branch's norm lies outside
-            [ZERO_NORM_FLOOR, inf): the register is zero, NaN or overflows.
-    """
-    if not 0 <= lo <= lo + width <= s.n:
-        raise StateError(
-            f"measured span [{lo}, {lo + width}) outside [0, {s.n}]")
-    view = np.ascontiguousarray(s.amplitudes).reshape(s.p**lo, s.p**width, -1)
-    parts = view.view(np.float64)
-    # einsum checks no floating-point flags, so an overflow is a quiet inf.
-    branch2 = np.einsum("ijk,ijk->j", parts, parts)
-    top = int(np.argmax(branch2))
-    norm = guard_norm(math.sqrt(branch2[top]), ZERO_NORM_FLOOR, error,
-                      "cannot normalize a measured branch of ")
-    branch = view[:, top] / norm
-    return branch2 / norm2, StateVector(p=s.p, n=s.n - width,
-                                        amplitudes=branch.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,24 @@
 """State-vector checks kept out of the library.
 
-No library path compares two registers or takes a partial trace; the
-tests and the acceptance criteria do.  states_close is amplitude-wise
-equality within a tolerance, and reduced_density the one-qudit marginal
-of a register.
+No library path compares two registers, takes a partial trace or
+measures an arbitrary span of addresses; the tests and the acceptance
+criteria do.  states_close is amplitude-wise equality within a
+tolerance, reduced_density the one-qudit marginal of a register, and
+project_register the general readout that graph_code.decode's syndrome
+readout is checked against.
 """
+
+import math
+from typing import Tuple, Type
 
 import numpy as np
 
-from concatqec.statevec import StateVector
+from concatqec.statevec import (
+    ZERO_NORM_FLOOR,
+    StateError,
+    StateVector,
+    guard_norm,
+)
 
 AMPLITUDE_TOL = 1e-10
 
@@ -25,3 +35,36 @@ def reduced_density(s: StateVector, q: int) -> np.ndarray:
     s._check_address(q)
     view = s.amplitudes.reshape(s.p**q, s.p, s.p**(s.n - 1 - q))
     return np.einsum("iaj,ibj->ab", view, view.conj())
+
+
+def project_register(s: StateVector, lo: int, width: int, norm2: float,
+                     error: Type[Exception] = StateError
+                     ) -> Tuple[np.ndarray, StateVector]:
+    """Measure the qudits at addresses [lo, lo + width).
+
+    Outcome j packs the span's digits, most significant first; its
+    probability is its branch's squared norm over norm2, the squared norm
+    of the register this one was reduced from (or its own).
+
+    Returns:
+        (outcome probabilities, the likeliest branch normalized, on the
+        unmeasured qudits in their order).
+
+    Raises:
+        StateError: on a span outside the register.
+        error: when the likeliest branch's norm lies outside
+            [ZERO_NORM_FLOOR, inf): the register is zero, NaN or overflows.
+    """
+    if not 0 <= lo <= lo + width <= s.n:
+        raise StateError(
+            f"measured span [{lo}, {lo + width}) outside [0, {s.n}]")
+    view = np.ascontiguousarray(s.amplitudes).reshape(s.p**lo, s.p**width, -1)
+    parts = view.view(np.float64)
+    # einsum checks no floating-point flags, so an overflow is a quiet inf.
+    branch2 = np.einsum("ijk,ijk->j", parts, parts)
+    top = int(np.argmax(branch2))
+    norm = guard_norm(math.sqrt(branch2[top]), ZERO_NORM_FLOOR, error,
+                      "cannot normalize a measured branch of ")
+    branch = view[:, top] / norm
+    return branch2 / norm2, StateVector(p=s.p, n=s.n - width,
+                                        amplitudes=branch.reshape(-1))

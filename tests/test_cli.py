@@ -15,6 +15,7 @@ import pytest
 from concatqec.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "syndrome_table.records"
+# The installed console script is checked against the next file in CI.
 MONTE_CARLO_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                       / "monte_carlo.records")
 WORKED_EXAMPLE_GOLDEN = (pathlib.Path(__file__).parent / "golden"

@@ -1,9 +1,10 @@
 """Tests for exact linear algebra over prime fields.
 
-Covers vector/matrix construction rules, submatrix extraction, the
-batched elimination kernel against the one-matrix Python elimination
-kept in fp_oracles.py, rank against a brute-force search for an inverse,
-and the reduced row-echelon kernel basis.
+Covers vector/matrix construction rules, the read-only array form and
+its equality, cuts of that array, the batched elimination kernel against
+the one-matrix Python elimination kept in fp_oracles.py, rank against a
+brute-force search for an inverse, and the reduced row-echelon kernel
+basis.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from fp_oracles import row_reduce_lists
+from fp_oracles import kernel_basis, rank, row_reduce_lists, zeros
 
 from concatqec.fp_linalg import (
     SUPPORTED_PRIMES,
@@ -21,10 +22,7 @@ from concatqec.fp_linalg import (
     FpMatrix,
     FpVector,
     check_prime,
-    kernel_basis,
     mat_inverse,
-    mat_rank,
-    mat_submatrix,
     row_reduce,
 )
 from decoding_oracles import five_qubit_code_graph
@@ -47,7 +45,6 @@ def test_check_prime_rejects_non_supported(bad):
 
 def test_vector_entries_must_be_canonical():
     v = FpVector((1, 0), 2)
-    assert v.length == 2
     assert len(v) == 2
     assert not v.is_zero()
     assert FpVector((0, 0, 0), 3).is_zero()
@@ -60,18 +57,75 @@ def test_vector_entries_must_be_canonical():
 def test_matrix_from_rows_checks_shape():
     m = FpMatrix.from_rows([[1, 0], [0, 1]], 2)
     assert m.rows == 2 and m.cols == 2
-    assert m.entry(0, 0) == 1 and m.entry(0, 1) == 0
-    with pytest.raises(FpError):
+    assert m.array[0, 0] == 1 and m.array[0, 1] == 0
+    with pytest.raises(FpError, match="equal-length integer sequences"):
         FpMatrix.from_rows([[1, 0], [1]], 2)
-    with pytest.raises(FpError):
+    with pytest.raises(FpError, match="cannot infer shape from an empty row list"):
         FpMatrix.from_rows([], 2)
 
 
+def test_matrix_from_rows_reads_entries_mod_p():
+    m = FpMatrix.from_rows([[4, -1], [7, 9]], 3)
+    assert m.array.tolist() == [[1, 2], [1, 0]]
+    assert m.array.dtype == np.int64
+
+
 def test_matrix_direct_construction_validates_entries():
-    with pytest.raises(FpError):
-        FpMatrix(entries=((0, 3),), rows=1, cols=2, p=2)
-    with pytest.raises(FpError):
-        FpMatrix(entries=((0, 1),), rows=2, cols=2, p=2)
+    with pytest.raises(FpError, match=r"matrix entry 3 outside \[0, 2\)"):
+        FpMatrix(np.array([[0, 3]]), 2)
+    with pytest.raises(FpError, match=r"matrix entry -1 outside \[0, 2\)"):
+        FpMatrix(np.array([[0, 1], [-1, 0]]), 2)
+    with pytest.raises(FpError, match=r"expected a 2-d matrix, got shape \(2,\)"):
+        FpMatrix(np.array([0, 1]), 2)
+    with pytest.raises(FpError, match=r"expected a 2-d matrix, got shape \(1, 1, 1\)"):
+        FpMatrix(np.zeros((1, 1, 1), dtype=np.int64), 2)
+    with pytest.raises(FpError, match="matrix entries must be integers, got float64"):
+        FpMatrix(np.array([[0.0, 1.0]]), 2)
+    with pytest.raises(FpError, match="matrix entries must be integers, got bool"):
+        FpMatrix(np.array([[True]]), 2)
+    with pytest.raises(FpError, match="field order"):
+        FpMatrix(np.zeros((1, 1), dtype=np.int64), 4)
+
+
+def test_matrix_array_is_a_read_only_copy():
+    source = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    m = FpMatrix(source, 2)
+    assert m.array.dtype == np.int64 and m.array.flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        m.array[0, 0] = 1
+    with pytest.raises(ValueError):
+        m.array.flags.writeable = True
+    # The caller's array is copied, so changing it later changes nothing.
+    source[0, 1] = 0
+    assert m.array[0, 1] == 1
+    # A transposed view is stored in C order.
+    assert FpMatrix(np.eye(3, dtype=np.int64)[:, ::-1].T, 2).array.flags.c_contiguous
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_matrix_degenerate_shapes(rows, cols):
+    m = FpMatrix(np.zeros((rows, cols), dtype=np.int64), 5)
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m == zeros(rows, cols, 5) and hash(m) == hash(zeros(rows, cols, 5))
+    assert m != zeros(cols, rows, 5) or rows == cols
+    assert m.is_symmetric_zero_diagonal() == (rows == cols)
+    assert rank(m) == 0
+    assert len(kernel_basis(m)) == cols
+
+
+def test_equal_contents_compare_and_hash_equal():
+    rows = [[0, 2, 1], [2, 0, 0], [1, 0, 0]]
+    built = [FpMatrix.from_rows(rows, 3),
+             FpMatrix(np.array(rows, dtype=np.int32), 3),
+             FpMatrix(np.array(rows, dtype=np.int64), 3),
+             FpMatrix.from_rows(np.array(rows) + 3, 3)]
+    assert all(m == built[0] and hash(m) == hash(built[0]) for m in built)
+    assert len(set(built)) == 1
+    # p, shape and entries each tell matrices apart.
+    assert FpMatrix.from_rows(rows, 5) != built[0]
+    assert FpMatrix.from_rows([[0, 2, 1, 2, 0, 0, 1, 0, 0]], 3) != built[0]
+    assert FpMatrix.from_rows([[0, 2, 1], [2, 0, 0], [1, 0, 1]], 3) != built[0]
+    assert built[0] != rows
 
 
 def test_adjacency_validation_flags():
@@ -84,7 +138,7 @@ def test_adjacency_validation_flags():
 
 
 # ---------------------------------------------------------------------------
-# Submatrix extraction
+# Cuts of the array
 # ---------------------------------------------------------------------------
 
 # Adjacency matrix of the distance-3 five-qubit code graph: one input
@@ -92,31 +146,28 @@ def test_adjacency_validation_flags():
 FIVE_ADJ = five_qubit_code_graph().adjacency
 
 
-def test_submatrix_input_row():
-    block = mat_submatrix(FIVE_ADJ, [0], [1, 2, 3, 4, 5])
-    assert block.entries == ((1, 1, 1, 0, 0),)
+def _cut(a: FpMatrix, rows, cols) -> FpMatrix:
+    return FpMatrix(a.array[np.ix_(rows, cols)], a.p)
 
 
-def test_submatrix_full_range_is_identity_case():
-    block = mat_submatrix(FIVE_ADJ, range(6), range(6))
-    assert block == FIVE_ADJ
+def test_cut_input_row():
+    assert _cut(FIVE_ADJ, [0], [1, 2, 3, 4, 5]).array.tolist() == [[1, 1, 1, 0, 0]]
 
 
-def test_submatrix_code_vertex_block():
-    block = mat_submatrix(FIVE_ADJ, [1, 2], [4, 5])
-    assert block.entries == ((1, 0), (0, 1))
+def test_cut_of_the_full_range_equals_the_matrix():
+    block = _cut(FIVE_ADJ, range(6), range(6))
+    assert block == FIVE_ADJ and hash(block) == hash(FIVE_ADJ)
+    assert block.array is not FIVE_ADJ.array
 
 
-def test_submatrix_empty_sets_give_degenerate_shapes():
-    block = mat_submatrix(FIVE_ADJ, [], [1, 2])
+def test_cut_code_vertex_block():
+    assert _cut(FIVE_ADJ, [1, 2], [4, 5]).array.tolist() == [[1, 0], [0, 1]]
+
+
+def test_cut_with_empty_sets_gives_degenerate_shapes():
+    block = _cut(FIVE_ADJ, [], [1, 2])
     assert block.rows == 0 and block.cols == 2
-
-
-def test_submatrix_rejects_out_of_range_and_repeats():
-    with pytest.raises(FpError):
-        mat_submatrix(FIVE_ADJ, [0, 6], [0])
-    with pytest.raises(FpError):
-        mat_submatrix(FIVE_ADJ, [0, 0], [1])
+    assert _cut(FIVE_ADJ, [1, 2], []).rows == 2
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +254,7 @@ def _brute_force_invertible(m: FpMatrix) -> bool:
         ok = True
         for i in range(n):
             for j in range(n):
-                acc = sum(m.entry(i, k) * inv[k][j] for k in range(n)) % p
+                acc = sum(int(m.array[i, k]) * inv[k][j] for k in range(n)) % p
                 if acc != (1 if i == j else 0):
                     ok = False
                     break
@@ -216,16 +267,16 @@ def _brute_force_invertible(m: FpMatrix) -> bool:
 
 def test_identity_is_invertible():
     eye = FpMatrix.from_rows([[1, 0], [0, 1]], 2)
-    assert mat_rank(eye) == 2
+    assert rank(eye) == 2
 
 
 def test_all_ones_2x2_is_singular():
     ones = FpMatrix.from_rows([[1, 1], [1, 1]], 2)
-    assert mat_rank(ones) < 2
+    assert rank(ones) < 2
 
 
 def test_empty_matrix_is_invertible():
-    assert mat_rank(FpMatrix.zeros(0, 0, 2)) == 0
+    assert rank(zeros(0, 0, 2)) == 0
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
@@ -233,19 +284,19 @@ def test_invertibility_matches_brute_force(p, n):
     for flat in itertools.product(range(p), repeat=n * n):
         rows = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
         m = FpMatrix.from_rows(rows, p)
-        assert (mat_rank(m) == n) == _brute_force_invertible(m)
+        assert (rank(m) == n) == _brute_force_invertible(m)
 
 
 def test_rank_examples():
-    assert mat_rank(FpMatrix.from_rows([[1, 1], [1, 1]], 2)) == 1
-    assert mat_rank(FpMatrix.zeros(3, 2, 5)) == 0
-    assert mat_rank(FpMatrix.from_rows([[2, 1], [1, 2]], 3)) == 1
+    assert rank(FpMatrix.from_rows([[1, 1], [1, 1]], 2)) == 1
+    assert rank(zeros(3, 2, 5)) == 0
+    assert rank(FpMatrix.from_rows([[2, 1], [1, 2]], 3)) == 1
 
 
 def _matmul(a: FpMatrix, b: FpMatrix):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) % a.p
-                       for col in zip(*b.entries))
-                 for row in a.entries)
+                       for col in zip(*b.array.tolist()))
+                 for row in a.array.tolist())
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -256,23 +307,29 @@ def test_inverse_of_random_invertible_matrices(p):
         n = rng.randint(1, 8)
         m = FpMatrix.from_rows(
             [[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
-        if mat_rank(m) < n:
+        if rank(m) < n:
             with pytest.raises(FpError, match="has no inverse"):
-                mat_inverse(m)
+                mat_inverse(m.array, p)
             continue
-        inv = mat_inverse(m)
+        # FpMatrix checks the inverse's dtype and range.
+        inv = FpMatrix(mat_inverse(m.array, p), p)
         eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        assert (inv.rows, inv.cols, inv.p) == (n, n, p)
+        assert (inv.rows, inv.cols) == (n, n)
+        assert inv.array.dtype == np.int64
         assert _matmul(m, inv) == eye and _matmul(inv, m) == eye
         checked += 1
 
 
 def test_inverse_refuses_singular_and_non_square_matrices():
     with pytest.raises(FpError, match="the 2 x 2 matrix has no inverse over F_2"):
-        mat_inverse(FpMatrix.from_rows([[1, 1], [1, 1]], 2))
+        mat_inverse(np.array([[1, 1], [1, 1]]), 2)
     with pytest.raises(FpError, match="the 3 x 2 matrix has no inverse over F_5"):
-        mat_inverse(FpMatrix.zeros(3, 2, 5))
-    assert mat_inverse(FpMatrix.zeros(0, 0, 3)).rows == 0
+        mat_inverse(zeros(3, 2, 5).array, 5)
+    assert mat_inverse(zeros(0, 0, 3).array, 3).shape == (0, 0)
+    # Entries are read modulo p, and the input is left as it was.
+    a = np.array([[4, 1], [1, 0]])
+    assert mat_inverse(a, 3).tolist() == [[0, 1], [1, 2]]
+    assert a.tolist() == [[4, 1], [1, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +339,7 @@ def test_inverse_refuses_singular_and_non_square_matrices():
 
 def _product(a: FpMatrix, v: FpVector):
     return tuple(sum(x * y for x, y in zip(row, v.entries)) % a.p
-                 for row in a.entries)
+                 for row in a.array.tolist())
 
 
 def _span(basis, p, cols):
@@ -305,7 +362,7 @@ def test_kernel_trivial_case():
 
 
 def test_kernel_full_case():
-    basis = kernel_basis(FpMatrix.zeros(2, 2, 2))
+    basis = kernel_basis(zeros(2, 2, 2))
     assert [v.entries for v in basis] == [(1, 0), (0, 1)]
     assert len(set(_span(basis, 2, 2))) == 4
 
@@ -313,10 +370,9 @@ def test_kernel_full_case():
 def test_kernel_zero_pair_comes_first():
     # The echelon basis spans the kernel in lexicographic order of the
     # coefficients, which is lexicographic order of the pairs themselves.
-    a_ix = FpMatrix.zeros(1, 2, 3)
-    a_ie = FpMatrix.zeros(1, 1, 3)
-    joint = FpMatrix(entries=(a_ix.entries[0] + a_ie.entries[0],),
-                     rows=1, cols=3, p=3)
+    a_ix = zeros(1, 2, 3)
+    a_ie = zeros(1, 1, 3)
+    joint = FpMatrix(np.hstack([a_ix.array, a_ie.array]), 3)
     pairs = _span(kernel_basis(joint), 3, 3)
     assert len(pairs) == 27
     assert pairs[0] == (0, 0, 0)
@@ -327,10 +383,10 @@ def test_kernel_pairs_satisfy_the_equation():
     # Rows = code vertices {4,5}, columns split into the input vertex and
     # the support {1,2,3} of the five-qubit code graph: the support on
     # which the graph fails c5 for e = 2.
-    a = mat_submatrix(FIVE_ADJ, [4, 5], [0, 1, 2, 3])
+    a = _cut(FIVE_ADJ, [4, 5], [0, 1, 2, 3])
     basis = kernel_basis(a)
     assert [v.entries for v in basis] == [(1, 0, 0, 0), (0, 1, 1, 1)]
-    assert len(basis) == a.cols - mat_rank(a)
+    assert len(basis) == a.cols - rank(a)
     for v in basis:
         assert _product(a, v) == (0, 0)
 
@@ -340,12 +396,11 @@ def test_kernel_basis_is_the_echelon_basis_of_the_kernel(p):
     rng = random.Random(p)
     for _ in range(60):
         rows, cols = rng.randint(0, 4), rng.randint(0, 4)
-        a = FpMatrix(entries=tuple(tuple(rng.randrange(p) * (rng.random() < 0.6)
-                                         for _ in range(cols))
-                                   for _ in range(rows)),
-                     rows=rows, cols=cols, p=p)
+        a = FpMatrix(np.array([[rng.randrange(p) * (rng.random() < 0.6)
+                                 for _ in range(cols)] for _ in range(rows)],
+                               dtype=np.int64).reshape(rows, cols), p)
         basis = kernel_basis(a)
-        assert len(basis) == cols - mat_rank(a)
+        assert len(basis) == cols - rank(a)
         assert all(len(v) == cols and _product(a, v) == (0,) * rows for v in basis)
         _assert_reduced_echelon(basis)
         # The span is the whole kernel, in lexicographic order.
@@ -355,6 +410,6 @@ def test_kernel_basis_is_the_echelon_basis_of_the_kernel(p):
 
 
 def test_kernel_of_degenerate_shapes():
-    assert kernel_basis(FpMatrix.zeros(3, 0, 5)) == []
-    basis = kernel_basis(FpMatrix.zeros(0, 3, 5))
+    assert kernel_basis(zeros(3, 0, 5)) == []
+    basis = kernel_basis(zeros(0, 3, 5))
     assert [v.entries for v in basis] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

@@ -13,6 +13,7 @@ import itertools
 import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from decoding_oracles import (build_syndrome_table_by_decoding, decoder_unitary,
                               five_qubit_code_graph)
+from fp_oracles import kernel_basis, rank
 
 from concatqec import fp_linalg, graph_code
 from concatqec.graph_code import (
@@ -44,8 +46,7 @@ from concatqec.graph_code import (
     word_error,
     word_mbs,
 )
-from concatqec.fp_linalg import (FpMatrix, FpVector, kernel_basis, mat_rank,
-                                 mat_submatrix)
+from concatqec.fp_linalg import FpMatrix, FpVector
 from concatqec.statevec import (
     MAX_AMPLITUDES,
     PauliError,
@@ -56,7 +57,7 @@ from concatqec.statevec import (
     index_to_digits,
     random_state,
 )
-from state_oracles import states_close
+from state_oracles import project_register, states_close
 
 RNG = np.random.default_rng(20240818)
 
@@ -96,7 +97,7 @@ def test_parse_graph_accepts_comments_and_blank_lines():
                     "0 2 1\n"
                     "1 2 1\n")
     assert (g.p, g.k, g.n, g.m) == (2, 1, 2, 0)
-    assert g.adjacency.entry(1, 2) == 1
+    assert g.adjacency.array[1, 2] == 1
 
 
 def test_parse_graph_decoding_partition_layout():
@@ -128,7 +129,34 @@ def test_load_graph_round_trips_through_files(tmp_path):
     path = tmp_path / "pair.graph"
     path.write_text("p 3 X 1 Y 1 L 0\n0 1 2\n")
     g = load_graph(path)
-    assert g.p == 3 and g.adjacency.entry(0, 1) == 2
+    assert g.p == 3 and g.adjacency.array[0, 1] == 2
+
+
+def test_the_packaged_graph_file_and_the_built_graph_share_one_decoder():
+    # Built by different paths, the two graphs are one lru_cache key.
+    loaded = load_graph(Path(graph_code.__file__).parent / "data"
+                        / "five_qubit_decoding.graph")
+    built = five_qubit_decoding_graph()
+    assert loaded == built and hash(loaded) == hash(built)
+    assert loaded.adjacency.array is not built.adjacency.array
+    graph_code._decoder(built)
+    for g in (loaded, built):
+        before = graph_code._decoder.cache_info()
+        graph_code._decoder(g)
+        after = graph_code._decoder.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+@pytest.mark.parametrize("p", range(12))
+def test_parse_graph_accepts_exactly_the_supported_field_orders(p):
+    header = f"p {p} X 1 Y 1 L 0\n"
+    if p in fp_linalg.SUPPORTED_PRIMES:
+        g = parse_graph(header + f"0 1 {p - 1}\n")
+        assert g.p == p and g.adjacency.array.tolist() == [[0, p - 1], [p - 1, 0]]
+    else:
+        with pytest.raises(GraphParseError,
+                           match=f"^line 1: unsupported field order {p}$"):
+            parse_graph(header)
 
 
 @pytest.mark.parametrize("data, line", [
@@ -279,7 +307,7 @@ def test_wide_input_register_is_refused_before_any_elimination(monkeypatch):
     # by its fp_linalg name.
     monkeypatch.setattr(graph_code, "row_reduce", no_elimination)
     monkeypatch.setattr(fp_linalg, "row_reduce", no_elimination)
-    for name in ("echelon_kernel", "mat_inverse", "mat_rank"):
+    for name in ("echelon_kernel", "mat_inverse"):
         monkeypatch.setattr(graph_code, name, no_elimination)
     with pytest.raises(CodeError, match=rf"the encoder needs {5**20} amplitudes"):
         check_admissibility(g, 1)
@@ -311,9 +339,9 @@ def _enumerated_report(g, e):
     c2 takes the rank, which test_fp_linalg checks against a search for
     an explicit inverse.
     """
-    adj = np.array(g.adjacency.entries, dtype=np.int64)
+    adj = g.adjacency.array
     c1 = g.k + g.m == g.n
-    c2 = c1 and mat_rank(graph_code._cross_block(g)) == g.n
+    c2 = c1 and rank(FpMatrix(graph_code._cross_block(g), g.p)) == g.n
     c3 = not adj[np.ix_(g.syndromes, g.syndromes)].any()
     c4 = not adj[np.ix_(g.inputs, g.syndromes)].any()
     for size in range(1, min(2 * e, g.n) + 1):
@@ -410,24 +438,20 @@ def _sequential_report(g, e):
     and scans the echelon kernel basis from its latest leading column
     for a pair that moves the input or reaches it.
     """
-    adj = g.adjacency
+    adj = g.adjacency.array
     c1 = g.k + g.m == g.n
-    c2 = c1 and mat_rank(graph_code._cross_block(g)) == g.n
-    c3 = not any(map(any, mat_submatrix(adj, g.syndromes, g.syndromes).entries))
-    c4 = not any(map(any, mat_submatrix(adj, g.inputs, g.syndromes).entries))
+    c2 = c1 and rank(FpMatrix(graph_code._cross_block(g), g.p)) == g.n
+    c3 = not adj[np.ix_(g.syndromes, g.syndromes)].any()
+    c4 = not adj[np.ix_(g.inputs, g.syndromes)].any()
     for size in range(1, min(2 * e, g.n) + 1):
         for support in itertools.combinations(g.outputs, size):
             interior = tuple(v for v in g.outputs if v not in support)
-            a_ix = mat_submatrix(adj, interior, g.inputs)
-            a_ie = mat_submatrix(adj, interior, support)
-            joint = FpMatrix(
-                entries=tuple(u + w for u, w in zip(a_ix.entries, a_ie.entries)),
-                rows=len(interior), cols=g.k + size, p=g.p)
-            a_xe = mat_submatrix(adj, g.inputs, support)
+            joint = FpMatrix(adj[np.ix_(interior, g.inputs + support)], g.p)
+            a_xe = adj[np.ix_(g.inputs, support)].tolist()
             for v in reversed(kernel_basis(joint)):
                 d_x, d_e = v.entries[:g.k], v.entries[g.k:]
                 if any(d_x) or any(sum(a * d for a, d in zip(row, d_e)) % g.p
-                                   for row in a_xe.entries):
+                                   for row in a_xe):
                     witness = (support, FpVector(d_x, g.p), FpVector(d_e, g.p))
                     return graph_code.AdmissibilityReport(
                         c1, c2, c3, c4, False, failing_witness=witness)
@@ -502,7 +526,7 @@ def _dense_encoder(g):
     theta is the edge sum of the adjacency matrix restricted to the input
     and output vertices; syndrome vertices take no part.
     """
-    adj = np.array(g.adjacency.entries, dtype=np.int64)
+    adj = g.adjacency.array
 
     def digits(n):
         return np.array([index_to_digits(i, g.p, n) for i in range(g.p**n)],
@@ -553,7 +577,7 @@ def test_encoder_matches_dense_reference(p, max_n, k, shape):
         else:
             n = int(rng.integers(k, max_n + 1))
             g = _random_encoder_graph(p, k, n, n - k, rng, fail_c2=True)
-            assert mat_rank(graph_code._cross_block(g)) < g.n
+            assert rank(FpMatrix(graph_code._cross_block(g), g.p)) < g.n
         v = LogicalState(p=p, coefficients=random_state(p, k, rng).amplitudes)
         expected = _dense_encoder(g) @ v.coefficients
         expected /= np.linalg.norm(expected)
@@ -653,7 +677,7 @@ def _dense_decoder(g):
     omega_bar**mu, where mu is the edge sum of the full adjacency matrix
     at the joint assignment (r, y).
     """
-    adj = np.array(g.adjacency.entries, dtype=np.int64)
+    adj = g.adjacency.array
     out_order = list(g.syndromes) + list(g.inputs)
     y_idx = list(g.outputs)
     digits = np.array([index_to_digits(i, g.p, g.n) for i in range(g.p**g.n)],
@@ -865,6 +889,49 @@ def test_nondeterministic_syndrome_error_states_the_margin():
         amplitudes=(clean.amplitudes + corrupted.amplitudes) / np.sqrt(2))
     with pytest.raises(DecodeError,
                        match=r"top probability 0\.5 <= bound 0\.999999999\)"):
+        decode(g, blended)
+
+
+def test_a_branch_too_small_to_normalize_is_refused():
+    # The register's norm passes its floor, but spread over 16 syndromes
+    # the likeliest branch's norm does not.
+    g = five_qubit_decoding_graph()
+    clean = encode(g, LogicalState(p=2, coefficients=[1.0, 0.0]))
+    spread = sum(apply_pauli_error(clean, e).amplitudes
+                 for e in [PauliError.identity(2, 5)] + weight_one_errors(2, 5))
+    tiny = StateVector(p=2, n=5, amplitudes=spread / np.linalg.norm(spread) * 2e-14)
+    with pytest.raises(DecodeError, match=r"cannot normalize a measured branch "
+                                          r"of norm \S+ outside \[1e-14, inf\)"):
+        decode(g, tiny)
+
+
+@pytest.mark.parametrize("path", [
+    None, Path(__file__).parent / "golden" / "qutrit_decoding.graph"],
+    ids=["five-qubit", "qutrit"])
+def test_decode_reads_the_syndrome_as_the_general_readout_does(path):
+    # decode reads its syndrome straight off the decoder output; the
+    # reference measures the same register's leading L digits.
+    g = five_qubit_decoding_graph() if path is None else load_graph(path)
+    rng = np.random.default_rng(29)
+    v = LogicalState(p=g.p, coefficients=random_state(g.p, g.k, rng).amplitudes)
+    clean = encode(g, v)
+    for error in weight_one_errors(g.p, g.n):
+        damaged = apply_pauli_error(clean, error)
+        scaled = StateVector(p=g.p, n=g.n, amplitudes=damaged.amplitudes * 3.0)
+        decoded = StateVector(p=g.p, n=g.n,
+                              amplitudes=graph_code._decoder(g)(scaled.amplitudes))
+        probs, branch = project_register(decoded, 0, g.m, 9.0)
+        syndrome, residual = decode(g, scaled)
+        assert syndrome == FpVector(
+            index_to_digits(int(np.argmax(probs)), g.p, g.m), g.p)
+        assert np.array_equal(residual.amplitudes, branch.amplitudes)
+    blended = StateVector(p=g.p, n=g.n, amplitudes=(
+        clean.amplitudes + damaged.amplitudes) / np.sqrt(2))
+    probs, _ = project_register(StateVector(
+        p=g.p, n=g.n, amplitudes=graph_code._decoder(g)(blended.amplitudes)),
+        0, g.m, blended.norm() ** 2)
+    with pytest.raises(DecodeError, match=re.escape(
+            f"top probability {probs.max():.12g} <= ")):
         decode(g, blended)
 
 
@@ -1096,7 +1163,7 @@ def test_syndrome_table_keeps_the_decoder_refusals():
         build_syndrome_table(unbalanced, [])
     # Cutting the edge 2-7 leaves syndrome vertex 7 isolated, so the
     # cross block loses rank.
-    rows = [list(r) for r in g.adjacency.entries]
+    rows = g.adjacency.array.tolist()
     rows[2][7] = rows[7][2] = 0
     singular = CodeGraph(p=2, adjacency=FpMatrix.from_rows(rows, 2),
                          inputs=g.inputs, outputs=g.outputs,

@@ -41,11 +41,11 @@ from concatqec.statevec import (
     StateVector,
     apply_pauli_error,
     normalize,
-    project_register,
     random_single_qubit_unitary,
     random_state,
     split_factor,
 )
+from state_oracles import project_register
 
 GRAPH = five_qubit_decoding_graph()
 V = LogicalState(p=2, coefficients=[0.6, 0.8j])
@@ -69,6 +69,8 @@ def _logical_state():
 
 
 def _project_register():
+    # The tests' reference readout, which decode's syndrome readout is
+    # checked against, keeps the rule too.
     def run(amps):
         s = StateVector(p=2, n=3, amplitudes=amps)
         norm = s.norm()

@@ -37,12 +37,11 @@ from concatqec.statevec import (
     fidelity_up_to_phase,
     index_to_digits,
     normalize,
-    project_register,
     random_single_qubit_unitary,
     random_state,
     split_factor,
 )
-from state_oracles import reduced_density, states_close
+from state_oracles import project_register, reduced_density, states_close
 
 RNG = np.random.default_rng(20240817)
 
