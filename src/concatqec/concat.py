@@ -34,11 +34,10 @@ Decoding checks the register's norm, which E's isometry makes the
 physical one, and makes the erased block's axis physical.  It gathers
 the support rows of every other physical axis in one step and contracts
 them with E's adjoint, which leaves only their carried qubits.  The
-erasure position alone picks the decoder and recovery programs, which
-compile to a signed gather, one H and a signed gather; so the flagged
-block is decoded by one cached block map along its axis of that reduced
-register, which writes only the rows whose padding reads |0>, damaged
-half first.  Their share of the whole register's norm is the
+erasure position alone picks ghz_erasure's cached block map, its
+decoder then recovery, which decodes the flagged block along its axis
+of that reduced register and writes only the rows whose padding reads
+|0>, damaged half first.  Their share of the whole register's norm is the
 probability that padding and ancillas read |0>, so amplitudes off the
 support count as damage, and they reshape to the matrix from which the
 damaged half splits off.  Decoding then applies any computational error
@@ -51,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,9 +58,8 @@ from .ghz_erasure import (
     ErasurePosition,
     GhzError,
     GhzLayout,
+    _erased_block_map,
     _require_product,
-    build_decoder,
-    build_recovery,
     corrupt_qubit,
     encoder_isometry,
 )
@@ -86,11 +84,9 @@ from .statevec import (
     ZERO_NORM_FLOOR,
     PauliError,
     StateVector,
-    _INV_SQRT2,
     _norm2,
     _split_matrix,
     apply_pauli_error,
-    compile_gates,
     fidelity_up_to_phase,
     guard_norm,
     random_single_qubit_unitary,
@@ -414,106 +410,6 @@ def apply_channel_damage(scheme: ConcatScheme, s: BlockRegister,
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
-
-class _BlockMap(NamedTuple):
-    """The erased block's decoder then recovery, on the rows it keeps.
-
-    The map reads a core viewed as (pre, 4**n, post), the erased axis in
-    the middle.  It writes only the rows whose surviving half reads 0 on
-    its padding, in (damaged half, pre, carried qubits, post) order, so
-    that they reshape to the dropped x kept matrix.  Output r is
-    +-(x[source[0, r]] +- x[source[1, r]]) / sqrt(2) over the core's
-    flat amplitudes x: the inner sign is minus where minus[r] holds, the
-    outer where negate[r] does.
-
-    Attributes:
-        source: (2, rows) flat core indices.
-        minus: (rows,) booleans.
-        negate: (rows,) booleans.
-    """
-
-    source: np.ndarray
-    minus: np.ndarray
-    negate: np.ndarray
-
-    def rows(self, core: np.ndarray) -> np.ndarray:
-        """The decoded rows of a core, as a fresh 1-D array.
-
-        A take, the H kernel's sum and scaling, and masked negations:
-        the gates' own steps, so each row is bit for bit theirs.
-        """
-        first, second = core.reshape(-1).take(self.source)
-        np.negative(second, out=second, where=self.minus)
-        first += second
-        first *= _INV_SQRT2
-        np.negative(first, out=first, where=self.negate)
-        return first
-
-
-@functools.lru_cache(maxsize=None)
-def _erased_block_map(n: int, c: int, pos: ErasurePosition, pre: int,
-                      post: int) -> _BlockMap:
-    """The decoder and recovery for an erasure at pos, as one block map.
-
-    The block carries c qubits, and pre and post amplitudes of the
-    reduced register sit before and after its axis.  statevec's
-    compile_gates turns the two programs into a signed gather, one H and
-    a signed gather.  Pushing each kept row back through them gives its
-    two source rows, the H's sign between them and the last gather's
-    sign.  A sign of the first gather is folded into the other two,
-    which can flip the sign of a zero; the paper's programs negate only
-    in the last.
-
-    Raises:
-        GhzError: unless the programs compile to (signed gather, H,
-            signed gather).
-    """
-    gates = build_decoder(n, pos).gates + build_recovery(n, pos).gates
-    lo, steps = compile_gates([(gate.kind, gate.qubits) for gate in gates])
-    kinds = ["H" if isinstance(step, int) else "gather" for step in steps]
-    if kinds != ["gather", "H", "gather"]:
-        raise GhzError(
-            f"decoder and recovery for erasure {pos.label} compile to "
-            f"{kinds}, not a signed gather, one H and a signed gather")
-    size = 4**n
-
-    def gather(step: tuple) -> Tuple[np.ndarray, np.ndarray]:
-        # A compiled step's (source, negate) widened to the whole block.
-        src, negate = step
-        shape = (2**lo, src.size, size >> lo >> (src.size.bit_length() - 1))
-        index = ((np.arange(shape[0])[:, None, None] * shape[1]
-                  + src[:, None]) * shape[2] + np.arange(shape[2]))
-        if negate is None:
-            negate = np.zeros(src.size, dtype=bool)
-        return (index.reshape(-1),
-                np.broadcast_to(negate[:, None], shape).reshape(-1))
-
-    (src1, neg1), (src2, neg2) = gather(steps[0]), gather(steps[2])
-    bit = 1 << (2 * n - 1 - steps[1])
-    # Block rows by (damaged, pre, carried, post), with singleton axes
-    # for pre and post.
-    damaged = np.arange(2**n)[:, None, None, None]
-    carried = np.arange(2**c)[None, None, :, None] << (n - c)
-    rows = ((damaged << n) + carried if pos.side == "message"
-            else (carried << n) + damaged)
-    z = src2[rows]
-    low, high = z & ~bit, z | bit
-    shape = (2**n, pre, 2**c, post)
-    before = np.arange(pre)[:, None, None] * size
-
-    def flat(block_rows: np.ndarray) -> np.ndarray:
-        return ((before + block_rows) * post + np.arange(post)).reshape(-1)
-
-    # s_a x_a +- s_b x_b = s_a (x_a +- s_a s_b x_b).
-    block_map = _BlockMap(
-        source=np.stack([flat(src1[low]), flat(src1[high])]),
-        minus=np.broadcast_to((z & bit > 0) ^ neg1[low] ^ neg1[high],
-                              shape).reshape(-1),
-        negate=np.broadcast_to(neg2[rows] ^ neg1[low], shape).reshape(-1))
-    for array in block_map:
-        array.flags.writeable = False
-    return block_map
-
 
 def _require_all_zero(probability: float) -> None:
     """Raise DecodeError unless padding and ancillas read |0> with a

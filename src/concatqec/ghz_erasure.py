@@ -15,14 +15,25 @@ qubit suffered.
 Gate programs are stored in execution order.  The conventional operator
 notation, where the rightmost factor acts first, is available from
 ``GateProgram.product_notation``.
+
+This module alone knows gates.  One table spells the four kinds.  A
+program compiles once: CX, CCX and CZ send each basis state to a signed
+basis state, so a run of them over a span of w adjacent qubits composes
+into one signed permutation of length 2**w, applied as one gather along
+that span's axis plus one masked negation, and a Hadamard runs in place
+on the two slabs of its qubit.  Other modules receive a block's programs
+only as two cached maps: the encoder isometry on the block's carried
+qubits, and the decoder then recovery for an erasure position, read on
+the rows the block keeps.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,14 +41,10 @@ from .statevec import (
     BRANCH_NORM_FLOOR,
     PURITY_BOUND,
     ZERO_NORM_FLOOR,
+    StateError,
     StateVector,
     apply_single_qudit,
-    basis_state,
-    check_qubit_gate,
-    compile_gates,
     guard_norm,
-    index_to_digits,
-    run_compiled,
     split_factor,
 )
 
@@ -155,7 +162,18 @@ class ErasurePosition:
 # Gate programs
 # ---------------------------------------------------------------------------
 
-_GATE_ARITY = {"H": 1, "CX": 2, "CCX": 3, "CZ": 2}
+class _Kind(NamedTuple):
+    """A gate kind: its address count, its name in error messages and
+    its prefix in product notation."""
+
+    arity: int
+    name: str
+    prefix: str
+
+
+_KINDS = {"H": _Kind(1, "hadamard", "H"), "CX": _Kind(2, "cnot", "C"),
+          "CCX": _Kind(3, "toffoli", "T"), "CZ": _Kind(2, "controlled-z", "Z")}
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -170,17 +188,92 @@ class Gate:
     qubits: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _GATE_ARITY:
+        if self.kind not in _KINDS:
             raise GhzError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if len(self.qubits) != _GATE_ARITY[self.kind]:
-            raise GhzError(f"{self.kind} takes {_GATE_ARITY[self.kind]} "
+        arity = _KINDS[self.kind].arity
+        if len(self.qubits) != arity:
+            raise GhzError(f"{self.kind} takes {arity} "
                            f"addresses, got {len(self.qubits)}")
         if len(set(self.qubits)) != len(self.qubits):
             raise GhzError(f"{self.kind} addresses must be distinct: "
                            f"{self.qubits}")
         if any(q < 0 for q in self.qubits):
             raise GhzError(f"negative address in {self.qubits}")
+
+
+def hadamard_in_place(amps: np.ndarray, n: int, q: int) -> None:
+    """Apply the Hadamard on qubit q to a C-contiguous n-qubit buffer."""
+    view = amps.reshape(2**q, 2, 2**(n - 1 - q))
+    a0 = view[:, 0]
+    a1 = view[:, 1]
+    total = a0 + a1
+    np.subtract(a0, a1, out=a1)
+    a1 *= _INV_SQRT2
+    np.multiply(total, _INV_SQRT2, out=a0)
+
+
+def compile_gates(gates: Sequence[Gate]) -> Tuple[int, tuple]:
+    """Compile gates, in execution order.
+
+    An H stays a step: its address.  A maximal run of CX, CCX and CZ
+    gates (target last) becomes one step (src, negate) on the span from
+    the lowest to the highest touched address: it moves the amplitude at
+    span index src[y] to y, negated where negate[y] holds (None if none).
+
+    Returns:
+        (span start, steps), the input of run_compiled.
+    """
+    touched = [q for gate in gates for q in gate.qubits]
+    lo = min(touched, default=0)
+    width = max(touched, default=0) - lo + 1
+    index = np.arange(2**width)
+    place = {q: 1 << (width - 1 - q + lo) for q in touched}
+    steps: list = []
+    for is_h, run in itertools.groupby(gates, key=lambda g: g.kind == "H"):
+        if is_h:
+            steps.extend(gate.qubits[0] for gate in run)
+            continue
+        src, negate = index, np.zeros(index.size, dtype=bool)
+        for gate in run:
+            *controls, last = gate.qubits
+            active = np.all([index & place[q] for q in controls], axis=0)
+            if gate.kind == "CZ":
+                negate = negate ^ (active & (index & place[last] > 0))
+            else:
+                before = np.where(active, index ^ place[last], index)
+                src, negate = src[before], negate[before]
+        steps.append((src, negate if negate.any() else None))
+    return lo, tuple(steps)
+
+
+def permute_signed(amps: np.ndarray, lo: int, src: np.ndarray,
+                   negate: Optional[np.ndarray]) -> np.ndarray:
+    """A fresh buffer: amps with (src, negate) applied from address lo."""
+    out = np.take(amps.reshape(2**lo, src.size, -1), src, axis=1)
+    if negate is not None:
+        np.negative(out, out=out, where=negate[:, np.newaxis])
+    return out.reshape(-1)
+
+
+def run_compiled(amps: np.ndarray, n: int, offset: int,
+                 compiled: Tuple[int, tuple]) -> np.ndarray:
+    """Run compiled gates, each address shifted by offset, on a copy of
+    an n-qubit buffer.  Addresses are trusted (see GateProgram.apply).
+
+    Permuting and negating are exact, so the result is bit for bit that
+    of the gates run one at a time.
+    """
+    lo, steps = compiled
+    out = amps
+    for step in steps:
+        if isinstance(step, tuple):
+            out = permute_signed(out, lo + offset, *step)
+            continue
+        if out is amps:
+            out = amps.copy()
+        hadamard_in_place(out, n, step + offset)
+    return out.copy() if out is amps else out
 
 
 @dataclass(frozen=True)
@@ -208,7 +301,7 @@ class GateProgram:
 
     @functools.cached_property
     def _compiled(self) -> Tuple[int, tuple]:
-        return compile_gates([(gate.kind, gate.qubits) for gate in self.gates])
+        return compile_gates(self.gates)
 
     @functools.cached_property
     def _span(self) -> Tuple[int, int]:
@@ -219,23 +312,28 @@ class GateProgram:
     def apply(self, s: StateVector, offset: int = 0) -> StateVector:
         """Run the program; offset shifts every address by a block base.
 
-        The shifted address span is checked against the register before
-        any amplitude is written; only a failing check walks the gates,
-        to name the first bad one.  The program, compiled once by
-        statevec.compile_gates, runs as one gather per run of CX, CCX
-        and CZ gates and an in-place kernel per H, bit for bit like the
-        gates one at a time, on a copy.
+        The register's dimension and the shifted address span are
+        checked before any amplitude is written; only a failing span
+        walks the gates, to name the first bad address.  The program,
+        compiled once by compile_gates, runs as one gather per run of
+        CX, CCX and CZ gates and an in-place kernel per H, bit for bit
+        like the gates one at a time, on a copy.
 
         Raises:
             StateError: if s is not a qubit register or a shifted
                 address falls outside it.
         """
+        if s.p != 2:
+            name = _KINDS[self.gates[0].kind].name if self.gates else (
+                "a gate program")
+            raise StateError(
+                f"{name} is defined for p = 2 registers, got p = {s.p}")
         lo, hi = self._span
-        if s.p != 2 or lo + offset < 0 or hi + offset >= s.n:
+        if lo + offset < 0 or hi + offset >= s.n:
             for gate in self.gates:
-                check_qubit_gate(s, gate.kind,
-                                 tuple(q + offset for q in gate.qubits))
-        return StateVector(p=s.p, n=s.n, amplitudes=run_compiled(
+                for q in gate.qubits:
+                    s._check_address(q + offset)
+        return StateVector(p=2, n=s.n, amplitudes=run_compiled(
             s.amplitudes, s.n, offset, self._compiled))
 
     @functools.lru_cache(maxsize=64)
@@ -250,10 +348,9 @@ class GateProgram:
         Z<c><t> using one-based labels with primes for the ancilla half.
         """
         layout = GhzLayout(self.half)
-        prefix = {"H": "H", "CX": "C", "CCX": "T", "CZ": "Z"}
         parts = []
         for gate in reversed(self.gates):
-            parts.append(prefix[gate.kind]
+            parts.append(_KINDS[gate.kind].prefix
                          + "".join(layout.label(q) for q in gate.qubits))
         return "".join(parts)
 
@@ -280,46 +377,6 @@ def build_encoder(n: int) -> GateProgram:
     for i in range(n - 1):
         gates.append(Gate("CX", (2 * n - 1, n + i)))
     return GateProgram(gates=tuple(gates), half=n)
-
-
-class BlockSupport(NamedTuple):
-    """A block's encoder isometry E, held by its nonzero rows.
-
-    Attributes:
-        rows: ascending indices of the nonzero rows of E.
-        block: E[rows], of shape (len(rows), 2**c).
-        adjoint: block's conjugate transpose, C-contiguous.
-    """
-
-    rows: np.ndarray
-    block: np.ndarray
-    adjoint: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def encoder_isometry(n: int, c: int) -> BlockSupport:
-    """The encoder on c carried message qubits, by its support rows.
-
-    E is the 2**(2n) x 2**c map whose column j is build_encoder(n)
-    applied to |j> on message addresses 0..c-1 with every other qubit at
-    |0>.  Each input goes to four GHZ branches of amplitude about +-1/2,
-    so E has only 4 * 2**c nonzero rows, or 2**(c+1) when c = n and the
-    last carried qubit sets only signs.  Only those rows are kept; the
-    arrays are shared between callers and read-only.
-    """
-    if not 1 <= c <= n:
-        raise GhzError(f"carried qubit count {c} outside [1, {n}]")
-    columns = np.stack([
-        build_encoder(n).apply(basis_state(
-            2, index_to_digits(j, 2, c) + (0,) * (2 * n - c))).amplitudes
-        for j in range(2**c)], axis=1)
-    rows = np.flatnonzero(np.any(columns, axis=1))
-    block = columns[rows]
-    support = BlockSupport(rows=rows, block=block,
-                           adjoint=np.ascontiguousarray(block.conj().T))
-    for array in support:
-        array.flags.writeable = False
-    return support
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,6 +440,149 @@ def build_recovery(n: int, pos: ErasurePosition) -> GateProgram:
             for g in gates
         ]
     return GateProgram(gates=tuple(gates), half=n)
+
+
+# ---------------------------------------------------------------------------
+# Cached block maps
+# ---------------------------------------------------------------------------
+
+class BlockSupport(NamedTuple):
+    """A block's encoder isometry E, held by its nonzero rows.
+
+    Attributes:
+        rows: ascending indices of the nonzero rows of E.
+        block: E[rows], of shape (len(rows), 2**c).
+        adjoint: block's conjugate transpose, C-contiguous.
+    """
+
+    rows: np.ndarray
+    block: np.ndarray
+    adjoint: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def encoder_isometry(n: int, c: int) -> BlockSupport:
+    """The encoder on c carried message qubits, by its support rows.
+
+    E is the 2**(2n) x 2**c map whose column j is build_encoder(n)
+    applied to |j> on message addresses 0..c-1 with every other qubit at
+    |0>.  Each input goes to four GHZ branches of amplitude about +-1/2,
+    so E has only 4 * 2**c nonzero rows, or 2**(c+1) when c = n and the
+    last carried qubit sets only signs.  Only those rows are kept; the
+    arrays are shared between callers and read-only.
+
+    The encoder runs once, on 2n + c qubits whose last c label the
+    input: from the sum over j of |j, 0...0>|j>, its (block, label)
+    matrix is E.
+    """
+    if not 1 <= c <= n:
+        raise GhzError(f"carried qubit count {c} outside [1, {n}]")
+    inputs = np.arange(2**c)
+    amplitudes = np.zeros(2**(2 * n + c), dtype=np.complex128)
+    amplitudes[(inputs << 2 * n) + inputs] = 1.0
+    columns = build_encoder(n).apply(StateVector(
+        p=2, n=2 * n + c, amplitudes=amplitudes)).amplitudes.reshape(-1, 2**c)
+    rows = np.flatnonzero(np.any(columns, axis=1))
+    block = columns[rows]
+    support = BlockSupport(rows=rows, block=block,
+                           adjoint=np.ascontiguousarray(block.conj().T))
+    for array in support:
+        array.flags.writeable = False
+    return support
+
+
+class _BlockMap(NamedTuple):
+    """The erased block's decoder then recovery, on the rows it keeps.
+
+    The map reads a core viewed as (pre, 4**n, post), the erased axis in
+    the middle.  It writes only the rows whose surviving half reads 0 on
+    its padding, in (damaged half, pre, carried qubits, post) order, so
+    that they reshape to the dropped x kept matrix.  Output r is
+    +-(x[source[0, r]] +- x[source[1, r]]) / sqrt(2) over the core's
+    flat amplitudes x: the inner sign is minus where minus[r] holds, the
+    outer where negate[r] does.
+
+    Attributes:
+        source: (2, rows) flat core indices.
+        minus: (rows,) booleans.
+        negate: (rows,) booleans.
+    """
+
+    source: np.ndarray
+    minus: np.ndarray
+    negate: np.ndarray
+
+    def rows(self, core: np.ndarray) -> np.ndarray:
+        """The decoded rows of a core, as a fresh 1-D array.
+
+        A take, the H kernel's sum and scaling, and masked negations:
+        the gates' own steps, so each row is bit for bit theirs.
+        """
+        first, second = core.reshape(-1).take(self.source)
+        np.negative(second, out=second, where=self.minus)
+        first += second
+        first *= _INV_SQRT2
+        np.negative(first, out=first, where=self.negate)
+        return first
+
+
+@functools.lru_cache(maxsize=None)
+def _erased_block_map(n: int, c: int, pos: ErasurePosition, pre: int,
+                      post: int) -> _BlockMap:
+    """The decoder and recovery for an erasure at pos, as one block map.
+
+    The block carries c qubits, and pre and post amplitudes of a core
+    sit before and after its axis.  The two programs compile to a
+    signed gather, one H and a signed gather.  Pushing each kept row
+    back through them gives its two source rows, the H's sign between
+    them and the last gather's sign.  A sign of the first gather is
+    folded into the other two, which can flip the sign of a zero; the
+    paper's programs negate only in the last.
+
+    Raises:
+        GhzError: unless the programs compile to (signed gather, H,
+            signed gather).
+    """
+    lo, steps = compile_gates(build_decoder(n, pos).gates
+                              + build_recovery(n, pos).gates)
+    kinds = ["H" if isinstance(step, int) else "gather" for step in steps]
+    if kinds != ["gather", "H", "gather"]:
+        raise GhzError(
+            f"decoder and recovery for erasure {pos.label} compile to "
+            f"{kinds}, not a signed gather, one H and a signed gather")
+    size = 4**n
+
+    def widen(step: tuple) -> Tuple[np.ndarray, np.ndarray]:
+        # A gather step on the whole block: it moves the signed labels
+        # 1..size to each row's source row, with the row's sign.
+        labels = permute_signed(np.arange(1, size + 1), lo, *step)
+        return np.abs(labels) - 1, labels < 0
+
+    (src1, neg1), (src2, neg2) = widen(steps[0]), widen(steps[2])
+    bit = 1 << (2 * n - 1 - steps[1])
+    # Block rows by (damaged, pre, carried, post), with singleton axes
+    # for pre and post.
+    damaged = np.arange(2**n)[:, None, None, None]
+    carried = np.arange(2**c)[None, None, :, None] << (n - c)
+    rows = ((damaged << n) + carried if pos.side == "message"
+            else (carried << n) + damaged)
+    z = src2[rows]
+    low, high = z & ~bit, z | bit
+    shape = (2**n, pre, 2**c, post)
+    before = np.arange(pre)[:, None, None] * size
+
+    def flat(block_rows: np.ndarray) -> np.ndarray:
+        return ((before + block_rows) * post + np.arange(post)).reshape(-1)
+
+    # s_a x_a +- s_b x_b = s_a (x_a +- s_a s_b x_b).
+    block_map = _BlockMap(
+        source=np.stack([flat(src1[low]), flat(src1[high])]),
+        minus=np.broadcast_to((z & bit > 0) ^ neg1[low] ^ neg1[high],
+                              shape).reshape(-1),
+        negate=np.broadcast_to(neg2[rows] ^ neg1[low], shape).reshape(-1))
+    for array in block_map:
+        array.flags.writeable = False
+    return block_map
 
 
 # ---------------------------------------------------------------------------

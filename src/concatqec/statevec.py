@@ -5,12 +5,6 @@ amplitude array of length p**n.  Address 0 is the leftmost ket factor
 and therefore the most significant base-p digit of the array index, so
 |d0 d1 ... d_{n-1}> sits at index sum(d_k * p**(n-1-k)).
 
-Gate application is matrix free.  A Hadamard is the one slab kernel:
-it combines the two slabs of its qubit in the (before, 2, after) view
-of a buffer the caller owns, in place.  CX, CCX and CZ send each basis
-state to a signed basis state, so a run of them over a span of w
-adjacent qubits composes into one signed permutation of length 2**w,
-applied as one gather along that span's axis plus one masked negation.
 A general single-qudit operator is one BLAS contraction over the
 (pre, p, post) view of its address: a batched matmul when the trailing
 block is long, one gemm against the operator tensored with the
@@ -21,10 +15,9 @@ returns a fresh StateVector and leaves its argument untouched.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Type, Union
+from typing import Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -173,128 +166,6 @@ def normalize(s: StateVector) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Qubit gate kernels (p = 2 only)
-# ---------------------------------------------------------------------------
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_GATE_NAMES = {"H": "hadamard", "CX": "cnot", "CCX": "toffoli",
-               "CZ": "controlled-z"}
-
-
-def hadamard_in_place(amps: np.ndarray, n: int, q: int) -> None:
-    """Apply the Hadamard on qubit q to a C-contiguous n-qubit buffer."""
-    view = amps.reshape(2**q, 2, 2**(n - 1 - q))
-    a0 = view[:, 0]
-    a1 = view[:, 1]
-    total = a0 + a1
-    np.subtract(a0, a1, out=a1)
-    a1 *= _INV_SQRT2
-    np.multiply(total, _INV_SQRT2, out=a0)
-
-
-def compile_gates(gates: Sequence[Tuple[str, Tuple[int, ...]]]
-                  ) -> Tuple[int, tuple]:
-    """Compile (kind, addresses) qubit gates, in execution order.
-
-    An H stays a step: its address.  A maximal run of CX, CCX and CZ
-    gates (target last) becomes one step (src, negate) on the span from
-    the lowest to the highest touched address: it moves the amplitude at
-    span index src[y] to y, negated where negate[y] holds (None if none).
-
-    Returns:
-        (span start, steps), the input of run_compiled.
-    """
-    touched = [q for _, qubits in gates for q in qubits]
-    lo = min(touched, default=0)
-    width = max(touched, default=0) - lo + 1
-    index = np.arange(2**width)
-    place = {q: 1 << (width - 1 - q + lo) for q in touched}
-    steps: list = []
-    for is_h, run in itertools.groupby(gates, key=lambda g: g[0] == "H"):
-        if is_h:
-            steps.extend(qubits[0] for _, qubits in run)
-            continue
-        src, negate = index, np.zeros(index.size, dtype=bool)
-        for kind, (*controls, last) in run:
-            active = np.all([index & place[q] for q in controls], axis=0)
-            if kind == "CZ":
-                negate = negate ^ (active & (index & place[last] > 0))
-            else:
-                before = np.where(active, index ^ place[last], index)
-                src, negate = src[before], negate[before]
-        steps.append((src, negate if negate.any() else None))
-    return lo, tuple(steps)
-
-
-def permute_signed(amps: np.ndarray, lo: int, src: np.ndarray,
-                   negate: Optional[np.ndarray]) -> np.ndarray:
-    """A fresh buffer: amps with (src, negate) applied from address lo."""
-    out = np.take(amps.reshape(2**lo, src.size, -1), src, axis=1)
-    if negate is not None:
-        np.negative(out, out=out, where=negate[:, np.newaxis])
-    return out.reshape(-1)
-
-
-def run_compiled(amps: np.ndarray, n: int, offset: int,
-                 compiled: Tuple[int, tuple]) -> np.ndarray:
-    """Run compiled gates, each address shifted by offset, on a copy of
-    an n-qubit buffer.  Addresses are trusted (see check_qubit_gate).
-
-    Permuting and negating are exact, so the result is bit for bit that
-    of the gates run one at a time.
-    """
-    lo, steps = compiled
-    out = amps
-    for step in steps:
-        if isinstance(step, tuple):
-            out = permute_signed(out, lo + offset, *step)
-            continue
-        if out is amps:
-            out = amps.copy()
-        hadamard_in_place(out, n, step + offset)
-    return out.copy() if out is amps else out
-
-
-def check_qubit_gate(s: StateVector, kind: str, qubits: Tuple[int, ...]) -> None:
-    """Raise StateError unless the gate ``kind`` may act on ``qubits`` of s."""
-    name = _GATE_NAMES[kind]
-    if s.p != 2:
-        raise StateError(f"{name} is defined for p = 2 registers, got p = {s.p}")
-    if len(set(qubits)) != len(qubits):
-        raise StateError(f"{name} addresses must be distinct: {qubits}")
-    for q in qubits:
-        s._check_address(q)
-
-
-def _apply_qubit_gate(s: StateVector, kind: str,
-                      qubits: Tuple[int, ...]) -> StateVector:
-    check_qubit_gate(s, kind, qubits)
-    out = run_compiled(s.amplitudes, s.n, 0, compile_gates([(kind, qubits)]))
-    return StateVector(p=2, n=s.n, amplitudes=out)
-
-
-def apply_hadamard(s: StateVector, q: int) -> StateVector:
-    """Apply the Hadamard gate to qubit q."""
-    return _apply_qubit_gate(s, "H", (q,))
-
-
-def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
-    """Apply CNOT with the given control and target qubits."""
-    return _apply_qubit_gate(s, "CX", (control, target))
-
-
-def apply_toffoli(s: StateVector, control_a: int, control_b: int,
-                  target: int) -> StateVector:
-    """Apply the doubly controlled NOT gate."""
-    return _apply_qubit_gate(s, "CCX", (control_a, control_b, target))
-
-
-def apply_controlled_z(s: StateVector, control: int, target: int) -> StateVector:
-    """Apply controlled-Z; symmetric in its two addresses."""
-    return _apply_qubit_gate(s, "CZ", (control, target))
-
-
-# ---------------------------------------------------------------------------
 # General qudit operations
 # ---------------------------------------------------------------------------
 
@@ -321,23 +192,6 @@ def apply_single_qudit(s: StateVector, q: int, matrix: np.ndarray) -> StateVecto
         out = s.amplitudes.reshape(pre, s.p * post) @ wide.reshape(
             s.p * post, s.p * post)
     return StateVector(p=s.p, n=s.n, amplitudes=out.reshape(-1))
-
-
-def apply_pauli(s: StateVector, q: int, b: int, shift_phase: int) -> StateVector:
-    """Apply the generalized Pauli sigma^b tau^shift_phase to qudit q.
-
-    The action on a basis digit a is
-    |a> -> exp(2 pi i * shift_phase * a / p) |a + b mod p>.
-
-    Args:
-        s: input register.
-        q: qudit address.
-        b: cyclic shift amount, taken mod p.
-        shift_phase: phase gradient exponent, taken mod p.
-    """
-    s._check_address(q)
-    return apply_pauli_error(s, PauliError.single(s.p, s.n, q, b=b,
-                                                  s=shift_phase))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concatqec import concat
+from concatqec import concat, ghz_erasure
 from concatqec.concat import (
     PER_QUBIT,
     WHOLE_REGISTER,
@@ -295,13 +295,13 @@ def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
     # the other blocks' carried amplitudes, never the whole 20-qubit
     # per-qubit register.
     reads = []
-    rows = concat._BlockMap.rows
+    rows = ghz_erasure._BlockMap.rows
 
     def recording_rows(self, core):
         reads.append(core.shape)
         return rows(self, core)
 
-    monkeypatch.setattr(concat._BlockMap, "rows", recording_rows)
+    monkeypatch.setattr(ghz_erasure._BlockMap, "rows", recording_rows)
     for blocking in (WHOLE_REGISTER, PER_QUBIT):
         scheme = _scheme(blocking)
         v = _random_logical(3)
@@ -358,7 +358,7 @@ def test_block_map_rows_are_the_programs_rows_bit_for_bit(
         want = kept.reshape(2**before, 2**n, 2**c, 2**after) if (
             pos.side == "message") else kept.reshape(
                 2**before, 2**c, 2**n, 2**after).transpose(0, 2, 1, 3)
-        got = concat._erased_block_map(
+        got = ghz_erasure._erased_block_map(
             n, c, pos, 2**before, 2**after).rows(x).reshape(
                 2**n, 2**before, 2**c, 2**after)
         assert np.array_equal(got.transpose(1, 0, 2, 3).view(np.uint64),
@@ -378,14 +378,14 @@ def test_block_map_refuses_programs_off_the_perm_h_perm_form(monkeypatch):
     pos = ErasurePosition(address=0, n=3)
     recovery = build_recovery(3, pos)
     twice = GateProgram(gates=recovery.gates + (Gate("H", (4,)),), half=3)
-    monkeypatch.setattr(concat, "build_recovery", lambda n, p: twice)
-    concat._erased_block_map.cache_clear()
+    monkeypatch.setattr(ghz_erasure, "build_recovery", lambda n, p: twice)
+    ghz_erasure._erased_block_map.cache_clear()
     try:
         with pytest.raises(GhzError, match=re.escape(
                 "compile to ['gather', 'H', 'gather', 'H']")):
-            concat._erased_block_map(3, 2, pos, 1, 1)
+            ghz_erasure._erased_block_map(3, 2, pos, 1, 1)
     finally:
-        concat._erased_block_map.cache_clear()
+        ghz_erasure._erased_block_map.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,7 @@ from concatqec.ghz_erasure import (
 from concatqec.statevec import (
     StateError,
     StateVector,
-    apply_cnot,
-    apply_controlled_z,
-    apply_hadamard,
     apply_single_qudit,
-    apply_toffoli,
     basis_state,
     fidelity_up_to_phase,
     normalize,
@@ -156,14 +152,6 @@ def test_program_rejects_addresses_outside_the_block():
 # Programs against the dense oracle
 # ---------------------------------------------------------------------------
 
-PUBLIC_KERNELS = {
-    "H": apply_hadamard,
-    "CX": apply_cnot,
-    "CCX": apply_toffoli,
-    "CZ": apply_controlled_z,
-}
-
-
 def _dense_gate(kind, qubits, n):
     """The 2^n matrix of one gate, built column by column from bit strings."""
     dim = 2 ** n
@@ -208,7 +196,7 @@ def _programs(draw):
 
 @given(_programs(), st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=60, deadline=None)
-def test_program_apply_matches_dense_oracle_and_public_kernels(case, seed):
+def test_program_apply_matches_dense_oracle_and_one_gate_programs(case, seed):
     prog, n, offset = case
     s = random_state(2, n, np.random.default_rng(seed))
     before = s.amplitudes.copy()
@@ -220,7 +208,8 @@ def test_program_apply_matches_dense_oracle_and_public_kernels(case, seed):
     for gate in prog.gates:
         qs = tuple(q + offset for q in gate.qubits)
         dense = _dense_gate(gate.kind, qs, n) @ dense
-        stepped = PUBLIC_KERNELS[gate.kind](gate_by_gate, *qs)
+        stepped = GateProgram(gates=(gate,), half=prog.half).apply(
+            gate_by_gate, offset=offset)
         assert not np.shares_memory(stepped.amplitudes, gate_by_gate.amplitudes)
         gate_by_gate = stepped
     assert np.max(np.abs(out.amplitudes - dense @ before)) < 1e-12
@@ -294,18 +283,33 @@ def test_program_errors_name_the_first_bad_gate():
         prog.apply(random_state(3, 4, RNG))
 
 
+def test_program_refuses_a_qudit_register_even_without_gates():
+    # The dimension is checked before the gates are looked at, so an
+    # empty program refuses a qutrit register as any other program does,
+    # and still copies a qubit register unchanged.
+    empty = GateProgram(gates=(), half=2)
+    qutrits = random_state(3, 4, RNG)
+    with pytest.raises(StateError, match=re.escape(
+            "a gate program is defined for p = 2 registers, got p = 3")):
+        empty.apply(qutrits)
+    s = random_state(2, 4, RNG)
+    out = empty.apply(s)
+    assert np.array_equal(out.amplitudes, s.amplitudes)
+    assert not np.shares_memory(out.amplitudes, s.amplitudes)
+
+
 def test_program_checks_its_address_span_once(monkeypatch):
     # A program whose shifted span fits the register runs without a
-    # per-gate check; one that does not walks the gates to name the
+    # per-address check; one that does not walks the gates to name the
     # first bad address.
     calls = []
-    check = ghz_erasure.check_qubit_gate
+    check = StateVector._check_address
 
     def recording_check(*args):
         calls.append(args)
         check(*args)
 
-    monkeypatch.setattr(ghz_erasure, "check_qubit_gate", recording_check)
+    monkeypatch.setattr(StateVector, "_check_address", recording_check)
     prog = build_encoder(3)
     s = random_state(2, 10, RNG)
     for offset in range(5):
@@ -357,6 +361,28 @@ def test_encoder_isometry_is_the_encoder_on_carried_inputs(n, c):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
+
+
+def test_encoder_isometry_runs_the_encoder_once_per_build(monkeypatch):
+    # Every input rides on one register, labelled by c extra qubits, so
+    # a build is one run of the encoder program whatever c is.
+    calls = []
+    apply = GateProgram.apply
+
+    def recording_apply(self, s, offset=0):
+        calls.append((self, s.n, offset))
+        return apply(self, s, offset)
+
+    monkeypatch.setattr(GateProgram, "apply", recording_apply)
+    encoder_isometry.cache_clear()
+    try:
+        for n in range(MIN_BLOCK, MAX_BLOCK + 1):
+            for c in range(1, n + 1):
+                del calls[:]
+                encoder_isometry(n, c)
+                assert calls == [(build_encoder(n), 2 * n + c, 0)], (n, c)
+    finally:
+        encoder_isometry.cache_clear()
 
 
 def test_encoder_isometry_rejects_carried_counts_outside_the_half():

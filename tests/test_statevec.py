@@ -1,7 +1,8 @@
 """Tests for the dense state-vector simulator.
 
 The central oracle is a naive dense-matrix simulator built inline with
-Kronecker products: every qubit gate kernel must agree with the
+Kronecker products: every qubit gate, run as a one-gate
+ghz_erasure.GateProgram on a register of any size, must agree with the
 explicit matrix route on small registers, and bit for bit with the
 slab kernels of slab_kernels.py.  The rest covers indexing conventions,
 generalized Pauli action, measurement, reduction, and the
@@ -19,19 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concatqec.fp_linalg import FpVector
+from concatqec.ghz_erasure import MAX_BLOCK, Gate, GateProgram, GhzError
 from concatqec.statevec import (
     MATMUL_MIN_POST,
     PURITY_BOUND,
     PauliError,
     StateError,
     StateVector,
-    apply_cnot,
-    apply_controlled_z,
-    apply_hadamard,
-    apply_pauli,
     apply_pauli_error,
     apply_single_qudit,
-    apply_toffoli,
     basis_state,
     digits_to_index,
     fidelity_up_to_phase,
@@ -143,12 +140,19 @@ TOFFOLI[[6, 7], [6, 7]] = 0
 TOFFOLI[6, 7] = TOFFOLI[7, 6] = 1
 
 
+def _run_gate(s, kind, *qubits, offset=0):
+    """One gate, run as a one-gate program wide enough for any register
+    here."""
+    program = GateProgram(gates=(Gate(kind, qubits),), half=MAX_BLOCK)
+    return program.apply(s, offset=offset)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hadamard_matches_dense_oracle(n):
     for q in range(n):
         full = _lift(H2, [q], n)
         s = random_state(2, n, RNG)
-        got = apply_hadamard(s, q)
+        got = _run_gate(s, "H", q)
         assert np.max(np.abs(got.amplitudes - full @ s.amplitudes)) < 1e-12
 
 
@@ -160,7 +164,7 @@ def test_cnot_matches_dense_oracle(n):
                 continue
             full = _lift(CNOT, [c, t], n)
             s = random_state(2, n, RNG)
-            got = apply_cnot(s, c, t)
+            got = _run_gate(s, "CX", c, t)
             assert np.max(np.abs(got.amplitudes - full @ s.amplitudes)) < 1e-12
 
 
@@ -172,7 +176,7 @@ def test_controlled_z_matches_dense_oracle(n):
                 continue
             full = _lift(CZ, [c, t], n)
             s = random_state(2, n, RNG)
-            got = apply_controlled_z(s, c, t)
+            got = _run_gate(s, "CZ", c, t)
             assert np.max(np.abs(got.amplitudes - full @ s.amplitudes)) < 1e-12
 
 
@@ -185,7 +189,7 @@ def test_toffoli_matches_dense_oracle(n):
                     continue
                 full = _lift(TOFFOLI, [a, b, t], n)
                 s = random_state(2, n, RNG)
-                got = apply_toffoli(s, a, b, t)
+                got = _run_gate(s, "CCX", a, b, t)
                 assert np.max(np.abs(got.amplitudes - full @ s.amplitudes)) < 1e-12
 
 
@@ -230,22 +234,21 @@ def test_single_qudit_kernel_matches_dense_oracle_on_both_paths(p, n):
 
 
 def _qubit_gate_cases(n):
-    """Every placement of H, CNOT, Toffoli and CZ on n qubits, with its
-    public kernel."""
-    cases = [(apply_hadamard, (q,)) for q in range(n)]
+    """Every placement of H, CNOT, Toffoli and CZ on n qubits, by kind."""
+    cases = [("H", (q,)) for q in range(n)]
     for qs in itertools.permutations(range(n), 2):
-        cases.append((apply_cnot, qs))
-        cases.append((apply_controlled_z, qs))
+        cases.append(("CX", qs))
+        cases.append(("CZ", qs))
     for qs in itertools.permutations(range(n), 3):
-        cases.append((apply_toffoli, qs))
+        cases.append(("CCX", qs))
     return cases
 
 
 def test_kernels_return_fresh_buffers_and_keep_their_input():
     s = random_state(2, 4, RNG)
     before = s.amplitudes.copy()
-    for kernel, qs in _qubit_gate_cases(4):
-        out = kernel(s, *qs)
+    for kind, qs in _qubit_gate_cases(4):
+        out = _run_gate(s, kind, *qs)
         assert not np.shares_memory(out.amplitudes, s.amplitudes)
     assert np.array_equal(s.amplitudes, before)
 
@@ -253,15 +256,11 @@ def test_kernels_return_fresh_buffers_and_keep_their_input():
 def test_gates_reject_bad_addresses():
     s = basis_state(2, (0, 0))
     with pytest.raises(StateError):
-        apply_hadamard(s, 2)
-    with pytest.raises(StateError):
-        apply_cnot(s, 0, 0)
-    with pytest.raises(StateError):
-        apply_controlled_z(s, 1, 1)
-
-
-_KINDS = {apply_hadamard: "H", apply_cnot: "CX", apply_toffoli: "CCX",
-          apply_controlled_z: "CZ"}
+        _run_gate(s, "H", 2)
+    with pytest.raises(GhzError):
+        _run_gate(s, "CX", 0, 0)
+    with pytest.raises(GhzError):
+        _run_gate(s, "CZ", 1, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -270,35 +269,40 @@ def test_single_gates_match_the_slab_oracle_bit_for_bit(n):
     s = StateVector(p=2, n=n, amplitudes=rng.normal(size=2**n)
                     + 1j * rng.normal(size=2**n))
     before = s.amplitudes.copy()
-    for kernel, qs in _qubit_gate_cases(n):
-        got = kernel(s, *qs)
-        want = slab_kernels.run_gates(before, n, [(_KINDS[kernel], qs)])
+    for kind, qs in _qubit_gate_cases(n):
+        got = _run_gate(s, kind, *qs)
+        want = slab_kernels.run_gates(before, n, [(kind, qs)])
         assert np.array_equal(got.amplitudes.view(np.uint64),
-                              want.view(np.uint64)), (kernel.__name__, qs)
+                              want.view(np.uint64)), (kind, qs)
     assert np.array_equal(s.amplitudes.view(np.uint64), before.view(np.uint64))
 
 
 def test_gate_errors_name_the_gate_and_the_address():
     s = basis_state(2, (0, 0, 0))
     qutrits = basis_state(3, (0, 0))
+    # A Gate refuses a repeated address itself; a negative one can only
+    # come from a block offset.
     cases = [
-        (lambda: apply_hadamard(s, 3), "qudit address 3 outside [0, 3)"),
-        (lambda: apply_cnot(s, 0, 0), "cnot addresses must be distinct: (0, 0)"),
-        (lambda: apply_toffoli(s, 0, 1, 5), "qudit address 5 outside [0, 3)"),
-        (lambda: apply_controlled_z(s, -1, 1),
+        (lambda: _run_gate(s, "H", 3), StateError,
+         "qudit address 3 outside [0, 3)"),
+        (lambda: _run_gate(s, "CX", 0, 0), GhzError,
+         "CX addresses must be distinct: (0, 0)"),
+        (lambda: _run_gate(s, "CCX", 0, 1, 5), StateError,
+         "qudit address 5 outside [0, 3)"),
+        (lambda: _run_gate(s, "CZ", 0, 2, offset=-1), StateError,
          "qudit address -1 outside [0, 3)"),
-        (lambda: apply_cnot(qutrits, 0, 1),
+        (lambda: _run_gate(qutrits, "CX", 0, 1), StateError,
          "cnot is defined for p = 2 registers, got p = 3"),
     ]
-    for call, text in cases:
-        with pytest.raises(StateError, match=f"^{re.escape(text)}$"):
+    for call, error, text in cases:
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
             call()
 
 
 def test_qubit_gates_reject_higher_dimension():
     s = basis_state(3, (0, 0))
     with pytest.raises(StateError):
-        apply_hadamard(s, 0)
+        _run_gate(s, "H", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +315,22 @@ def test_qubit_pauli_matches_matrices():
     for q in range(3):
         x_route = apply_single_qudit(s, q, X2)
         z_route = apply_single_qudit(s, q, Z2)
-        assert states_close(apply_pauli(s, q, 1, 0), x_route)
-        assert states_close(apply_pauli(s, q, 0, 1), z_route)
+        assert states_close(
+            apply_pauli_error(s, PauliError.single(2, 3, q, b=1)), x_route)
+        assert states_close(
+            apply_pauli_error(s, PauliError.single(2, 3, q, s=1)), z_route)
         # combined action phases first, then shifts: the matrix X.Z
         y_route = apply_single_qudit(s, q, X2 @ Z2)
-        assert states_close(apply_pauli(s, q, 1, 1), y_route)
+        assert states_close(
+            apply_pauli_error(s, PauliError.single(2, 3, q, b=1, s=1)),
+            y_route)
 
 
 def test_qutrit_pauli_shift_and_phase():
     s = basis_state(3, (1,))
-    shifted = apply_pauli(s, 0, 1, 0)
+    shifted = apply_pauli_error(s, PauliError.single(3, 1, 0, b=1))
     assert np.argmax(np.abs(shifted.amplitudes)) == 2
-    phased = apply_pauli(s, 0, 0, 1)
+    phased = apply_pauli_error(s, PauliError.single(3, 1, 0, s=1))
     w = np.exp(2j * np.pi / 3)
     assert abs(phased.amplitudes[1] - w) < 1e-12
 
@@ -343,7 +351,8 @@ def test_apply_pauli_error_matches_per_qubit_route():
     direct = apply_pauli_error(s, e)
     manual = s
     for q in range(4):
-        manual = apply_pauli(manual, q, e.b[q], e.s[q])
+        manual = apply_pauli_error(
+            manual, PauliError.single(2, 4, q, b=e.b[q], s=e.s[q]))
     manual = StateVector(p=2, n=4,
                          amplitudes=manual.amplitudes * np.exp(2j * np.pi / 2))
     assert states_close(direct, manual)
