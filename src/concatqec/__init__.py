@@ -20,7 +20,6 @@ from .ghz_erasure import (
     ErasurePosition,
     GateProgram,
     GhzLayout,
-    apply_erasure,
     build_decoder,
     build_encoder,
     build_recovery,
@@ -59,7 +58,6 @@ __all__ = [
     "PauliError",
     "StateVector",
     "SyndromeTable",
-    "apply_erasure",
     "apply_pauli_error",
     "basis_state",
     "build_decoder",

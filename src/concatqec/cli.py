@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from typing import List, Optional
 
 from .concat import (
@@ -43,9 +42,9 @@ from .graph_code import (
     LogicalState,
     build_syndrome_table,
     check_admissibility,
+    five_qubit_decoding_graph,
     load_graph,
     parse_error_label,
-    parse_graph,
     weight_one_errors,
 )
 from .statevec import StateError, apply_pauli_error, fidelity_up_to_phase
@@ -53,9 +52,6 @@ from .statevec import StateError, apply_pauli_error, fidelity_up_to_phase
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-
-DEFAULT_GRAPH_RESOURCE = "five_qubit_decoding.graph"
-
 
 class UsageError(Exception):
     """A bad flag value, reported with exit code 2."""
@@ -93,9 +89,7 @@ class RunConfig:
 def _load_configured_graph(config: RunConfig) -> CodeGraph:
     """Load the graph named by the config, or the packaged default."""
     if config.graph is None:
-        text = (resources.files(__package__) / "data"
-                / DEFAULT_GRAPH_RESOURCE).read_text(encoding="utf-8")
-        g = parse_graph(text)
+        g = five_qubit_decoding_graph()
     else:
         g = load_graph(config.graph)
     if config.p is not None and config.p != g.p:

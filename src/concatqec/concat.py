@@ -34,15 +34,17 @@ Decoding checks the register's norm, which E's isometry makes the
 physical one, and makes the erased block's axis physical.  It gathers
 the support rows of every other physical axis in one step and contracts
 them with E's adjoint, which leaves only their carried qubits.  The
-erasure position alone picks ghz_erasure's cached block map, its
-decoder then recovery, which decodes the flagged block along its axis
-of that reduced register and writes only the rows whose padding reads
-|0>, damaged half first.  Their share of the whole register's norm is the
+flagged block is decoded by ghz_erasure, which owns that decode:
+erased_rows runs the cached block map that the erasure position alone
+picks, its decoder then recovery, along the block's axis of that
+reduced register, and writes only the rows whose padding reads |0>,
+damaged half first.  Their share of the whole register's norm is the
 probability that padding and ancillas read |0>, so amplitudes off the
-support count as damage, and they reshape to the matrix from which the
-damaged half splits off.  Decoding then applies any computational error
-carried by the channel event to the surviving codeword, and finally
-runs outer syndrome decoding plus table lookup correction.
+support count as damage; this module checks it.  split_erased then
+splits the damaged half off the rows.  Decoding then applies any
+computational error carried by the channel event to the surviving
+codeword, and finally runs outer syndrome decoding plus table lookup
+correction.
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ from .ghz_erasure import (
     ErasurePosition,
     GhzError,
     GhzLayout,
-    _erased_block_map,
-    _require_product,
     corrupt_qubit,
     encoder_isometry,
+    erased_rows,
+    split_erased,
 )
 from .graph_code import (
     CodeGraph,
@@ -84,11 +86,10 @@ from .statevec import (
     ZERO_NORM_FLOOR,
     PauliError,
     StateVector,
-    _norm2,
-    _split_matrix,
     apply_pauli_error,
     fidelity_up_to_phase,
     guard_norm,
+    norm2,
     random_single_qubit_unitary,
     random_state,
 )
@@ -439,8 +440,7 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
     padding reads |0>, with the damaged half first.  Their squared norm
     over the register's is the all-zero probability, and when neither
     padding nor a gather can lose norm it is 1 and goes unchecked.  The
-    damaged half must then split off as a product; the rows reshape to
-    its dropped x kept matrix.
+    damaged half must then split off the rows as a product.
 
     Raises:
         CodeError: on a register whose norm is zero or not finite.
@@ -448,7 +448,7 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
     n_in = scheme.inner.n
     erasure = event.erasure
     erased = event.block if erasure is not None else None
-    norm = guard_norm(math.sqrt(_norm2(register.core)), ZERO_NORM_FLOOR,
+    norm = guard_norm(math.sqrt(norm2(register.core)), ZERO_NORM_FLOOR,
                       CodeError, "register ")
     t = register.core if erased is None else register._expanded(erased)
     gathered = {block: encoder_isometry(n_in, len(carried))
@@ -467,7 +467,7 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
         # gather leaves anything to check.
         if gathered:
             # A register wholly off the support leaves no branch to keep.
-            kept2 = _norm2(state.amplitudes)
+            kept2 = norm2(state.amplitudes)
             kept = guard_norm(math.sqrt(kept2), ZERO_NORM_FLOOR, DecodeError,
                               "cannot normalize a measured branch of ")
             _require_all_zero(kept2 / (norm * norm))
@@ -476,16 +476,11 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
         return state
 
     c = len(scheme.assignment[erased])
-    pre = math.prod(t.shape[:erased])
-    rows = _erased_block_map(n_in, c, erasure, pre,
-                             t.size // pre // t.shape[erased]).rows(t)
-    kept2 = _norm2(rows)
+    rows = erased_rows(t, erased, c, erasure)
+    kept2 = norm2(rows)
     if c < n_in or gathered:
         _require_all_zero(kept2 / (norm * norm))
-    # The rows, damaged half first, reshape to the dropped x kept matrix.
-    kept, _dropped, purity = _split_matrix(rows.reshape(2**n_in, -1).T,
-                                           math.sqrt(kept2))
-    _require_product(purity)
+    kept, _dropped = split_erased(rows, n_in, math.sqrt(kept2))
     return StateVector(p=2, n=kept.size.bit_length() - 1, amplitudes=kept)
 
 

@@ -22,15 +22,18 @@ basis state, so a run of them over a span of w adjacent qubits composes
 into one signed permutation of length 2**w, applied as one gather along
 that span's axis plus one masked negation, and a Hadamard runs in place
 on the two slabs of its qubit.  Other modules receive a block's programs
-only as two cached maps: the encoder isometry on the block's carried
-qubits, and the decoder then recovery for an erasure position, read on
-the rows the block keeps.
+only as the cached encoder isometry on its carried qubits.  The erased
+block's decode stays here: erased_rows runs the cached map of decoder
+then recovery for the erasure position on the rows the block keeps,
+and split_erased splits the damaged half off them.  concat's inner
+stage calls the pair, and recover calls it on a lone block.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -45,7 +48,7 @@ from .statevec import (
     StateVector,
     apply_single_qudit,
     guard_norm,
-    split_factor,
+    split_matrix,
 )
 
 MIN_BLOCK = 2
@@ -93,14 +96,6 @@ class GhzLayout:
     @property
     def total(self) -> int:
         return 2 * self.n
-
-    @property
-    def message_addresses(self) -> Tuple[int, ...]:
-        return tuple(range(self.n))
-
-    @property
-    def ancilla_addresses(self) -> Tuple[int, ...]:
-        return tuple(range(self.n, 2 * self.n))
 
     def label(self, address: int) -> str:
         """Engineering label of an address: 1..n or 1'..n'."""
@@ -641,55 +636,53 @@ def corrupt_qubit(s: StateVector, address: int,
     return damaged
 
 
-def apply_erasure(s: StateVector, pos: ErasurePosition,
-                  corruption: Union[None, str, np.ndarray] = None
-                  ) -> StateVector:
-    """Corrupt the qubit at a known position.
+def erased_rows(core: np.ndarray, axis: int, c: int,
+                pos: ErasurePosition) -> np.ndarray:
+    """Decoder then recovery for an erasure at pos, along one axis of a
+    core, by the cached block map for the core's shape.
 
-    Args:
-        s: a 2n-qubit register.
-        pos: the lost qubit; callers keep it as classical side
-            information for recover.
-        corruption: what the environment did to the qubit: None or "I"
-            for nothing, one of "X", "Y", "Z", or an arbitrary 2 x 2
-            operator (unitary or projective).  Projective disturbances
-            are renormalized.
-
-    Raises:
-        GhzError: on shape mismatch or an annihilating disturbance.
-    """
-    if s.n != 2 * pos.n:
-        raise GhzError(f"register size {s.n} does not match block {pos.n}")
-    return corrupt_qubit(s, pos.address, corruption)
-
-
-def split_recovered(s: StateVector, keep: Sequence[int]
-                    ) -> Tuple[StateVector, StateVector]:
-    """Split recovered content at addresses keep off the damaged half.
+    The axis holds the erased block's 4**n register amplitudes, and the
+    block carries c qubits.
 
     Returns:
-        (kept factor, dropped factor), as from split_factor.
+        The rows whose padding reads 0, damaged half first, as a fresh
+        1-D array (see _BlockMap).
+    """
+    pre = math.prod(core.shape[:axis])
+    post = math.prod(core.shape[axis + 1:])
+    return _erased_block_map(pos.n, c, pos, pre, post).rows(core)
+
+
+def split_erased(rows: np.ndarray, n: int, norm: float
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Split the damaged half off decoded rows.
+
+    The rows, damaged half first, reshape to the dropped x kept matrix,
+    whose transpose split_matrix takes apart at scale norm.
+
+    Returns:
+        (kept amplitudes, the damaged half's amplitudes), as from
+        split_matrix.
 
     Raises:
-        RecoveryError: if the kept qubits stay entangled with the rest,
-            which means the damage exceeded one erasure.
+        RecoveryError: if the kept side's purity is at most PURITY_BOUND:
+            it stays entangled with the damaged half, which means the
+            damage exceeded one erasure.
     """
-    kept, dropped, purity = split_factor(s, keep)
-    _require_product(purity)
-    return kept, dropped
-
-
-def _require_product(purity: float) -> None:
-    """Raise RecoveryError unless the kept side's purity tops PURITY_BOUND."""
+    kept, dropped, purity = split_matrix(rows.reshape(2**n, -1).T, norm)
     if purity <= PURITY_BOUND:
         raise RecoveryError(
             "recovery failed: residual entanglement with the damaged half "
             f"(purity {purity:.12g} <= bound {PURITY_BOUND:.12g})")
+    return kept, dropped
 
 
 def recover(s: StateVector, pos: ErasurePosition
             ) -> Tuple[StateVector, StateVector]:
     """Run decoding and recovery for a known erasure and split the halves.
+
+    The register is one block carrying all n message qubits, so its
+    block map reads every row; no gate program runs.
 
     Returns:
         (message content on the n surviving qubits, state of the
@@ -697,15 +690,20 @@ def recover(s: StateVector, pos: ErasurePosition
         message-side erasure and vice versa.
 
     Raises:
+        GhzError: on a register of another size than the block.
+        StateError: on a register that is not of qubits, or whose norm
+            lies outside [ZERO_NORM_FLOOR, inf).
         RecoveryError: if the surviving half stays entangled with the
             damaged half, which means the damage exceeded one erasure.
     """
     n = pos.n
     if s.n != 2 * n:
         raise GhzError(f"register size {s.n} does not match block {n}")
-    staged = build_decoder(n, pos).apply(s)
-    staged = build_recovery(n, pos).apply(staged)
-    layout = GhzLayout(n)
-    surviving = (layout.ancilla_addresses if pos.side == "message"
-                 else layout.message_addresses)
-    return split_recovered(staged, surviving)
+    if s.p != 2:
+        raise StateError(
+            f"recovery is defined for p = 2 registers, got p = {s.p}")
+    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, StateError,
+                      "cannot split a state of zero or non-finite norm: ")
+    kept, dropped = split_erased(erased_rows(s.amplitudes, 0, n, pos), n, norm)
+    return (StateVector(p=2, n=n, amplitudes=kept),
+            StateVector(p=2, n=n, amplitudes=dropped))

@@ -297,31 +297,11 @@ def load_graph(path: Union[str, Path]) -> CodeGraph:
     return parse_graph(text)
 
 
-_FIVE_QUBIT_EDGES = (
-    (0, 1), (0, 2), (0, 3),
-    (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5),
-)
-_FIVE_QUBIT_SYNDROME_EDGES = ((1, 6), (2, 7), (4, 8), (5, 9))
-
-
-def _graph_from_edges(total: int, edges: Sequence[Tuple[int, int]],
-                      k: int, n: int, m: int) -> CodeGraph:
-    adjacency = np.zeros((total, total), dtype=np.int64)
-    u, v = np.array(edges).T
-    adjacency[u, v] = adjacency[v, u] = 1
-    return CodeGraph(
-        p=2,
-        adjacency=FpMatrix(adjacency, 2),
-        inputs=tuple(range(k)),
-        outputs=tuple(range(k, k + n)),
-        syndromes=tuple(range(k + n, total)),
-    )
-
-
 def five_qubit_decoding_graph() -> CodeGraph:
-    """The five-qubit code graph extended by four syndrome vertices."""
-    return _graph_from_edges(
-        10, _FIVE_QUBIT_EDGES + _FIVE_QUBIT_SYNDROME_EDGES, k=1, n=5, m=4)
+    """The five-qubit code graph extended by four syndrome vertices,
+    parsed from the packaged data file."""
+    return load_graph(Path(__file__).with_name("data")
+                      / "five_qubit_decoding.graph")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ A general single-qudit operator is one BLAS contraction over the
 block is long, one gemm against the operator tensored with the
 identity on that block when it is short.  Every public operation
 returns a fresh StateVector and leaves its argument untouched.
+
+Every size check reads one squared norm, norm2, through one guard,
+guard_norm.  One split, split_matrix, takes a near-product kept x
+dropped matrix apart into its two factors for any p; its callers build
+that matrix from their own layout.
 """
 
 from __future__ import annotations
@@ -101,15 +106,15 @@ class StateVector:
             )
 
     def norm(self) -> float:
-        """Euclidean norm; see _norm2."""
-        return math.sqrt(_norm2(self.amplitudes))
+        """Euclidean norm; see norm2."""
+        return math.sqrt(norm2(self.amplitudes))
 
     def _check_address(self, q: int) -> None:
         if not 0 <= q < self.n:
             raise StateError(f"qudit address {q} outside [0, {self.n})")
 
 
-def _norm2(amplitudes: np.ndarray) -> float:
+def norm2(amplitudes: np.ndarray) -> float:
     """Squared Euclidean norm of a complex array, as one einsum over its
     float64 view: NaN on a NaN amplitude, and inf on overflow without a
     warning, as einsum checks no floating-point flags."""
@@ -345,8 +350,8 @@ def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
 # Factor extraction
 # ---------------------------------------------------------------------------
 
-def _split_matrix(block: np.ndarray, norm: float
-                  ) -> Tuple[np.ndarray, np.ndarray, float]:
+def split_matrix(block: np.ndarray, norm: float
+                 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Split a (near) product kept x dropped matrix into its two factors.
 
     B is block / norm and rho = B B^dagger.  The purity ||rho||_F^2 /
@@ -376,34 +381,6 @@ def _split_matrix(block: np.ndarray, norm: float
     anchor = int(np.abs(dropped).argmax())
     phase = dropped[anchor] / abs(dropped[anchor])
     return kept * phase, dropped * np.conj(phase), purity
-
-
-def split_factor(s: StateVector, keep: Sequence[int]
-                 ) -> Tuple[StateVector, StateVector, float]:
-    """Split a (near) product state into kept and dropped factors.
-
-    The state's kept x dropped matrix, read through one transpose of its
-    qudit axes, goes to _split_matrix with the state's norm.  The kept
-    addresses are sorted into ascending order in the returned factor.
-
-    Returns:
-        (kept factor, dropped factor, purity of the kept subsystem).
-
-    Raises:
-        StateError: on a bad address, or a norm outside
-            [ZERO_NORM_FLOOR, inf).
-    """
-    kept_addrs = sorted(set(int(q) for q in keep))
-    for q in kept_addrs:
-        s._check_address(q)
-    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, StateError,
-                      "cannot split a state of zero or non-finite norm: ")
-    rest = [q for q in range(s.n) if q not in kept_addrs]
-    block = np.transpose(s.amplitudes.reshape((s.p,) * s.n),
-                         kept_addrs + rest).reshape(s.p**len(kept_addrs), -1)
-    kept, dropped, purity = _split_matrix(block, norm)
-    return (StateVector(p=s.p, n=len(kept_addrs), amplitudes=kept),
-            StateVector(p=s.p, n=len(rest), amplitudes=dropped), purity)
 
 
 # ---------------------------------------------------------------------------

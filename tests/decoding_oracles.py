@@ -16,14 +16,16 @@ through the decoder over F_p instead; where this build returns a table,
 the tests require the two to print the same records.
 
 five_qubit_code_graph is the five-qubit code's graph without syndrome
-vertices, which no decoder can run; the tests use it for the codeword
-and the conditions it fails.
+vertices, which no decoder can run, read from the package's data file;
+the tests use it for the codeword and the conditions it fails.
 """
 
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from concatqec import graph_code
 from concatqec.graph_code import (
     CORRECTION_WORDS,
     CodeError,
@@ -32,13 +34,12 @@ from concatqec.graph_code import (
     LogicalState,
     SyndromeRow,
     SyndromeTable,
-    _FIVE_QUBIT_EDGES,
     _decoder,
-    _graph_from_edges,
     check_amplitude_count,
     decode,
     encode,
     format_error_label,
+    load_graph,
     word_error,
 )
 from concatqec.statevec import (
@@ -52,7 +53,8 @@ from concatqec.statevec import (
 
 def five_qubit_code_graph() -> CodeGraph:
     """The 3-regular six-vertex graph of the distance-3 five-qubit code."""
-    return _graph_from_edges(6, _FIVE_QUBIT_EDGES, k=1, n=5, m=0)
+    return load_graph(Path(graph_code.__file__).with_name("data")
+                      / "five_qubit_code.graph")
 
 
 def decoder_unitary(g: CodeGraph) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense block isometries for the concatenated code, kept as an oracle.
+"""Dense block isometries and gate programs, kept as the inner oracle.
 
 The concatenated code once held each block's encoder isometry E as a
 dense 2**(2n) x 2**c matrix.  Encoding contracted E with every block
@@ -10,6 +10,12 @@ the dense register; dense_form does, by contracting every carried axis
 with the dense E.  The tests require the library's support-row scatter
 of each axis to equal this path bit for bit, and its inner stage to
 agree with this path's on the dense form to rounding.
+
+The library decodes an erased block by its cached block map alone.
+Here the decoder and recovery programs run through GateProgram.apply on
+the register, and split_checked splits the surviving half off by
+address: program_recover on one block is recover's oracle, and
+dense_inner_stage, on every block of the dense form, concat's.
 """
 
 import functools
@@ -24,18 +30,21 @@ from concatqec.concat import (
     _map_block,
 )
 from concatqec.ghz_erasure import (
+    ErasurePosition,
+    RecoveryError,
     build_decoder,
     build_encoder,
     build_recovery,
-    split_recovered,
 )
 from concatqec.graph_code import DecodeError
 from concatqec.statevec import (
     DETERMINISM_BOUND,
+    PURITY_BOUND,
     StateVector,
     basis_state,
     index_to_digits,
 )
+from state_oracles import split_factor
 
 
 def project_zero(s: StateVector, addrs: Sequence[int]
@@ -78,11 +87,38 @@ def physical_blocks(scheme: ConcatScheme, s: StateVector) -> BlockRegister:
         (2**scheme.inner.total,) * scheme.blocks))
 
 
-def dense_inner_stage(scheme: ConcatScheme, s: StateVector,
+def split_checked(s: StateVector, keep: Sequence[int]
+                  ) -> Tuple[StateVector, StateVector]:
+    """split_factor at the addresses keep, refused with the library's
+    RecoveryError text when the kept side's purity is at most
+    PURITY_BOUND."""
+    kept, dropped, purity = split_factor(s, keep)
+    if purity <= PURITY_BOUND:
+        raise RecoveryError(
+            "recovery failed: residual entanglement with the damaged half "
+            f"(purity {purity:.12g} <= bound {PURITY_BOUND:.12g})")
+    return kept, dropped
+
+
+def program_recover(s: StateVector, pos: ErasurePosition
+                    ) -> Tuple[StateVector, StateVector]:
+    """recover by the programs: decoder then recovery on the 2n-qubit
+    register, then the surviving half split off the damaged one."""
+    n = pos.n
+    staged = build_recovery(n, pos).apply(build_decoder(n, pos).apply(s))
+    return split_checked(
+        staged, range(n, 2 * n) if pos.side == "message" else range(n))
+
+
+def dense_inner_stage(scheme: ConcatScheme, register: BlockRegister,
                       event: ChannelEvent) -> StateVector:
-    """Contract E^dagger with every undamaged block, run decoder and
+    """concat's inner stage on the register's dense form.
+
+    Contract E^dagger with every undamaged block, run decoder and
     recovery on the erased block, check that padding and ancillas read
-    |0> (for a unit-norm register), and split off the damaged half."""
+    |0> (for a unit-norm register), and split off the damaged half.
+    """
+    s = dense_form(register)
     n_in, span = scheme.inner.n, scheme.inner.total
     erasure = event.erasure
     erased = event.block if erasure is not None else None
@@ -107,7 +143,7 @@ def dense_inner_stage(scheme: ConcatScheme, s: StateVector,
     if erasure is None:
         return state
     damaged = base if erasure.side == "message" else base + c
-    kept, _dropped = split_recovered(
+    kept, _dropped = split_checked(
         state, [q for q in range(state.n)
                 if not damaged <= q < damaged + n_in])
     return kept

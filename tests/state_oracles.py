@@ -1,15 +1,17 @@
 """State-vector checks kept out of the library.
 
-No library path compares two registers, takes a partial trace or
-measures an arbitrary span of addresses; the tests and the acceptance
-criteria do.  states_close is amplitude-wise equality within a
-tolerance, reduced_density the one-qudit marginal of a register, and
-project_register the general readout that graph_code.decode's syndrome
-readout is checked against.
+No library path compares two registers, takes a partial trace, measures
+an arbitrary span of addresses or splits a register at arbitrary
+addresses; the tests and the acceptance criteria do.  states_close is
+amplitude-wise equality within a tolerance, reduced_density the
+one-qudit marginal of a register, project_register the general readout
+that graph_code.decode's syndrome readout is checked against, and
+split_factor the address front end of the library's one split,
+statevec.split_matrix.
 """
 
 import math
-from typing import Tuple, Type
+from typing import Sequence, Tuple, Type
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from concatqec.statevec import (
     StateError,
     StateVector,
     guard_norm,
+    split_matrix,
 )
 
 AMPLITUDE_TOL = 1e-10
@@ -68,3 +71,31 @@ def project_register(s: StateVector, lo: int, width: int, norm2: float,
     branch = view[:, top] / norm
     return branch2 / norm2, StateVector(p=s.p, n=s.n - width,
                                         amplitudes=branch.reshape(-1))
+
+
+def split_factor(s: StateVector, keep: Sequence[int]
+                 ) -> Tuple[StateVector, StateVector, float]:
+    """Split a (near) product state into kept and dropped factors.
+
+    The state's kept x dropped matrix, read through one transpose of its
+    qudit axes, goes to split_matrix with the state's norm.  The kept
+    addresses are sorted into ascending order in the returned factor.
+
+    Returns:
+        (kept factor, dropped factor, purity of the kept subsystem).
+
+    Raises:
+        StateError: on a bad address, or a norm outside
+            [ZERO_NORM_FLOOR, inf).
+    """
+    kept_addrs = sorted(set(int(q) for q in keep))
+    for q in kept_addrs:
+        s._check_address(q)
+    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, StateError,
+                      "cannot split a state of zero or non-finite norm: ")
+    rest = [q for q in range(s.n) if q not in kept_addrs]
+    block = np.transpose(s.amplitudes.reshape((s.p,) * s.n),
+                         kept_addrs + rest).reshape(s.p**len(kept_addrs), -1)
+    kept, dropped, purity = split_matrix(block, norm)
+    return (StateVector(p=s.p, n=len(kept_addrs), amplitudes=kept),
+            StateVector(p=s.p, n=len(rest), amplitudes=dropped), purity)

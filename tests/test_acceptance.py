@@ -68,9 +68,8 @@ from concatqec.statevec import (
     index_to_digits,
     random_single_qubit_unitary,
     random_state,
-    split_factor,
 )
-from state_oracles import reduced_density
+from state_oracles import reduced_density, split_factor
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "syndrome_table.records"
 

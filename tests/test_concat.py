@@ -4,9 +4,11 @@ The anchor scenario is the ten-qubit pipeline: encode, erase message
 qubit 1 while ancilla 1' takes a bit flip, recover, and read syndrome
 0110 whose tabulated correction restores the input exactly.  Per-qubit
 blocking scales the same machinery to a twenty-qubit register.  The
-register-wide gate-program path, which the block contractions replaced,
-stays here as their oracle, and the dense block isometries (module
-dense_blocks) as the oracle of the support-row scatter and gather.
+register-wide gate-program encoder, which the block contractions
+replaced, stays here as their oracle.  Module dense_blocks holds the
+dense block isometries, the oracle of the support-row scatter and
+gather, and the one gate-program inner stage, the oracle of the block
+map.
 """
 
 import math
@@ -47,7 +49,6 @@ from concatqec.ghz_erasure import (
     build_recovery,
     corrupt_qubit,
     encoder_isometry,
-    split_recovered,
 )
 from concatqec.graph_code import (
     CodeError,
@@ -65,8 +66,8 @@ from concatqec.statevec import (
     fidelity_up_to_phase,
     random_single_qubit_unitary,
     random_state,
-    split_factor,
 )
+from state_oracles import split_factor
 
 RNG = np.random.default_rng(20240820)
 
@@ -217,39 +218,6 @@ def _gate_program_encode(scheme, v):
     return state
 
 
-def _gate_program_inner_stage(scheme, register, event):
-    """Decoder and recovery on the erased block and the inverse encoder
-    on every other block, all on the dense register; then padding and
-    ancillas are projected onto |0> and the damaged half split off."""
-    n_in, span = scheme.inner.n, scheme.inner.total
-    erasure = event.erasure
-    erased_block = event.block if erasure is not None else None
-    state = dense_blocks.dense_form(register)
-    outer_addrs, zero_addrs, discard_addrs = [], [], []
-    for block, carried in enumerate(scheme.assignment):
-        base = block * span
-        if block == erased_block:
-            state = build_decoder(n_in, erasure).apply(state, offset=base)
-            state = build_recovery(n_in, erasure).apply(state, offset=base)
-            content = base + n_in if erasure.side == "message" else base
-            discard = base if erasure.side == "message" else base + n_in
-            discard_addrs.extend(range(discard, discard + n_in))
-        else:
-            state = build_encoder(n_in).inverse().apply(state, offset=base)
-            content = base
-            zero_addrs.extend(range(base + n_in, base + span))
-        outer_addrs.extend(range(content, content + len(carried)))
-        zero_addrs.extend(range(content + len(carried), content + n_in))
-    if zero_addrs:
-        _prob, state = dense_blocks.project_zero(state, zero_addrs)
-    if erased_block is None:
-        return state
-    remaining = sorted(outer_addrs + discard_addrs)
-    kept, _dropped = split_recovered(
-        state, [remaining.index(a) for a in outer_addrs])
-    return kept
-
-
 def _aligned_gap(a, b):
     """Largest amplitude gap between a and b up to one global phase.
 
@@ -279,7 +247,7 @@ def test_block_contractions_match_the_gate_program_path(blocking, model, seed):
     damaged = apply_channel_damage(
         scheme, dense_blocks.physical_blocks(scheme, expected), event)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(concat, "_inner_stage", _gate_program_inner_stage)
+        mp.setattr(concat, "_inner_stage", dense_blocks.dense_inner_stage)
         reference, reference_trace = concat_decode(scheme, damaged, event)
     for physical in (damaged, apply_channel_damage(scheme, got, event)):
         recovered, trace = concat_decode(scheme, physical, event)
@@ -435,9 +403,8 @@ def test_inner_stage_matches_the_dense_isometries_on_every_event(
     inner_stage = concat._inner_stage
     for inner in inner_events:
         damaged = apply_channel_damage(scheme, physical, inner)
-        dense = dense_blocks.dense_form(damaged)
         got = inner_stage(scheme, damaged, inner)
-        want = dense_blocks.dense_inner_stage(scheme, dense, inner)
+        want = dense_blocks.dense_inner_stage(scheme, damaged, inner)
         assert _aligned_gap(got.amplitudes, want.amplitudes) <= 1e-15
         for pauli in paulis:
             event = ChannelEvent(pauli=pauli, erasure=inner.erasure,

@@ -9,6 +9,7 @@ one erased qubit regardless of how the erased qubit was corrupted.
 import re
 import warnings
 
+import dense_blocks
 import numpy as np
 import pytest
 import slab_kernels
@@ -26,7 +27,6 @@ from concatqec.ghz_erasure import (
     GhzError,
     GhzLayout,
     RecoveryError,
-    apply_erasure,
     build_decoder,
     build_encoder,
     build_recovery,
@@ -34,7 +34,6 @@ from concatqec.ghz_erasure import (
     encoder_isometry,
     recover,
     resolve_corruption,
-    split_recovered,
 )
 from concatqec.statevec import (
     StateError,
@@ -87,8 +86,8 @@ def _encode(n: int, message: StateVector) -> StateVector:
 def test_layout_address_split():
     lay = GhzLayout(5)
     assert lay.total == 10
-    assert lay.message_addresses == (0, 1, 2, 3, 4)
-    assert lay.ancilla_addresses == (5, 6, 7, 8, 9)
+    assert [lay.label(a) for a in range(lay.total)] == [
+        "1", "2", "3", "4", "5", "1'", "2'", "3'", "4'", "5'"]
 
 
 def test_layout_rejects_out_of_range_sizes():
@@ -488,10 +487,9 @@ def test_resolve_corruption_names_and_matrices():
             resolve_corruption(np.array([[bad, 0], [0, 1]]))
 
 
-def test_apply_erasure_corrupts_only_the_given_address():
+def test_corrupt_qubit_corrupts_only_the_given_address():
     s = basis_state(2, (0, 0, 0, 0))
-    pos = ErasurePosition(address=1, n=2)
-    out = apply_erasure(s, pos, "X")
+    out = corrupt_qubit(s, 1, "X")
     assert states_close(out, basis_state(2, (0, 1, 0, 0)))
 
 
@@ -589,7 +587,7 @@ def test_recovery_restores_the_message_from_any_position(n):
     for addr in range(2 * n):
         pos = ErasurePosition(address=addr, n=n)
         for corr in corruptions:
-            damaged = apply_erasure(encoded, pos, corr)
+            damaged = corrupt_qubit(encoded, pos.address, corr)
             recovered, _rest = recover(damaged, pos)
             assert recovered.n == n
             assert fidelity_up_to_phase(recovered, message) > 1 - 1e-9, \
@@ -607,10 +605,11 @@ def test_even_blocks_recover_clean_erasures_everywhere():
         collision = {n // 2 - 1, n + n // 2 - 1}
         for addr in range(2 * n):
             pos = ErasurePosition(address=addr, n=n)
-            recovered, _ = recover(apply_erasure(encoded, pos, None), pos)
+            recovered, _ = recover(
+                corrupt_qubit(encoded, pos.address, None), pos)
             assert fidelity_up_to_phase(recovered, message) > 1 - 1e-9
             if addr not in collision:
-                damaged = apply_erasure(encoded, pos, "Y")
+                damaged = corrupt_qubit(encoded, pos.address, "Y")
                 recovered, _ = recover(damaged, pos)
                 assert fidelity_up_to_phase(recovered, message) > 1 - 1e-9
 
@@ -621,9 +620,9 @@ def test_recovery_rejects_two_qubit_damage():
     message = random_state(2, 3, RNG)
     encoded = _encode(3, message)
     pos = ErasurePosition(address=0, n=3)
-    damaged = apply_erasure(encoded, pos, random_single_qubit_unitary(RNG))
-    second = ErasurePosition(address=1, n=3)
-    damaged = apply_erasure(damaged, second, random_single_qubit_unitary(RNG))
+    damaged = corrupt_qubit(encoded, pos.address,
+                            random_single_qubit_unitary(RNG))
+    damaged = corrupt_qubit(damaged, 1, random_single_qubit_unitary(RNG))
     with pytest.raises(RecoveryError):
         recover(damaged, pos)
 
@@ -633,15 +632,16 @@ def test_recovery_error_states_the_purity_and_bound():
     # half at purity 1/2, which the error quotes against the bound.
     encoded = _encode(3, basis_state(2, (0, 0, 0)))
     rotation = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
-    damaged = apply_erasure(encoded, ErasurePosition(address=4, n=3), rotation)
+    damaged = corrupt_qubit(encoded, 4, rotation)
     with pytest.raises(RecoveryError,
                        match=r"purity 0\.5 <= bound 0\.999999999\)"):
         recover(damaged, ErasurePosition(address=0, n=3))
 
 
 def test_recovery_refuses_zero_and_non_finite_registers():
-    # A zero register or a NaN amplitude is a StateError from the split,
-    # not a ZeroDivisionError or a failed SVD.
+    # A zero register or a NaN amplitude is a StateError from the norm
+    # guard, as from the programs' split, not a ZeroDivisionError or a
+    # failed SVD.
     nan = _encode(3, basis_state(2, (0, 1, 0))).amplitudes.copy()
     nan[5] = complex(np.nan, 0)
     pos = ErasurePosition(address=0, n=3)
@@ -649,9 +649,82 @@ def test_recovery_refuses_zero_and_non_finite_registers():
                        (nan, "non-finite")):
         s = StateVector(p=2, n=6, amplitudes=amps)
         with pytest.raises(StateError, match=text):
-            split_recovered(s, [3, 4, 5])
+            dense_blocks.program_recover(s, pos)
         with pytest.raises(StateError, match=text):
             recover(s, pos)
+
+
+@pytest.mark.parametrize("n", range(MIN_BLOCK, MAX_BLOCK + 1))
+def test_recover_matches_the_gate_programs(n):
+    # The block map on the lone block against decoder then recovery run
+    # through GateProgram.apply and split by address: at every position,
+    # under every corruption, the same RecoveryError text, or else the
+    # same kept (x) dropped product.  At even n, Y at the positions where
+    # recovery targets the erased qubit leaves the halves entangled.
+    rng = np.random.default_rng([20261020, n])
+    encoded = _encode(n, random_state(2, n, rng))
+    corruptions = [None, "X", "Y", "Z", random_single_qubit_unitary(rng)]
+    refused = 0
+    for addr in range(2 * n):
+        pos = ErasurePosition(address=addr, n=n)
+        for corr in corruptions:
+            damaged = corrupt_qubit(encoded, addr, corr)
+            try:
+                want = dense_blocks.program_recover(damaged, pos)
+            except RecoveryError as error:
+                with pytest.raises(RecoveryError) as got:
+                    recover(damaged, pos)
+                assert str(got.value) == str(error)
+                refused += 1
+                continue
+            kept, dropped = recover(damaged, pos)
+            assert (kept.n, dropped.n) == (n, n)
+            product = np.outer(kept.amplitudes, dropped.amplitudes)
+            oracle = np.outer(want[0].amplitudes, want[1].amplitudes)
+            assert np.max(np.abs(product - oracle)) <= 1e-12, (pos.label,
+                                                                corr)
+    assert (refused > 0) == (n % 2 == 0)
+
+
+@pytest.mark.parametrize("s, error, text", [
+    (StateVector(p=3, n=4, amplitudes=np.ones(81)), StateError,
+     "recovery is defined for p = 2 registers, got p = 3"),
+    (StateVector(p=5, n=4, amplitudes=np.ones(625)), StateError,
+     "recovery is defined for p = 2 registers, got p = 5"),
+    (StateVector(p=2, n=5, amplitudes=np.ones(32)), GhzError,
+     "register size 5 does not match block 2"),
+    (StateVector(p=3, n=3, amplitudes=np.ones(27)), GhzError,
+     "register size 3 does not match block 2")])
+def test_recover_refuses_other_fields_and_sizes_before_any_gather(
+        s, error, text, monkeypatch):
+    # A p = 3 register of four qutrits has more amplitudes than the
+    # block map reads, so without the field check it would be gathered
+    # without complaint.
+    def no_gather(*args):
+        raise AssertionError("rows gathered before the register was checked")
+
+    monkeypatch.setattr(ghz_erasure, "erased_rows", no_gather)
+    with pytest.raises(error, match=re.escape(text)):
+        recover(s, ErasurePosition(address=1, n=2))
+
+
+def test_recover_runs_no_gate_program(monkeypatch):
+    # Cold block maps included: recover reads the compiled programs
+    # through its block map and never runs them.
+    def no_apply(*args, **kwargs):
+        raise AssertionError("recover ran a gate program")
+
+    encoded = {n: _encode(n, random_state(2, n, RNG))
+               for n in range(MIN_BLOCK, MAX_BLOCK + 1)}
+    monkeypatch.setattr(GateProgram, "apply", no_apply)
+    ghz_erasure._erased_block_map.cache_clear()
+    try:
+        for n, s in encoded.items():
+            for addr in (0, n - 1, n, 2 * n - 1):
+                kept, _ = recover(s, ErasurePosition(address=addr, n=n))
+                assert kept.n == n
+    finally:
+        ghz_erasure._erased_block_map.cache_clear()
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
@@ -664,6 +737,6 @@ def test_recovery_output_never_depends_on_the_corruption(seed, addr, corr):
     message = random_state(2, 5, np.random.default_rng(seed))
     encoded = _encode(5, message)
     pos = ErasurePosition(address=addr, n=5)
-    baseline, _ = recover(apply_erasure(encoded, pos, None), pos)
-    twisted, _ = recover(apply_erasure(encoded, pos, corr), pos)
+    baseline, _ = recover(corrupt_qubit(encoded, pos.address, None), pos)
+    twisted, _ = recover(corrupt_qubit(encoded, pos.address, corr), pos)
     assert fidelity_up_to_phase(baseline, twisted) > 1 - 1e-9

@@ -133,7 +133,8 @@ def test_load_graph_round_trips_through_files(tmp_path):
 
 
 def test_the_packaged_graph_file_and_the_built_graph_share_one_decoder():
-    # Built by different paths, the two graphs are one lru_cache key.
+    # Parsed apart, the two graphs hold distinct arrays and are one
+    # lru_cache key.
     loaded = load_graph(Path(graph_code.__file__).parent / "data"
                         / "five_qubit_decoding.graph")
     built = five_qubit_decoding_graph()

@@ -26,7 +26,9 @@ from concatqec.ghz_erasure import (
     ErasurePosition,
     GhzError,
     GhzLayout,
+    build_encoder,
     corrupt_qubit,
+    recover,
 )
 from concatqec.graph_code import (
     CodeError,
@@ -43,7 +45,6 @@ from concatqec.statevec import (
     normalize,
     random_single_qubit_unitary,
     random_state,
-    split_factor,
 )
 from state_oracles import project_register
 
@@ -79,18 +80,20 @@ def _project_register():
     return random_state(2, 3, _rng()).amplitudes, run, StateError
 
 
-def _split_factor():
-    # A product over qubit 1 and qubits (0, 2); the kept set is not a span.
+def _recover():
+    # A three-qubit message, encoded, with ancilla 2' rotated away.
     rng = _rng()
-    middle = random_state(2, 1, rng).amplitudes
-    outer = random_state(2, 2, rng).amplitudes.reshape(2, 1, 2)
-    amps = (outer * middle[np.newaxis, :, np.newaxis]).reshape(-1)
+    message = random_state(2, 3, rng).amplitudes
+    padded = np.kron(message, np.eye(8)[0])
+    encoded = build_encoder(3).apply(StateVector(p=2, n=6, amplitudes=padded))
+    pos = ErasurePosition(address=4, n=3)
+    damaged = corrupt_qubit(encoded, pos.address,
+                            random_single_qubit_unitary(rng))
 
     def run(amps):
-        kept, dropped, purity = split_factor(
-            StateVector(p=2, n=3, amplitudes=amps), [0, 2])
-        return None, [kept.amplitudes, dropped.amplitudes, np.array([purity])]
-    return amps, run, StateError
+        kept, dropped = recover(StateVector(p=2, n=6, amplitudes=amps), pos)
+        return None, [kept.amplitudes, dropped.amplitudes]
+    return damaged.amplitudes, run, StateError
 
 
 def _corrupt_qubit():
@@ -137,7 +140,7 @@ GUARDED = {
     "normalize": _normalize,
     "LogicalState": _logical_state,
     "project_register": _project_register,
-    "split_factor": _split_factor,
+    "recover": _recover,
     "corrupt_qubit": _corrupt_qubit,
     "decode": _decode,
     "concat_decode-whole-register": _concat_decode(WHOLE_REGISTER),

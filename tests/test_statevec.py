@@ -36,9 +36,13 @@ from concatqec.statevec import (
     normalize,
     random_single_qubit_unitary,
     random_state,
-    split_factor,
 )
-from state_oracles import project_register, reduced_density, states_close
+from state_oracles import (
+    project_register,
+    reduced_density,
+    split_factor,
+    states_close,
+)
 
 RNG = np.random.default_rng(20240817)
 
