@@ -14,53 +14,35 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from concatqec.concat import (
+    NOISE_MODELS,
     PER_QUBIT,
     WHOLE_REGISTER,
     ConcatScheme,
     effective_channel,
-    noise_correctable,
-    noise_identity,
-    noise_two_pauli,
 )
 from concatqec.ghz_erasure import GhzError, GhzLayout
 from concatqec.graph_code import CodeError, five_qubit_decoding_graph
 
 
-@dataclass
-class StatsConfig:
-    """Parameters of one statistics run.
-
-    Attributes:
-        trials: Monte-Carlo samples per noise model.
-        seed: generator seed shared by all models for comparability.
-        blocking: register layout of the concatenated code.
-        inner_n: inner block size (must equal 5 for whole-register).
-    """
-
-    trials: int = 100
-    seed: int = 7
-    blocking: str = WHOLE_REGISTER
-    inner_n: int = 5
-
-
-def run(config: StatsConfig) -> None:
-    g = five_qubit_decoding_graph()
-    scheme = ConcatScheme(outer=g, inner=GhzLayout(config.inner_n),
-                          blocking=config.blocking)
-    models = (
-        ("identity", noise_identity()),
-        ("correctable", noise_correctable(scheme)),
-        ("two-pauli", noise_two_pauli(scheme)),
-    )
-    print(f"blocking={config.blocking} register={scheme.total_qubits} qubits "
-          f"trials={config.trials} seed={config.seed}")
+def run(args: argparse.Namespace) -> None:
+    """Print one table row per noise model for the parsed flags."""
+    blocking = PER_QUBIT if args.per_qubit else WHOLE_REGISTER
+    inner_n = args.inner_n
+    if inner_n is None:
+        inner_n = 2 if args.per_qubit else 5
+    trials = args.trials
+    if trials is None:
+        trials = 10 if args.per_qubit else 100
+    scheme = ConcatScheme(outer=five_qubit_decoding_graph(),
+                          inner=GhzLayout(inner_n), blocking=blocking)
+    print(f"blocking={blocking} register={scheme.total_qubits} qubits "
+          f"trials={trials} seed={args.seed}")
     print(f"{'model':>12}  {'mean_fid':>10}  {'min_fid':>10}  {'fail_rate':>9}")
-    for name, noise in models:
-        stats = effective_channel(scheme, noise, trials=config.trials,
-                                  seed=config.seed)
+    for name, model in NOISE_MODELS.items():
+        stats = effective_channel(scheme, model(scheme), trials=trials,
+                                  seed=args.seed)
         print(f"{name:>12}  {stats['mean_fidelity']:>10.6f}  "
               f"{stats['min_fidelity']:>10.6f}  "
               f"{stats['failure_rate']:>9.4f}")
@@ -84,16 +66,8 @@ def main() -> int:
     parser.add_argument("--inner-n", type=int, default=None,
                         help="inner block size (default 5, or 2 per-qubit)")
     args = parser.parse_args()
-    blocking = PER_QUBIT if args.per_qubit else WHOLE_REGISTER
-    inner_n = args.inner_n
-    if inner_n is None:
-        inner_n = 2 if args.per_qubit else 5
-    trials = args.trials
-    if trials is None:
-        trials = 10 if args.per_qubit else 100
     try:
-        run(StatsConfig(trials=trials, seed=args.seed, blocking=blocking,
-                        inner_n=inner_n))
+        run(args)
     except (CodeError, GhzError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,19 +36,8 @@ from concatqec.statevec import (
 )
 
 
-@dataclass
-class SweepConfig:
-    """Parameters of one sweep run.
-
-    Attributes:
-        seed: base seed for logical inputs and random unitaries.
-        unitaries: number of random corruption unitaries beyond I/X/Y/Z.
-        tolerance: fidelity shortfall treated as failure.
-    """
-
-    seed: int = 77
-    unitaries: int = 5
-    tolerance: float = 1e-10
+# Fidelity shortfall treated as failure.
+TOLERANCE = 1e-10
 
 
 @dataclass
@@ -70,17 +59,18 @@ def corruption_name(corr) -> str:
     return "unitary"
 
 
-def run_sweep(config: SweepConfig) -> SweepResult:
+def run_sweep(args: argparse.Namespace) -> SweepResult:
+    """Decode every case for the parsed ``--seed`` and ``--unitaries``."""
     g = five_qubit_decoding_graph()
     scheme = ConcatScheme(outer=g, inner=GhzLayout(g.n))
     corruptions: List = [None, "X", "Y", "Z"]
-    for k in range(config.unitaries):
+    for k in range(args.unitaries):
         corruptions.append(random_single_qubit_unitary(
-            np.random.default_rng(config.seed + 1000 + k)))
+            np.random.default_rng(args.seed + 1000 + k)))
     paulis: List[Tuple[int, int, int]] = [
         (q, b, s) for q in range(g.n) for b, s in ((1, 0), (0, 1), (1, 1))]
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(args.seed)
     result = SweepResult()
     for addr in range(scheme.total_qubits):
         pos = ErasurePosition(address=addr, n=scheme.inner.n)
@@ -97,7 +87,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 fid = fidelity_up_to_phase(v.as_state(), recovered.as_state())
                 result.cases += 1
                 result.worst = min(result.worst, fid)
-                if fid < 1.0 - config.tolerance:
+                if fid < 1.0 - TOLERANCE:
                     result.failures += 1
                 label = pos.label
                 result.by_position[label] = min(
@@ -122,14 +112,12 @@ def main() -> int:
         print(f"error: need --unitaries >= 0, got {args.unitaries}",
               file=sys.stderr)
         return 1
-    config = SweepConfig(seed=args.seed, unitaries=args.unitaries)
-
     start = time.perf_counter()
-    result = run_sweep(config)
+    result = run_sweep(args)
     elapsed = time.perf_counter() - start
 
     print(f"cases:     {result.cases}")
-    print(f"failures:  {result.failures}  (shortfall > {config.tolerance:g})")
+    print(f"failures:  {result.failures}  (shortfall > {TOLERANCE:g})")
     print(f"worst:     1 - {1.0 - result.worst:.3e}")
     print(f"runtime:   {elapsed:.1f} s")
     print()

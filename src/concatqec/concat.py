@@ -107,6 +107,7 @@ __all__ = [
     "noise_identity",
     "noise_correctable",
     "noise_two_pauli",
+    "NOISE_MODELS",
 ]
 
 WHOLE_REGISTER = "whole-register"
@@ -226,14 +227,11 @@ class DecodeTrace:
         event: description of the channel event.
         syndrome: observed outer syndrome digits.
         correction: outer correction label applied.
-        fidelity: squared overlap with the reference input when the
-            caller knows it; None otherwise.
     """
 
     event: str
     syndrome: str
     correction: str
-    fidelity: Optional[float] = None
 
 
 @functools.lru_cache(maxsize=8)
@@ -577,6 +575,14 @@ def noise_two_pauli(scheme: ConcatScheme) -> NoiseModel:
         pauli = PauliError(m=0, b=tuple(b), s=tuple(sp), p=2)
         return ChannelEvent(pauli=pauli)
     return draw
+
+
+# The noise models by name, each a factory of the scheme it samples.
+NOISE_MODELS: Dict[str, Callable[[ConcatScheme], NoiseModel]] = {
+    "identity": lambda scheme: noise_identity(),
+    "correctable": noise_correctable,
+    "two-pauli": noise_two_pauli,
+}
 
 
 def effective_channel(scheme: ConcatScheme, noise: NoiseModel,

@@ -5,14 +5,17 @@ contract (0 success, 1 domain failure, 2 usage failure), and pins the
 machine-readable outputs against golden content and repeat runs.
 """
 
+import argparse
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from concatqec.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from concatqec import cli
+from concatqec.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "syndrome_table.records"
 # The installed console script is checked against the next file in CI.
@@ -315,6 +318,58 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == EXIT_USAGE
+
+
+# The flags each subcommand reads, and so the only ones it accepts.
+SUBCOMMAND_FLAGS = {
+    "verify-graph": {"--graph", "--p", "--format", "--e"},
+    "syndrome-table": {"--graph", "--p", "--format"},
+    "worked-example": {"--graph", "--p", "--format", "--erasure-pos",
+                       "--error"},
+    "monte-carlo": {"--graph", "--p", "--format", "--seed", "--trials",
+                    "--noise"},
+}
+
+
+def _subcommand_flags():
+    """Each subparser of build_parser() with its option strings."""
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for a in sub._actions for flag in a.option_strings}
+            - {"-h", "--help"}
+            for name, sub in action.choices.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ("syndrome-table", "--e", "2"),
+    ("verify-graph", "--seed", "5"),
+    ("worked-example", "--trials", "0"),
+    ("monte-carlo", "--erasure-pos", "9"),
+])
+def test_subcommands_refuse_a_flag_they_do_not_read(monkeypatch, capsys,
+                                                    argv):
+    # Each of these used to be accepted, ignored, and exit 0.  The flag is
+    # refused while parsing, before any graph is loaded.
+    def no_graph(args):
+        raise AssertionError("graph loaded")
+    monkeypatch.setattr(cli, "_load_configured_graph", no_graph)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in captured.err
+
+
+def test_each_subcommand_and_readme_list_only_the_flags_it_reads():
+    assert _subcommand_flags() == SUBCOMMAND_FLAGS
+    # README's synopsis lists each subcommand's flags, no more, no fewer.
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    synopsis = section.split("```text\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1]: set(re.findall(r"\[(--[a-z-]+)", line))
+                  for line in synopsis.splitlines()}
+    assert documented == SUBCOMMAND_FLAGS
 
 
 def test_module_execution_round_trip():
