@@ -11,7 +11,8 @@ Subcommands:
   model.
 
 Every subcommand takes ``--graph``, ``--p`` and ``--format``, plus only
-the flags it reads; any other flag is a usage error.  Exit codes: 0
+the flags it reads; any other flag is a usage error, reported under the
+subcommand's own usage line.  Exit codes: 0
 success, 1 domain failure (inadmissible graph, failed decode), 2 usage
 or parse error.  With ``--format records`` output is one record per
 line of space-separated ``key=value`` pairs.
@@ -54,6 +55,17 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     """A bad flag value, reported with exit code 2."""
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a flag it does not read is reported under
+    its own usage line, not the root's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed, extras
 
 
 def _load_configured_graph(args: argparse.Namespace) -> CodeGraph:
@@ -213,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concatqec",
         description="graph-code and GHZ erasure-code simulator")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     verify = sub.add_parser("verify-graph", parents=[shared],
                             help="check the decoding conditions")

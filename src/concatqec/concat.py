@@ -23,15 +23,22 @@ The physical register is a BlockRegister: one tensor with one axis per
 inner block.  An axis is carried, holding the block's 2**c codeword
 amplitudes with E implied, or physical, holding its 2**(2n) amplitudes.
 Encoding leaves every axis carried, so it is the outer codeword
-reshaped.  A channel event touches one block, so damage makes only that
-block's axis physical, by contracting it with E's support rows and
-scattering them onto the block's register indices; every other block
-keeps its carried amplitudes, since its encoding would cancel against
-its unencoding.  No dense form is built: an axis turns physical only
-when damage or decoding reaches its block.
+reshaped.  A channel event touches one block.  Damage to a register
+whose every axis is carried records the hit (block, position and
+operator) and applies nothing.  Otherwise, or when anything reads a
+recorded register's amplitudes, damage makes only the hit block's axis
+physical, by contracting it with E's support rows and scattering them
+onto the block's register indices, and corrupts the erased qubit there;
+every other block keeps its carried amplitudes, since its encoding
+would cancel against its unencoding.  No dense form is built: an axis
+turns physical only when damage or decoding reaches its block.
 
-Decoding checks the register's norm, which E's isometry makes the
-physical one, and makes the erased block's axis physical.  It gathers
+When the event declares the recorded hit, decoding reads the erased
+block's kept rows straight from the carried core in one gather, by
+ghz_erasure's cached carried_erasure_map: encoder, corruption, decoder
+and recovery composed once into one term per row.  Otherwise decoding
+checks the register's norm, which E's isometry makes the physical one,
+and makes the erased block's axis physical.  It gathers
 the support rows of every other physical axis in one step and contracts
 them with E's adjoint, which leaves only their carried qubits.  The
 flagged block is decoded by ghz_erasure, which owns that decode:
@@ -40,8 +47,9 @@ picks, its decoder then recovery, along the block's axis of that
 reduced register, and writes only the rows whose padding reads |0>,
 damaged half first.  Their share of the whole register's norm is the
 probability that padding and ancillas read |0>, so amplitudes off the
-support count as damage; this module checks it.  split_erased then
-splits the damaged half off the rows.  Decoding then applies any
+support count as damage; this module checks it, against the recorded
+norm for a recorded hit.  split_erased then splits the damaged half
+off the rows.  Decoding then applies any
 computational error carried by the channel event to the surviving
 codeword, and finally runs outer syndrome decoding plus table lookup
 correction.
@@ -52,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +68,8 @@ from .ghz_erasure import (
     ErasurePosition,
     GhzError,
     GhzLayout,
+    carried_corruption,
+    carried_erasure_map,
     corrupt_qubit,
     encoder_isometry,
     erased_rows,
@@ -254,7 +264,26 @@ def _map_block(t: np.ndarray, b: int, m: np.ndarray) -> np.ndarray:
     return t.reshape(shape[:b] + (len(m),) + shape[b + 1:])
 
 
-@dataclass(eq=False)
+class _Hit(NamedTuple):
+    """A corruption of one erased qubit, recorded but not yet applied.
+
+    Attributes:
+        block: the hit block, whose axis is carried, as is every other.
+        position: the erased qubit's position in the block.
+        corruption: what corrupt_qubit applies: the event's label or
+            None, else the resolved operator, which resolves to itself.
+        operator: the resolved 2 x 2 operator.
+        norm2: the squared norm of the register with the hit applied,
+            before renormalization.
+    """
+
+    block: int
+    position: ErasurePosition
+    corruption: Union[None, str, np.ndarray]
+    operator: np.ndarray
+    norm2: float
+
+
 class BlockRegister:
     """The physical register of a scheme, held as one tensor axis per block.
 
@@ -265,6 +294,14 @@ class BlockRegister:
     the length tells the two apart.  E is an isometry, so the core's
     norm is the physical register's.
 
+    A register may also hold a recorded hit (see apply_channel_damage):
+    a corruption of one erased qubit of a register whose every axis is
+    carried, not yet applied, so that concat_decode can read the erased
+    block's rows straight from the carried core.  Any read of the
+    amplitudes (core, physical, flat, expand) first applies the hit as
+    apply_channel_damage once did: the block's axis made physical, then
+    corrupt_qubit, so it reads bit for bit as that register.
+
     Attributes:
         scheme: the scheme whose blocks the axes follow.
         core: complex tensor with one axis per block, block 0 first.
@@ -273,19 +310,31 @@ class BlockRegister:
         CodeError: on a core whose axes do not fit the scheme's blocks.
     """
 
-    scheme: ConcatScheme
-    core: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.core = np.asarray(self.core, dtype=np.complex128)
-        span = 2**self.scheme.inner.total
-        widths = [2**len(carried) for carried in self.scheme.assignment]
-        if self.core.ndim != len(widths) or any(
+    def __init__(self, scheme: ConcatScheme, core: np.ndarray) -> None:
+        core = np.asarray(core, dtype=np.complex128)
+        span = 2**scheme.inner.total
+        widths = [2**len(carried) for carried in scheme.assignment]
+        if core.ndim != len(widths) or any(
                 size not in (width, span)
-                for size, width in zip(self.core.shape, widths)):
+                for size, width in zip(core.shape, widths)):
             raise CodeError(
-                f"core of shape {self.core.shape} does not fit blocks "
+                f"core of shape {core.shape} does not fit blocks "
                 f"{tuple(widths)} carried or {span} physical")
+        self.scheme = scheme
+        self._core = core
+        self._hit: Optional[_Hit] = None
+
+    @property
+    def core(self) -> np.ndarray:
+        """The amplitudes, one axis per block; a recorded hit is applied
+        first."""
+        hit = self._hit
+        if hit is not None:
+            carried = BlockRegister(self.scheme, self._core)
+            self._core = carried._corrupted(hit.block, hit.position,
+                                            hit.corruption)
+            self._hit = None
+        return self._core
 
     def physical(self, block: int) -> bool:
         return self.core.shape[block] == 2**self.scheme.inner.total
@@ -305,6 +354,28 @@ class BlockRegister:
             return self
         return BlockRegister(self.scheme, self._expanded(block))
 
+    def _carried(self) -> bool:
+        """Whether every axis is carried and no hit is recorded."""
+        span = 2**self.scheme.inner.total
+        return self._hit is None and span not in self._core.shape
+
+    def _expanded_shape(self, block: int) -> List[int]:
+        """The core's shape with block's axis physical.
+
+        Raises:
+            CodeError: when it holds more than MAX_AMPLITUDES amplitudes.
+        """
+        scheme = self.scheme
+        shape = list(self._core.shape)
+        shape[block] = 2**scheme.inner.total
+        count = math.prod(shape)
+        if count > MAX_AMPLITUDES:
+            # The message is formatted only for a refusal.
+            check_amplitude_count(
+                f"{scheme.blocking} blocking with inner n = "
+                f"{scheme.inner.n} ({count.bit_length() - 1} qubits)", count)
+        return shape
+
     def _expanded(self, block: int) -> np.ndarray:
         """The core with block's axis made physical, or the core itself.
 
@@ -317,18 +388,20 @@ class BlockRegister:
         scheme = self.scheme
         support = encoder_isometry(scheme.inner.n,
                                    len(scheme.assignment[block]))
-        shape = list(self.core.shape)
-        shape[block] = 2**scheme.inner.total
-        count = math.prod(shape)
-        if count > MAX_AMPLITUDES:
-            # The message is formatted only for a refusal.
-            check_amplitude_count(
-                f"{scheme.blocking} blocking with inner n = "
-                f"{scheme.inner.n} ({count.bit_length() - 1} qubits)", count)
-        core = np.zeros(shape, dtype=np.complex128)
+        core = np.zeros(self._expanded_shape(block), dtype=np.complex128)
         core[(slice(None),) * block + (support.rows,)] = _map_block(
             self.core, block, support.block)
         return core
+
+    def _corrupted(self, block: int, position: ErasurePosition,
+                   corruption: Union[None, str, np.ndarray]) -> np.ndarray:
+        """A fresh core: block's axis made physical, then corrupt_qubit on
+        its qubit at position."""
+        core = self._expanded(block)
+        address = sum(size.bit_length() - 1 for size in core.shape[:block])
+        damaged = corrupt_qubit(_flat(core), address + position.address,
+                                corruption)
+        return damaged.amplitudes.reshape(core.shape)
 
 
 def _flat(core: np.ndarray) -> StateVector:
@@ -389,21 +462,35 @@ def apply_channel_damage(scheme: ConcatScheme, s: BlockRegister,
                          event: ChannelEvent) -> BlockRegister:
     """Apply the physical part of an event: the erasure-site corruption.
 
-    Only the hit block's axis is made physical; the corruption then acts
-    on the erased qubit of that axis.  The result is fresh, or s itself
-    for an event without an erasure.
+    On a register whose every axis is carried, the hit is recorded, not
+    applied: the result holds a copy of the carried core plus the block,
+    the position and the resolved operator, which concat_decode reads in
+    one gather when the event declares that erasure.  The register, the
+    amplitude cap and the corruption are checked as for an applied hit,
+    the norms by carried_corruption.  Otherwise, and on any read of the
+    result's amplitudes, only the hit block's axis is made physical and
+    the corruption acts on the erased qubit of that axis.  The result is
+    fresh, or s itself for an event without an erasure.
 
     The computational part (event.pauli) strikes the surviving codeword
     and is injected by concat_decode after inner recovery.
     """
     _check_inputs(scheme, s, event)
-    if event.erasure is None:
+    erasure = event.erasure
+    if erasure is None:
         return s
-    core = s._expanded(event.block)
-    address = sum(size.bit_length() - 1 for size in core.shape[:event.block])
-    damaged = corrupt_qubit(_flat(core), address + event.erasure.address,
-                            event.corruption)
-    return BlockRegister(scheme, damaged.amplitudes.reshape(core.shape))
+    if not s._carried():
+        return BlockRegister(scheme, s._corrupted(event.block, erasure,
+                                                  event.corruption))
+    s._expanded_shape(event.block)  # the amplitude cap
+    operator, norm2_hit = carried_corruption(s.flat(), event.corruption)
+    corruption = event.corruption
+    if corruption is not None and not isinstance(corruption, str):
+        corruption = operator
+    recorded = BlockRegister(scheme, s.core.copy())
+    recorded._hit = _Hit(event.block, erasure, corruption, operator,
+                         norm2_hit)
+    return recorded
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +527,26 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
     padding nor a gather can lose norm it is 1 and goes unchecked.  The
     damaged half must then split off the rows as a product.
 
+    When the register records a hit that is the declared erasure, every
+    axis is carried and nothing is expanded or applied: the same rows,
+    unnormalized, are one gather from the carried core by the block's
+    cached carried_erasure_map, and the recorded squared norm is the
+    register's.  Any other recorded hit is applied first.
+
     Raises:
         CodeError: on a register whose norm is zero or not finite.
     """
     n_in = scheme.inner.n
     erasure = event.erasure
     erased = event.block if erasure is not None else None
+    hit = register._hit
+    if hit is not None and (hit.block, hit.position) == (erased, erasure):
+        core = register._core
+        c = len(scheme.assignment[erased])
+        rows = carried_erasure_map(
+            n_in, c, erasure, math.prod(core.shape[:erased]),
+            math.prod(core.shape[erased + 1:])).rows(core, hit.operator)
+        return _split_erased_block(rows, n_in, hit.norm2, c < n_in)
     norm = guard_norm(math.sqrt(norm2(register.core)), ZERO_NORM_FLOOR,
                       CodeError, "register ")
     t = register.core if erased is None else register._expanded(erased)
@@ -475,9 +576,21 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
 
     c = len(scheme.assignment[erased])
     rows = erased_rows(t, erased, c, erasure)
+    return _split_erased_block(rows, n_in, norm * norm,
+                               c < n_in or bool(gathered))
+
+
+def _split_erased_block(rows: np.ndarray, n_in: int, total2: float,
+                        lossy: bool) -> StateVector:
+    """The codeword left by the erased block's decoded rows.
+
+    The rows' share of total2, the register's squared norm, is the
+    all-zero probability, checked when lossy: when padding or a gather
+    can lose norm.  split_erased then splits the damaged half off.
+    """
     kept2 = norm2(rows)
-    if c < n_in or gathered:
-        _require_all_zero(kept2 / (norm * norm))
+    if lossy:
+        _require_all_zero(kept2 / total2)
     kept, _dropped = split_erased(rows, n_in, math.sqrt(kept2))
     return StateVector(p=2, n=kept.size.bit_length() - 1, amplitudes=kept)
 
@@ -520,7 +633,8 @@ def concat_decode(scheme: ConcatScheme, s: BlockRegister,
 # Noise models and channel statistics
 # ---------------------------------------------------------------------------
 
-NoiseModel = Callable[[np.random.Generator], ChannelEvent]
+# Left unevaluated, so that importing the package never loads numpy.random.
+NoiseModel = Callable[["np.random.Generator"], ChannelEvent]
 
 
 def noise_identity() -> NoiseModel:

@@ -26,7 +26,12 @@ only as the cached encoder isometry on its carried qubits.  The erased
 block's decode stays here: erased_rows runs the cached map of decoder
 then recovery for the erasure position on the rows the block keeps,
 and split_erased splits the damaged half off them.  concat's inner
-stage calls the pair, and recover calls it on a lone block.
+stage calls the pair, and recover calls it on a lone block.  A block
+still held by its carried amplitudes needs neither its register nor
+the programs: carried_erasure_map composes encoder, the corruption of
+the erased qubit, decoder and recovery into one gather from the
+carried amplitudes, and carried_corruption checks the corruption
+against the norm it leaves.
 """
 
 from __future__ import annotations
@@ -580,9 +585,129 @@ def _erased_block_map(n: int, c: int, pos: ErasurePosition, pre: int,
     return block_map
 
 
+class CarriedErasureMap(NamedTuple):
+    """An erased block's decode read straight from its carried amplitudes.
+
+    The map reads a core viewed as (pre, 2**c, post), the erased block's
+    carried axis in the middle, and the 2 x 2 operator U that hit the
+    erased qubit.  It writes the rows that erased_rows writes for the
+    same core with the block's axis made physical and U applied, in the
+    same order but not renormalized: row r is weight[r] * U.flat[entry[r]]
+    * core.flat[source[r]], and weight[r] is 0 where no term reaches it.
+
+    Attributes:
+        weight: (rows,) complex weights.
+        entry: (rows,) indices into U.flat.
+        source: (rows,) flat core indices.
+    """
+
+    weight: np.ndarray
+    entry: np.ndarray
+    source: np.ndarray
+
+    def rows(self, core: np.ndarray, operator: np.ndarray) -> np.ndarray:
+        """The decoded rows of a core hit by operator, as a fresh 1-D array."""
+        out = operator.reshape(-1).take(self.entry)
+        out *= self.weight
+        out *= core.reshape(-1).take(self.source)
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def carried_erasure_map(n: int, c: int, pos: ErasurePosition, pre: int,
+                        post: int) -> CarriedErasureMap:
+    """Encoder, a corruption at pos, decoder and recovery, as one gather.
+
+    The block carries c qubits, and pre and post amplitudes of a core
+    sit before and after its carried axis.  The chain is linear in the
+    corruption's four entries, so it is composed once, on the four
+    matrix units |x><y| at pos: each unit is applied to the encoder
+    isometry E by index arithmetic, and the block map of decoder and
+    recovery reads the result.  Recovery leaves the damage a product
+    with the codeword (Knill & Laflamme 1997), so each kept row is one
+    term: a weight, one entry of the corruption, one carried amplitude.
+
+    The build checks, once, that each kept row has at most one term;
+    that the programs leave no weight off the kept rows, which is why
+    no norm is lost; and that E^dagger (|x><y| at pos) E is delta_xy I / 2,
+    the identity carried_corruption's norm rests on.
+
+    Raises:
+        GhzError: when a check fails, or as _erased_block_map does.
+    """
+    size, width = 4**n, 2**c
+    support = encoder_isometry(n, c)
+    block_map = _erased_block_map(n, c, pos, 1, 1)
+    # Per kept row, in (damaged, carried) order: its terms so far, and
+    # its last term's weight and (unit, input) index.
+    count = np.zeros(block_map.minus.size, dtype=np.int64)
+    weight = np.zeros(block_map.minus.size, dtype=np.complex128)
+    term = np.zeros(block_map.minus.size, dtype=np.int64)
+    bit = 1 << (2 * n - 1 - pos.address)
+    index = np.arange(size)
+    reads = {x: index[(index & bit > 0) == x] for x in (0, 1)}
+    gap = lost = 0.0
+    # One column j of E and one unit at a time, so that memory stays
+    # that of one block register.
+    for j in range(width):
+        column = np.zeros(size, dtype=np.complex128)
+        column[support.rows] = support.block[:, j]
+        for x, y in itertools.product((0, 1), repeat=2):
+            # |x><y| at pos: a row whose pos bit reads x takes the row
+            # with that bit set to y.
+            unit = np.zeros(size, dtype=np.complex128)
+            unit[reads[x]] = column[reads[x] ^ (bit if x != y else 0)]
+            # E^dagger of it is column j of delta_xy I / 2.
+            reduced = support.adjoint @ unit[support.rows]
+            reduced[j] -= 0.5 if x == y else 0.0
+            gap = max(gap, float(np.abs(reduced).max()))
+            # By that identity the unit has squared norm 1/2, all of
+            # which the kept rows must hold.
+            kept = block_map.rows(unit)
+            lost = max(lost, abs(float(np.vdot(kept, kept).real) - 0.5))
+            found = kept != 0
+            count += found
+            weight[found] = kept[found]
+            term[found] = (2 * x + y) * width + j
+    if gap >= ZERO_NORM_FLOOR:
+        raise GhzError(
+            f"encoder for n = {n}, c = {c} does not leave qubit {pos.label} "
+            f"maximally mixed (off by {gap:.3g})")
+    if lost >= ZERO_NORM_FLOOR:
+        raise GhzError(
+            f"decoder and recovery for erasure {pos.label} leave weight "
+            f"{lost:.3g} off the kept rows of a carried block "
+            f"(n = {n}, c = {c})")
+    most = int(count.max())
+    if most > 1:
+        raise GhzError(
+            f"decoder and recovery for erasure {pos.label} leave {most} terms "
+            f"on a kept row of a carried block (n = {n}, c = {c}), not one")
+    entry, source = divmod(term, width)
+    shape = (2**n, pre, width, post)
+
+    def spread(a: np.ndarray) -> np.ndarray:
+        # Rows by (damaged, pre, carried, post), as the block map's.
+        return np.broadcast_to(a.reshape(2**n, 1, width, 1), shape).reshape(-1)
+
+    carried_map = CarriedErasureMap(
+        weight=spread(weight),
+        entry=spread(entry),
+        source=((np.arange(pre)[:, None, None] * width
+                 + source.reshape(2**n, 1, width, 1)) * post
+                + np.arange(post)).reshape(-1))
+    for array in carried_map:
+        array.flags.writeable = False
+    return carried_map
+
+
 # ---------------------------------------------------------------------------
 # Channel and recovery
 # ---------------------------------------------------------------------------
+
+_CORRUPTION_FAILED = (
+    "corruption annihilated the state or overflowed its norm: ")
+
 
 def resolve_corruption(corruption: Union[None, str, np.ndarray]) -> np.ndarray:
     """Turn a corruption descriptor into a 2 x 2 operator.
@@ -624,16 +749,41 @@ def corrupt_qubit(s: StateVector, address: int,
             [ZERO_NORM_FLOOR, inf), or an annihilating disturbance.
     """
     matrix = resolve_corruption(corruption)
-    what = "corruption annihilated the state or overflowed its norm: "
-    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, GhzError, what)
+    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, GhzError, _CORRUPTION_FAILED)
     damaged = apply_single_qudit(s, address, matrix)
     damaged_norm = damaged.norm()
-    guard_norm(damaged_norm / norm, BRANCH_NORM_FLOOR, GhzError, what)
+    guard_norm(damaged_norm / norm, BRANCH_NORM_FLOOR, GhzError,
+               _CORRUPTION_FAILED)
     # The buffer is fresh, so rescale it in place; dividing the float64
     # view by the real norm skips numpy's complex division.
     real = damaged.amplitudes.view(np.float64)
     real /= damaged_norm
     return damaged
+
+
+def carried_corruption(s: StateVector, corruption: Union[None, str, np.ndarray]
+                       ) -> Tuple[np.ndarray, float]:
+    """Check a corruption of one qubit of a carried block, unapplied.
+
+    s holds carried amplitudes, which stand for their encoding by the
+    block's encoder isometry E.  As E^dagger (A at one address) E is
+    tr(A) I / 2 (carried_erasure_map checks it), a corruption U leaves
+    the encoded register ||U||_F^2 / 2 times the squared norm of s.
+    corrupt_qubit's guards run on these norms, so both raise alike.
+
+    Returns:
+        (the resolved 2 x 2 operator, the corrupted register's squared
+        norm before renormalization).
+
+    Raises:
+        GhzError: as corrupt_qubit does.
+    """
+    matrix = resolve_corruption(corruption)
+    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, GhzError, _CORRUPTION_FAILED)
+    damaged2 = float(np.vdot(matrix, matrix).real) / 2 * norm * norm
+    guard_norm(math.sqrt(damaged2) / norm, BRANCH_NORM_FLOOR, GhzError,
+               _CORRUPTION_FAILED)
+    return matrix, damaged2
 
 
 def erased_rows(core: np.ndarray, axis: int, c: int,

@@ -44,13 +44,18 @@ MAX_AMPLITUDES = 2**26
 # apply_single_qudit runs batched p x p matmuls when the block after its
 # address holds at least this many amplitudes; below it, so many tiny
 # batches cost more than one gemm of the register against (operator
-# kron identity on the block).  The registers that corrupt_qubit passes
-# it hold 8 to 16 qubits.  Measured on 2 cores (best of 5 runs), gemm
-# against matmuls: 4-long blocks take 12.2 vs 35.4 us at 10 qubits and
-# 99 vs 2026 us at 16 qubits; 32-long ones take 41.7 vs 9.0 us and 338
-# vs 325 us.  At 8 and 10 qubits the matmuls already win on 16-long
-# blocks (5.9 vs 14.9 and 12.7 vs 24.5 us); at 16 qubits they lose
-# there (556 vs 198 us).
+# kron identity on the block).  Only corrupt_qubit calls it, and in the
+# concatenated code only for a hit that is applied rather than recorded:
+# on a register with a physical axis, a second hit, or a read of a
+# recorded register's amplitudes.  With the five-qubit outer code one
+# physical axis makes 8 qubits (per-qubit, n = 2) to 16 (per-qubit,
+# n = 6), or 10 for the whole register, and a lone block holds 4 to 12;
+# a second physical axis adds 2n - 1 qubits, up to the MAX_AMPLITUDES
+# cap.  Measured on 2 cores (best of 5 runs), gemm against matmuls:
+# 4-long blocks take 12.2 vs 35.4 us at 10 qubits and 99 vs 2026 us at
+# 16 qubits; 32-long ones take 41.7 vs 9.0 us and 338 vs 325 us.  At 8
+# and 10 qubits the matmuls already win on 16-long blocks (5.9 vs 14.9
+# and 12.7 vs 24.5 us); at 16 qubits they lose there (556 vs 198 us).
 MATMUL_MIN_POST = 32
 
 

@@ -358,6 +358,7 @@ def test_subcommands_refuse_a_flag_they_do_not_read(monkeypatch, capsys,
     captured = capsys.readouterr()
     assert exc.value.code == EXIT_USAGE
     assert captured.out == ""
+    assert captured.err.startswith(f"usage: concatqec {argv[0]} ")
     assert "unrecognized arguments: " + " ".join(argv[1:]) in captured.err
 
 

@@ -11,6 +11,7 @@ gather, and the one gate-program inner stage, the oracle of the block
 map.
 """
 
+import itertools
 import math
 import re
 
@@ -257,35 +258,52 @@ def test_block_contractions_match_the_gate_program_path(blocking, model, seed):
 
 
 def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
-    # Only the erased block is decoded, by its block map along its axis
-    # of a register reduced to the other blocks' carried qubits: the map
-    # reads 2**(2n) <= 2**(2 MAX_BLOCK) entries along that axis, times
-    # the other blocks' carried amplitudes, never the whole 20-qubit
-    # per-qubit register.
+    # Only the erased block is decoded.  A recorded hit that the event
+    # declares is one gather from the carried core, the outer codeword's
+    # 2**5 amplitudes.  An applied hit runs the block map along the
+    # block's axis of a register reduced to the other blocks' carried
+    # qubits: 2**(2n) <= 2**(2 MAX_BLOCK) entries along that axis, times
+    # the other blocks' carried amplitudes.  Neither reads the whole
+    # 20-qubit per-qubit register.
     reads = []
-    rows = ghz_erasure._BlockMap.rows
 
-    def recording_rows(self, core):
-        reads.append(core.shape)
-        return rows(self, core)
+    def recording(kind):
+        rows = kind.rows
 
-    monkeypatch.setattr(ghz_erasure._BlockMap, "rows", recording_rows)
-    for blocking in (WHOLE_REGISTER, PER_QUBIT):
+        def wrapper(self, core, *operator):
+            reads.append((kind, core.shape))
+            return rows(self, core, *operator)
+        return wrapper
+
+    for kind in (ghz_erasure._BlockMap, ghz_erasure.CarriedErasureMap):
+        monkeypatch.setattr(kind, "rows", recording(kind))
+    for blocking, recorded in itertools.product((WHOLE_REGISTER, PER_QUBIT),
+                                                (True, False)):
         scheme = _scheme(blocking)
         v = _random_logical(3)
         event = ChannelEvent(
             erasure=ErasurePosition(address=1, n=scheme.inner.n),
             corruption="Y", block=scheme.blocks - 1)
-        physical = apply_channel_damage(scheme, concat_encode(scheme, v), event)
-        del reads[:]
-        recovered, _ = concat_decode(scheme, physical, event)
-        assert fidelity_up_to_phase(v.as_state(),
-                                    recovered.as_state()) > 1 - 1e-10
-        assert len(reads) == 1
-        axis = reads[0][event.block]
+        # The first decode may build the maps, which runs the block map.
+        for _warm in range(2):
+            physical = apply_channel_damage(scheme, concat_encode(scheme, v),
+                                            event)
+            if not recorded:
+                physical.core  # reading the amplitudes applies the hit
+            del reads[:]
+            recovered, _ = concat_decode(scheme, physical, event)
+            assert fidelity_up_to_phase(v.as_state(),
+                                        recovered.as_state()) > 1 - 1e-10
+        [(kind, shape)] = reads
+        if recorded:
+            assert kind is ghz_erasure.CarriedErasureMap
+            assert math.prod(shape) == 2**scheme.outer.n
+            continue
+        assert kind is ghz_erasure._BlockMap
+        axis = shape[event.block]
         others = scheme.outer.n - len(scheme.assignment[event.block])
         assert axis == 2**scheme.inner.total <= 2**(2 * MAX_BLOCK)
-        assert math.prod(reads[0]) == axis * 2**others
+        assert math.prod(shape) == axis * 2**others
 
 
 def _exact_norm2(a):
@@ -576,6 +594,110 @@ def test_apply_channel_damage_returns_a_fresh_state_and_keeps_its_input():
                               before.view(np.uint64))
 
 
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+def test_a_recorded_hit_reads_bit_for_bit_as_the_applied_one(blocking):
+    # Damage to a carried register records the hit; reading its core
+    # applies it as damage once did, the block's axis made physical and
+    # then corrupt_qubit, bit for bit.  An operator changed after the
+    # damage does not reach the register.
+    scheme = _scheme(blocking)
+    blocks = concat_encode(scheme, _random_logical(8))
+    rng = np.random.default_rng(38)
+    unitary = random_single_qubit_unitary(rng)
+    corruptions = [None, "I", "X", "Y", "Z", unitary, 3.5 * unitary,
+                   np.diag([1.0, 0.0]), [[0, 1], [1, 0]]]
+    for block in range(scheme.blocks):
+        width = len(scheme.assignment[block])
+        for address in range(scheme.inner.total):
+            for corruption in corruptions:
+                given = (corruption.copy()
+                         if isinstance(corruption, np.ndarray) else corruption)
+                event = ChannelEvent(erasure=ErasurePosition(
+                    address=address, n=scheme.inner.n),
+                    corruption=given, block=block)
+                out = apply_channel_damage(scheme, blocks, event)
+                assert out._hit is not None
+                if isinstance(given, np.ndarray):
+                    given[...] = 7
+                want = corrupt_qubit(blocks.expand(block).flat(),
+                                     block * width + address, corruption)
+                assert np.array_equal(out.core.reshape(-1).view(np.uint64),
+                                      want.amplitudes.view(np.uint64))
+
+
+def _applied(register):
+    """The register with any recorded hit applied, as damage once did."""
+    register.core
+    return register
+
+
+def _hit(scheme, address, block, corruption="Y"):
+    return ChannelEvent(erasure=ErasurePosition(address=address,
+                                                n=scheme.inner.n),
+                        corruption=corruption, block=block)
+
+
+# Each case, from a scheme and a unitary: the hits damage applies in
+# turn, and the event decoded.
+SELECTION_CASES = {
+    "declared": lambda scheme, u: (
+        [_hit(scheme, 1, scheme.blocks - 1, u)],
+        _hit(scheme, 1, scheme.blocks - 1, None)),
+    "misdeclared-position": lambda scheme, u: (
+        [_hit(scheme, 1, 0, u)], _hit(scheme, 2, 0, None)),
+    "other-block": lambda scheme, u: (
+        [_hit(scheme, 1, 0, u)], _hit(scheme, 1, scheme.blocks - 1, None)),
+    "undeclared": lambda scheme, u: (
+        [_hit(scheme, 0, 0, u)],
+        ChannelEvent(pauli=PauliError.single(2, scheme.outer.n, 1, b=1))),
+    "second-hit": lambda scheme, u: (
+        [_hit(scheme, 3, 0, u), _hit(scheme, 1, scheme.blocks - 1, "X")],
+        _hit(scheme, 1, scheme.blocks - 1, None)),
+    "physical-axis": lambda scheme, u: (
+        [_hit(scheme, 1, 0, u)], _hit(scheme, 1, 0, None)),
+}
+
+
+@pytest.mark.parametrize("case", list(SELECTION_CASES))
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+def test_only_the_declared_hit_decodes_from_the_carried_core(blocking, case):
+    # A recorded hit that the event declares decodes from the carried
+    # core, to rounding of the applied hit's result, with the same error
+    # text when it fails.  Every other register, a hit in another block
+    # or position, no declared erasure, a second hit or a hit on a
+    # physical axis, is applied first: its output or error is the
+    # applied register's, bit for bit.
+    scheme = _scheme(blocking)
+    unitary = random_single_qubit_unitary(np.random.default_rng(21))
+    hits, event = SELECTION_CASES[case](scheme, unitary)
+    outcomes = []
+    for apply_first in (False, True):
+        register = concat_encode(scheme, _random_logical(4))
+        if case == "physical-axis":
+            register = register.expand(hits[0].block)
+        for hit in hits:
+            register = apply_channel_damage(scheme, register, hit)
+        if apply_first:
+            _applied(register)
+        try:
+            outcomes.append(concat_decode(scheme, register, event))
+        except (DecodeError, RecoveryError) as error:
+            outcomes.append((type(error), str(error)))
+    got, want = outcomes
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert got[1] == want[1]
+    # With one block, a hit in another block is the declared one.
+    if case == "declared" or (case, blocking) == ("other-block",
+                                                  WHOLE_REGISTER):
+        assert _aligned_gap(got[0].coefficients,
+                            want[0].coefficients) <= 1e-15
+    else:
+        assert np.array_equal(got[0].coefficients.view(np.uint64),
+                              want[0].coefficients.view(np.uint64))
+
+
 def test_undeclared_damage_is_detected():
     scheme = _scheme(WHOLE_REGISTER)
     v = _random_logical()
@@ -684,7 +806,8 @@ def test_a_register_that_is_not_a_block_register_of_the_scheme_is_rejected(
     def no_work(*args):
         raise AssertionError("work began before the register was checked")
 
-    for name in ("encoder_isometry", "corrupt_qubit", "_inner_stage"):
+    for name in ("encoder_isometry", "corrupt_qubit", "carried_corruption",
+                 "carried_erasure_map", "_inner_stage"):
         monkeypatch.setattr(concat, name, no_work)
     with pytest.raises(CodeError, match=re.escape(message)):
         run(scheme, s, event)
@@ -874,6 +997,22 @@ def test_effective_channel_is_deterministic_per_seed():
     c = effective_channel(scheme, noise_correctable(scheme), trials=20, seed=8)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+def test_effective_channel_agrees_with_hits_applied_before_decoding(
+        blocking, monkeypatch):
+    scheme = _scheme(blocking)
+    recorded = effective_channel(scheme, noise_correctable(scheme),
+                                 trials=40, seed=38)
+    damage = concat.apply_channel_damage
+    monkeypatch.setattr(concat, "apply_channel_damage",
+                        lambda *args: _applied(damage(*args)))
+    applied = effective_channel(scheme, noise_correctable(scheme),
+                                trials=40, seed=38)
+    assert recorded.keys() == applied.keys()
+    for key, value in applied.items():
+        assert abs(recorded[key] - value) <= 1e-12, key
 
 
 def test_effective_channel_refuses_a_negative_seed_before_drawing():

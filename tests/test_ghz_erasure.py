@@ -740,3 +740,93 @@ def test_recovery_output_never_depends_on_the_corruption(seed, addr, corr):
     baseline, _ = recover(corrupt_qubit(encoded, pos.address, None), pos)
     twisted, _ = recover(corrupt_qubit(encoded, pos.address, corr), pos)
     assert fidelity_up_to_phase(baseline, twisted) > 1 - 1e-9
+
+
+def _carried_map_cases():
+    """Every erasure address at inner n = 2 to 6 with one carried qubit
+    or all n, each with 0-2 carried qubits before and after the block,
+    cycled."""
+    cases = []
+    for n in range(MIN_BLOCK, MAX_BLOCK + 1):
+        for c in sorted({1, n}):
+            for address in range(2 * n):
+                before, after = divmod(len(cases) % 9, 3)
+                cases.append((n, c, address, before, after))
+    return cases
+
+
+@pytest.mark.parametrize("n, c, address, before, after", _carried_map_cases())
+def test_carried_map_rows_are_the_applied_corruptions_rows(
+        n, c, address, before, after):
+    # The one gather from a carried core against the block's axis made
+    # physical by E's support rows, corrupt_qubit on the erased qubit,
+    # then erased_rows: the same rows after normalization, under the
+    # Paulis, Haar unitaries, a scaled unitary and a projector.
+    pos = ErasurePosition(address=address, n=n)
+    rng = np.random.default_rng([n, c, address, 38])
+    shape = (2**before, 2**c, 2**after)
+    core = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).reshape(
+        shape)
+    support = encoder_isometry(n, c)
+    physical = np.zeros((2**before, 4**n, 2**after), dtype=np.complex128)
+    physical[:, support.rows] = np.matmul(support.block, core)
+    register = StateVector(p=2, n=before + 2 * n + after,
+                           amplitudes=physical.reshape(-1))
+    carried_map = ghz_erasure.carried_erasure_map(n, c, pos, 2**before,
+                                                  2**after)
+    unitaries = [random_single_qubit_unitary(rng) for _ in range(3)]
+    corruptions = ["I", "X", "Y", "Z", *unitaries, 3.5 * unitaries[0],
+                   np.diag([1.0, 0.0])]
+    for corruption in corruptions:
+        damaged = corrupt_qubit(register, before + address, corruption)
+        want = ghz_erasure.erased_rows(
+            damaged.amplitudes.reshape(physical.shape), 1, c, pos)
+        got = carried_map.rows(core, resolve_corruption(corruption))
+        assert got.shape == want.shape
+        gap = np.max(np.abs(got / np.linalg.norm(got)
+                            - want / np.linalg.norm(want)))
+        assert gap <= 1e-15, (corruption, gap)
+
+
+def _padded_recovery(n, pos):
+    # One CX more moves the carried qubit's content onto padding.
+    recovery = build_recovery(n, pos)
+    return GateProgram(gates=recovery.gates + (Gate("CX", (3, 4)),), half=n)
+
+
+def _other_side_decoder(n, pos):
+    return build_decoder(n, ErasurePosition(address=2 * n - 1 - pos.address,
+                                            n=n))
+
+
+def _doubled_isometry(n, c):
+    support = encoder_isometry(n, c)
+    return ghz_erasure.BlockSupport(support.rows, 2 * support.block,
+                                    2 * support.adjoint)
+
+
+@pytest.mark.parametrize("name, wrong, c, text", [
+    ("build_recovery", _padded_recovery, 1,
+     "decoder and recovery for erasure 1 leave weight 0.5 off the kept rows "
+     "of a carried block (n = 3, c = 1)"),
+    ("build_decoder", _other_side_decoder, 3,
+     "decoder and recovery for erasure 1 leave 4 terms on a kept row of a "
+     "carried block (n = 3, c = 3), not one"),
+    ("encoder_isometry", _doubled_isometry, 2,
+     "encoder for n = 3, c = 2 does not leave qubit 1 maximally mixed "
+     "(off by 1.5)")])
+def test_carried_map_refuses_programs_it_cannot_compose(
+        name, wrong, c, text, monkeypatch):
+    # Each wrong program still compiles to a signed gather, one H and a
+    # signed gather, so the block map builds; the carried map's own
+    # checks must refuse it before any decode.
+    pos = ErasurePosition(address=0, n=3)
+    monkeypatch.setattr(ghz_erasure, name, wrong)
+    ghz_erasure._erased_block_map.cache_clear()
+    ghz_erasure.carried_erasure_map.cache_clear()
+    try:
+        with pytest.raises(GhzError, match=re.escape(text)):
+            ghz_erasure.carried_erasure_map(3, c, pos, 1, 1)
+    finally:
+        ghz_erasure._erased_block_map.cache_clear()
+        ghz_erasure.carried_erasure_map.cache_clear()
