@@ -38,27 +38,26 @@ block's kept rows straight from the carried core in one gather, by
 ghz_erasure's cached carried_erasure_map: encoder, corruption, decoder
 and recovery composed once into one term per row.  Otherwise decoding
 checks the register's norm, which E's isometry makes the physical one,
-and makes the erased block's axis physical.  It gathers
-the support rows of every other physical axis in one step and contracts
-them with E's adjoint, which leaves only their carried qubits.  The
-flagged block is decoded by ghz_erasure, which owns that decode:
-erased_rows runs the cached block map that the erasure position alone
-picks, its decoder then recovery, along the block's axis of that
-reduced register, and writes only the rows whose padding reads |0>,
-damaged half first.  Their share of the whole register's norm is the
-probability that padding and ancillas read |0>, so amplitudes off the
-support count as damage; this module checks it, against the recorded
-norm for a recorded hit.  split_erased then splits the damaged half
-off the rows.  Decoding then applies any
-computational error carried by the channel event to the surviving
-codeword, and finally runs outer syndrome decoding plus table lookup
-correction.
+and makes the erased block's axis physical.  It gathers the support
+rows of every other physical axis in one step and contracts them with
+E's adjoint, which leaves only their carried qubits.  The flagged block
+is decoded by ghz_erasure, which owns that decode: erased_rows runs the
+decoder then recovery that the erasure position alone picks along the
+block's axis of that reduced register, and keeps only the rows whose
+padding reads |0>, damaged half first.  Their share of the whole
+register's norm is the probability that padding and ancillas read |0>,
+so amplitudes off the support count as damage; this module checks it,
+against the recorded norm for a recorded hit.  split_erased then splits
+the damaged half off the rows.  Decoding then applies any computational
+error carried by the channel event to the surviving codeword, and
+finally runs outer syndrome decoding plus table lookup correction.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -152,6 +151,11 @@ class ChannelEvent:
     def __post_init__(self) -> None:
         if self.corruption is not None and self.erasure is None:
             raise GhzError("corruption given without an erasure position")
+        try:
+            self.block = operator.index(self.block)
+        except TypeError:
+            raise GhzError(f"block index {self.block!r} is not an "
+                           f"integer") from None
         if self.block < 0:
             raise GhzError(f"negative block index {self.block}")
 
@@ -483,12 +487,12 @@ def apply_channel_damage(scheme: ConcatScheme, s: BlockRegister,
         return BlockRegister(scheme, s._corrupted(event.block, erasure,
                                                   event.corruption))
     s._expanded_shape(event.block)  # the amplitude cap
-    operator, norm2_hit = carried_corruption(s.flat(), event.corruption)
+    matrix, norm2_hit = carried_corruption(s.flat(), event.corruption)
     corruption = event.corruption
     if corruption is not None and not isinstance(corruption, str):
-        corruption = operator
+        corruption = matrix
     recorded = BlockRegister(scheme, s.core.copy())
-    recorded._hit = _Hit(event.block, erasure, corruption, operator,
+    recorded._hit = _Hit(event.block, erasure, corruption, matrix,
                          norm2_hit)
     return recorded
 
@@ -520,8 +524,8 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
     over the register's squared norm, so amplitudes the gather skips,
     off the support, count against it.
 
-    The erased block runs its cached block map along its axis of the
-    reduced register: decoder and recovery, read only on the rows whose
+    The erased block runs decoder and recovery along its axis of the
+    reduced register, by erased_rows, which keeps only the rows whose
     padding reads |0>, with the damaged half first.  Their squared norm
     over the register's is the all-zero probability, and when neither
     padding nor a gather can lose norm it is 1 and goes unchecked.  The

@@ -21,17 +21,19 @@ program compiles once: CX, CCX and CZ send each basis state to a signed
 basis state, so a run of them over a span of w adjacent qubits composes
 into one signed permutation of length 2**w, applied as one gather along
 that span's axis plus one masked negation, and a Hadamard runs in place
-on the two slabs of its qubit.  Other modules receive a block's programs
-only as the cached encoder isometry on its carried qubits.  The erased
-block's decode stays here: erased_rows runs the cached map of decoder
-then recovery for the erasure position on the rows the block keeps,
-and split_erased splits the damaged half off them.  concat's inner
-stage calls the pair, and recover calls it on a lone block.  A block
-still held by its carried amplitudes needs neither its register nor
-the programs: carried_erasure_map composes encoder, the corruption of
-the erased qubit, decoder and recovery into one gather from the
-carried amplitudes, and carried_corruption checks the corruption
-against the norm it leaves.
+on the two slabs of its qubit.  GateProgram.apply is the one runner of
+the compiled programs.  Other modules receive a block's programs only
+as the cached encoder isometry on its carried qubits.  The erased
+block's decode stays here: erased_rows runs decoder then recovery for
+the erasure position along the block's axis of a core and keeps the
+rows whose padding reads 0, and split_erased splits the damaged half
+off them.  concat's inner stage calls the pair, and recover calls it on
+a lone block.  A block still held by its carried amplitudes needs
+neither its register nor a program run per decode: carried_erasure_map
+composes encoder, the corruption of the erased qubit, decoder and
+recovery, once per block shape, into one gather from the carried
+amplitudes, and carried_corruption checks the corruption against the
+norm it leaves.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,6 +131,11 @@ class ErasurePosition:
 
     def __post_init__(self) -> None:
         _check_block_size(self.n)
+        try:
+            object.__setattr__(self, "address", operator.index(self.address))
+        except TypeError:
+            raise GhzError(f"erasure address {self.address!r} is not an "
+                           f"integer") from None
         if not 0 <= self.address < 2 * self.n:
             raise GhzError(
                 f"erasure address {self.address} outside [0, {2 * self.n})")
@@ -222,7 +230,7 @@ def compile_gates(gates: Sequence[Gate]) -> Tuple[int, tuple]:
     span index src[y] to y, negated where negate[y] holds (None if none).
 
     Returns:
-        (span start, steps), the input of run_compiled.
+        (span start, steps), the input of GateProgram.apply.
     """
     touched = [q for gate in gates for q in gate.qubits]
     lo = min(touched, default=0)
@@ -245,35 +253,6 @@ def compile_gates(gates: Sequence[Gate]) -> Tuple[int, tuple]:
                 src, negate = src[before], negate[before]
         steps.append((src, negate if negate.any() else None))
     return lo, tuple(steps)
-
-
-def permute_signed(amps: np.ndarray, lo: int, src: np.ndarray,
-                   negate: Optional[np.ndarray]) -> np.ndarray:
-    """A fresh buffer: amps with (src, negate) applied from address lo."""
-    out = np.take(amps.reshape(2**lo, src.size, -1), src, axis=1)
-    if negate is not None:
-        np.negative(out, out=out, where=negate[:, np.newaxis])
-    return out.reshape(-1)
-
-
-def run_compiled(amps: np.ndarray, n: int, offset: int,
-                 compiled: Tuple[int, tuple]) -> np.ndarray:
-    """Run compiled gates, each address shifted by offset, on a copy of
-    an n-qubit buffer.  Addresses are trusted (see GateProgram.apply).
-
-    Permuting and negating are exact, so the result is bit for bit that
-    of the gates run one at a time.
-    """
-    lo, steps = compiled
-    out = amps
-    for step in steps:
-        if isinstance(step, tuple):
-            out = permute_signed(out, lo + offset, *step)
-            continue
-        if out is amps:
-            out = amps.copy()
-        hadamard_in_place(out, n, step + offset)
-    return out.copy() if out is amps else out
 
 
 @dataclass(frozen=True)
@@ -315,9 +294,11 @@ class GateProgram:
         The register's dimension and the shifted address span are
         checked before any amplitude is written; only a failing span
         walks the gates, to name the first bad address.  The program,
-        compiled once by compile_gates, runs as one gather per run of
-        CX, CCX and CZ gates and an in-place kernel per H, bit for bit
-        like the gates one at a time, on a copy.
+        compiled once by compile_gates, runs on a copy: one gather
+        along its span's axis plus a masked negation per run of CX, CCX
+        and CZ gates, and an in-place kernel per H.  Permuting and
+        negating are exact, so the result is bit for bit that of the
+        gates run one at a time.
 
         Raises:
             StateError: if s is not a qubit register or a shifted
@@ -333,8 +314,23 @@ class GateProgram:
             for gate in self.gates:
                 for q in gate.qubits:
                     s._check_address(q + offset)
-        return StateVector(p=2, n=s.n, amplitudes=run_compiled(
-            s.amplitudes, s.n, offset, self._compiled))
+        start, steps = self._compiled
+        out = s.amplitudes
+        for step in steps:
+            if isinstance(step, tuple):
+                src, negate = step
+                out = np.take(out.reshape(2**(start + offset), src.size, -1),
+                              src, axis=1)
+                if negate is not None:
+                    np.negative(out, out=out, where=negate[:, np.newaxis])
+                out = out.reshape(-1)
+                continue
+            if out is s.amplitudes:
+                out = out.copy()
+            hadamard_in_place(out, s.n, step + offset)
+        if out is s.amplitudes:
+            out = out.copy()
+        return StateVector(p=2, n=s.n, amplitudes=out)
 
     @functools.lru_cache(maxsize=64)
     def inverse(self) -> "GateProgram":
@@ -491,100 +487,6 @@ def encoder_isometry(n: int, c: int) -> BlockSupport:
     return support
 
 
-class _BlockMap(NamedTuple):
-    """The erased block's decoder then recovery, on the rows it keeps.
-
-    The map reads a core viewed as (pre, 4**n, post), the erased axis in
-    the middle.  It writes only the rows whose surviving half reads 0 on
-    its padding, in (damaged half, pre, carried qubits, post) order, so
-    that they reshape to the dropped x kept matrix.  Output r is
-    +-(x[source[0, r]] +- x[source[1, r]]) / sqrt(2) over the core's
-    flat amplitudes x: the inner sign is minus where minus[r] holds, the
-    outer where negate[r] does.
-
-    Attributes:
-        source: (2, rows) flat core indices.
-        minus: (rows,) booleans.
-        negate: (rows,) booleans.
-    """
-
-    source: np.ndarray
-    minus: np.ndarray
-    negate: np.ndarray
-
-    def rows(self, core: np.ndarray) -> np.ndarray:
-        """The decoded rows of a core, as a fresh 1-D array.
-
-        A take, the H kernel's sum and scaling, and masked negations:
-        the gates' own steps, so each row is bit for bit theirs.
-        """
-        first, second = core.reshape(-1).take(self.source)
-        np.negative(second, out=second, where=self.minus)
-        first += second
-        first *= _INV_SQRT2
-        np.negative(first, out=first, where=self.negate)
-        return first
-
-
-@functools.lru_cache(maxsize=None)
-def _erased_block_map(n: int, c: int, pos: ErasurePosition, pre: int,
-                      post: int) -> _BlockMap:
-    """The decoder and recovery for an erasure at pos, as one block map.
-
-    The block carries c qubits, and pre and post amplitudes of a core
-    sit before and after its axis.  The two programs compile to a
-    signed gather, one H and a signed gather.  Pushing each kept row
-    back through them gives its two source rows, the H's sign between
-    them and the last gather's sign.  A sign of the first gather is
-    folded into the other two, which can flip the sign of a zero; the
-    paper's programs negate only in the last.
-
-    Raises:
-        GhzError: unless the programs compile to (signed gather, H,
-            signed gather).
-    """
-    lo, steps = compile_gates(build_decoder(n, pos).gates
-                              + build_recovery(n, pos).gates)
-    kinds = ["H" if isinstance(step, int) else "gather" for step in steps]
-    if kinds != ["gather", "H", "gather"]:
-        raise GhzError(
-            f"decoder and recovery for erasure {pos.label} compile to "
-            f"{kinds}, not a signed gather, one H and a signed gather")
-    size = 4**n
-
-    def widen(step: tuple) -> Tuple[np.ndarray, np.ndarray]:
-        # A gather step on the whole block: it moves the signed labels
-        # 1..size to each row's source row, with the row's sign.
-        labels = permute_signed(np.arange(1, size + 1), lo, *step)
-        return np.abs(labels) - 1, labels < 0
-
-    (src1, neg1), (src2, neg2) = widen(steps[0]), widen(steps[2])
-    bit = 1 << (2 * n - 1 - steps[1])
-    # Block rows by (damaged, pre, carried, post), with singleton axes
-    # for pre and post.
-    damaged = np.arange(2**n)[:, None, None, None]
-    carried = np.arange(2**c)[None, None, :, None] << (n - c)
-    rows = ((damaged << n) + carried if pos.side == "message"
-            else (carried << n) + damaged)
-    z = src2[rows]
-    low, high = z & ~bit, z | bit
-    shape = (2**n, pre, 2**c, post)
-    before = np.arange(pre)[:, None, None] * size
-
-    def flat(block_rows: np.ndarray) -> np.ndarray:
-        return ((before + block_rows) * post + np.arange(post)).reshape(-1)
-
-    # s_a x_a +- s_b x_b = s_a (x_a +- s_a s_b x_b).
-    block_map = _BlockMap(
-        source=np.stack([flat(src1[low]), flat(src1[high])]),
-        minus=np.broadcast_to((z & bit > 0) ^ neg1[low] ^ neg1[high],
-                              shape).reshape(-1),
-        negate=np.broadcast_to(neg2[rows] ^ neg1[low], shape).reshape(-1))
-    for array in block_map:
-        array.flags.writeable = False
-    return block_map
-
-
 class CarriedErasureMap(NamedTuple):
     """An erased block's decode read straight from its carried amplitudes.
 
@@ -614,35 +516,34 @@ class CarriedErasureMap(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def carried_erasure_map(n: int, c: int, pos: ErasurePosition, pre: int,
-                        post: int) -> CarriedErasureMap:
-    """Encoder, a corruption at pos, decoder and recovery, as one gather.
+def _composed_erasure(n: int, c: int, pos: ErasurePosition
+                      ) -> CarriedErasureMap:
+    """Encoder, a corruption at pos, decoder and recovery, composed.
 
-    The block carries c qubits, and pre and post amplitudes of a core
-    sit before and after its carried axis.  The chain is linear in the
-    corruption's four entries, so it is composed once, on the four
-    matrix units |x><y| at pos: each unit is applied to the encoder
-    isometry E by index arithmetic, and the block map of decoder and
-    recovery reads the result.  Recovery leaves the damage a product
-    with the codeword (Knill & Laflamme 1997), so each kept row is one
-    term: a weight, one entry of the corruption, one carried amplitude.
+    The map reads a core that is the block's carried axis alone.  The
+    chain is linear in the corruption's four entries, so it is composed
+    on the four matrix units |x><y| at pos: each unit is applied to the
+    encoder isometry E by index arithmetic, and erased_rows runs
+    decoder and recovery on the result.  Recovery leaves the damage a
+    product with the codeword (Knill & Laflamme 1997), so each kept row
+    is one term: a weight, one entry of the corruption, one carried
+    amplitude.
 
-    The build checks, once, that each kept row has at most one term;
-    that the programs leave no weight off the kept rows, which is why
-    no norm is lost; and that E^dagger (|x><y| at pos) E is delta_xy I / 2,
-    the identity carried_corruption's norm rests on.
+    The build checks that each kept row has at most one term; that the
+    programs leave no weight off the kept rows, which is why no norm is
+    lost; and that E^dagger (|x><y| at pos) E is delta_xy I / 2, the
+    identity carried_corruption's norm rests on.
 
     Raises:
-        GhzError: when a check fails, or as _erased_block_map does.
+        GhzError: when a check fails.
     """
     size, width = 4**n, 2**c
     support = encoder_isometry(n, c)
-    block_map = _erased_block_map(n, c, pos, 1, 1)
     # Per kept row, in (damaged, carried) order: its terms so far, and
     # its last term's weight and (unit, input) index.
-    count = np.zeros(block_map.minus.size, dtype=np.int64)
-    weight = np.zeros(block_map.minus.size, dtype=np.complex128)
-    term = np.zeros(block_map.minus.size, dtype=np.int64)
+    count = np.zeros(2**n * width, dtype=np.int64)
+    weight = np.zeros(2**n * width, dtype=np.complex128)
+    term = np.zeros(2**n * width, dtype=np.int64)
     bit = 1 << (2 * n - 1 - pos.address)
     index = np.arange(size)
     reads = {x: index[(index & bit > 0) == x] for x in (0, 1)}
@@ -663,7 +564,7 @@ def carried_erasure_map(n: int, c: int, pos: ErasurePosition, pre: int,
             gap = max(gap, float(np.abs(reduced).max()))
             # By that identity the unit has squared norm 1/2, all of
             # which the kept rows must hold.
-            kept = block_map.rows(unit)
+            kept = erased_rows(unit, 0, c, pos)
             lost = max(lost, abs(float(np.vdot(kept, kept).real) - 0.5))
             found = kept != 0
             count += found
@@ -684,17 +585,38 @@ def carried_erasure_map(n: int, c: int, pos: ErasurePosition, pre: int,
             f"decoder and recovery for erasure {pos.label} leave {most} terms "
             f"on a kept row of a carried block (n = {n}, c = {c}), not one")
     entry, source = divmod(term, width)
+    composed = CarriedErasureMap(weight=weight, entry=entry, source=source)
+    for array in composed:
+        array.flags.writeable = False
+    return composed
+
+
+@functools.lru_cache(maxsize=None)
+def carried_erasure_map(n: int, c: int, pos: ErasurePosition, pre: int,
+                        post: int) -> CarriedErasureMap:
+    """Encoder, a corruption at pos, decoder and recovery, as one gather.
+
+    The block carries c qubits, and pre and post amplitudes of a core
+    sit before and after its carried axis.  The chain is composed once
+    per block shape, by _composed_erasure, and only spread over pre and
+    post here.
+
+    Raises:
+        GhzError: as _composed_erasure does.
+    """
+    composed = _composed_erasure(n, c, pos)
+    width = 2**c
     shape = (2**n, pre, width, post)
 
     def spread(a: np.ndarray) -> np.ndarray:
-        # Rows by (damaged, pre, carried, post), as the block map's.
+        # Rows by (damaged, pre, carried, post), as erased_rows writes.
         return np.broadcast_to(a.reshape(2**n, 1, width, 1), shape).reshape(-1)
 
     carried_map = CarriedErasureMap(
-        weight=spread(weight),
-        entry=spread(entry),
+        weight=spread(composed.weight),
+        entry=spread(composed.entry),
         source=((np.arange(pre)[:, None, None] * width
-                 + source.reshape(2**n, 1, width, 1)) * post
+                 + composed.source.reshape(2**n, 1, width, 1)) * post
                 + np.arange(post)).reshape(-1))
     for array in carried_map:
         array.flags.writeable = False
@@ -718,8 +640,8 @@ def resolve_corruption(corruption: Union[None, str, np.ndarray]) -> np.ndarray:
     part in [0.5, 1), since renormalization removes the scale anyway.
 
     Raises:
-        GhzError: on an unknown label, a wrong shape, or a NaN or
-            infinite entry.
+        GhzError: on an unknown label, a non-numeric entry, a wrong
+            shape, or a NaN or infinite entry.
     """
     if corruption is None:
         return PAULI_MATRICES["I"]
@@ -727,7 +649,11 @@ def resolve_corruption(corruption: Union[None, str, np.ndarray]) -> np.ndarray:
         if corruption not in PAULI_MATRICES:
             raise GhzError(f"unknown corruption label {corruption!r}")
         return PAULI_MATRICES[corruption]
-    matrix = np.asarray(corruption, dtype=np.complex128)
+    try:
+        matrix = np.asarray(corruption, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise GhzError(
+            f"corruption operator is not a numeric array ({exc})") from None
     if matrix.shape != (2, 2):
         raise GhzError(f"corruption operator shape {matrix.shape} != (2, 2)")
     if not np.all(np.isfinite(matrix)):
@@ -789,18 +715,33 @@ def carried_corruption(s: StateVector, corruption: Union[None, str, np.ndarray]
 def erased_rows(core: np.ndarray, axis: int, c: int,
                 pos: ErasurePosition) -> np.ndarray:
     """Decoder then recovery for an erasure at pos, along one axis of a
-    core, by the cached block map for the core's shape.
+    core, through GateProgram.apply at that axis's qubit offset.
 
     The axis holds the erased block's 4**n register amplitudes, and the
     block carries c qubits.
 
     Returns:
-        The rows whose padding reads 0, damaged half first, as a fresh
-        1-D array (see _BlockMap).
+        The rows whose padding reads 0, in (damaged half, pre, carried
+        qubits, post) order, so that they reshape to the dropped x kept
+        matrix, as a fresh 1-D array.
     """
+    n = pos.n
     pre = math.prod(core.shape[:axis])
     post = math.prod(core.shape[axis + 1:])
-    return _erased_block_map(pos.n, c, pos, pre, post).rows(core)
+    offset = sum(size.bit_length() - 1 for size in core.shape[:axis])
+    s = StateVector(p=2, n=core.size.bit_length() - 1,
+                    amplitudes=core.reshape(-1))
+    for program in (build_decoder(n, pos), build_recovery(n, pos)):
+        s = program.apply(s, offset)
+    if pos.side == "message":
+        # (pre, damaged, carried, padding, post)
+        view = s.amplitudes.reshape(pre, 2**n, 2**c, 2**(n - c), post)
+        rows = view[:, :, :, 0].transpose(1, 0, 2, 3)
+    else:
+        # (pre, carried, padding, damaged, post)
+        view = s.amplitudes.reshape(pre, 2**c, 2**(n - c), 2**n, post)
+        rows = view[:, :, 0].transpose(2, 0, 1, 3)
+    return rows.reshape(-1)
 
 
 def split_erased(rows: np.ndarray, n: int, norm: float
@@ -831,8 +772,9 @@ def recover(s: StateVector, pos: ErasurePosition
             ) -> Tuple[StateVector, StateVector]:
     """Run decoding and recovery for a known erasure and split the halves.
 
-    The register is one block carrying all n message qubits, so its
-    block map reads every row; no gate program runs.
+    The register is one block carrying all n message qubits, so it has
+    no padding: erased_rows runs decoder and recovery on it and keeps
+    every row.
 
     Returns:
         (message content on the n surviving qubits, state of the

@@ -5,11 +5,9 @@ amplitude array of length p**n.  Address 0 is the leftmost ket factor
 and therefore the most significant base-p digit of the array index, so
 |d0 d1 ... d_{n-1}> sits at index sum(d_k * p**(n-1-k)).
 
-A general single-qudit operator is one BLAS contraction over the
-(pre, p, post) view of its address: a batched matmul when the trailing
-block is long, one gemm against the operator tensored with the
-identity on that block when it is short.  Every public operation
-returns a fresh StateVector and leaves its argument untouched.
+A general single-qudit operator is one batched matmul over the
+(pre, p, post) view of its address.  Every public operation returns a
+fresh StateVector and leaves its argument untouched.
 
 Every size check reads one squared norm, norm2, through one guard,
 guard_norm.  One split, split_matrix, takes a near-product kept x
@@ -41,22 +39,6 @@ ZERO_NORM_FLOOR = 1e-14
 # Largest register or operator, in complex amplitudes (1 GiB), that the
 # package builds; bigger requests raise a domain error before allocating.
 MAX_AMPLITUDES = 2**26
-# apply_single_qudit runs batched p x p matmuls when the block after its
-# address holds at least this many amplitudes; below it, so many tiny
-# batches cost more than one gemm of the register against (operator
-# kron identity on the block).  Only corrupt_qubit calls it, and in the
-# concatenated code only for a hit that is applied rather than recorded:
-# on a register with a physical axis, a second hit, or a read of a
-# recorded register's amplitudes.  With the five-qubit outer code one
-# physical axis makes 8 qubits (per-qubit, n = 2) to 16 (per-qubit,
-# n = 6), or 10 for the whole register, and a lone block holds 4 to 12;
-# a second physical axis adds 2n - 1 qubits, up to the MAX_AMPLITUDES
-# cap.  Measured on 2 cores (best of 5 runs), gemm against matmuls:
-# 4-long blocks take 12.2 vs 35.4 us at 10 qubits and 99 vs 2026 us at
-# 16 qubits; 32-long ones take 41.7 vs 9.0 us and 338 vs 325 us.  At 8
-# and 10 qubits the matmuls already win on 16-long blocks (5.9 vs 14.9
-# and 12.7 vs 24.5 us); at 16 qubits they lose there (556 vs 198 us).
-MATMUL_MIN_POST = 32
 
 
 class StateError(ValueError):
@@ -194,16 +176,7 @@ def apply_single_qudit(s: StateVector, q: int, matrix: np.ndarray) -> StateVecto
         raise StateError(f"operator shape {mat.shape} != ({s.p}, {s.p})")
     pre = s.p**q
     post = s.p**(s.n - 1 - q)
-    if post >= MATMUL_MIN_POST:
-        out = np.matmul(mat, s.amplitudes.reshape(pre, s.p, post))
-    else:
-        # The transpose of kron(mat, I_post), built without np.kron's
-        # outer product: entry ((b, j), (a, j)) is mat[a, b].
-        wide = np.zeros((s.p, post, s.p, post), dtype=np.complex128)
-        diagonal = np.arange(post)
-        wide[:, diagonal, :, diagonal] = mat.T
-        out = s.amplitudes.reshape(pre, s.p * post) @ wide.reshape(
-            s.p * post, s.p * post)
+    out = np.matmul(mat, s.amplitudes.reshape(pre, s.p, post))
     return StateVector(p=s.p, n=s.n, amplitudes=out.reshape(-1))
 
 

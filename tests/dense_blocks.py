@@ -11,10 +11,12 @@ with the dense E.  The tests require the library's support-row scatter
 of each axis to equal this path bit for bit, and its inner stage to
 agree with this path's on the dense form to rounding.
 
-The library decodes an erased block by its cached block map alone.
-Here the decoder and recovery programs run through GateProgram.apply on
-the register, and split_checked splits the surviving half off by
-address: program_recover on one block is recover's oracle, and
+The library decodes an erased block by erased_rows, which runs the
+decoder and recovery programs along the block's axis and keeps the
+rows whose padding reads 0, then split_erased, which splits them as a
+dropped x kept matrix.  Here the same programs run on the whole
+register, and split_checked splits the surviving half off by address:
+program_recover on one block is recover's oracle, and
 dense_inner_stage, on every block of the dense form, concat's.
 """
 

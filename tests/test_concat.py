@@ -7,8 +7,8 @@ blocking scales the same machinery to a twenty-qubit register.  The
 register-wide gate-program encoder, which the block contractions
 replaced, stays here as their oracle.  Module dense_blocks holds the
 dense block isometries, the oracle of the support-row scatter and
-gather, and the one gate-program inner stage, the oracle of the block
-map.
+gather, and the one gate-program inner stage, the oracle of the
+erased block's row selection and split.
 """
 
 import itertools
@@ -18,6 +18,7 @@ import re
 import dense_blocks
 import numpy as np
 import pytest
+import slab_kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +41,6 @@ from concatqec.ghz_erasure import (
     MAX_BLOCK,
     MIN_BLOCK,
     ErasurePosition,
-    Gate,
     GateProgram,
     GhzError,
     GhzLayout,
@@ -103,6 +103,32 @@ def test_event_requires_erasure_for_corruption():
         ChannelEvent(corruption="X")
     with pytest.raises(GhzError):
         ChannelEvent(block=-1)
+
+
+@pytest.mark.parametrize("block", [1.5, 1.0, "1"])
+def test_event_refuses_a_non_integer_block(block):
+    # A float block would otherwise reach apply_channel_damage and fail
+    # there with a TypeError on list indices.
+    with pytest.raises(GhzError, match=re.escape(
+            f"block index {block!r} is not an integer")):
+        ChannelEvent(block=block)
+
+
+@pytest.mark.parametrize("recorded", [True, False])
+def test_numpy_integer_indices_decode_on_both_paths(recorded):
+    scheme = _scheme(PER_QUBIT)
+    event = ChannelEvent(
+        erasure=ErasurePosition(address=np.int64(3), n=scheme.inner.n),
+        corruption="Y", block=np.int32(2))
+    assert (type(event.block), type(event.erasure.address)) == (int, int)
+    v = _random_logical(39)
+    physical = apply_channel_damage(scheme, concat_encode(scheme, v), event)
+    if not recorded:
+        physical.core  # reading the amplitudes applies the hit
+    recovered, trace = concat_decode(scheme, physical, event)
+    assert trace.event == "erasure@2:2'"
+    assert fidelity_up_to_phase(v.as_state(),
+                                recovered.as_state()) > 1 - 1e-10
 
 
 def test_event_description_strings():
@@ -260,23 +286,25 @@ def test_block_contractions_match_the_gate_program_path(blocking, model, seed):
 def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
     # Only the erased block is decoded.  A recorded hit that the event
     # declares is one gather from the carried core, the outer codeword's
-    # 2**5 amplitudes.  An applied hit runs the block map along the
-    # block's axis of a register reduced to the other blocks' carried
-    # qubits: 2**(2n) <= 2**(2 MAX_BLOCK) entries along that axis, times
-    # the other blocks' carried amplitudes.  Neither reads the whole
-    # 20-qubit per-qubit register.
+    # 2**5 amplitudes, and runs no program.  An applied hit runs decoder
+    # and recovery on a register reduced to the other blocks' carried
+    # qubits: the erased block's 2n qubits (at most 2 MAX_BLOCK) plus
+    # theirs.  Neither reads the whole 20-qubit per-qubit register.
     reads = []
+    gather = ghz_erasure.CarriedErasureMap.rows
+    run = GateProgram.apply
 
-    def recording(kind):
-        rows = kind.rows
+    def recording_gather(self, core, operator):
+        reads.append(("gather", core.size))
+        return gather(self, core, operator)
 
-        def wrapper(self, core, *operator):
-            reads.append((kind, core.shape))
-            return rows(self, core, *operator)
-        return wrapper
+    def recording_run(self, s, offset=0):
+        reads.append(("program", s.n))
+        return run(self, s, offset)
 
-    for kind in (ghz_erasure._BlockMap, ghz_erasure.CarriedErasureMap):
-        monkeypatch.setattr(kind, "rows", recording(kind))
+    monkeypatch.setattr(ghz_erasure.CarriedErasureMap, "rows",
+                        recording_gather)
+    monkeypatch.setattr(GateProgram, "apply", recording_run)
     for blocking, recorded in itertools.product((WHOLE_REGISTER, PER_QUBIT),
                                                 (True, False)):
         scheme = _scheme(blocking)
@@ -284,7 +312,7 @@ def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
         event = ChannelEvent(
             erasure=ErasurePosition(address=1, n=scheme.inner.n),
             corruption="Y", block=scheme.blocks - 1)
-        # The first decode may build the maps, which runs the block map.
+        # The first decode may build the maps, which runs the programs.
         for _warm in range(2):
             physical = apply_channel_damage(scheme, concat_encode(scheme, v),
                                             event)
@@ -294,23 +322,19 @@ def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
             recovered, _ = concat_decode(scheme, physical, event)
             assert fidelity_up_to_phase(v.as_state(),
                                         recovered.as_state()) > 1 - 1e-10
-        [(kind, shape)] = reads
         if recorded:
-            assert kind is ghz_erasure.CarriedErasureMap
-            assert math.prod(shape) == 2**scheme.outer.n
+            assert reads == [("gather", 2**scheme.outer.n)]
             continue
-        assert kind is ghz_erasure._BlockMap
-        axis = shape[event.block]
         others = scheme.outer.n - len(scheme.assignment[event.block])
-        assert axis == 2**scheme.inner.total <= 2**(2 * MAX_BLOCK)
-        assert math.prod(shape) == axis * 2**others
+        # Decoder, then recovery.
+        assert reads == [("program", 2 * scheme.inner.n + others)] * 2
 
 
 def _exact_norm2(a):
     return math.fsum((np.abs(a.reshape(-1))**2).tolist())
 
 
-def _block_map_cases():
+def _erased_rows_cases():
     """Every inner n, carried count c and erasure address, each with
     0-2 carried qubits before and after the block, cycled."""
     cases = []
@@ -322,56 +346,42 @@ def _block_map_cases():
     return cases
 
 
-@pytest.mark.parametrize("n, c, address, before, after", _block_map_cases())
-def test_block_map_rows_are_the_programs_rows_bit_for_bit(
+@pytest.mark.parametrize("n, c, address, before, after", _erased_rows_cases())
+def test_erased_rows_are_the_slab_kernels_rows_bit_for_bit(
         n, c, address, before, after):
     # Random complex blocks, mostly off the support, dense and with half
-    # the entries +-0: the map's rows are the rows decoder then recovery
-    # write where the padding reads 0, signed zeros included, and their
-    # share of the input's norm is the programs' all-zero probability.
+    # the entries +-0, on a core with one axis per qubit before the
+    # block: erased_rows keeps the rows that decoder then recovery, run
+    # one slab kernel at a time, write where the padding reads 0, signed
+    # zeros included, and their share of the input's norm is the
+    # programs' all-zero probability.
     pos = ErasurePosition(address=address, n=n)
     rng = np.random.default_rng([n, c, address])
-    size = 2**(before + 2 * n + after)
-    dense = rng.normal(size=size) + 1j * rng.normal(size=size)
-    for x in (dense, dense * (rng.random(size) < 0.5)):
-        state = StateVector(p=2, n=before + 2 * n + after, amplitudes=x)
-        state = build_decoder(n, pos).apply(state, offset=before)
-        state = build_recovery(n, pos).apply(state, offset=before)
+    total = before + 2 * n + after
+    gates = [(gate.kind, tuple(q + before for q in gate.qubits))
+             for gate in build_decoder(n, pos).gates
+             + build_recovery(n, pos).gates]
+    dense = rng.normal(size=2**total) + 1j * rng.normal(size=2**total)
+    for x in (dense, dense * (rng.random(2**total) < 0.5)):
+        out = slab_kernels.run_gates(x, total, gates)
         content = before + (n if pos.side == "message" else 0)
-        cube = state.amplitudes.reshape((2,) * state.n)
+        cube = out.reshape((2,) * total)
         kept = cube[(slice(None),) * (content + c) + (0,) * (n - c)]
         # (before, damaged, carried, after), damaged half first.
         want = kept.reshape(2**before, 2**n, 2**c, 2**after) if (
             pos.side == "message") else kept.reshape(
                 2**before, 2**c, 2**n, 2**after).transpose(0, 2, 1, 3)
-        got = ghz_erasure._erased_block_map(
-            n, c, pos, 2**before, 2**after).rows(x).reshape(
-                2**n, 2**before, 2**c, 2**after)
+        core = x.reshape((2,) * before + (4**n, 2**after))
+        got = ghz_erasure.erased_rows(core, before, c, pos).reshape(
+            2**n, 2**before, 2**c, 2**after)
         assert np.array_equal(got.transpose(1, 0, 2, 3).view(np.uint64),
                               np.ascontiguousarray(want).view(np.uint64))
         # Sums rounded once, so only the programs' own rounding differs:
-        # the map's rows over its input, against the programs' branch
-        # over their output.
+        # the rows over their input, against the programs' branch over
+        # their output.
         got_probability = _exact_norm2(got) / _exact_norm2(x)
-        want_probability = (_exact_norm2(want)
-                            / _exact_norm2(state.amplitudes))
+        want_probability = _exact_norm2(want) / _exact_norm2(out)
         assert abs(got_probability - want_probability) <= 1e-15
-
-
-def test_block_map_refuses_programs_off_the_perm_h_perm_form(monkeypatch):
-    # A second H in recovery no longer compiles to one H between signed
-    # gathers, so building the map must fail before any decode.
-    pos = ErasurePosition(address=0, n=3)
-    recovery = build_recovery(3, pos)
-    twice = GateProgram(gates=recovery.gates + (Gate("H", (4,)),), half=3)
-    monkeypatch.setattr(ghz_erasure, "build_recovery", lambda n, p: twice)
-    ghz_erasure._erased_block_map.cache_clear()
-    try:
-        with pytest.raises(GhzError, match=re.escape(
-                "compile to ['gather', 'H', 'gather', 'H']")):
-            ghz_erasure._erased_block_map(3, 2, pos, 1, 1)
-    finally:
-        ghz_erasure._erased_block_map.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1013,6 +1023,18 @@ def test_effective_channel_agrees_with_hits_applied_before_decoding(
     assert recorded.keys() == applied.keys()
     for key, value in applied.items():
         assert abs(recorded[key] - value) <= 1e-12, key
+
+
+def test_carried_maps_compose_once_per_block_shape():
+    # Per-qubit at inner n = 2: one composition for each of the four
+    # erasure positions, whichever blocks the hits strike; only the
+    # spread over the carried amplitudes around the block is per shape.
+    scheme = _scheme(PER_QUBIT)
+    ghz_erasure._composed_erasure.cache_clear()
+    ghz_erasure.carried_erasure_map.cache_clear()
+    effective_channel(scheme, noise_correctable(scheme), trials=40, seed=39)
+    assert ghz_erasure._composed_erasure.cache_info().currsize == 4
+    assert ghz_erasure.carried_erasure_map.cache_info().currsize > 4
 
 
 def test_effective_channel_refuses_a_negative_seed_before_drawing():

@@ -114,6 +114,16 @@ def test_erasure_position_rejects_bad_labels():
         ErasurePosition(address=10, n=5)
 
 
+@pytest.mark.parametrize("address", [1.0, 1.5, "1", None])
+def test_erasure_position_refuses_a_non_integer_address(address):
+    # A float address would otherwise decode at fidelity 1 from a
+    # carried block, then fail with a TypeError once the amplitudes are
+    # read.
+    with pytest.raises(GhzError, match=re.escape(
+            f"erasure address {address!r} is not an integer")):
+        ErasurePosition(address=address, n=5)
+
+
 # ---------------------------------------------------------------------------
 # Gate programs
 # ---------------------------------------------------------------------------
@@ -487,6 +497,15 @@ def test_resolve_corruption_names_and_matrices():
             resolve_corruption(np.array([[bad, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("bad", [[["a", 1], [1, 0]], [[object(), 1], [1, 0]],
+                                 [[1, 0], [0]]])
+def test_resolve_corruption_refuses_non_numeric_entries(bad):
+    # numpy refuses these with its own ValueError or TypeError.
+    with pytest.raises(GhzError, match="corruption operator is not a "
+                                       "numeric array"):
+        resolve_corruption(bad)
+
+
 def test_corrupt_qubit_corrupts_only_the_given_address():
     s = basis_state(2, (0, 0, 0, 0))
     out = corrupt_qubit(s, 1, "X")
@@ -494,8 +513,7 @@ def test_corrupt_qubit_corrupts_only_the_given_address():
 
 
 def test_corrupt_qubit_returns_a_fresh_state_and_keeps_its_input():
-    # Ten qubits: the erased address runs both contraction paths of
-    # apply_single_qudit, and the result is rescaled in place.
+    # Every address of ten qubits; the result is rescaled in place.
     s = random_state(2, 10, RNG)
     before = s.amplitudes.copy()
     ops = ["Y", random_single_qubit_unitary(RNG), np.diag([1.0, 0.0]),
@@ -656,10 +674,10 @@ def test_recovery_refuses_zero_and_non_finite_registers():
 
 @pytest.mark.parametrize("n", range(MIN_BLOCK, MAX_BLOCK + 1))
 def test_recover_matches_the_gate_programs(n):
-    # The block map on the lone block against decoder then recovery run
-    # through GateProgram.apply and split by address: at every position,
-    # under every corruption, the same RecoveryError text, or else the
-    # same kept (x) dropped product.  At even n, Y at the positions where
+    # recover's kept rows and their split against decoder then recovery
+    # on the whole register, split by address: at every position, under
+    # every corruption, the same RecoveryError text, or else the same
+    # kept (x) dropped product.  At even n, Y at the positions where
     # recovery targets the erased qubit leaves the halves entangled.
     rng = np.random.default_rng([20261020, n])
     encoded = _encode(n, random_state(2, n, rng))
@@ -697,34 +715,14 @@ def test_recover_matches_the_gate_programs(n):
      "register size 3 does not match block 2")])
 def test_recover_refuses_other_fields_and_sizes_before_any_gather(
         s, error, text, monkeypatch):
-    # A p = 3 register of four qutrits has more amplitudes than the
-    # block map reads, so without the field check it would be gathered
-    # without complaint.
+    # A p = 3 register of four qutrits passes the size check, so without
+    # the field check its amplitudes would reach erased_rows.
     def no_gather(*args):
         raise AssertionError("rows gathered before the register was checked")
 
     monkeypatch.setattr(ghz_erasure, "erased_rows", no_gather)
     with pytest.raises(error, match=re.escape(text)):
         recover(s, ErasurePosition(address=1, n=2))
-
-
-def test_recover_runs_no_gate_program(monkeypatch):
-    # Cold block maps included: recover reads the compiled programs
-    # through its block map and never runs them.
-    def no_apply(*args, **kwargs):
-        raise AssertionError("recover ran a gate program")
-
-    encoded = {n: _encode(n, random_state(2, n, RNG))
-               for n in range(MIN_BLOCK, MAX_BLOCK + 1)}
-    monkeypatch.setattr(GateProgram, "apply", no_apply)
-    ghz_erasure._erased_block_map.cache_clear()
-    try:
-        for n, s in encoded.items():
-            for addr in (0, n - 1, n, 2 * n - 1):
-                kept, _ = recover(s, ErasurePosition(address=addr, n=n))
-                assert kept.n == n
-    finally:
-        ghz_erasure._erased_block_map.cache_clear()
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
@@ -817,16 +815,15 @@ def _doubled_isometry(n, c):
      "(off by 1.5)")])
 def test_carried_map_refuses_programs_it_cannot_compose(
         name, wrong, c, text, monkeypatch):
-    # Each wrong program still compiles to a signed gather, one H and a
-    # signed gather, so the block map builds; the carried map's own
-    # checks must refuse it before any decode.
+    # Each wrong program still runs, so only the carried map's own
+    # checks can refuse it, before any decode.
     pos = ErasurePosition(address=0, n=3)
     monkeypatch.setattr(ghz_erasure, name, wrong)
-    ghz_erasure._erased_block_map.cache_clear()
+    ghz_erasure._composed_erasure.cache_clear()
     ghz_erasure.carried_erasure_map.cache_clear()
     try:
         with pytest.raises(GhzError, match=re.escape(text)):
             ghz_erasure.carried_erasure_map(3, c, pos, 1, 1)
     finally:
-        ghz_erasure._erased_block_map.cache_clear()
+        ghz_erasure._composed_erasure.cache_clear()
         ghz_erasure.carried_erasure_map.cache_clear()
