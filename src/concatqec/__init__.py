@@ -34,6 +34,7 @@ from .graph_code import (
     check_admissibility,
     correct,
     decode,
+    decode_and_correct,
     encode,
     five_qubit_decoding_graph,
     load_graph,
@@ -69,6 +70,7 @@ __all__ = [
     "concat_encode",
     "correct",
     "decode",
+    "decode_and_correct",
     "effective_channel",
     "encode",
     "five_qubit_decoding_graph",

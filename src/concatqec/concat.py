@@ -82,8 +82,7 @@ from .graph_code import (
     SyndromeTable,
     build_syndrome_table,
     check_amplitude_count,
-    correct,
-    decode,
+    decode_and_correct,
     encode,
     format_error_label,
     weight_one_errors,
@@ -622,15 +621,11 @@ def concat_decode(scheme: ConcatScheme, s: BlockRegister,
     codeword = _inner_stage(scheme, s, event)
     if event.pauli is not None:
         codeword = apply_pauli_error(codeword, event.pauli)
-    syndrome, residual = decode(scheme.outer, codeword)
-    table = _outer_table(scheme.outer)
-    corrected = correct(residual, syndrome, table)
-    recovered = LogicalState(p=2, coefficients=corrected.amplitudes)
-    trace = DecodeTrace(
-        event=event.describe(),
-        syndrome="".join(str(d) for d in syndrome.entries),
-        correction=table.rows[syndrome.entries].correction_label)
-    return recovered, trace
+    corrected, readout = decode_and_correct(scheme.outer, codeword,
+                                            _outer_table(scheme.outer))
+    trace = DecodeTrace(event=event.describe(), syndrome=readout.syndrome,
+                        correction=readout.correction_label)
+    return LogicalState(p=2, coefficients=corrected), trace
 
 
 # ---------------------------------------------------------------------------

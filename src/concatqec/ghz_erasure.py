@@ -78,10 +78,17 @@ class RecoveryError(RuntimeError):
     """Raised when recovery leaves the surviving half entangled."""
 
 
-def _check_block_size(n: int) -> None:
+def _check_block_size(n: int) -> int:
+    """n as an int (numpy integers pass) in [MIN_BLOCK, MAX_BLOCK], or
+    GhzError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise GhzError(f"block size {n!r} is not an integer") from None
     if not MIN_BLOCK <= n <= MAX_BLOCK:
         raise GhzError(f"block size n must lie in [{MIN_BLOCK}, {MAX_BLOCK}], "
                        f"got {n}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +106,7 @@ class GhzLayout:
     n: int
 
     def __post_init__(self) -> None:
-        _check_block_size(self.n)
+        object.__setattr__(self, "n", _check_block_size(self.n))
 
     @property
     def total(self) -> int:
@@ -130,7 +137,7 @@ class ErasurePosition:
     n: int
 
     def __post_init__(self) -> None:
-        _check_block_size(self.n)
+        object.__setattr__(self, "n", _check_block_size(self.n))
         try:
             object.__setattr__(self, "address", operator.index(self.address))
         except TypeError:
@@ -268,7 +275,7 @@ class GateProgram:
     half: int
 
     def __post_init__(self) -> None:
-        _check_block_size(self.half)
+        object.__setattr__(self, "half", _check_block_size(self.half))
         for gate in self.gates:
             for q in gate.qubits:
                 if q >= 2 * self.half:
@@ -362,7 +369,7 @@ def build_encoder(n: int) -> GateProgram:
     Pairs each message qubit with its ancilla, then spreads qubit n and
     qubit n' over their halves, producing twin GHZ-branch structure.
     """
-    _check_block_size(n)
+    n = _check_block_size(n)
     gates: List[Gate] = []
     for i in range(n):
         gates.append(Gate("CX", (i, n + i)))
@@ -382,7 +389,7 @@ def build_decoder(n: int, pos: ErasurePosition) -> GateProgram:
     Acts entirely on the half opposite the damaged qubit, collapsing
     that half's GHZ branching back to basis form.
     """
-    _check_block_size(n)
+    n = _check_block_size(n)
     if pos.n != n:
         raise GhzError(f"position block size {pos.n} != {n}")
     base = n if pos.side == "message" else 0
@@ -425,7 +432,7 @@ def build_recovery(n: int, pos: ErasurePosition) -> GateProgram:
     phase, using the damaged half's twin qubit as control only through
     its undamaged partners.
     """
-    _check_block_size(n)
+    n = _check_block_size(n)
     if pos.n != n:
         raise GhzError(f"position block size {pos.n} != {n}")
     j = pos.index_in_side + 1

@@ -13,13 +13,18 @@ inputs at the cross block's image of each output string, and the decoder
 is two phase layers, a relabelling of strings by the cross block between
 Y and L + X (a permutation exactly when admissibility condition c2
 holds) and a p-point Fourier transform on every qudit, so both cost
-O(p**n) memory.  Registers and operators above statevec.MAX_AMPLITUDES
-amplitudes are refused with a CodeError before anything is allocated.
+O(p**n) memory.  The transform runs as a few real matrix products, one
+per group of qudits, on the register's float64 view.  Registers and
+operators above statevec.MAX_AMPLITUDES amplitudes are refused with a
+CodeError before anything is allocated.
 
 The decoder is a Clifford map, so the syndrome table needs no state
 vector: build_syndrome_table pushes each error's Pauli label (m, b, s)
 through the decoder's four layers by exact arithmetic over F_p and
-reads the syndrome and the residual logical Pauli off the image.
+reads the syndrome and the residual logical Pauli off the image.  A
+row is compiled, the first time it is read, into a gather with phases
+on the p**k residual (Readout), so correct and decode_and_correct
+apply a correction in one indexing step.
 
 Vertices are numbered with the X block first, then Y, then L.  Register
 addresses follow vertex order, so the decoded register reads syndrome
@@ -34,7 +39,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -53,10 +59,12 @@ from .statevec import (
     ZERO_NORM_FLOOR,
     PauliError,
     StateVector,
+    StateError,
     apply_pauli_error,
+    digits_to_index,
     guard_norm,
     index_to_digits,
-    normalize,
+    norm2,
 )
 
 # Error supports condition c5 may range over.  It admits e = 2 up to
@@ -67,10 +75,11 @@ from .statevec import (
 # 427 MiB with |X| = 8, failing at |E| = 4.
 ADMISSIBILITY_MAX_SUPPORTS = 2**15
 # Qudits per Kronecker factor of the decoder's Fourier layer.  Small
-# factors keep each product below the size at which BLAS spreads it over
-# threads (an 81 x 81 factor at 3**7 amplitudes runs on two), so a
-# decode's time does not follow the load on a second core.  They also
-# cut the work, p**n times the sum of the factor sizes.
+# factors keep each real product below the size at which BLAS spreads it
+# over threads (at 3**7 amplitudes the 54 x 54 real form of a 27 x 27
+# factor runs on one), so a decode's time does not follow the load on a
+# second core.  They also cut the work, p**n times the sum of the factor
+# sizes.
 FOURIER_GROUP = 3
 
 
@@ -162,29 +171,30 @@ class LogicalState:
         coefficients: complex array of length p**k; normalized at
             construction, so a norm outside [ZERO_NORM_FLOOR, inf) (zero,
             NaN or overflowing) is rejected.
+        k: number of logical qudits, found at construction.
     """
 
     p: int
     coefficients: np.ndarray
+    k: int = field(init=False)
 
     def __post_init__(self) -> None:
         check_prime(self.p)
         self.coefficients = np.asarray(self.coefficients, dtype=np.complex128)
         if self.coefficients.ndim != 1 or self.coefficients.size == 0:
             raise CodeError("coefficients must form a nonempty 1-d array")
-        k = round(np.log(self.coefficients.size) / np.log(self.p))
-        if self.p**k != self.coefficients.size:
+        size, self.k = self.coefficients.size, 0
+        while size % self.p == 0:
+            size //= self.p
+            self.k += 1
+        if size != 1:
             raise CodeError(
                 f"coefficient count {self.coefficients.size} is not a power of {self.p}"
             )
-        norm = guard_norm(StateVector(self.p, k, self.coefficients).norm(),
+        norm = guard_norm(math.sqrt(norm2(self.coefficients)),
                           ZERO_NORM_FLOOR, CodeError,
                           "logical state must be nonzero and finite: ")
         self.coefficients = self.coefficients / norm
-
-    @property
-    def k(self) -> int:
-        return round(np.log(self.coefficients.size) / np.log(self.p))
 
     @classmethod
     def computational(cls, p: int, k: int, index: int) -> "LogicalState":
@@ -503,6 +513,22 @@ def _fourier_factor(p: int, h: int) -> np.ndarray:
     return factor
 
 
+@functools.lru_cache(maxsize=None)
+def _fourier_real_form(p: int, h: int) -> np.ndarray:
+    """_fourier_factor(p, h) as the real 2 p**h x 2 p**h matrix R that acts
+    on float64 views: for a complex row v, (v F).view(float64) equals
+    v.view(float64) @ R, its (re, im) pairs interleaved.  Read-only."""
+    factor = _fourier_factor(p, h)
+    size = len(factor)
+    real = np.empty((size, 2, size, 2))
+    real[:, 0, :, 0] = real[:, 1, :, 1] = factor.real
+    real[:, 0, :, 1] = factor.imag
+    real[:, 1, :, 0] = -factor.imag
+    real = real.reshape(2 * size, 2 * size)
+    real.flags.writeable = False
+    return real
+
+
 @functools.lru_cache(maxsize=32)
 def _encoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
     """The encoder of a graph, as a map from logical coefficients c.
@@ -538,7 +564,9 @@ def encode(g: CodeGraph, v: LogicalState) -> StateVector:
     if v.k != g.k:
         raise CodeError(f"logical register size {v.k} != |X| = {g.k}")
     amplitudes = _encoder(g)(v.coefficients)
-    return normalize(StateVector(p=g.p, n=g.n, amplitudes=amplitudes))
+    amplitudes /= guard_norm(math.sqrt(norm2(amplitudes)), ZERO_NORM_FLOOR,
+                             StateError, "cannot normalize a state of ")
+    return StateVector(p=g.p, n=g.n, amplitudes=amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +614,13 @@ def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
     y -> A_cross y mod p, which is a permutation exactly when condition
     c2 holds, the p-point inverse Fourier transform on every qudit, and
     the phases of q_out.  The transform runs as Kronecker factors on
-    consecutive groups of at most FOURIER_GROUP qudits, each applied to
-    the leading group and then rotated to the back, so the map keeps
-    O(p**n) numbers and acts along the last axis of its argument.
+    consecutive groups of at most FOURIER_GROUP qudits.  Each rotates the
+    leading group to the back, as a contiguous last axis, and applies
+    the factor there as one real matrix product on the float64 view
+    (_fourier_real_form).  The first rotation is folded into the gather,
+    and D_Y is premultiplied at the gathered order, so the map keeps
+    O(p**n) numbers and acts along the last axis of its argument; any
+    leading axes are a batch, each row of which gets its own products.
 
     Raises:
         CodeError, DecodeError: as _decoder_groups.
@@ -597,18 +629,51 @@ def _decoder(g: CodeGraph) -> Callable[[np.ndarray], np.ndarray]:
     adj = g.adjacency.array
     out_order = g.syndromes + g.inputs
     gather = np.argsort(_image_index(adj[np.ix_(out_order, g.outputs)], g.p))
+    # The first group's digits moved last.
+    gather = gather.reshape(g.p**groups[0], -1).T.reshape(-1)
     omega_bar = np.exp(-2j * np.pi / g.p)
-    d_y = omega_bar**_pair_form(adj[np.ix_(g.outputs, g.outputs)], g.p)
+    d_y = omega_bar**_pair_form(adj[np.ix_(g.outputs, g.outputs)], g.p)[gather]
     d_out = omega_bar**_pair_form(adj[np.ix_(out_order, out_order)], g.p)
-    factors = [_fourier_factor(g.p, h) for h in groups]
+    size = len(gather)
+    factors = [(g.p**h, _fourier_real_form(g.p, h)) for h in groups]
 
     def apply(amplitudes: np.ndarray) -> np.ndarray:
-        x = (d_y * amplitudes)[..., gather].reshape(-1, len(gather)).T
-        for f in factors:
-            # f is symmetric, so this is f on the leading group, moved last.
-            x = x.reshape(len(f), -1).T @ f
+        x = amplitudes[..., gather] * d_y
+        batch = x.size // size
+        for i, (width, real) in enumerate(factors):
+            if i:
+                x = x.reshape(batch, width, -1).transpose(0, 2, 1)
+            # One product per batch row, so a row's bits do not depend on
+            # the batch it came in.
+            x = np.ascontiguousarray(x).view(np.float64).reshape(
+                batch, -1, 2 * width)
+            x = (x @ real).view(np.complex128)
         return d_out * x.reshape(amplitudes.shape)
     return apply
+
+
+def _measure(g: CodeGraph, corrupted: StateVector) -> Tuple[int, np.ndarray]:
+    """The syndrome index and the normalized branch it leaves; see decode."""
+    if corrupted.p != g.p or corrupted.n != g.n:
+        raise CodeError(
+            f"register ({corrupted.p}, {corrupted.n}) does not match "
+            f"code ({g.p}, {g.n})")
+    norm = guard_norm(corrupted.norm(), ZERO_NORM_FLOOR, CodeError,
+                      "register ")
+    branches = _decoder(g)(corrupted.amplitudes).reshape(g.p**g.m, -1)
+    parts = branches.view(np.float64)
+    # einsum checks no floating-point flags, so an overflow is a quiet inf.
+    branch2 = np.einsum("jk,jk->j", parts, parts)
+    top = int(np.argmax(branch2))
+    top_norm = guard_norm(math.sqrt(branch2[top]), ZERO_NORM_FLOOR, DecodeError,
+                          "cannot normalize a measured branch of ")
+    probability = branch2[top] / (norm * norm)
+    if probability <= DETERMINISM_BOUND:
+        raise DecodeError(
+            "uncorrectable or multi-error input: syndrome measurement is "
+            f"not deterministic (top probability {probability:.12g} <= "
+            f"bound {DETERMINISM_BOUND:.12g})")
+    return top, branches[top] / top_norm
 
 
 def decode(g: CodeGraph, corrupted: StateVector) -> Tuple[FpVector, StateVector]:
@@ -631,27 +696,9 @@ def decode(g: CodeGraph, corrupted: StateVector) -> Tuple[FpVector, StateVector]
         DecodeError: when the syndrome is not deterministic, or its
             likeliest branch is too small to normalize.
     """
-    if corrupted.p != g.p or corrupted.n != g.n:
-        raise CodeError(
-            f"register ({corrupted.p}, {corrupted.n}) does not match "
-            f"code ({g.p}, {g.n})")
-    norm = guard_norm(corrupted.norm(), ZERO_NORM_FLOOR, CodeError,
-                      "register ")
-    branches = _decoder(g)(corrupted.amplitudes).reshape(g.p**g.m, -1)
-    parts = branches.view(np.float64)
-    # einsum checks no floating-point flags, so an overflow is a quiet inf.
-    branch2 = np.einsum("jk,jk->j", parts, parts)
-    top = int(np.argmax(branch2))
-    top_norm = guard_norm(math.sqrt(branch2[top]), ZERO_NORM_FLOOR, DecodeError,
-                          "cannot normalize a measured branch of ")
-    probability = branch2[top] / (norm * norm)
-    if probability <= DETERMINISM_BOUND:
-        raise DecodeError(
-            "uncorrectable or multi-error input: syndrome measurement is "
-            f"not deterministic (top probability {probability:.12g} <= "
-            f"bound {DETERMINISM_BOUND:.12g})")
+    top, branch = _measure(g, corrupted)
     return (FpVector(entries=index_to_digits(top, g.p, g.m), p=g.p),
-            StateVector(p=g.p, n=g.k, amplitudes=branches[top] / top_norm))
+            StateVector(p=g.p, n=g.k, amplitudes=branch))
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +815,26 @@ class SyndromeRow:
     correction: PauliError
 
 
+class Readout(NamedTuple):
+    """A table row compiled for the decoded register.
+
+    Corrected amplitude y is phase[y] * residual[source[y]], which is
+    what apply_pauli_error computes for the row's correction; phase is
+    None when that multiplies by nothing.
+
+    Attributes:
+        syndrome: the syndrome digits as text, e.g. ``0110``.
+        correction_label: the row's correction_label.
+        source: residual index read by each corrected amplitude.
+        phase: root of unity each corrected amplitude takes, or None.
+    """
+
+    syndrome: str
+    correction_label: str
+    source: np.ndarray
+    phase: Optional[np.ndarray]
+
+
 @dataclass
 class SyndromeTable:
     """Deterministic syndrome-to-correction lookup for a code.
@@ -776,13 +843,48 @@ class SyndromeTable:
         p: field order.
         k: logical register size.
         m: syndrome digit count.
-        rows: mapping from syndrome digit tuples to row records.
+        rows: mapping from syndrome digit tuples to row records.  A row
+            is compiled (readout) the first time it is read, so rows are
+            not replaced after that.
     """
 
     p: int
     k: int
     m: int
     rows: Dict[Tuple[int, ...], SyndromeRow] = field(default_factory=dict)
+    _readouts: Dict[int, Readout] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
+
+    def readout(self, index: int) -> Readout:
+        """The row of syndrome digits index_to_digits(index, p, m),
+        compiled on first use.
+
+        Raises:
+            DecodeError: if the syndrome has no table entry.
+        """
+        found = self._readouts.get(index)
+        if found is None:
+            digits = index_to_digits(index, self.p, self.m)
+            syndrome = "".join(str(d) for d in digits)
+            row = self.rows.get(digits)
+            if row is None:
+                raise DecodeError(f"unrecognized syndrome {syndrome}")
+            # The gather read off apply_pauli_error itself: the shifts
+            # alone move the indices, and the whole word moves ones.
+            c = row.correction
+            size = self.p**self.k
+            shifted = apply_pauli_error(
+                StateVector(p=self.p, n=self.k, amplitudes=np.arange(size)),
+                PauliError(m=0, b=c.b, s=(0,) * c.n, p=self.p))
+            phase = None
+            if c.m or any(c.s):
+                phase = apply_pauli_error(
+                    StateVector(p=self.p, n=self.k, amplitudes=np.ones(size)),
+                    c).amplitudes
+            found = self._readouts[index] = Readout(
+                syndrome, row.correction_label,
+                shifted.amplitudes.real.astype(np.int64), phase)
+        return found
 
     def sorted_rows(self) -> List[Tuple[Tuple[int, ...], SyndromeRow]]:
         return sorted(self.rows.items())
@@ -924,16 +1026,51 @@ def build_syndrome_table(g: CodeGraph,
     return table
 
 
+def _corrected(residual: np.ndarray, readout: Readout) -> np.ndarray:
+    out = residual[readout.source]
+    if readout.phase is not None:
+        out *= readout.phase
+    return out
+
+
 def correct(residual: StateVector, syndrome: FpVector,
             table: SyndromeTable) -> StateVector:
     """Apply the table's correction for an observed syndrome.
 
     Raises:
         DecodeError: if the syndrome has no table entry.
+        StateError: if the residual does not fit the logical register.
     """
     key = syndrome.entries
-    row = table.rows.get(key)
-    if row is None:
+    if key not in table.rows:
         raise DecodeError(
             f"unrecognized syndrome {''.join(str(d) for d in key)}")
-    return apply_pauli_error(residual, row.correction)
+    if residual.p != table.p:
+        raise StateError(
+            f"error field {table.p} does not match register p={residual.p}")
+    if residual.n != table.k:
+        raise StateError(
+            f"error length {table.k} does not match register n={residual.n}")
+    readout = table.readout(digits_to_index(key, table.p))
+    return StateVector(p=residual.p, n=residual.n,
+                       amplitudes=_corrected(residual.amplitudes, readout))
+
+
+def decode_and_correct(g: CodeGraph, corrupted: StateVector,
+                       table: SyndromeTable) -> Tuple[np.ndarray, Readout]:
+    """decode, then correct by the table, without the intermediate types.
+
+    Returns:
+        (corrected logical coefficients, the compiled row applied).
+
+    Raises:
+        CodeError: as decode, and when the table is not of g's shape.
+        DecodeError: as decode and correct.
+    """
+    if (table.p, table.k, table.m) != (g.p, g.k, g.m):
+        raise CodeError(
+            f"table (p, k, m) = {(table.p, table.k, table.m)} does not match "
+            f"code {(g.p, g.k, g.m)}")
+    top, branch = _measure(g, corrupted)
+    readout = table.readout(top)
+    return _corrected(branch, readout), readout

@@ -255,16 +255,6 @@ def _roots(p: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _shift_column(p: int, shift: int, stride: int) -> np.ndarray:
-    """What a qudit of the given index stride adds to the source index:
-    output digit y reads digit y - shift mod p."""
-    digits = np.arange(p)
-    column = (((digits - shift) % p - digits) * stride)[:, np.newaxis]
-    column.flags.writeable = False
-    return column
-
-
-@functools.lru_cache(maxsize=None)
 def _phase_column(p: int, gradient: int, shift: int, m: int) -> np.ndarray:
     """The phases a qudit's output digit y takes: exp(2 pi i (m +
     gradient * (y - shift)) / p), as y came from y - shift."""
@@ -277,9 +267,9 @@ def _phase_column(p: int, gradient: int, shift: int, m: int) -> np.ndarray:
 def apply_pauli_error(s: StateVector, e: PauliError) -> StateVector:
     """Apply a generalized Pauli error to a register.
 
-    The whole word's shifts are one gather: amplitude y comes from y - b,
-    digit by digit mod p, through a source index built by one broadcast
-    add per shifted qudit.  Each phased qudit's axis is then multiplied
+    Amplitude y comes from y - b, digit by digit mod p: each shifted
+    qudit's axis is rotated by two slice copies.  Each phased qudit's
+    axis is then multiplied
     by a p-entry column of roots of unity, with the global phase folded
     into the first.  The roots are exact where they are +-1, so at p = 2
     a Z only negates.
@@ -292,15 +282,16 @@ def apply_pauli_error(s: StateVector, e: PauliError) -> StateVector:
     if e.n != s.n:
         raise StateError(f"error length {e.n} does not match register n={s.n}")
     p, n = s.p, s.n
-    if any(e.b):
-        source = np.arange(p**n)
-        for q, shift in enumerate(e.b):
-            if shift:
-                view = source.reshape(p**q, p, -1)
-                view += _shift_column(p, shift, p**(n - 1 - q))
-        out = s.amplitudes.take(source)
-    else:
-        out = s.amplitudes.copy()
+    out = s.amplitudes
+    for q, shift in enumerate(e.b):
+        if shift:
+            source = out.reshape(p**q, p, -1)
+            moved = np.empty_like(source)
+            moved[:, shift:] = source[:, :p - shift]
+            moved[:, :shift] = source[:, p - shift:]
+            out = moved.reshape(-1)
+    if out is s.amplitudes:
+        out = out.copy()
     m = e.m
     for q, (shift, gradient) in enumerate(zip(e.b, e.s)):
         if gradient:

@@ -18,6 +18,10 @@ the tests require the two to print the same records.
 five_qubit_code_graph is the five-qubit code's graph without syndrome
 vertices, which no decoder can run, read from the package's data file;
 the tests use it for the codeword and the conditions it fails.
+
+outer_stage_by_parts is concat_decode's outer stage as it ran before
+decode_and_correct: decode, correct and LogicalState, one public call
+each.
 """
 
 from pathlib import Path
@@ -36,6 +40,7 @@ from concatqec.graph_code import (
     SyndromeTable,
     _decoder,
     check_amplitude_count,
+    correct,
     decode,
     encode,
     format_error_label,
@@ -165,3 +170,17 @@ def build_syndrome_table_by_decoding(g: CodeGraph,
                 f"{''.join(str(d) for d in syndrome)} but need different "
                 "corrections")
     return table
+
+
+def outer_stage_by_parts(g: CodeGraph, codeword: StateVector,
+                         pauli: Optional[PauliError], table: SyndromeTable
+                         ) -> Tuple[LogicalState, str, str]:
+    """The outer stage as public calls: any Pauli, decode, correct, then
+    LogicalState; with the trace's syndrome and correction text."""
+    if pauli is not None:
+        codeword = apply_pauli_error(codeword, pauli)
+    syndrome, residual = decode(g, codeword)
+    corrected = correct(residual, syndrome, table)
+    return (LogicalState(p=g.p, coefficients=corrected.amplitudes),
+            "".join(str(d) for d in syndrome.entries),
+            table.rows[syndrome.entries].correction_label)

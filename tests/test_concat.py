@@ -68,6 +68,7 @@ from concatqec.statevec import (
     random_single_qubit_unitary,
     random_state,
 )
+from decoding_oracles import outer_stage_by_parts
 from state_oracles import split_factor
 
 RNG = np.random.default_rng(20240820)
@@ -1085,3 +1086,41 @@ def test_effective_channel_rejects_empty_runs():
     scheme = _scheme(WHOLE_REGISTER)
     with pytest.raises(CodeError):
         effective_channel(scheme, noise_identity(), trials=0, seed=1)
+
+
+@pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
+def test_outer_stage_reads_as_decode_then_correct_bit_for_bit(blocking):
+    # concat_decode's one decode_and_correct call against the outer stage
+    # by parts, on the same inner codeword: recorded hits, applied hits
+    # and events without an erasure, for each noise model.
+    scheme = _scheme(blocking)
+    table = concat._outer_table(scheme.outer)
+    rng = np.random.default_rng(53)
+    paths = set()
+    for name, model in concat.NOISE_MODELS.items():
+        draw = model(scheme)
+        for _ in range(8):
+            event, v = draw(rng), _random_logical(rng.integers(2**32))
+            for applied in (False, True):
+                def damaged():
+                    physical = apply_channel_damage(
+                        scheme, concat_encode(scheme, v), event)
+                    if applied:
+                        physical.core  # reading the amplitudes applies the hit
+                    return physical
+                paths.add((name, event.erasure is not None, applied))
+                codeword = concat._inner_stage(scheme, damaged(), event)
+                try:
+                    expected = outer_stage_by_parts(scheme.outer, codeword,
+                                                    event.pauli, table)
+                except DecodeError as exc:
+                    with pytest.raises(DecodeError, match=re.escape(str(exc))):
+                        concat_decode(scheme, damaged(), event)
+                    continue
+                recovered, trace = concat_decode(scheme, damaged(), event)
+                state, syndrome, label = expected
+                assert np.array_equal(recovered.coefficients.view(np.uint64),
+                                      state.coefficients.view(np.uint64))
+                assert (trace.syndrome, trace.correction) == (syndrome, label)
+    assert {(name, erased) for name, erased, _ in paths} == {
+        ("identity", False), ("correctable", True), ("two-pauli", False)}

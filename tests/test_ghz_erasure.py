@@ -124,6 +124,25 @@ def test_erasure_position_refuses_a_non_integer_address(address):
         ErasurePosition(address=address, n=5)
 
 
+@pytest.mark.parametrize("n", [5.0, "5", None])
+def test_block_size_refuses_a_non_integer(n):
+    # A float size would otherwise construct, and the damage step would
+    # then leak numpy's TypeError on a register of 2.0**(2 n) entries.
+    message = re.escape(f"block size {n!r} is not an integer")
+    with pytest.raises(GhzError, match=message):
+        GhzLayout(n)
+    with pytest.raises(GhzError, match=message):
+        ErasurePosition(address=1, n=n)
+    with pytest.raises(GhzError, match=message):
+        build_encoder(n)
+
+
+def test_numpy_integer_block_sizes_become_ints():
+    assert type(GhzLayout(np.int64(3)).n) is int
+    assert type(ErasurePosition(address=1, n=np.int32(2)).n) is int
+    assert build_encoder(np.int64(2)) == build_encoder(2)
+
+
 # ---------------------------------------------------------------------------
 # Gate programs
 # ---------------------------------------------------------------------------

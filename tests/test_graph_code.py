@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from decoding_oracles import (build_syndrome_table_by_decoding, decoder_unitary,
+                              outer_stage_by_parts,
                               five_qubit_code_graph)
 from fp_oracles import kernel_basis, rank
 
@@ -31,6 +32,7 @@ from concatqec.graph_code import (
     DecodeError,
     GraphParseError,
     LogicalState,
+    SyndromeTable,
     build_syndrome_table,
     check_admissibility,
     check_amplitude_count,
@@ -756,6 +758,30 @@ def test_decoder_with_three_fourier_factors_matches_dense_reference(n):
     assert np.max(np.abs(graph_code._decoder(g)(x) - reference @ x)) < 1e-12
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fourier_real_form_is_the_complex_factor(p):
+    rng = np.random.default_rng(p)
+    for h in range(1, graph_code.FOURIER_GROUP + 1):
+        factor = graph_code._fourier_factor(p, h)
+        x = rng.normal(size=(3, 4, len(factor), 2)).view(np.complex128)[..., 0]
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        real = graph_code._fourier_real_form(p, h)
+        got = (x.view(np.float64) @ real).view(np.complex128)
+        assert np.max(np.abs(got - x @ factor)) <= 1e-15, (p, h)
+
+
+@pytest.mark.parametrize("p, n", [(2, 5), (2, 7), (3, 7), (5, 4)])
+def test_batched_decoder_is_the_per_row_map_bit_for_bit(p, n):
+    rng = np.random.default_rng(p * n)
+    g = _random_graph(p, 1, n, rng, lambda report: report.c2)
+    apply = graph_code._decoder(g)
+    x = random_state(p, n, rng).amplitudes * rng.normal(size=(5, 1))
+    batched = apply(x)
+    for row, expected in zip(x, batched):
+        assert np.array_equal(apply(row).view(np.uint64),
+                              expected.view(np.uint64))
+
+
 @given(st.sampled_from([2, 3, 5]),
        st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=8, deadline=None)
@@ -1057,6 +1083,42 @@ def test_every_tabulated_correction_restores_the_input():
             assert syndrome.entries == key
             fixed = correct(residual, syndrome, table)
             assert fidelity_up_to_phase(fixed, v.as_state()) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("path", [
+    None, Path(__file__).parent / "golden" / "qutrit_decoding.graph"],
+    ids=["five-qubit", "qutrit"])
+def test_correct_applies_each_row_as_apply_pauli_error_does(path):
+    g = five_qubit_decoding_graph() if path is None else load_graph(path)
+    table = build_syndrome_table(g, weight_one_errors(g.p, g.n))
+    rng = np.random.default_rng(41)
+    residual = random_state(g.p, g.k, rng)
+    for key, row in table.sorted_rows():
+        got = correct(residual, FpVector(key, g.p), table).amplitudes
+        expected = apply_pauli_error(residual, row.correction).amplitudes
+        if g.p == 2:
+            assert np.array_equal(got.view(np.uint64),
+                                  expected.view(np.uint64)), key
+        else:
+            assert np.max(np.abs(got - expected)) <= 1e-15, key
+
+
+def test_decode_and_correct_is_decode_then_correct():
+    g = five_qubit_decoding_graph()
+    table = build_syndrome_table(g, weight_one_errors(2, g.n))
+    v = LogicalState(p=2, coefficients=[0.6, 0.8j])
+    clean = encode(g, v)
+    for error in [None] + weight_one_errors(2, g.n):
+        damaged = clean if error is None else apply_pauli_error(clean, error)
+        coefficients, readout = graph_code.decode_and_correct(g, damaged, table)
+        syndrome, residual = decode(g, damaged)
+        expected = correct(residual, syndrome, table).amplitudes
+        assert np.array_equal(coefficients.view(np.uint64),
+                              expected.view(np.uint64))
+        _state, text, label = outer_stage_by_parts(g, clean, error, table)
+        assert (readout.syndrome, readout.correction_label) == (text, label)
+    with pytest.raises(CodeError, match=r"table \(p, k, m\) = \(2, 1, 0\)"):
+        graph_code.decode_and_correct(g, clean, SyndromeTable(p=2, k=1, m=0))
 
 
 def test_correct_rejects_untabulated_syndrome():
