@@ -24,14 +24,16 @@ import argparse
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from .concat import (
     NOISE_MODELS,
-    BlockRegister,
     ChannelEvent,
     ConcatScheme,
-    effective_channel,
+    apply_channel_damage,
     concat_decode,
     concat_encode,
+    effective_channel,
 )
 from .ghz_erasure import ErasurePosition, GhzError, GhzLayout, RecoveryError
 from .graph_code import (
@@ -47,7 +49,13 @@ from .graph_code import (
     parse_error_label,
     weight_one_errors,
 )
-from .statevec import StateError, apply_pauli_error, fidelity_up_to_phase
+from .statevec import (
+    PauliError,
+    StateError,
+    apply_pauli_error,
+    basis_state,
+    fidelity_up_to_phase,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -150,12 +158,19 @@ def cmd_worked_example(args: argparse.Namespace) -> int:
 
     coeffs = [0.6, 0.8]
     v = LogicalState(p=2, coefficients=coeffs)
-    # The one block's axis made physical carries the register's 2n qubits.
-    register = concat_encode(scheme, v).expand(0)
+    register = concat_encode(scheme, v)
     if physical_error.weight:
-        damaged = apply_pauli_error(register.flat(), physical_error)
-        register = BlockRegister(
-            scheme, damaged.amplitudes.reshape(register.core.shape))
+        # The Pauli strikes one qubit of the one block: a recorded hit
+        # with its exact 2 x 2 operator, read off apply_pauli_error.
+        q = next(q for q, (b, s) in enumerate(zip(physical_error.b,
+                                                   physical_error.s)) if b or s)
+        single = PauliError(m=physical_error.m, b=(physical_error.b[q],),
+                            s=(physical_error.s[q],), p=2)
+        operator = np.stack([apply_pauli_error(basis_state(2, (a,)),
+                                               single).amplitudes
+                             for a in (0, 1)], axis=1)
+        register = apply_channel_damage(scheme, register, ChannelEvent(
+            erasure=ErasurePosition(address=q, n=n), corruption=operator))
     event = ChannelEvent(erasure=pos)
     recovered, trace = concat_decode(scheme, register, event)
     fidelity = fidelity_up_to_phase(v.as_state(), recovered.as_state())

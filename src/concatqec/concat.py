@@ -16,48 +16,37 @@ names an instance of it:
 
 Both layers work per block through the block's encoder isometry E: the
 encoder program's action on the qubits the block carries, with its
-padding at |0>.  E sends each input to four GHZ branches, so only a few
-of its rows are nonzero, and it is held by those rows alone.
+padding at |0>.
 
-The physical register is a BlockRegister: one tensor with one axis per
-inner block.  An axis is carried, holding the block's 2**c codeword
-amplitudes with E implied, or physical, holding its 2**(2n) amplitudes.
-Encoding leaves every axis carried, so it is the outer codeword
-reshaped.  A channel event touches one block.  Damage to a register
-whose every axis is carried records the hit (block, position and
-operator) and applies nothing.  Otherwise, or when anything reads a
-recorded register's amplitudes, damage makes only the hit block's axis
-physical, by contracting it with E's support rows and scattering them
-onto the block's register indices, and corrupts the erased qubit there;
-every other block keeps its carried amplitudes, since its encoding
-would cancel against its unencoding.  No dense form is built: an axis
-turns physical only when damage or decoding reaches its block.
+The physical register is a BlockRegister in one form: a carried core,
+one tensor axis per block holding the block's 2**c codeword amplitudes
+with E implied, plus the hits recorded on it.  Encoding gives the outer
+codeword reshaped, with no hit.  Damage records a hit (block, address,
+resolved 2 x 2 operator) and applies nothing; a second hit on a qubit
+multiplies into the first.  No block's register amplitudes are ever
+built.
 
-When the event declares the recorded hit, decoding reads the erased
-block's kept rows straight from the carried core in one gather, by
-ghz_erasure's cached carried_erasure_map: encoder, corruption, decoder
-and recovery composed once into one term per row.  Otherwise decoding
-checks the register's norm, which E's isometry makes the physical one,
-and makes the erased block's axis physical.  It gathers the support
-rows of every other physical axis in one step and contracts them with
-E's adjoint, which leaves only their carried qubits.  The flagged block
-is decoded by ghz_erasure, which owns that decode: erased_rows runs the
-decoder then recovery that the erasure position alone picks along the
-block's axis of that reduced register, and keeps only the rows whose
-padding reads |0>, damaged half first.  Their share of the whole
-register's norm is the probability that padding and ancillas read |0>,
-so amplitudes off the support count as damage; this module checks it,
-against the recorded norm for a recorded hit.  split_erased then splits
-the damaged half off the rows.  Decoding then applies any computational
-error carried by the channel event to the surviving codeword, and
-finally runs outer syndrome decoding plus table lookup correction.
+Decoding reads every hit block from the carried core through one
+composed map, ghz_erasure's cached carried_erasure_map: encoder, the
+block's hits, then decoder and recovery for the declared erasure, or
+E^dagger for a block without one, composed once by block shape and hit
+sites into a few terms per row.  Each hit block without the declared
+erasure is mapped along its axis first; an unhit block is already its
+carried qubits.  The declared block's map then keeps the rows whose
+padding reads |0>, damaged half first.  Their share of the register's
+squared norm is the probability that padding and ancillas read |0>,
+which this module checks; the squared norm is the core's under the same
+maps with each hit U replaced by U^dagger U, and is recorded at damage.
+split_erased then splits the damaged half off the rows.  Decoding then
+applies any computational error carried by the channel event to the
+surviving codeword, and finally runs outer syndrome decoding plus table
+lookup correction.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -67,11 +56,8 @@ from .ghz_erasure import (
     ErasurePosition,
     GhzError,
     GhzLayout,
-    carried_corruption,
     carried_erasure_map,
-    corrupt_qubit,
-    encoder_isometry,
-    erased_rows,
+    resolve_corruption,
     split_erased,
 )
 from .graph_code import (
@@ -88,6 +74,7 @@ from .graph_code import (
     weight_one_errors,
 )
 from .statevec import (
+    BRANCH_NORM_FLOOR,
     DETERMINISM_BOUND,
     FIDELITY_BOUND,
     MAX_AMPLITUDES,
@@ -95,6 +82,7 @@ from .statevec import (
     PauliError,
     StateVector,
     apply_pauli_error,
+    as_index,
     fidelity_up_to_phase,
     guard_norm,
     norm2,
@@ -140,6 +128,12 @@ class ChannelEvent:
             a Pauli letter, or a 2 x 2 operator.
         block: inner block index hit by the erasure (always 0 in
             whole-register blocking).
+
+    Raises:
+        CodeError: on a pauli that is not a PauliError.
+        GhzError: on an erasure that is not an ErasurePosition, a
+            corruption without an erasure, or a block index that is not
+            an integer >= 0.
     """
 
     pauli: Optional[PauliError] = None
@@ -148,13 +142,15 @@ class ChannelEvent:
     block: int = 0
 
     def __post_init__(self) -> None:
+        if self.pauli is not None and not isinstance(self.pauli, PauliError):
+            raise CodeError(f"event pauli {self.pauli!r} is not a PauliError")
+        if self.erasure is not None and not isinstance(self.erasure,
+                                                       ErasurePosition):
+            raise GhzError(
+                f"event erasure {self.erasure!r} is not an ErasurePosition")
         if self.corruption is not None and self.erasure is None:
             raise GhzError("corruption given without an erasure position")
-        try:
-            self.block = operator.index(self.block)
-        except TypeError:
-            raise GhzError(f"block index {self.block!r} is not an "
-                           f"integer") from None
+        self.block = as_index(self.block, GhzError, "block index")
         if self.block < 0:
             raise GhzError(f"negative block index {self.block}")
 
@@ -196,10 +192,10 @@ class ConcatScheme:
             inner block carries at its message addresses 0..c-1, in
             codeword order across the register.
 
-    A scheme allocates nothing: its BlockRegister holds each block by
-    its carried amplitudes until a block is hit, so per-qubit blocking
-    runs at any inner n.  Only a core of more than MAX_AMPLITUDES
-    amplitudes, such as two physical axes at inner n = 6, is refused.
+    A scheme allocates nothing: its BlockRegister holds every block by
+    its carried amplitudes, hit or not, so per-qubit blocking runs at any
+    inner n.  Only an erased block's decode whose gather has more than
+    MAX_AMPLITUDES rows, 2**(inner n) times the core's size, is refused.
     """
 
     outer: CodeGraph
@@ -256,169 +252,87 @@ def _outer_table(g: CodeGraph) -> SyndromeTable:
 # Encoding
 # ---------------------------------------------------------------------------
 
-def _map_block(t: np.ndarray, b: int, m: np.ndarray) -> np.ndarray:
-    """Apply the matrix m to axis b of t; the other axes stay in place.
-
-    The result is a fresh C-contiguous array, so the next block's
-    reshape needs no copy.
-    """
-    shape = t.shape
-    t = np.matmul(m, t.reshape(math.prod(shape[:b]), shape[b], -1))
-    return t.reshape(shape[:b] + (len(m),) + shape[b + 1:])
-
-
-class _Hit(NamedTuple):
-    """A corruption of one erased qubit, recorded but not yet applied.
+class Hit(NamedTuple):
+    """A corruption recorded on one qubit of a carried block.
 
     Attributes:
-        block: the hit block, whose axis is carried, as is every other.
-        position: the erased qubit's position in the block.
-        corruption: what corrupt_qubit applies: the event's label or
-            None, else the resolved operator, which resolves to itself.
+        block: the hit block.
+        address: the qubit's address in the block's register, [0, 2n).
         operator: the resolved 2 x 2 operator.
-        norm2: the squared norm of the register with the hit applied,
-            before renormalization.
     """
 
     block: int
-    position: ErasurePosition
-    corruption: Union[None, str, np.ndarray]
+    address: int
     operator: np.ndarray
-    norm2: float
 
 
 class BlockRegister:
-    """The physical register of a scheme, held as one tensor axis per block.
+    """The physical register of a scheme: a carried core plus recorded hits.
 
-    Axis b of the core is either carried or physical.  A carried axis
-    has 2**c entries, the amplitudes of the c codeword qubits block b
-    carries, and stands for E applied to them.  A physical axis has
-    2**(2n) entries, the block's register amplitudes.  As c <= n < 2n,
-    the length tells the two apart.  E is an isometry, so the core's
-    norm is the physical register's.
-
-    A register may also hold a recorded hit (see apply_channel_damage):
-    a corruption of one erased qubit of a register whose every axis is
-    carried, not yet applied, so that concat_decode can read the erased
-    block's rows straight from the carried core.  Any read of the
-    amplitudes (core, physical, flat, expand) first applies the hit as
-    apply_channel_damage once did: the block's axis made physical, then
-    corrupt_qubit, so it reads bit for bit as that register.
+    Axis b of the core has 2**c entries, the amplitudes of the c codeword
+    qubits block b carries, and stands for E applied to them.  Each hit
+    stands for its operator applied after encoding, at most one per qubit
+    (a second hit on a qubit multiplies into the first).  E is an
+    isometry, so the core's norm is the physical register's until a
+    block is hit.
 
     Attributes:
         scheme: the scheme whose blocks the axes follow.
         core: complex tensor with one axis per block, block 0 first.
 
     Raises:
-        CodeError: on a core whose axes do not fit the scheme's blocks.
+        CodeError: on a core whose axes are not the scheme's carried
+            blocks.
     """
 
     def __init__(self, scheme: ConcatScheme, core: np.ndarray) -> None:
         core = np.asarray(core, dtype=np.complex128)
-        span = 2**scheme.inner.total
-        widths = [2**len(carried) for carried in scheme.assignment]
-        if core.ndim != len(widths) or any(
-                size not in (width, span)
-                for size, width in zip(core.shape, widths)):
-            raise CodeError(
-                f"core of shape {core.shape} does not fit blocks "
-                f"{tuple(widths)} carried or {span} physical")
+        widths = tuple(2**len(carried) for carried in scheme.assignment)
+        if core.shape != widths:
+            raise CodeError(f"core of shape {core.shape} does not fit the "
+                            f"carried blocks {widths}")
         self.scheme = scheme
-        self._core = core
-        self._hit: Optional[_Hit] = None
+        self.core = core
+        # Per hit block: its ascending hit addresses and their operators.
+        self._sites: Dict[int, Tuple[Tuple[int, ...],
+                                     Tuple[np.ndarray, ...]]] = {}
+        # The physical register's squared norm, recorded with the hits.
+        self._norm2: Optional[float] = None
 
     @property
-    def core(self) -> np.ndarray:
-        """The amplitudes, one axis per block; a recorded hit is applied
-        first."""
-        hit = self._hit
-        if hit is not None:
-            carried = BlockRegister(self.scheme, self._core)
-            self._core = carried._corrupted(hit.block, hit.position,
-                                            hit.corruption)
-            self._hit = None
-        return self._core
-
-    def physical(self, block: int) -> bool:
-        return self.core.shape[block] == 2**self.scheme.inner.total
-
-    def flat(self) -> StateVector:
-        """The core as a register of its axes' qubits; no copy."""
-        return _flat(self.core)
-
-    def expand(self, block: int) -> "BlockRegister":
-        """The register with block's axis made physical, or self if it is.
-
-        Raises:
-            CodeError: when the new core would exceed MAX_AMPLITUDES
-                amplitudes, before it is allocated.
-        """
-        if self.physical(block):
-            return self
-        return BlockRegister(self.scheme, self._expanded(block))
-
-    def _carried(self) -> bool:
-        """Whether every axis is carried and no hit is recorded."""
-        span = 2**self.scheme.inner.total
-        return self._hit is None and span not in self._core.shape
-
-    def _expanded_shape(self, block: int) -> List[int]:
-        """The core's shape with block's axis physical.
-
-        Raises:
-            CodeError: when it holds more than MAX_AMPLITUDES amplitudes.
-        """
-        scheme = self.scheme
-        shape = list(self._core.shape)
-        shape[block] = 2**scheme.inner.total
-        count = math.prod(shape)
-        if count > MAX_AMPLITUDES:
-            # The message is formatted only for a refusal.
-            check_amplitude_count(
-                f"{scheme.blocking} blocking with inner n = "
-                f"{scheme.inner.n} ({count.bit_length() - 1} qubits)", count)
-        return shape
-
-    def _expanded(self, block: int) -> np.ndarray:
-        """The core with block's axis made physical, or the core itself.
-
-        The carried amplitudes are contracted with the support rows of
-        the block's encoder isometry and placed on those rows of a
-        zeroed core.
-        """
-        if self.physical(block):
-            return self.core
-        scheme = self.scheme
-        support = encoder_isometry(scheme.inner.n,
-                                   len(scheme.assignment[block]))
-        core = np.zeros(self._expanded_shape(block), dtype=np.complex128)
-        core[(slice(None),) * block + (support.rows,)] = _map_block(
-            self.core, block, support.block)
-        return core
-
-    def _corrupted(self, block: int, position: ErasurePosition,
-                   corruption: Union[None, str, np.ndarray]) -> np.ndarray:
-        """A fresh core: block's axis made physical, then corrupt_qubit on
-        its qubit at position."""
-        core = self._expanded(block)
-        address = sum(size.bit_length() - 1 for size in core.shape[:block])
-        damaged = corrupt_qubit(_flat(core), address + position.address,
-                                corruption)
-        return damaged.amplitudes.reshape(core.shape)
+    def hits(self) -> Tuple[Hit, ...]:
+        """The recorded hits, by block in the order first hit, then by
+        address."""
+        return tuple(Hit(block, address, op)
+                     for block, (sites, ops) in self._sites.items()
+                     for address, op in zip(sites, ops))
 
 
-def _flat(core: np.ndarray) -> StateVector:
-    """A core as a register of its axes' qubits; no copy."""
-    return StateVector(p=2, n=core.size.bit_length() - 1,
-                       amplitudes=core.reshape(-1))
+def _site_operator(ops: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """The Kronecker product of a block's site operators, in site order;
+    the 1 x 1 identity for none."""
+    if not ops:
+        return np.ones((1, 1), dtype=np.complex128)
+    return functools.reduce(np.kron, ops)
+
+
+def _undeclared_map(scheme: ConcatScheme, t: np.ndarray, block: int,
+                    sites: Tuple[int, ...], operator: np.ndarray
+                    ) -> np.ndarray:
+    """E^dagger (operator at sites) E applied along block's axis of t, a
+    fresh array of t's shape."""
+    shape = t.shape
+    return carried_erasure_map(
+        scheme.inner.n, len(scheme.assignment[block]), sites, None,
+        math.prod(shape[:block]), math.prod(shape[block + 1:])).rows(
+            t, operator).reshape(shape)
 
 
 def concat_encode(scheme: ConcatScheme, v: LogicalState) -> BlockRegister:
     """Encode logical content through both layers.
 
-    Every block axis stays carried, so the register is the outer
-    codeword reshaped to one axis per block: no inner amplitude is
-    computed until a block is hit.
+    The register is the outer codeword reshaped to one carried axis per
+    block, with no hit: no inner amplitude is ever computed.
 
     Returns:
         The register of scheme.total_qubits qubits (2n for
@@ -461,18 +375,59 @@ def _check_inputs(scheme: ConcatScheme, s: BlockRegister,
             f"match the codeword (2, {scheme.outer.n})")
 
 
+_CORRUPTION_FAILED = (
+    "corruption annihilated the state or overflowed its norm: ")
+
+
+def _check_gather(scheme: ConcatScheme, core: np.ndarray) -> None:
+    """Refuse an erased block's decode whose gather has more than
+    MAX_AMPLITUDES rows, 2**(inner n) per core amplitude, before any is
+    built.
+
+    Raises:
+        CodeError: quoting the row count and the limit.
+    """
+    count = 2**scheme.inner.n * core.size
+    if count > MAX_AMPLITUDES:
+        # The message is formatted only for a refusal.
+        check_amplitude_count(
+            f"the erased block's gather under {scheme.blocking} blocking "
+            f"with inner n = {scheme.inner.n}", count)
+
+
+def _physical_norm2(register: BlockRegister, norm: float) -> float:
+    """The squared norm of the physical register, whose core has norm norm.
+
+    It is <core, core> with each hit block's undeclared map applied for
+    the hits' U^dagger U.  At one site that map is ||U||_F^2 / 2 times
+    the identity, as E^dagger (A at one qubit) E is tr(A) I / 2 (the map
+    build checks it), so only a block hit at two or more sites is mapped.
+    """
+    scale = 1.0
+    t = register.core
+    for block, (sites, ops) in register._sites.items():
+        if len(sites) == 1:
+            scale *= float(np.vdot(ops[0], ops[0]).real) / 2
+        else:
+            t = _undeclared_map(register.scheme, t, block, sites,
+                                _site_operator(tuple(op.conj().T @ op
+                                                     for op in ops)))
+    if t is register.core:
+        return scale * norm * norm
+    return scale * float(np.vdot(register.core, t).real)
+
+
 def apply_channel_damage(scheme: ConcatScheme, s: BlockRegister,
                          event: ChannelEvent) -> BlockRegister:
-    """Apply the physical part of an event: the erasure-site corruption.
+    """Record the physical part of an event: the erasure-site corruption.
 
-    On a register whose every axis is carried, the hit is recorded, not
-    applied: the result holds a copy of the carried core plus the block,
-    the position and the resolved operator, which concat_decode reads in
-    one gather when the event declares that erasure.  The register, the
-    amplitude cap and the corruption are checked as for an applied hit,
-    the norms by carried_corruption.  Otherwise, and on any read of the
-    result's amplitudes, only the hit block's axis is made physical and
-    the corruption acts on the erased qubit of that axis.  The result is
+    The result holds a copy of s's core and its hits plus this one: the
+    block, the erased qubit's address and the resolved operator, which
+    multiplies into an earlier hit on the same qubit.  Nothing is
+    applied.  The gather's row count is checked against MAX_AMPLITUDES,
+    then the corruption, then the core's norm and the share of the
+    register's norm the hit leaves (at least BRANCH_NORM_FLOOR), as a
+    corruption of the amplitudes would be, with GhzError.  The result is
     fresh, or s itself for an event without an erasure.
 
     The computational part (event.pauli) strikes the surviving codeword
@@ -482,17 +437,21 @@ def apply_channel_damage(scheme: ConcatScheme, s: BlockRegister,
     erasure = event.erasure
     if erasure is None:
         return s
-    if not s._carried():
-        return BlockRegister(scheme, s._corrupted(event.block, erasure,
-                                                  event.corruption))
-    s._expanded_shape(event.block)  # the amplitude cap
-    matrix, norm2_hit = carried_corruption(s.flat(), event.corruption)
-    corruption = event.corruption
-    if corruption is not None and not isinstance(corruption, str):
-        corruption = matrix
+    _check_gather(scheme, s.core)
+    matrix = resolve_corruption(event.corruption)
+    norm = guard_norm(math.sqrt(norm2(s.core)), ZERO_NORM_FLOOR, GhzError,
+                      _CORRUPTION_FAILED)
     recorded = BlockRegister(scheme, s.core.copy())
-    recorded._hit = _Hit(event.block, erasure, corruption, matrix,
-                         norm2_hit)
+    recorded._sites = dict(s._sites)
+    hit = dict(zip(*recorded._sites.get(event.block, ((), ()))))
+    earlier = hit.get(erasure.address)
+    hit[erasure.address] = matrix if earlier is None else matrix @ earlier
+    sites = tuple(sorted(hit))
+    recorded._sites[event.block] = (sites, tuple(hit[a] for a in sites))
+    recorded._norm2 = _physical_norm2(recorded, norm)
+    before = norm if s._norm2 is None else math.sqrt(s._norm2)
+    guard_norm(math.sqrt(recorded._norm2) / before, BRANCH_NORM_FLOOR,
+               GhzError, _CORRUPTION_FAILED)
     return recorded
 
 
@@ -514,27 +473,20 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
                  event: ChannelEvent) -> StateVector:
     """Reduce the inner blocks to the outer codeword register.
 
-    The register's norm is checked first, and the erased block's axis is
-    made physical.  The support rows of every other physical axis are
-    then gathered in one step, and each gathered axis is contracted with
-    the adjoint of its block's encoder isometry, which keeps only its
-    carried qubits; carried axes are already there.  The probability
-    that their padding and ancillas read |0> is the squared norm left
-    over the register's squared norm, so amplitudes the gather skips,
-    off the support, count against it.
+    Every block is read from the carried core.  An unhit block without
+    the declared erasure is its carried qubits already.  Each hit block
+    without it is mapped along its axis by E^dagger (its hits) E, its
+    undeclared map.  The declared block's map then runs encoder, its
+    hits (none, the erased qubit's, or any others), decoder and
+    recovery, and keeps the rows whose padding reads 0, damaged half
+    first: one gather from the core.  Their squared norm over the
+    register's is the all-zero probability, and the damaged half must
+    then split off the rows as a product.  Without an erasure the
+    reduced core's share of the norm is that probability.
 
-    The erased block runs decoder and recovery along its axis of the
-    reduced register, by erased_rows, which keeps only the rows whose
-    padding reads |0>, with the damaged half first.  Their squared norm
-    over the register's is the all-zero probability, and when neither
-    padding nor a gather can lose norm it is 1 and goes unchecked.  The
-    damaged half must then split off the rows as a product.
-
-    When the register records a hit that is the declared erasure, every
-    axis is carried and nothing is expanded or applied: the same rows,
-    unnormalized, are one gather from the carried core by the block's
-    cached carried_erasure_map, and the recorded squared norm is the
-    register's.  Any other recorded hit is applied first.
+    An unhit register's norm is checked here; a hit register's was
+    recorded by damage.  An unhit register without an erasure is the
+    codeword itself.
 
     Raises:
         CodeError: on a register whose norm is zero or not finite.
@@ -542,58 +494,37 @@ def _inner_stage(scheme: ConcatScheme, register: BlockRegister,
     n_in = scheme.inner.n
     erasure = event.erasure
     erased = event.block if erasure is not None else None
-    hit = register._hit
-    if hit is not None and (hit.block, hit.position) == (erased, erasure):
-        core = register._core
-        c = len(scheme.assignment[erased])
-        rows = carried_erasure_map(
-            n_in, c, erasure, math.prod(core.shape[:erased]),
-            math.prod(core.shape[erased + 1:])).rows(core, hit.operator)
-        return _split_erased_block(rows, n_in, hit.norm2, c < n_in)
-    norm = guard_norm(math.sqrt(norm2(register.core)), ZERO_NORM_FLOOR,
-                      CodeError, "register ")
-    t = register.core if erased is None else register._expanded(erased)
-    gathered = {block: encoder_isometry(n_in, len(carried))
-                for block, carried in enumerate(scheme.assignment)
-                if block != erased and t.shape[block] == 2**(2 * n_in)}
-    if gathered:
-        t = t[np.ix_(*(gathered[block].rows if block in gathered
-                       else np.arange(size)
-                       for block, size in enumerate(t.shape)))]
-    for block, support in gathered.items():
-        t = _map_block(t, block, support.adjoint)
+    core = register.core
+    total2 = register._norm2
+    if total2 is None:
+        norm = guard_norm(math.sqrt(norm2(core)), ZERO_NORM_FLOOR, CodeError,
+                          "register ")
+        if erasure is None:
+            return StateVector(p=2, n=core.size.bit_length() - 1,
+                               amplitudes=core.reshape(-1))
+        total2 = norm * norm
+    t = core
+    for block, (sites, ops) in register._sites.items():
+        if block != erased:
+            t = _undeclared_map(scheme, t, block, sites, _site_operator(ops))
 
     if erasure is None:
-        state = _flat(t)
-        # A carried axis reads |0> with probability exactly 1, so only a
-        # gather leaves anything to check.
-        if gathered:
-            # A register wholly off the support leaves no branch to keep.
-            kept2 = norm2(state.amplitudes)
-            kept = guard_norm(math.sqrt(kept2), ZERO_NORM_FLOOR, DecodeError,
-                              "cannot normalize a measured branch of ")
-            _require_all_zero(kept2 / (norm * norm))
-            state = StateVector(p=2, n=state.n,
-                                amplitudes=state.amplitudes / kept)
-        return state
-
-    c = len(scheme.assignment[erased])
-    rows = erased_rows(t, erased, c, erasure)
-    return _split_erased_block(rows, n_in, norm * norm,
-                               c < n_in or bool(gathered))
-
-
-def _split_erased_block(rows: np.ndarray, n_in: int, total2: float,
-                        lossy: bool) -> StateVector:
-    """The codeword left by the erased block's decoded rows.
-
-    The rows' share of total2, the register's squared norm, is the
-    all-zero probability, checked when lossy: when padding or a gather
-    can lose norm.  split_erased then splits the damaged half off.
-    """
-    kept2 = norm2(rows)
-    if lossy:
+        kept2 = norm2(t)
+        # A register wholly off the code leaves no branch to keep.
+        kept = guard_norm(math.sqrt(kept2), ZERO_NORM_FLOOR, DecodeError,
+                          "cannot normalize a measured branch of ")
         _require_all_zero(kept2 / total2)
+        return StateVector(p=2, n=t.size.bit_length() - 1,
+                           amplitudes=t.reshape(-1) / kept)
+
+    _check_gather(scheme, core)
+    sites, ops = register._sites.get(erased, ((), ()))
+    rows = carried_erasure_map(
+        n_in, len(scheme.assignment[erased]), sites, erasure,
+        math.prod(t.shape[:erased]), math.prod(t.shape[erased + 1:])).rows(
+            t, _site_operator(ops))
+    kept2 = norm2(rows)
+    _require_all_zero(kept2 / total2)
     kept, _dropped = split_erased(rows, n_in, math.sqrt(kept2))
     return StateVector(p=2, n=kept.size.bit_length() - 1, amplitudes=kept)
 
@@ -712,9 +643,11 @@ def effective_channel(scheme: ConcatScheme, noise: NoiseModel,
         counts and mean fidelities.  Fixed seed gives identical output.
 
     Raises:
-        CodeError: on fewer than one trial or a negative seed, before
-            any draw.
+        CodeError: on a trial count or seed that is not an integer, fewer
+            than one trial or a negative seed, before any draw.
     """
+    trials = as_index(trials, CodeError, "trial count")
+    seed = as_index(seed, CodeError, "seed")
     if trials < 1:
         raise CodeError(f"need at least one trial, got {trials}")
     if seed < 0:

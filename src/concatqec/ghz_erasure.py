@@ -23,38 +23,33 @@ into one signed permutation of length 2**w, applied as one gather along
 that span's axis plus one masked negation, and a Hadamard runs in place
 on the two slabs of its qubit.  GateProgram.apply is the one runner of
 the compiled programs.  Other modules receive a block's programs only
-as the cached encoder isometry on its carried qubits.  The erased
-block's decode stays here: erased_rows runs decoder then recovery for
-the erasure position along the block's axis of a core and keeps the
-rows whose padding reads 0, and split_erased splits the damaged half
-off them.  concat's inner stage calls the pair, and recover calls it on
-a lone block.  A block still held by its carried amplitudes needs
-neither its register nor a program run per decode: carried_erasure_map
-composes encoder, the corruption of the erased qubit, decoder and
-recovery, once per block shape, into one gather from the carried
-amplitudes, and carried_corruption checks the corruption against the
-norm it leaves.
+as composed maps.  A hit block's decode stays here and runs on no block
+register: carried_erasure_map composes encoder, the corruptions
+recorded at the block's sites, then decoder and recovery for the
+declared erasure (or the isometry's adjoint, for a block without one),
+once per block shape and hit sites, into one gather of a few terms per
+row from the carried amplitudes.  Its build runs erased_rows, decoder
+then recovery on lone blocks keeping the rows whose padding reads 0, on
+the units of the corruptions; split_erased splits the damaged half off
+decoded rows, and recover runs the pair on a lone block.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
-import operator
 import re
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .statevec import (
-    BRANCH_NORM_FLOOR,
     PURITY_BOUND,
     ZERO_NORM_FLOOR,
     StateError,
     StateVector,
-    apply_single_qudit,
+    as_index,
     guard_norm,
     split_matrix,
 )
@@ -68,6 +63,9 @@ PAULI_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
+# resolve_corruption hands these out, and a register's hits expose them.
+for _pauli in PAULI_MATRICES.values():
+    _pauli.flags.writeable = False
 
 
 class GhzError(ValueError):
@@ -81,10 +79,7 @@ class RecoveryError(RuntimeError):
 def _check_block_size(n: int) -> int:
     """n as an int (numpy integers pass) in [MIN_BLOCK, MAX_BLOCK], or
     GhzError."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise GhzError(f"block size {n!r} is not an integer") from None
+    n = as_index(n, GhzError, "block size")
     if not MIN_BLOCK <= n <= MAX_BLOCK:
         raise GhzError(f"block size n must lie in [{MIN_BLOCK}, {MAX_BLOCK}], "
                        f"got {n}")
@@ -138,11 +133,8 @@ class ErasurePosition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_block_size(self.n))
-        try:
-            object.__setattr__(self, "address", operator.index(self.address))
-        except TypeError:
-            raise GhzError(f"erasure address {self.address!r} is not an "
-                           f"integer") from None
+        object.__setattr__(self, "address", as_index(
+            self.address, GhzError, "erasure address"))
         if not 0 <= self.address < 2 * self.n:
             raise GhzError(
                 f"erasure address {self.address} outside [0, {2 * self.n})")
@@ -205,7 +197,8 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise GhzError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(
+            as_index(q, GhzError, "gate address") for q in self.qubits))
         arity = _KINDS[self.kind].arity
         if len(self.qubits) != arity:
             raise GhzError(f"{self.kind} takes {arity} "
@@ -495,19 +488,23 @@ def encoder_isometry(n: int, c: int) -> BlockSupport:
 
 
 class CarriedErasureMap(NamedTuple):
-    """An erased block's decode read straight from its carried amplitudes.
+    """A hit block's decode read straight from its carried amplitudes.
 
-    The map reads a core viewed as (pre, 2**c, post), the erased block's
-    carried axis in the middle, and the 2 x 2 operator U that hit the
-    erased qubit.  It writes the rows that erased_rows writes for the
-    same core with the block's axis made physical and U applied, in the
-    same order but not renormalized: row r is weight[r] * U.flat[entry[r]]
-    * core.flat[source[r]], and weight[r] is 0 where no term reaches it.
+    The map reads a core viewed as (pre, 2**c, post), the block's carried
+    axis in the middle, and K, the Kronecker product of the 2 x 2
+    operators recorded at the block's hit sites in site order (a 1 x 1
+    identity for no site).  Row r of its output is the sum over t of
+    weight[r, t] * K.flat[entry[r, t]] * core.flat[source[r, t]]; a row
+    with fewer terms than the widest is padded with weight 0.  With a
+    declared erasure the rows are those erased_rows writes for the block
+    made physical and hit, in (damaged half, pre, carried, post) order
+    and not renormalized.  With none they are E^dagger (the hits) E
+    applied along the block's carried axis, in the core's order.
 
     Attributes:
-        weight: (rows,) complex weights.
-        entry: (rows,) indices into U.flat.
-        source: (rows,) flat core indices.
+        weight: (rows, terms) complex weights.
+        entry: (rows, terms) indices into K.flat.
+        source: (rows, terms) flat core indices.
     """
 
     weight: np.ndarray
@@ -515,82 +512,129 @@ class CarriedErasureMap(NamedTuple):
     source: np.ndarray
 
     def rows(self, core: np.ndarray, operator: np.ndarray) -> np.ndarray:
-        """The decoded rows of a core hit by operator, as a fresh 1-D array."""
+        """The rows of a core hit by operator (K), as a fresh 1-D array."""
         out = operator.reshape(-1).take(self.entry)
         out *= self.weight
         out *= core.reshape(-1).take(self.source)
-        return out
+        if out.shape[1] == 1:
+            return out.reshape(-1)
+        return out.sum(axis=1)
+
+
+# The most amplitudes one pass of a map build puts through the programs:
+# one column's four units at n = 5, which keeps a cold build's peak memory
+# that of one column at a time.
+_BUILD_AMPLITUDES = 2**12
 
 
 @functools.lru_cache(maxsize=None)
-def _composed_erasure(n: int, c: int, pos: ErasurePosition
-                      ) -> CarriedErasureMap:
-    """Encoder, a corruption at pos, decoder and recovery, composed.
+def _composed_erasure(n: int, c: int, sites: Tuple[int, ...],
+                      pos: Optional[ErasurePosition]) -> CarriedErasureMap:
+    """Encoder, the corruptions at sites, then decoder and recovery for an
+    erasure at pos, or E^dagger for pos None, composed.
 
     The map reads a core that is the block's carried axis alone.  The
-    chain is linear in the corruption's four entries, so it is composed
-    on the four matrix units |x><y| at pos: each unit is applied to the
-    encoder isometry E by index arithmetic, and erased_rows runs
-    decoder and recovery on the result.  Recovery leaves the damage a
-    product with the codeword (Knill & Laflamme 1997), so each kept row
-    is one term: a weight, one entry of the corruption, one carried
-    amplitude.
+    chain is linear in the entries of K, the Kronecker product of the
+    site operators, so it is composed on K's units, the products of one
+    matrix unit |x><y| per site (one identity unit for no site): each is
+    applied to the encoder isometry E by index arithmetic, then
+    erased_rows runs decoder and recovery on the result, or E^dagger
+    reads its support rows.  Each nonzero entry is one term of its row:
+    a weight, one entry of K, one carried amplitude.  With the erasure
+    at the only site, or at none, recovery leaves the damage a product
+    with the codeword (Knill & Laflamme 1997), so each kept row is one
+    term; a misdeclared or undeclared hit sums a few.
 
-    The build checks that each kept row has at most one term; that the
+    At one site the build checks that E^dagger (|x><y| at the site) E is
+    delta_xy I / 2, the identity the register's norm rests on.  With the
+    erasure at the only site, or at none, it also checks that the
     programs leave no weight off the kept rows, which is why no norm is
-    lost; and that E^dagger (|x><y| at pos) E is delta_xy I / 2, the
-    identity carried_corruption's norm rests on.
+    lost, and that each kept row has at most one term.
 
     Raises:
         GhzError: when a check fails.
     """
     size, width = 4**n, 2**c
     support = encoder_isometry(n, c)
-    # Per kept row, in (damaged, carried) order: its terms so far, and
-    # its last term's weight and (unit, input) index.
-    count = np.zeros(2**n * width, dtype=np.int64)
-    weight = np.zeros(2**n * width, dtype=np.complex128)
-    term = np.zeros(2**n * width, dtype=np.int64)
-    bit = 1 << (2 * n - 1 - pos.address)
+    matched = pos is not None and sites in ((), (pos.address,))
+    masks = [1 << (2 * n - 1 - address) for address in sites]
+    # placed[x]: the site bits of the string x, first site most significant.
+    placed = [sum(mask for i, mask in enumerate(masks)
+                  if x >> (len(sites) - 1 - i) & 1)
+              for x in range(2**len(sites))]
     index = np.arange(size)
-    reads = {x: index[(index & bit > 0) == x] for x in (0, 1)}
+    reads = [index[(index & sum(masks)) == bits] for bits in placed]
+    rows: List[np.ndarray] = []
+    weights: List[np.ndarray] = []
+    terms: List[np.ndarray] = []
     gap = lost = 0.0
-    # One column j of E and one unit at a time, so that memory stays
-    # that of one block register.
-    for j in range(width):
-        column = np.zeros(size, dtype=np.complex128)
-        column[support.rows] = support.block[:, j]
-        for x, y in itertools.product((0, 1), repeat=2):
-            # |x><y| at pos: a row whose pos bit reads x takes the row
-            # with that bit set to y.
-            unit = np.zeros(size, dtype=np.complex128)
-            unit[reads[x]] = column[reads[x] ^ (bit if x != y else 0)]
-            # E^dagger of it is column j of delta_xy I / 2.
-            reduced = support.adjoint @ unit[support.rows]
-            reduced[j] -= 0.5 if x == y else 0.0
-            gap = max(gap, float(np.abs(reduced).max()))
-            # By that identity the unit has squared norm 1/2, all of
-            # which the kept rows must hold.
-            kept = erased_rows(unit, 0, c, pos)
-            lost = max(lost, abs(float(np.vdot(kept, kept).real) - 0.5))
-            found = kept != 0
-            count += found
-            weight[found] = kept[found]
-            term[found] = (2 * x + y) * width + j
+    units = len(placed)**2
+    # Unit x * len(placed) + y is |x><y| at the sites: a row whose site
+    # bits read x takes the row with those bits set to y.
+    pairs = list(itertools.product(range(len(placed)), repeat=2))
+    target = np.concatenate([reads[x] for x, y in pairs])
+    target_unit = np.repeat(np.arange(units), [reads[x].size
+                                               for x, y in pairs])
+    source = np.concatenate([reads[x] ^ placed[x] ^ placed[y]
+                             for x, y in pairs])
+    # A few columns of E at a time, their units side by side, so that
+    # memory stays that of a few block registers.
+    chunk = min(width, max(1, _BUILD_AMPLITUDES // (size * units)))
+    for first in range(0, width, chunk):
+        columns = np.zeros((size, chunk), dtype=np.complex128)
+        columns[support.rows] = support.block[:, first:first + chunk]
+        stack = np.zeros((size, chunk, units), dtype=np.complex128)
+        stack[target, :, target_unit] = columns[source]
+        stack = stack.reshape(size, chunk * units)
+        reduced = support.adjoint @ stack[support.rows]
+        if len(sites) == 1:
+            # E^dagger of |x><y| is column j of delta_xy I / 2.
+            off = reduced.reshape(width, chunk, units).copy()
+            at = np.arange(chunk)
+            off[first + at, at, 0] -= 0.5
+            off[first + at, at, 3] -= 0.5
+            gap = max(gap, float(np.abs(off).max()))
+        if pos is None:
+            kept = reduced
+        else:
+            kept = erased_rows(stack, c, pos)
+            if matched:
+                # Each unit's squared norm, 1/2 per site, all of which the
+                # kept rows must hold.
+                held = np.einsum("ij,ij->j", kept.conj(), kept).real
+                lost = max(lost, float(np.abs(held - 0.5**len(sites)).max()))
+        # A weight below ZERO_NORM_FLOOR is the rounding of an exact
+        # zero: the others are at least 2**-1.5.
+        row, col = np.nonzero(np.abs(kept) >= ZERO_NORM_FLOOR)
+        rows.append(row)
+        weights.append(kept[row, col])
+        j, unit = divmod(col, units)
+        terms.append(unit * width + first + j)
     if gap >= ZERO_NORM_FLOOR:
         raise GhzError(
-            f"encoder for n = {n}, c = {c} does not leave qubit {pos.label} "
-            f"maximally mixed (off by {gap:.3g})")
+            f"encoder for n = {n}, c = {c} does not leave qubit "
+            f"{GhzLayout(n).label(sites[0])} maximally mixed (off by "
+            f"{gap:.3g})")
+    label = pos.label if pos is not None else None
     if lost >= ZERO_NORM_FLOOR:
         raise GhzError(
-            f"decoder and recovery for erasure {pos.label} leave weight "
+            f"decoder and recovery for erasure {label} leave weight "
             f"{lost:.3g} off the kept rows of a carried block "
             f"(n = {n}, c = {c})")
+    row = np.concatenate(rows)
+    count = np.bincount(row, minlength=kept.shape[0])
     most = int(count.max())
-    if most > 1:
+    if matched and most > 1:
         raise GhzError(
-            f"decoder and recovery for erasure {pos.label} leave {most} terms "
+            f"decoder and recovery for erasure {label} leave {most} terms "
             f"on a kept row of a carried block (n = {n}, c = {c}), not one")
+    # Each term's slot among its row's terms, in the order found.
+    order = np.argsort(row, kind="stable")
+    slot = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    weight = np.zeros((kept.shape[0], max(most, 1)), dtype=np.complex128)
+    term = np.zeros(weight.shape, dtype=np.int64)
+    weight[row[order], slot] = np.concatenate(weights)[order]
+    term[row[order], slot] = np.concatenate(terms)[order]
     entry, source = divmod(term, width)
     composed = CarriedErasureMap(weight=weight, entry=entry, source=source)
     for array in composed:
@@ -599,32 +643,37 @@ def _composed_erasure(n: int, c: int, pos: ErasurePosition
 
 
 @functools.lru_cache(maxsize=None)
-def carried_erasure_map(n: int, c: int, pos: ErasurePosition, pre: int,
+def carried_erasure_map(n: int, c: int, sites: Tuple[int, ...],
+                        pos: Optional[ErasurePosition], pre: int,
                         post: int) -> CarriedErasureMap:
-    """Encoder, a corruption at pos, decoder and recovery, as one gather.
+    """A hit block's decode, as one gather from a core.
 
-    The block carries c qubits, and pre and post amplitudes of a core
-    sit before and after its carried axis.  The chain is composed once
-    per block shape, by _composed_erasure, and only spread over pre and
-    post here.
+    The block carries c qubits, its hits sit at the ascending addresses
+    sites, pos is the declared erasure or None, and pre and post
+    amplitudes of a core sit before and after its carried axis.  The
+    chain is composed once per (n, c, sites, pos), by _composed_erasure,
+    and only spread over pre and post here.
 
     Raises:
         GhzError: as _composed_erasure does.
     """
-    composed = _composed_erasure(n, c, pos)
+    composed = _composed_erasure(n, c, sites, pos)
     width = 2**c
-    shape = (2**n, pre, width, post)
+    rows, terms = composed.weight.shape
+    damaged = rows // width
+    shape = (damaged, pre, width, post, terms)
 
     def spread(a: np.ndarray) -> np.ndarray:
         # Rows by (damaged, pre, carried, post), as erased_rows writes.
-        return np.broadcast_to(a.reshape(2**n, 1, width, 1), shape).reshape(-1)
+        return np.broadcast_to(a.reshape(damaged, 1, width, 1, terms),
+                               shape).reshape(-1, terms)
 
     carried_map = CarriedErasureMap(
         weight=spread(composed.weight),
         entry=spread(composed.entry),
-        source=((np.arange(pre)[:, None, None] * width
-                 + composed.source.reshape(2**n, 1, width, 1)) * post
-                + np.arange(post)).reshape(-1))
+        source=((np.arange(pre)[:, None, None, None] * width
+                 + composed.source.reshape(damaged, 1, width, 1, terms))
+                * post + np.arange(post)[:, None]).reshape(-1, terms))
     for array in carried_map:
         array.flags.writeable = False
     return carried_map
@@ -633,10 +682,6 @@ def carried_erasure_map(n: int, c: int, pos: ErasurePosition, pre: int,
 # ---------------------------------------------------------------------------
 # Channel and recovery
 # ---------------------------------------------------------------------------
-
-_CORRUPTION_FAILED = (
-    "corruption annihilated the state or overflowed its norm: ")
-
 
 def resolve_corruption(corruption: Union[None, str, np.ndarray]) -> np.ndarray:
     """Turn a corruption descriptor into a 2 x 2 operator.
@@ -670,85 +715,32 @@ def resolve_corruption(corruption: Union[None, str, np.ndarray]) -> np.ndarray:
     return np.ldexp(parts, -exponent).view(np.complex128)
 
 
-def corrupt_qubit(s: StateVector, address: int,
-                  corruption: Union[None, str, np.ndarray]) -> StateVector:
-    """Apply a corruption to the qubit at one register address.
-
-    Projective disturbances are renormalized.  A disturbance that
-    leaves less than BRANCH_NORM_FLOOR of the state's norm annihilates it.
-
-    Raises:
-        GhzError: on a bad corruption, a state of norm outside
-            [ZERO_NORM_FLOOR, inf), or an annihilating disturbance.
-    """
-    matrix = resolve_corruption(corruption)
-    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, GhzError, _CORRUPTION_FAILED)
-    damaged = apply_single_qudit(s, address, matrix)
-    damaged_norm = damaged.norm()
-    guard_norm(damaged_norm / norm, BRANCH_NORM_FLOOR, GhzError,
-               _CORRUPTION_FAILED)
-    # The buffer is fresh, so rescale it in place; dividing the float64
-    # view by the real norm skips numpy's complex division.
-    real = damaged.amplitudes.view(np.float64)
-    real /= damaged_norm
-    return damaged
-
-
-def carried_corruption(s: StateVector, corruption: Union[None, str, np.ndarray]
-                       ) -> Tuple[np.ndarray, float]:
-    """Check a corruption of one qubit of a carried block, unapplied.
-
-    s holds carried amplitudes, which stand for their encoding by the
-    block's encoder isometry E.  As E^dagger (A at one address) E is
-    tr(A) I / 2 (carried_erasure_map checks it), a corruption U leaves
-    the encoded register ||U||_F^2 / 2 times the squared norm of s.
-    corrupt_qubit's guards run on these norms, so both raise alike.
+def erased_rows(blocks: np.ndarray, c: int, pos: ErasurePosition
+                ) -> np.ndarray:
+    """Decoder then recovery for an erasure at pos on a lone block's 4**n
+    register amplitudes, through GateProgram.apply.  The block carries c
+    qubits.  A (4**n, B) stack of B blocks, B a power of 2, runs as one
+    register whose last qubits count the blocks.
 
     Returns:
-        (the resolved 2 x 2 operator, the corrupted register's squared
-        norm before renormalization).
-
-    Raises:
-        GhzError: as corrupt_qubit does.
-    """
-    matrix = resolve_corruption(corruption)
-    norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, GhzError, _CORRUPTION_FAILED)
-    damaged2 = float(np.vdot(matrix, matrix).real) / 2 * norm * norm
-    guard_norm(math.sqrt(damaged2) / norm, BRANCH_NORM_FLOOR, GhzError,
-               _CORRUPTION_FAILED)
-    return matrix, damaged2
-
-
-def erased_rows(core: np.ndarray, axis: int, c: int,
-                pos: ErasurePosition) -> np.ndarray:
-    """Decoder then recovery for an erasure at pos, along one axis of a
-    core, through GateProgram.apply at that axis's qubit offset.
-
-    The axis holds the erased block's 4**n register amplitudes, and the
-    block carries c qubits.
-
-    Returns:
-        The rows whose padding reads 0, in (damaged half, pre, carried
-        qubits, post) order, so that they reshape to the dropped x kept
-        matrix, as a fresh 1-D array.
+        The rows whose padding reads 0, in (damaged half, carried qubits)
+        order, so that they reshape to the dropped x kept matrix, as a
+        fresh array; a stack's rows keep its trailing axis.
     """
     n = pos.n
-    pre = math.prod(core.shape[:axis])
-    post = math.prod(core.shape[axis + 1:])
-    offset = sum(size.bit_length() - 1 for size in core.shape[:axis])
-    s = StateVector(p=2, n=core.size.bit_length() - 1,
-                    amplitudes=core.reshape(-1))
+    batch = blocks.size >> 2 * n
+    s = StateVector(p=2, n=2 * n + batch.bit_length() - 1,
+                    amplitudes=blocks.reshape(-1))
     for program in (build_decoder(n, pos), build_recovery(n, pos)):
-        s = program.apply(s, offset)
+        s = program.apply(s)
     if pos.side == "message":
-        # (pre, damaged, carried, padding, post)
-        view = s.amplitudes.reshape(pre, 2**n, 2**c, 2**(n - c), post)
-        rows = view[:, :, :, 0].transpose(1, 0, 2, 3)
+        # (damaged, carried, padding, batch)
+        rows = s.amplitudes.reshape(2**n, 2**c, 2**(n - c), batch)[:, :, 0]
     else:
-        # (pre, carried, padding, damaged, post)
-        view = s.amplitudes.reshape(pre, 2**c, 2**(n - c), 2**n, post)
-        rows = view[:, :, 0].transpose(2, 0, 1, 3)
-    return rows.reshape(-1)
+        # (carried, padding, damaged, batch)
+        rows = s.amplitudes.reshape(2**c, 2**(n - c), 2**n, batch)[
+            :, 0].transpose(1, 0, 2)
+    return rows.reshape((-1,) + blocks.shape[1:])
 
 
 def split_erased(rows: np.ndarray, n: int, norm: float
@@ -803,6 +795,6 @@ def recover(s: StateVector, pos: ErasurePosition
             f"recovery is defined for p = 2 registers, got p = {s.p}")
     norm = guard_norm(s.norm(), ZERO_NORM_FLOOR, StateError,
                       "cannot split a state of zero or non-finite norm: ")
-    kept, dropped = split_erased(erased_rows(s.amplitudes, 0, n, pos), n, norm)
+    kept, dropped = split_erased(erased_rows(s.amplitudes, n, pos), n, norm)
     return (StateVector(p=2, n=n, amplitudes=kept),
             StateVector(p=2, n=n, amplitudes=dropped))

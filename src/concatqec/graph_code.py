@@ -61,6 +61,7 @@ from .statevec import (
     StateVector,
     StateError,
     apply_pauli_error,
+    as_index,
     digits_to_index,
     guard_norm,
     index_to_digits,
@@ -180,7 +181,12 @@ class LogicalState:
 
     def __post_init__(self) -> None:
         check_prime(self.p)
-        self.coefficients = np.asarray(self.coefficients, dtype=np.complex128)
+        try:
+            self.coefficients = np.asarray(self.coefficients,
+                                           dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise CodeError(f"coefficients {self.coefficients!r} are not "
+                            f"numeric ({exc})") from None
         if self.coefficients.ndim != 1 or self.coefficients.size == 0:
             raise CodeError("coefficients must form a nonempty 1-d array")
         size, self.k = self.coefficients.size, 0
@@ -385,11 +391,12 @@ def check_admissibility(g: CodeGraph, e: int = 1) -> AdmissibilityReport:
         support and its lexicographically first failing pair.
 
     Raises:
-        CodeError: when e < 1, when the graph is too large to encode
-            (see check_amplitude_count), or when c5 would range over
-            more than ADMISSIBILITY_MAX_SUPPORTS supports; all before
-            any elimination.
+        CodeError: when e is not an integer >= 1, when the graph is too
+            large to encode (see check_amplitude_count), or when c5
+            would range over more than ADMISSIBILITY_MAX_SUPPORTS
+            supports; all before any elimination.
     """
+    e = as_index(e, CodeError, "error count e")
     if e < 1:
         raise CodeError(f"need e >= 1, got {e}")
     check_amplitude_count("the encoder", max(g.p**g.n, g.p**(2 * g.k)))

@@ -5,9 +5,9 @@ amplitude array of length p**n.  Address 0 is the leftmost ket factor
 and therefore the most significant base-p digit of the array index, so
 |d0 d1 ... d_{n-1}> sits at index sum(d_k * p**(n-1-k)).
 
-A general single-qudit operator is one batched matmul over the
-(pre, p, post) view of its address.  Every public operation returns a
-fresh StateVector and leaves its argument untouched.
+Every public operation returns a fresh StateVector and leaves its
+argument untouched.  One check, as_index, refuses a count, index or
+digit that is not an integer, where int() would truncate it.
 
 Every size check reads one squared norm, norm2, through one guard,
 guard_norm.  One split, split_matrix, takes a near-product kept x
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Type, Union
 
@@ -43,6 +44,16 @@ MAX_AMPLITUDES = 2**26
 
 class StateError(ValueError):
     """Raised when a state or gate address is invalid."""
+
+
+def as_index(value: object, error: Type[Exception], what: str) -> int:
+    """value as an int (numpy integers pass), or error("<what> <value!r>
+    is not an integer"); a float, string or None is never truncated.
+    Range checks stay with the caller."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -161,26 +172,6 @@ def normalize(s: StateVector) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# General qudit operations
-# ---------------------------------------------------------------------------
-
-def apply_single_qudit(s: StateVector, q: int, matrix: np.ndarray) -> StateVector:
-    """Apply an arbitrary p x p operator to one qudit.
-
-    The operator need not be unitary; callers modelling disturbances may
-    pass projectors and renormalize afterwards.
-    """
-    s._check_address(q)
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.shape != (s.p, s.p):
-        raise StateError(f"operator shape {mat.shape} != ({s.p}, {s.p})")
-    pre = s.p**q
-    post = s.p**(s.n - 1 - q)
-    out = np.matmul(mat, s.amplitudes.reshape(pre, s.p, post))
-    return StateVector(p=s.p, n=s.n, amplitudes=out.reshape(-1))
-
-
-# ---------------------------------------------------------------------------
 # Generalized Pauli errors
 # ---------------------------------------------------------------------------
 
@@ -206,8 +197,12 @@ class PauliError:
 
     def __post_init__(self) -> None:
         check_prime(self.p)
-        object.__setattr__(self, "b", tuple(int(v) for v in self.b))
-        object.__setattr__(self, "s", tuple(int(v) for v in self.s))
+        object.__setattr__(self, "m", as_index(self.m, StateError,
+                                               "phase exponent"))
+        object.__setattr__(self, "b", tuple(
+            as_index(v, StateError, "digit") for v in self.b))
+        object.__setattr__(self, "s", tuple(
+            as_index(v, StateError, "digit") for v in self.s))
         if len(self.b) != len(self.s):
             raise StateError(f"shift and phase vectors differ in length: "
                              f"{len(self.b)} vs {len(self.s)}")
@@ -234,6 +229,10 @@ class PauliError:
     def single(cls, p: int, n: int, q: int, b: int = 0, s: int = 0,
                m: int = 0) -> "PauliError":
         """A weight <= 1 error acting at address q."""
+        q = as_index(q, StateError, "address")
+        b, s, m = (as_index(v, StateError, what)
+                   for v, what in ((b, "digit"), (s, "digit"),
+                                   (m, "phase exponent")))
         if not 0 <= q < n:
             raise StateError(f"address {q} outside [0, {n})")
         bs = [0] * n
@@ -360,8 +359,16 @@ def split_matrix(block: np.ndarray, norm: float
 # ---------------------------------------------------------------------------
 
 def random_state(p: int, n: int, rng: np.random.Generator) -> StateVector:
-    """Draw a Haar-like random pure state from complex normal amplitudes."""
+    """Draw a Haar-like random pure state from complex normal amplitudes.
+
+    Raises:
+        StateError: on a register size that is not an integer >= 0,
+            before any draw.
+    """
     check_prime(p)
+    n = as_index(n, StateError, "register size")
+    if n < 0:
+        raise StateError(f"negative register size {n}")
     amps = rng.normal(size=p**n) + 1j * rng.normal(size=p**n)
     return normalize(StateVector(p=p, n=n, amplitudes=amps))
 

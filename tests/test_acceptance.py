@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 from decoding_oracles import decoder_unitary
-from dense_blocks import dense_form, physical_blocks
+from dense_blocks import apply_single_qudit, dense_form
 
 from concatqec.cli import main as cli_main
 from concatqec.concat import (
@@ -61,7 +61,6 @@ from concatqec.statevec import (
     PauliError,
     StateVector,
     apply_pauli_error,
-    apply_single_qudit,
     basis_state,
     digits_to_index,
     fidelity_up_to_phase,
@@ -194,10 +193,12 @@ def criterion_5_worked_example() -> bool:
             if abs(kept.amplitudes[k ^ 16] - codeword.amplitudes[k]) >= 1e-10:
                 ok = False
         ok = ok and purity > 1 - 1e-10
-    # full pipeline on a superposition input
+    # full pipeline on a superposition input, the flip recorded as a hit
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    damaged = apply_pauli_error(dense_form(concat_encode(scheme, v)), flip)
-    recovered, trace = concat_decode(scheme, physical_blocks(scheme, damaged),
+    damaged = apply_channel_damage(scheme, concat_encode(scheme, v),
+                                   ChannelEvent(erasure=ErasurePosition(
+                                       address=5, n=5), corruption="X"))
+    recovered, trace = concat_decode(scheme, damaged,
                                      ChannelEvent(erasure=pos))
     ok = ok and trace.syndrome == "0110" and trace.correction == "S5"
     fid = fidelity_up_to_phase(v.as_state(), recovered.as_state())

@@ -6,9 +6,9 @@ qubit 1 while ancilla 1' takes a bit flip, recover, and read syndrome
 blocking scales the same machinery to a twenty-qubit register.  The
 register-wide gate-program encoder, which the block contractions
 replaced, stays here as their oracle.  Module dense_blocks holds the
-dense block isometries, the oracle of the support-row scatter and
-gather, and the one gate-program inner stage, the oracle of the
-erased block's row selection and split.
+dense block isometries, the physical form of a register with its hits
+applied, and the gate-program inner stages, dense and block by block:
+the oracles of every composed map and of the erased block's split.
 """
 
 import itertools
@@ -22,7 +22,7 @@ import slab_kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concatqec import concat, ghz_erasure
+from concatqec import concat, ghz_erasure, graph_code
 from concatqec.concat import (
     PER_QUBIT,
     WHOLE_REGISTER,
@@ -48,8 +48,8 @@ from concatqec.ghz_erasure import (
     build_decoder,
     build_encoder,
     build_recovery,
-    corrupt_qubit,
     encoder_isometry,
+    resolve_corruption,
 )
 from concatqec.graph_code import (
     CodeError,
@@ -69,6 +69,7 @@ from concatqec.statevec import (
     random_state,
 )
 from decoding_oracles import outer_stage_by_parts
+from dense_blocks import corrupt_qubit
 from state_oracles import split_factor
 
 RNG = np.random.default_rng(20240820)
@@ -84,14 +85,6 @@ def _scheme(blocking=WHOLE_REGISTER, inner_n=None):
 def _random_logical(seed=None):
     rng = RNG if seed is None else np.random.default_rng(seed)
     return LogicalState(p=2, coefficients=random_state(2, 1, rng).amplitudes)
-
-
-def _expand_all(register):
-    """The register with every axis made physical by the library, last
-    block first."""
-    for b in reversed(range(register.scheme.blocks)):
-        register = register.expand(b)
-    return register
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +108,36 @@ def test_event_refuses_a_non_integer_block(block):
         ChannelEvent(block=block)
 
 
-@pytest.mark.parametrize("recorded", [True, False])
-def test_numpy_integer_indices_decode_on_both_paths(recorded):
+@pytest.mark.parametrize("kwargs, error, text", [
+    (dict(pauli="X"), CodeError, "event pauli 'X' is not a PauliError"),
+    (dict(pauli=np.eye(2)), CodeError, "is not a PauliError"),
+    (dict(erasure=3), GhzError, "event erasure 3 is not an ErasurePosition"),
+    (dict(erasure="1"), GhzError,
+     "event erasure '1' is not an ErasurePosition")])
+def test_event_refuses_side_information_of_another_type(kwargs, error, text):
+    # ChannelEvent(pauli="X") used to reach concat_decode and fail there
+    # with an AttributeError.
+    with pytest.raises(error, match=re.escape(text)):
+        ChannelEvent(**kwargs)
+
+
+@pytest.mark.parametrize("declared", [True, False])
+def test_numpy_integer_indices_decode(declared):
+    # The hit is recorded under int indices, and decodes declared or, with
+    # an identity corruption, undeclared.
     scheme = _scheme(PER_QUBIT)
     event = ChannelEvent(
         erasure=ErasurePosition(address=np.int64(3), n=scheme.inner.n),
-        corruption="Y", block=np.int32(2))
+        corruption="Y" if declared else "I", block=np.int32(2))
     assert (type(event.block), type(event.erasure.address)) == (int, int)
     v = _random_logical(39)
     physical = apply_channel_damage(scheme, concat_encode(scheme, v), event)
-    if not recorded:
-        physical.core  # reading the amplitudes applies the hit
+    assert [(hit.block, hit.address) for hit in physical.hits] == [(2, 3)]
+    assert all(type(i) is int for i in physical.hits[0][:2])
+    if not declared:
+        event = ChannelEvent()
     recovered, trace = concat_decode(scheme, physical, event)
-    assert trace.event == "erasure@2:2'"
+    assert trace.event == ("erasure@2:2'" if declared else "none")
     assert fidelity_up_to_phase(v.as_state(),
                                 recovered.as_state()) > 1 - 1e-10
 
@@ -177,19 +187,32 @@ def test_scheme_rejects_bad_configuration():
         ConcatScheme(outer=g, inner=GhzLayout(3), blocking=WHOLE_REGISTER)
 
 
-def test_scheme_rejects_a_register_above_the_size_limit(monkeypatch):
-    # Per-qubit blocking with inner n = 6 makes a 60-qubit register.  Its
-    # block register holds 2**5 amplitudes, and one physical axis 2**16;
-    # a second physical axis is refused, before it is allocated, quoting
-    # both sizes.
-    scheme = _scheme(PER_QUBIT, inner_n=6)
-    one = concat_encode(scheme, _random_logical()).expand(0)
-    assert one.core.size == 2**16
-    monkeypatch.setattr(np, "zeros", None)
-    with pytest.raises(CodeError,
-                       match=rf"27 qubits\) needs {2**27} amplitudes, "
-                             rf"above the limit of {MAX_AMPLITUDES}"):
-        one.expand(1)
+@pytest.mark.parametrize("run", ["damage", "decode"])
+def test_scheme_rejects_a_gather_above_the_size_limit(run, monkeypatch):
+    # The erased block's gather has 2**(inner n) rows per core amplitude,
+    # 2**10 at whole-register n = 5.  Under a limit of 2**9 both damage
+    # and the decode of an unhit register refuse it, quoting both sizes,
+    # before any row is built.
+    scheme = _scheme(WHOLE_REGISTER)
+    register = concat_encode(scheme, _random_logical())
+    event = _last_block_erasure(scheme)
+
+    def no_gather(*args):
+        raise AssertionError("rows built before the size check")
+
+    limit = 2**9
+    for module in (concat, graph_code):
+        monkeypatch.setattr(module, "MAX_AMPLITUDES", limit)
+    monkeypatch.setattr(concat, "carried_erasure_map", no_gather)
+    monkeypatch.setattr(concat, "resolve_corruption", no_gather)
+    with pytest.raises(CodeError, match=re.escape(
+            f"gather under whole-register blocking with inner n = 5 needs "
+            f"{2**10} amplitudes, above the limit of {limit}")):
+        if run == "damage":
+            apply_channel_damage(scheme, register, event)
+        else:
+            concat_decode(scheme, register, event)
+    assert MAX_AMPLITUDES == 2**26
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +223,7 @@ def test_scheme_rejects_a_register_above_the_size_limit(monkeypatch):
 def test_whole_register_encoding_wraps_the_codeword():
     scheme = _scheme(WHOLE_REGISTER)
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    got = concat_encode(scheme, v).expand(0).flat()
+    got = dense_blocks.dense_form(concat_encode(scheme, v))
     codeword = encode(scheme.outer, v)
     manual = np.kron(codeword.amplitudes, basis_state(2, (0,) * 5).amplitudes)
     expected = build_encoder(5).apply(StateVector(p=2, n=10, amplitudes=manual))
@@ -210,7 +233,7 @@ def test_whole_register_encoding_wraps_the_codeword():
 def test_per_qubit_encoding_places_one_codeword_digit_per_block():
     scheme = _scheme(PER_QUBIT)
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    state = _expand_all(concat_encode(scheme, v)).flat()
+    state = dense_blocks.dense_form(concat_encode(scheme, v))
     # undo every block encoder; slot 0 of each 4-qubit block carries the
     # codeword digit and the rest returns to |0>
     for i in range(5):
@@ -270,33 +293,37 @@ def test_block_contractions_match_the_gate_program_path(blocking, model, seed):
     event = noise(np.random.default_rng(seed))
     expected = _gate_program_encode(scheme, v)
     got = concat_encode(scheme, v)
-    assert np.max(np.abs(_expand_all(got).flat().amplitudes
+    assert np.max(np.abs(dense_blocks.dense_form(got).amplitudes
                          - expected.amplitudes)) < 1e-12
-    damaged = apply_channel_damage(
-        scheme, dense_blocks.physical_blocks(scheme, expected), event)
+    # The gate-program register, damaged by corrupt_qubit and decoded by
+    # the programs, against the recorded hit decoded by its composed map.
+    if event.erasure is not None:
+        expected = corrupt_qubit(
+            expected, event.block * scheme.inner.total + event.erasure.address,
+            event.corruption)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(concat, "_inner_stage", dense_blocks.dense_inner_stage)
-        reference, reference_trace = concat_decode(scheme, damaged, event)
-    for physical in (damaged, apply_channel_damage(scheme, got, event)):
-        recovered, trace = concat_decode(scheme, physical, event)
-        assert trace == reference_trace
-        assert _aligned_gap(recovered.coefficients,
-                            reference.coefficients) < 1e-12
+        mp.setattr(concat, "_inner_stage", lambda scheme, _, event:
+                   dense_blocks.physical_inner_stage(scheme, expected, event))
+        reference, reference_trace = concat_decode(scheme, got, event)
+    recovered, trace = concat_decode(
+        scheme, apply_channel_damage(scheme, got, event), event)
+    assert trace == reference_trace
+    assert _aligned_gap(recovered.coefficients,
+                        reference.coefficients) < 1e-12
 
 
 def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
-    # Only the erased block is decoded.  A recorded hit that the event
-    # declares is one gather from the carried core, the outer codeword's
-    # 2**5 amplitudes, and runs no program.  An applied hit runs decoder
-    # and recovery on a register reduced to the other blocks' carried
-    # qubits: the erased block's 2n qubits (at most 2 MAX_BLOCK) plus
-    # theirs.  Neither reads the whole 20-qubit per-qubit register.
+    # Every hit block is one gather from the carried core, the outer
+    # codeword's 2**5 amplitudes, and a decode runs no program.  A hit
+    # the event declares, or one elsewhere in the declared block, is one
+    # gather; a hit in another block adds its undeclared map's gather
+    # first.  None reads the whole 20-qubit per-qubit register.
     reads = []
     gather = ghz_erasure.CarriedErasureMap.rows
     run = GateProgram.apply
 
     def recording_gather(self, core, operator):
-        reads.append(("gather", core.size))
+        reads.append(("gather", core.size, self.weight.shape[1]))
         return gather(self, core, operator)
 
     def recording_run(self, s, offset=0):
@@ -306,29 +333,31 @@ def test_gate_kernels_act_on_single_blocks_only(monkeypatch):
     monkeypatch.setattr(ghz_erasure.CarriedErasureMap, "rows",
                         recording_gather)
     monkeypatch.setattr(GateProgram, "apply", recording_run)
-    for blocking, recorded in itertools.product((WHOLE_REGISTER, PER_QUBIT),
-                                                (True, False)):
+    for blocking in (WHOLE_REGISTER, PER_QUBIT):
         scheme = _scheme(blocking)
-        v = _random_logical(3)
-        event = ChannelEvent(
-            erasure=ErasurePosition(address=1, n=scheme.inner.n),
-            corruption="Y", block=scheme.blocks - 1)
-        # The first decode may build the maps, which runs the programs.
-        for _warm in range(2):
-            physical = apply_channel_damage(scheme, concat_encode(scheme, v),
-                                            event)
-            if not recorded:
-                physical.core  # reading the amplitudes applies the hit
-            del reads[:]
-            recovered, _ = concat_decode(scheme, physical, event)
-            assert fidelity_up_to_phase(v.as_state(),
-                                        recovered.as_state()) > 1 - 1e-10
-        if recorded:
-            assert reads == [("gather", 2**scheme.outer.n)]
-            continue
-        others = scheme.outer.n - len(scheme.assignment[event.block])
-        # Decoder, then recovery.
-        assert reads == [("program", 2 * scheme.inner.n + others)] * 2
+        last = scheme.blocks - 1
+        declared = _hit(scheme, 1, last, None)
+        # Each hit, with the terms per row of each gather it reads: one
+        # for the declared hit, two for an undeclared map (tr U I / 2),
+        # and a few for a misdeclared hit.
+        cases = [(_hit(scheme, 1, last, "Y"), [1]),
+                 (_hit(scheme, 2, last, "Y"), None)]
+        if scheme.blocks > 1:
+            cases.append((_hit(scheme, 1, 0, "X"), [2, 1]))
+        for hit, terms in cases:
+            # The first decode may build the maps, which runs the programs.
+            for _warm in range(2):
+                physical = apply_channel_damage(
+                    scheme, concat_encode(scheme, _random_logical(3)), hit)
+                del reads[:]
+                try:
+                    concat_decode(scheme, physical, declared)
+                except (DecodeError, RecoveryError):
+                    pass
+            assert [read[:2] for read in reads] == [
+                ("gather", 2**scheme.outer.n)] * len(terms or [None])
+            if terms is not None:
+                assert [read[2] for read in reads] == terms
 
 
 def _exact_norm2(a):
@@ -351,11 +380,12 @@ def _erased_rows_cases():
 def test_erased_rows_are_the_slab_kernels_rows_bit_for_bit(
         n, c, address, before, after):
     # Random complex blocks, mostly off the support, dense and with half
-    # the entries +-0, on a core with one axis per qubit before the
-    # block: erased_rows keeps the rows that decoder then recovery, run
-    # one slab kernel at a time, write where the padding reads 0, signed
-    # zeros included, and their share of the input's norm is the
-    # programs' all-zero probability.
+    # the entries +-0, inside a core with one axis per qubit before the
+    # block: erased_rows, on each lone block of the core, keeps the rows
+    # that decoder then recovery, run one slab kernel at a time over the
+    # whole core, write where the padding reads 0, signed zeros included,
+    # and their share of the input's norm is the programs' all-zero
+    # probability.
     pos = ErasurePosition(address=address, n=n)
     rng = np.random.default_rng([n, c, address])
     total = before + 2 * n + after
@@ -372,10 +402,12 @@ def test_erased_rows_are_the_slab_kernels_rows_bit_for_bit(
         want = kept.reshape(2**before, 2**n, 2**c, 2**after) if (
             pos.side == "message") else kept.reshape(
                 2**before, 2**c, 2**n, 2**after).transpose(0, 2, 1, 3)
-        core = x.reshape((2,) * before + (4**n, 2**after))
-        got = ghz_erasure.erased_rows(core, before, c, pos).reshape(
-            2**n, 2**before, 2**c, 2**after)
-        assert np.array_equal(got.transpose(1, 0, 2, 3).view(np.uint64),
+        core = x.reshape(2**before, 4**n, 2**after)
+        got = np.stack([np.stack([
+            ghz_erasure.erased_rows(core[i, :, k], c, pos).reshape(
+                2**n, 2**c) for k in range(2**after)], axis=-1)
+            for i in range(2**before)])
+        assert np.array_equal(got.view(np.uint64),
                               np.ascontiguousarray(want).view(np.uint64))
         # Sums rounded once, so only the programs' own rounding differs:
         # the rows over their input, against the programs' branch over
@@ -392,17 +424,26 @@ def test_erased_rows_are_the_slab_kernels_rows_bit_for_bit(
 
 @pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
 def test_encoding_matches_the_dense_isometries_bit_for_bit(blocking):
-    # Expanding every axis scatters each block's support rows; the dense
-    # form contracts each carried axis with the whole of E.
+    # The register is the codeword reshaped, one carried axis per block,
+    # and each block's support rows are the dense E's nonzero rows, bit
+    # for bit; the composed maps read E by those rows alone.
     scheme = _scheme(blocking)
+    for carried in set(map(len, scheme.assignment)):
+        support = encoder_isometry(scheme.inner.n, carried)
+        dense = dense_blocks.dense_isometry(scheme.inner.n, carried)
+        assert np.array_equal(dense[support.rows].view(np.uint64),
+                              support.block.view(np.uint64))
+        off = np.setdiff1d(np.arange(len(dense)), support.rows)
+        assert not dense[off].any()
     inputs = [LogicalState(p=2, coefficients=[1, 0]),
               LogicalState(p=2, coefficients=[0, 1])]
     inputs += [_random_logical(seed) for seed in range(6)]
     for v in inputs:
         register = concat_encode(scheme, v)
-        got = _expand_all(register).core.reshape(-1)
-        want = dense_blocks.dense_form(register).amplitudes
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert register.hits == ()
+        assert np.array_equal(
+            register.core.reshape(-1).view(np.uint64),
+            encode(scheme.outer, v).amplitudes.view(np.uint64))
 
 
 @pytest.mark.parametrize("form", ["blocks", "dense"])
@@ -412,14 +453,13 @@ def test_inner_stage_matches_the_dense_isometries_on_every_event(
     # Every enumerable event, whole-register and per-qubit at n = 2: no
     # erasure, or an erasure at each address of each block with no
     # corruption or a Pauli one, each with every outer Pauli of weight at
-    # most one.  The block register, carried or with every axis physical,
-    # runs the one inner stage; the dense isometries on its dense form
-    # are the oracle.
+    # most one.  The recorded register runs the one inner stage; the
+    # oracle is the dense isometries on its dense form, or one physical
+    # block at a time.
     scheme = _scheme(blocking)
     physical = concat_encode(scheme, _random_logical(11))
-    if form == "dense":
-        physical = dense_blocks.physical_blocks(
-            scheme, dense_blocks.dense_form(physical))
+    oracle = {"dense": dense_blocks.dense_inner_stage,
+              "blocks": dense_blocks.blockwise_inner_stage}[form]
     paulis = [None] + [PauliError.single(2, scheme.outer.n, q, b=b, s=sp)
                        for q in range(scheme.outer.n)
                        for b, sp in ((1, 0), (0, 1), (1, 1))]
@@ -433,7 +473,7 @@ def test_inner_stage_matches_the_dense_isometries_on_every_event(
     for inner in inner_events:
         damaged = apply_channel_damage(scheme, physical, inner)
         got = inner_stage(scheme, damaged, inner)
-        want = dense_blocks.dense_inner_stage(scheme, damaged, inner)
+        want = oracle(scheme, damaged, inner)
         assert _aligned_gap(got.amplitudes, want.amplitudes) <= 1e-15
         for pauli in paulis:
             event = ChannelEvent(pauli=pauli, erasure=inner.erasure,
@@ -452,27 +492,26 @@ def test_inner_stage_matches_the_dense_isometries_on_every_event(
 
 @pytest.mark.parametrize("declared", [None, 1])
 def test_mixed_axes_report_undeclared_damage_like_the_dense_form(declared):
-    # An undeclared half-strength X rotation makes block 0's axis
-    # physical while the others stay carried; declaring nothing, or an
-    # erasure in block 1 (whose axis decoding expands), must fail with
-    # the all-zero probability 1/2, word for word as the register with
-    # every axis physical does.
+    # An undeclared half-strength X rotation of block 0 is recorded while
+    # the other blocks stay unhit; declaring nothing, or an erasure in
+    # block 1, must fail with the all-zero probability 1/2, word for word
+    # as the dense form does.
     scheme = _scheme(PER_QUBIT)
     rotation = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
     hit = ChannelEvent(erasure=ErasurePosition(address=0, n=2),
                        corruption=rotation)
     damaged = apply_channel_damage(
         scheme, concat_encode(scheme, _random_logical()), hit)
-    assert [damaged.physical(b) for b in range(scheme.blocks)] == [
-        True, False, False, False, False]
+    assert [(h.block, h.address) for h in damaged.hits] == [(0, 0)]
     event = ChannelEvent() if declared is None else ChannelEvent(
         erasure=ErasurePosition(address=0, n=2), block=declared)
     messages = []
-    for form in (damaged, dense_blocks.physical_blocks(
-            scheme, dense_blocks.dense_form(damaged))):
+    for decode in (lambda: concat_decode(scheme, damaged, event),
+                   lambda: dense_blocks.dense_inner_stage(scheme, damaged,
+                                                          event)):
         with pytest.raises(DecodeError, match=re.escape(
                 "all-zero probability 0.5 <= bound")) as info:
-            concat_decode(scheme, form, event)
+            decode()
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 
@@ -485,12 +524,12 @@ def test_mixed_axes_report_undeclared_damage_like_the_dense_form(declared):
 def test_erasure_with_ancilla_bit_flip_end_to_end():
     scheme = _scheme(WHOLE_REGISTER)
     v = LogicalState(p=2, coefficients=[0.6, 0.8])
-    physical = concat_encode(scheme, v).expand(0).flat()
-    # qubit 1 is erased; ancilla 1' (address 5) suffers a bit flip
-    flipped = apply_pauli_error(physical, PauliError.single(2, 10, 5, b=1))
+    # qubit 1 is erased; ancilla 1' (address 5) suffers a bit flip,
+    # recorded as a hit
+    flipped = apply_channel_damage(scheme, concat_encode(scheme, v),
+                                   _hit(scheme, 5, 0, "X"))
     event = ChannelEvent(erasure=ErasurePosition.from_label("1", 5))
-    recovered, trace = concat_decode(
-        scheme, dense_blocks.physical_blocks(scheme, flipped), event)
+    recovered, trace = concat_decode(scheme, flipped, event)
     assert trace.syndrome == "0110"
     assert trace.correction == "S5"
     assert fidelity_up_to_phase(v.as_state(), recovered.as_state()) > 1 - 1e-10
@@ -503,7 +542,7 @@ def test_recovery_intermediate_state_is_the_shifted_codeword(coeffs):
     # its first digit flipped, amplitude by amplitude.
     scheme = _scheme(WHOLE_REGISTER)
     v = LogicalState(p=2, coefficients=list(coeffs))
-    physical = concat_encode(scheme, v).expand(0).flat()
+    physical = dense_blocks.dense_form(concat_encode(scheme, v))
     flipped = apply_pauli_error(physical, PauliError.single(2, 10, 5, b=1))
     pos = ErasurePosition.from_label("1", 5)
     staged = build_recovery(5, pos).apply(build_decoder(5, pos).apply(flipped))
@@ -578,9 +617,10 @@ def test_apply_channel_damage_passthrough_and_validation():
 
 
 def test_apply_channel_damage_returns_a_fresh_state_and_keeps_its_input():
-    # The damaged register is fresh, of unit norm, and has only the hit
-    # block's axis made physical; its dense form is the corruption
-    # applied to the dense form of the input.
+    # The damaged register is fresh and records the hit on a copy of the
+    # carried core; its dense form is the corruption applied to the dense
+    # form of the input, before renormalization, whose squared norm the
+    # register records.
     for scheme in (_scheme(WHOLE_REGISTER), _scheme(PER_QUBIT)):
         blocks = concat_encode(scheme, _random_logical())
         before = blocks.core.copy()
@@ -593,32 +633,34 @@ def test_apply_channel_damage_returns_a_fresh_state_and_keeps_its_input():
             out = apply_channel_damage(scheme, blocks, event)
             assert type(out) is BlockRegister
             assert not np.shares_memory(out.core, blocks.core)
-            assert [out.physical(b) for b in range(scheme.blocks)] == [
-                b == event.block for b in range(scheme.blocks)]
-            assert abs(out.flat().norm() - 1.0) < 1e-12
+            assert [(hit.block, hit.address) for hit in out.hits] == [
+                (event.block, address)]
+            got = dense_blocks.dense_form(out)
+            assert abs(got.norm()**2 / out._norm2 - 1) < 1e-13
             want = corrupt_qubit(
                 dense, event.block * scheme.inner.total + address,
                 event.corruption)
-            assert np.max(np.abs(dense_blocks.dense_form(out).amplitudes
+            assert np.max(np.abs(got.amplitudes / got.norm()
                                  - want.amplitudes)) < 1e-15
         assert np.array_equal(blocks.core.view(np.uint64),
                               before.view(np.uint64))
+        assert blocks.hits == ()
 
 
 @pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
-def test_a_recorded_hit_reads_bit_for_bit_as_the_applied_one(blocking):
-    # Damage to a carried register records the hit; reading its core
-    # applies it as damage once did, the block's axis made physical and
-    # then corrupt_qubit, bit for bit.  An operator changed after the
-    # damage does not reach the register.
+def test_a_recorded_hit_is_its_resolved_operator(blocking):
+    # Damage records resolve_corruption's operator bit for bit, and the
+    # squared norm corrupt_qubit's guard reads, ||U||_F^2 / 2 times the
+    # core's.  An operator changed after the damage does not reach the
+    # register.
     scheme = _scheme(blocking)
     blocks = concat_encode(scheme, _random_logical(8))
     rng = np.random.default_rng(38)
     unitary = random_single_qubit_unitary(rng)
     corruptions = [None, "I", "X", "Y", "Z", unitary, 3.5 * unitary,
                    np.diag([1.0, 0.0]), [[0, 1], [1, 0]]]
+    norm = np.linalg.norm(blocks.core)
     for block in range(scheme.blocks):
-        width = len(scheme.assignment[block])
         for address in range(scheme.inner.total):
             for corruption in corruptions:
                 given = (corruption.copy()
@@ -627,19 +669,76 @@ def test_a_recorded_hit_reads_bit_for_bit_as_the_applied_one(blocking):
                     address=address, n=scheme.inner.n),
                     corruption=given, block=block)
                 out = apply_channel_damage(scheme, blocks, event)
-                assert out._hit is not None
                 if isinstance(given, np.ndarray):
                     given[...] = 7
-                want = corrupt_qubit(blocks.expand(block).flat(),
-                                     block * width + address, corruption)
-                assert np.array_equal(out.core.reshape(-1).view(np.uint64),
-                                      want.amplitudes.view(np.uint64))
+                (hit,) = out.hits
+                want = resolve_corruption(corruption)
+                assert (hit.block, hit.address) == (block, address)
+                assert np.array_equal(hit.operator.view(np.uint64),
+                                      want.view(np.uint64))
+                assert out._norm2 == (float(np.vdot(want, want).real) / 2
+                                      * norm * norm)
+                # A label's operator is the module's shared matrix.
+                assert not (isinstance(corruption, str)
+                            and hit.operator.flags.writeable)
 
 
-def _applied(register):
-    """The register with any recorded hit applied, as damage once did."""
-    register.core
-    return register
+def test_a_second_hit_on_a_qubit_multiplies_into_the_first():
+    # Two hits at one address are one hit, their product, later first;
+    # two at different addresses are two sites of one block, whose
+    # recorded squared norm depends on the state.
+    scheme = _scheme(PER_QUBIT)
+    rng = np.random.default_rng(61)
+    u, w = (random_single_qubit_unitary(rng) for _ in range(2))
+    register = concat_encode(scheme, _random_logical(61))
+    for corruption in (u, w):
+        register = apply_channel_damage(scheme, register,
+                                        _hit(scheme, 2, 1, corruption))
+    (hit,) = register.hits
+    assert np.max(np.abs(hit.operator - resolve_corruption(w)
+                         @ resolve_corruption(u))) < 1e-16
+    # At whole-register n = 5 two diag(1, 0) hits keep a share of the
+    # norm that depends on the carried state (any two qubits of a
+    # five-qubit codeword are maximally mixed, so the cores are random).
+    scheme = _scheme(WHOLE_REGISTER)
+    projector = np.diag([1.0, 0.0])
+    norms = []
+    for seed in (1, 2):
+        register = BlockRegister(scheme, random_state(
+            2, 5, np.random.default_rng(seed)).amplitudes)
+        for address in (3, 0):
+            register = apply_channel_damage(
+                scheme, register, _hit(scheme, address, 0, projector))
+        assert [(h.block, h.address) for h in register.hits] == [(0, 0),
+                                                                 (0, 3)]
+        dense = dense_blocks.dense_form(register).norm()**2
+        assert abs(register._norm2 / dense - 1) < 1e-14
+        norms.append(register._norm2)
+    assert abs(norms[0] - norms[1]) > 1e-3
+
+
+def test_a_second_hit_that_annihilates_the_state_is_refused():
+    # corrupt_qubit's guard at the second hit: diag(0, 1) after diag(1, 0)
+    # on one qubit leaves nothing, quoted as the share of the norm left.
+    scheme = _scheme(WHOLE_REGISTER)
+    register = apply_channel_damage(
+        scheme, concat_encode(scheme, _random_logical()),
+        _hit(scheme, 3, 0, np.diag([1.0, 0.0])))
+    with pytest.raises(GhzError, match=re.escape(
+            "corruption annihilated the state or overflowed its norm: "
+            "norm 0 outside [1e-12, inf)")):
+        apply_channel_damage(scheme, register,
+                             _hit(scheme, 3, 0, np.diag([0.0, 1.0])))
+
+
+@pytest.mark.parametrize("shape", [(1024,), (32, 1), (2,) * 5],
+                         ids=["physical", "two-axes", "per-qubit-axes"])
+def test_a_core_that_is_not_carried_is_refused(shape):
+    # The one register form: a whole-register core is the 2**5 carried
+    # amplitudes of its one block, never a block's register amplitudes.
+    with pytest.raises(CodeError, match=re.escape(
+            f"core of shape {shape} does not fit the carried blocks (32,)")):
+        BlockRegister(_scheme(WHOLE_REGISTER), np.zeros(shape))
 
 
 def _hit(scheme, address, block, corruption="Y"):
@@ -648,65 +747,68 @@ def _hit(scheme, address, block, corruption="Y"):
                         corruption=corruption, block=block)
 
 
-# Each case, from a scheme and a unitary: the hits damage applies in
+# Each case, from a scheme and two unitaries: the hits damage records in
 # turn, and the event decoded.
 SELECTION_CASES = {
-    "declared": lambda scheme, u: (
+    "declared": lambda scheme, u, w: (
         [_hit(scheme, 1, scheme.blocks - 1, u)],
         _hit(scheme, 1, scheme.blocks - 1, None)),
-    "misdeclared-position": lambda scheme, u: (
+    "misdeclared-position": lambda scheme, u, w: (
         [_hit(scheme, 1, 0, u)], _hit(scheme, 2, 0, None)),
-    "other-block": lambda scheme, u: (
+    "other-block": lambda scheme, u, w: (
         [_hit(scheme, 1, 0, u)], _hit(scheme, 1, scheme.blocks - 1, None)),
-    "undeclared": lambda scheme, u: (
+    "undeclared": lambda scheme, u, w: (
         [_hit(scheme, 0, 0, u)],
         ChannelEvent(pauli=PauliError.single(2, scheme.outer.n, 1, b=1))),
-    "second-hit": lambda scheme, u: (
+    "second-hit": lambda scheme, u, w: (
         [_hit(scheme, 3, 0, u), _hit(scheme, 1, scheme.blocks - 1, "X")],
         _hit(scheme, 1, scheme.blocks - 1, None)),
-    "physical-axis": lambda scheme, u: (
-        [_hit(scheme, 1, 0, u)], _hit(scheme, 1, 0, None)),
+    "same-qubit-twice": lambda scheme, u, w: (
+        [_hit(scheme, 1, 0, u), _hit(scheme, 1, 0, w)], _hit(scheme, 1, 0,
+                                                             None)),
+    "two-sites-declared": lambda scheme, u, w: (
+        [_hit(scheme, 1, 0, u), _hit(scheme, 2, 0, w)], _hit(scheme, 1, 0,
+                                                             None)),
+    "two-sites-undeclared": lambda scheme, u, w: (
+        [_hit(scheme, 1, 0, "Z"), _hit(scheme, 3, 0, "Z")], ChannelEvent()),
+    "declared-without-hit": lambda scheme, u, w: (
+        [], _hit(scheme, 2, scheme.blocks - 1, None)),
 }
+
+
+def _decoded(scheme, register, event):
+    """concat_decode's result, or the type of the error it raises."""
+    try:
+        return concat_decode(scheme, register, event)
+    except (DecodeError, RecoveryError) as error:
+        return type(error)
 
 
 @pytest.mark.parametrize("case", list(SELECTION_CASES))
 @pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
-def test_only_the_declared_hit_decodes_from_the_carried_core(blocking, case):
-    # A recorded hit that the event declares decodes from the carried
-    # core, to rounding of the applied hit's result, with the same error
-    # text when it fails.  Every other register, a hit in another block
-    # or position, no declared erasure, a second hit or a hit on a
-    # physical axis, is applied first: its output or error is the
-    # applied register's, bit for bit.
+def test_every_hit_decodes_from_the_carried_core_as_the_oracle(blocking,
+                                                               case):
+    # Every register decodes from its carried core, a hit in another
+    # block or position, no declared erasure, a second hit, two hits on
+    # one qubit or none included.  The oracle decodes the same register
+    # one physical block at a time: the same trace and coefficients within
+    # 1e-15, or the same error type.
     scheme = _scheme(blocking)
-    unitary = random_single_qubit_unitary(np.random.default_rng(21))
-    hits, event = SELECTION_CASES[case](scheme, unitary)
-    outcomes = []
-    for apply_first in (False, True):
-        register = concat_encode(scheme, _random_logical(4))
-        if case == "physical-axis":
-            register = register.expand(hits[0].block)
-        for hit in hits:
-            register = apply_channel_damage(scheme, register, hit)
-        if apply_first:
-            _applied(register)
-        try:
-            outcomes.append(concat_decode(scheme, register, event))
-        except (DecodeError, RecoveryError) as error:
-            outcomes.append((type(error), str(error)))
-    got, want = outcomes
-    if isinstance(want[0], type):
-        assert got == want
+    rng = np.random.default_rng(21)
+    u, w = (random_single_qubit_unitary(rng) for _ in range(2))
+    hits, event = SELECTION_CASES[case](scheme, u, w)
+    register = concat_encode(scheme, _random_logical(4))
+    for hit in hits:
+        register = apply_channel_damage(scheme, register, hit)
+    got = _decoded(scheme, register, event)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concat, "_inner_stage", dense_blocks.blockwise_inner_stage)
+        want = _decoded(scheme, register, event)
+    if isinstance(want, type):
+        assert got is want
         return
     assert got[1] == want[1]
-    # With one block, a hit in another block is the declared one.
-    if case == "declared" or (case, blocking) == ("other-block",
-                                                  WHOLE_REGISTER):
-        assert _aligned_gap(got[0].coefficients,
-                            want[0].coefficients) <= 1e-15
-    else:
-        assert np.array_equal(got[0].coefficients.view(np.uint64),
-                              want[0].coefficients.view(np.uint64))
+    assert _aligned_gap(got[0].coefficients, want[0].coefficients) <= 1e-15
 
 
 def test_undeclared_damage_is_detected():
@@ -817,8 +919,7 @@ def test_a_register_that_is_not_a_block_register_of_the_scheme_is_rejected(
     def no_work(*args):
         raise AssertionError("work began before the register was checked")
 
-    for name in ("encoder_isometry", "corrupt_qubit", "carried_corruption",
-                 "carried_erasure_map", "_inner_stage"):
+    for name in ("resolve_corruption", "carried_erasure_map", "_inner_stage"):
         monkeypatch.setattr(concat, name, no_work)
     with pytest.raises(CodeError, match=re.escape(message)):
         run(scheme, s, event)
@@ -842,8 +943,8 @@ def _last_block_erasure(scheme):
 
 
 @pytest.mark.parametrize("blocking, form", [
-    pytest.param(WHOLE_REGISTER, "dense", id=WHOLE_REGISTER),
-    pytest.param(PER_QUBIT, "dense", id=PER_QUBIT),
+    pytest.param(WHOLE_REGISTER, "hit", id=f"{WHOLE_REGISTER}-hit"),
+    pytest.param(PER_QUBIT, "hit", id=f"{PER_QUBIT}-hit"),
     pytest.param(WHOLE_REGISTER, "blocks", id=f"{WHOLE_REGISTER}-blocks"),
     pytest.param(PER_QUBIT, "blocks", id=f"{PER_QUBIT}-blocks")])
 @pytest.mark.parametrize("erased", [False, True])
@@ -851,67 +952,46 @@ def _last_block_erasure(scheme):
     (np.nan, "nan"), (np.inf, "inf"), (1e300, "inf"), (0.0, "0")])
 def test_a_register_of_bad_norm_is_refused_before_any_gather(
         blocking, form, erased, bad, shown, monkeypatch):
-    # A NaN, an infinity or a 1e300 (whose square overflows) off the
-    # encoder's support of a register with every axis physical, or in a
-    # carried register's core, or an all-zero register of either form,
-    # must raise with the norm quoted before a support row is read.
+    # A NaN, an infinity or a 1e300 (whose square overflows) in a carried
+    # core, or an all-zero core, must raise with the norm quoted before a
+    # map is read: by decoding, or by damage recording a hit on it.
     scheme = _scheme(blocking)
     event = _last_block_erasure(scheme) if erased else ChannelEvent()
-    blocks = concat_encode(scheme, _random_logical(5))
-    if form == "dense":
-        blocks = dense_blocks.physical_blocks(
-            scheme, dense_blocks.dense_form(blocks))
-        index = _off_support_index(scheme, 0)
-    else:
-        index = 0
-    amplitudes = blocks.core.reshape(-1).copy()
+    amplitudes = concat_encode(scheme, _random_logical(5)).core.copy()
     if bad == 0:
-        amplitudes[:] = 0
+        amplitudes[...] = 0
     else:
-        amplitudes[index] = bad
-    register = BlockRegister(scheme, amplitudes.reshape(blocks.core.shape))
+        amplitudes.reshape(-1)[0] = bad
+    register = BlockRegister(scheme, amplitudes)
 
     def no_gather(*args):
-        raise AssertionError("support rows read before the norm check")
+        raise AssertionError("a map was read before the norm check")
 
-    monkeypatch.setattr(concat, "encoder_isometry", no_gather)
-    with pytest.raises(CodeError, match=re.escape(
-            f"register norm {shown} outside [1e-14, inf)")):
-        concat_decode(scheme, register, event)
-
-
-@pytest.mark.parametrize("blocking, erased", [
-    (WHOLE_REGISTER, False), (PER_QUBIT, False), (PER_QUBIT, True)])
-@pytest.mark.parametrize("junk, shown", [(1.0, "0.5"), (1e150, "1e-300")])
-def test_junk_off_the_support_fails_the_all_zero_check(blocking, erased,
-                                                      junk, shown):
-    # The gather never reads an amplitude off the support; the junk
-    # still counts in the register norm, so the all-zero probability
-    # drops to 1 / (1 + junk**2).  These decoded as clean before.
-    scheme = _scheme(blocking)
-    event = _last_block_erasure(scheme) if erased else ChannelEvent()
-    amplitudes = dense_blocks.dense_form(
-        concat_encode(scheme, _random_logical(5))).amplitudes.copy()
-    amplitudes[_off_support_index(scheme, 0)] = junk
-    register = dense_blocks.physical_blocks(
-        scheme, StateVector(p=2, n=scheme.total_qubits, amplitudes=amplitudes))
-    with pytest.raises(DecodeError, match=re.escape(
-            f"all-zero probability {shown} <= bound")):
-        concat_decode(scheme, register, event)
+    monkeypatch.setattr(concat, "carried_erasure_map", no_gather)
+    if form == "blocks":
+        with pytest.raises(CodeError, match=re.escape(
+                f"register norm {shown} outside [1e-14, inf)")):
+            concat_decode(scheme, register, event)
+        return
+    hit = _hit(scheme, 1, scheme.blocks - 1, "Y" if erased else None)
+    with pytest.raises(GhzError, match=re.escape(
+            "corruption annihilated the state or overflowed its norm: "
+            f"norm {shown} outside [1e-14, inf)")):
+        apply_channel_damage(scheme, register, hit)
 
 
 @pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
 @pytest.mark.parametrize("erased", [False, True])
 def test_a_scaled_clean_register_still_decodes(blocking, erased):
+    # A core scaled by 2, unhit or with an identity hit recorded on the
+    # erased qubit, decodes as the unscaled one.
     scheme = _scheme(blocking)
     event = _last_block_erasure(scheme) if erased else ChannelEvent()
     v = _random_logical(6)
-    blocks = concat_encode(scheme, v)
-    dense = dense_blocks.dense_form(blocks)
-    for scaled in (BlockRegister(scheme, 2 * blocks.core),
-                   dense_blocks.physical_blocks(scheme, StateVector(
-                       p=2, n=dense.n, amplitudes=2 * dense.amplitudes))):
-        recovered, trace = concat_decode(scheme, scaled, event)
+    scaled = BlockRegister(scheme, 2 * concat_encode(scheme, v).core)
+    hit = apply_channel_damage(scheme, scaled, _last_block_erasure(scheme))
+    for register in (scaled, hit):
+        recovered, trace = concat_decode(scheme, register, event)
         assert trace.syndrome == "0" * scheme.outer.m
         assert fidelity_up_to_phase(v.as_state(),
                                     recovered.as_state()) > 1 - 1e-12
@@ -959,6 +1039,65 @@ def test_per_qubit_erasure_in_every_block_recovers():
         assert trace.syndrome == "0000"
         assert fidelity_up_to_phase(v.as_state(),
                                     recovered.as_state()) > 1 - 1e-10
+
+
+def _inner_outcome(stage, scheme, register, event):
+    """An inner stage's codeword amplitudes, or the type of its error."""
+    try:
+        return stage(scheme, register, event).amplitudes
+    except (DecodeError, RecoveryError) as error:
+        return type(error)
+
+
+def _oracle_cases(blocking, n):
+    """Each (hit block, hit address, declared block, declared position or
+    None) of one hit: every address against no declaration and every
+    position of its own block, and for per-qubit of the last block."""
+    scheme = _scheme(blocking, n)
+    last = scheme.blocks - 1
+    for address in range(2 * n):
+        for declared in [None, *range(2 * n)]:
+            yield 0, address, 0, declared
+            if last:
+                yield 0, address, last, declared
+
+
+@pytest.mark.parametrize("blocking, n", [(WHOLE_REGISTER, 5)] + [
+    (PER_QUBIT, n) for n in range(MIN_BLOCK, MAX_BLOCK + 1)])
+def test_every_hit_and_declaration_match_the_blockwise_oracle(blocking, n):
+    # One Haar-unitary hit at every address of a block, against every
+    # declared position of that block or the last one, or none: the
+    # composed maps give the blockwise oracle's codeword within 1e-15 up
+    # to one global phase, or its error type.  A sample of two hits in
+    # one block, declared at one of them, elsewhere or nowhere, too.
+    scheme = _scheme(blocking, n)
+    rng = np.random.default_rng([42, n])
+    encoded = concat_encode(scheme, _random_logical(n))
+    cases = [([(block, address)], declared_block, declared)
+             for block, address, declared_block, declared
+             in _oracle_cases(blocking, n)]
+    for first, second in itertools.islice(
+            itertools.combinations(range(2 * n), 2), 0, None, n):
+        for declared in (None, first, (second + 1) % (2 * n)):
+            cases.append(([(0, first), (0, second)], 0, declared))
+    refused = 0
+    for hits, declared_block, declared in cases:
+        register = encoded
+        for block, address in hits:
+            register = apply_channel_damage(scheme, register, _hit(
+                scheme, address, block, random_single_qubit_unitary(rng)))
+        event = ChannelEvent() if declared is None else _hit(
+            scheme, declared, declared_block, None)
+        got, want = (_inner_outcome(stage, scheme, register, event)
+                     for stage in (concat._inner_stage,
+                                   dense_blocks.blockwise_inner_stage))
+        if isinstance(want, type):
+            assert got is want, (hits, declared_block, declared)
+            refused += 1
+            continue
+        assert _aligned_gap(got, want) <= 1e-15, (hits, declared_block,
+                                                  declared)
+    assert 0 < refused < len(cases)
 
 
 @pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
@@ -1011,18 +1150,17 @@ def test_effective_channel_is_deterministic_per_seed():
 
 
 @pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
-def test_effective_channel_agrees_with_hits_applied_before_decoding(
+def test_effective_channel_agrees_with_the_blockwise_oracle(
         blocking, monkeypatch):
     scheme = _scheme(blocking)
     recorded = effective_channel(scheme, noise_correctable(scheme),
                                  trials=40, seed=38)
-    damage = concat.apply_channel_damage
-    monkeypatch.setattr(concat, "apply_channel_damage",
-                        lambda *args: _applied(damage(*args)))
-    applied = effective_channel(scheme, noise_correctable(scheme),
-                                trials=40, seed=38)
-    assert recorded.keys() == applied.keys()
-    for key, value in applied.items():
+    monkeypatch.setattr(concat, "_inner_stage",
+                        dense_blocks.blockwise_inner_stage)
+    oracle = effective_channel(scheme, noise_correctable(scheme),
+                               trials=40, seed=38)
+    assert recorded.keys() == oracle.keys()
+    for key, value in oracle.items():
         assert abs(recorded[key] - value) <= 1e-12, key
 
 
@@ -1036,6 +1174,20 @@ def test_carried_maps_compose_once_per_block_shape():
     effective_channel(scheme, noise_correctable(scheme), trials=40, seed=39)
     assert ghz_erasure._composed_erasure.cache_info().currsize == 4
     assert ghz_erasure.carried_erasure_map.cache_info().currsize > 4
+
+
+@pytest.mark.parametrize("trials, seed, text", [
+    (1.5, 0, "trial count 1.5 is not an integer"),
+    (2, "x", "seed 'x' is not an integer"),
+    (None, 0, "trial count None is not an integer"),
+    (2, 1.0, "seed 1.0 is not an integer")])
+def test_effective_channel_refuses_counts_that_are_not_integers(
+        trials, seed, text):
+    def never(rng):
+        raise AssertionError("drew an event")
+
+    with pytest.raises(CodeError, match=re.escape(text)):
+        effective_channel(_scheme(), never, trials=trials, seed=seed)
 
 
 def test_effective_channel_refuses_a_negative_seed_before_drawing():
@@ -1091,8 +1243,8 @@ def test_effective_channel_rejects_empty_runs():
 @pytest.mark.parametrize("blocking", [WHOLE_REGISTER, PER_QUBIT])
 def test_outer_stage_reads_as_decode_then_correct_bit_for_bit(blocking):
     # concat_decode's one decode_and_correct call against the outer stage
-    # by parts, on the same inner codeword: recorded hits, applied hits
-    # and events without an erasure, for each noise model.
+    # by parts, on the same inner codeword: recorded hits and events
+    # without an erasure, for each noise model.
     scheme = _scheme(blocking)
     table = concat._outer_table(scheme.outer)
     rng = np.random.default_rng(53)
@@ -1101,26 +1253,22 @@ def test_outer_stage_reads_as_decode_then_correct_bit_for_bit(blocking):
         draw = model(scheme)
         for _ in range(8):
             event, v = draw(rng), _random_logical(rng.integers(2**32))
-            for applied in (False, True):
-                def damaged():
-                    physical = apply_channel_damage(
-                        scheme, concat_encode(scheme, v), event)
-                    if applied:
-                        physical.core  # reading the amplitudes applies the hit
-                    return physical
-                paths.add((name, event.erasure is not None, applied))
-                codeword = concat._inner_stage(scheme, damaged(), event)
-                try:
-                    expected = outer_stage_by_parts(scheme.outer, codeword,
-                                                    event.pauli, table)
-                except DecodeError as exc:
-                    with pytest.raises(DecodeError, match=re.escape(str(exc))):
-                        concat_decode(scheme, damaged(), event)
-                    continue
-                recovered, trace = concat_decode(scheme, damaged(), event)
-                state, syndrome, label = expected
-                assert np.array_equal(recovered.coefficients.view(np.uint64),
-                                      state.coefficients.view(np.uint64))
-                assert (trace.syndrome, trace.correction) == (syndrome, label)
-    assert {(name, erased) for name, erased, _ in paths} == {
+            def damaged():
+                return apply_channel_damage(
+                    scheme, concat_encode(scheme, v), event)
+            paths.add((name, event.erasure is not None))
+            codeword = concat._inner_stage(scheme, damaged(), event)
+            try:
+                expected = outer_stage_by_parts(scheme.outer, codeword,
+                                                event.pauli, table)
+            except DecodeError as exc:
+                with pytest.raises(DecodeError, match=re.escape(str(exc))):
+                    concat_decode(scheme, damaged(), event)
+                continue
+            recovered, trace = concat_decode(scheme, damaged(), event)
+            state, syndrome, label = expected
+            assert np.array_equal(recovered.coefficients.view(np.uint64),
+                                  state.coefficients.view(np.uint64))
+            assert (trace.syndrome, trace.correction) == (syndrome, label)
+    assert paths == {
         ("identity", False), ("correctable", True), ("two-pauli", False)}

@@ -30,7 +30,6 @@ from concatqec.ghz_erasure import (
     build_decoder,
     build_encoder,
     build_recovery,
-    corrupt_qubit,
     encoder_isometry,
     recover,
     resolve_corruption,
@@ -38,13 +37,13 @@ from concatqec.ghz_erasure import (
 from concatqec.statevec import (
     StateError,
     StateVector,
-    apply_single_qudit,
     basis_state,
     fidelity_up_to_phase,
     normalize,
     random_single_qubit_unitary,
     random_state,
 )
+from dense_blocks import apply_single_qudit, corrupt_qubit
 from state_oracles import reduced_density, states_close
 
 RNG = np.random.default_rng(20240819)
@@ -162,6 +161,17 @@ def test_gate_arity_is_validated():
         Gate(kind="CX", qubits=(2,))
     with pytest.raises(GhzError):
         Gate(kind="Q", qubits=(0,))
+
+
+@pytest.mark.parametrize("qubits, text", [
+    ((1.7,), "gate address 1.7 is not an integer"),
+    ((0, "1"), "gate address '1' is not an integer")])
+def test_gate_refuses_an_address_that_is_not_an_integer(qubits, text):
+    # Gate("H", (1.7,)) used to become H on qubit 1.
+    kind = "H" if len(qubits) == 1 else "CX"
+    with pytest.raises(GhzError, match=re.escape(text)):
+        Gate(kind, qubits)
+    assert Gate("H", (np.int64(2),)).qubits == (2,)
 
 
 def test_program_apply_honors_address_offset():
@@ -777,7 +787,8 @@ def test_carried_map_rows_are_the_applied_corruptions_rows(
         n, c, address, before, after):
     # The one gather from a carried core against the block's axis made
     # physical by E's support rows, corrupt_qubit on the erased qubit,
-    # then erased_rows: the same rows after normalization, under the
+    # then decoder and recovery along that axis (the oracle's axis_rows):
+    # the same rows after normalization, under the
     # Paulis, Haar unitaries, a scaled unitary and a projector.
     pos = ErasurePosition(address=address, n=n)
     rng = np.random.default_rng([n, c, address, 38])
@@ -789,14 +800,14 @@ def test_carried_map_rows_are_the_applied_corruptions_rows(
     physical[:, support.rows] = np.matmul(support.block, core)
     register = StateVector(p=2, n=before + 2 * n + after,
                            amplitudes=physical.reshape(-1))
-    carried_map = ghz_erasure.carried_erasure_map(n, c, pos, 2**before,
-                                                  2**after)
+    carried_map = ghz_erasure.carried_erasure_map(n, c, (address,), pos,
+                                                  2**before, 2**after)
     unitaries = [random_single_qubit_unitary(rng) for _ in range(3)]
     corruptions = ["I", "X", "Y", "Z", *unitaries, 3.5 * unitaries[0],
                    np.diag([1.0, 0.0])]
     for corruption in corruptions:
         damaged = corrupt_qubit(register, before + address, corruption)
-        want = ghz_erasure.erased_rows(
+        want = dense_blocks.axis_rows(
             damaged.amplitudes.reshape(physical.shape), 1, c, pos)
         got = carried_map.rows(core, resolve_corruption(corruption))
         assert got.shape == want.shape
@@ -842,7 +853,7 @@ def test_carried_map_refuses_programs_it_cannot_compose(
     ghz_erasure.carried_erasure_map.cache_clear()
     try:
         with pytest.raises(GhzError, match=re.escape(text)):
-            ghz_erasure.carried_erasure_map(3, c, pos, 1, 1)
+            ghz_erasure.carried_erasure_map(3, c, (pos.address,), pos, 1, 1)
     finally:
         ghz_erasure._composed_erasure.cache_clear()
         ghz_erasure.carried_erasure_map.cache_clear()

@@ -241,6 +241,13 @@ def test_logical_state_normalizes_and_validates():
         LogicalState(p=2, coefficients=[0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", ["ab", [1, "x"], [[1, 2], [3]]])
+def test_logical_state_refuses_coefficients_that_are_not_numeric(bad):
+    with pytest.raises(CodeError, match=re.escape(
+            f"coefficients {bad!r} are not numeric")):
+        LogicalState(p=2, coefficients=bad)
+
+
 # ---------------------------------------------------------------------------
 # Admissibility
 # ---------------------------------------------------------------------------
@@ -295,6 +302,13 @@ def test_admissibility_bounds_are_enforced():
         check_admissibility(wide, 0)
     with pytest.raises(CodeError):
         check_admissibility(five_qubit_decoding_graph(), 0)
+
+
+@pytest.mark.parametrize("e", [1.5, None, "1"])
+def test_admissibility_refuses_an_error_count_that_is_not_an_integer(e):
+    with pytest.raises(CodeError, match=re.escape(
+            f"error count e {e!r} is not an integer")):
+        check_admissibility(five_qubit_decoding_graph(), e)
 
 
 def test_wide_input_register_is_refused_before_any_elimination(monkeypatch):

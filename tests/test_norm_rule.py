@@ -27,7 +27,6 @@ from concatqec.ghz_erasure import (
     GhzError,
     GhzLayout,
     build_encoder,
-    corrupt_qubit,
     recover,
 )
 from concatqec.graph_code import (
@@ -46,6 +45,7 @@ from concatqec.statevec import (
     random_single_qubit_unitary,
     random_state,
 )
+from dense_blocks import corrupt_qubit
 from state_oracles import project_register
 
 GRAPH = five_qubit_decoding_graph()

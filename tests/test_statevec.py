@@ -27,7 +27,6 @@ from concatqec.statevec import (
     StateError,
     StateVector,
     apply_pauli_error,
-    apply_single_qudit,
     basis_state,
     digits_to_index,
     fidelity_up_to_phase,
@@ -36,6 +35,7 @@ from concatqec.statevec import (
     random_single_qubit_unitary,
     random_state,
 )
+from dense_blocks import apply_single_qudit
 from state_oracles import (
     project_register,
     reduced_density,
@@ -343,6 +343,41 @@ def test_pauli_error_weight_and_validation():
         PauliError(m=0, b=(2, 0), s=(0, 0), p=2)
     with pytest.raises(StateError):
         PauliError(m=0, b=(0,), s=(0, 0), p=2)
+
+
+@pytest.mark.parametrize("m, b, s, text", [
+    (0, (1.9, 0), (0, 0), "digit 1.9 is not an integer"),
+    (0, (1, 0), (0, 0.2), "digit 0.2 is not an integer"),
+    (0.5, (1,), (0,), "phase exponent 0.5 is not an integer"),
+    (0, ("1",), (0,), "digit '1' is not an integer")])
+def test_pauli_error_refuses_a_digit_that_is_not_an_integer(m, b, s, text):
+    # These used to truncate: b = (1.9, 0) and s = (0, 0.2) built X on
+    # qubit 0, and m = 0.5 was kept as given.
+    with pytest.raises(StateError, match=re.escape(text)):
+        PauliError(m=m, b=b, s=s, p=2)
+    assert PauliError(m=np.int64(1), b=(np.int8(1),), s=(np.uint8(0),),
+                      p=2) == PauliError(m=1, b=(1,), s=(0,), p=2)
+
+
+@pytest.mark.parametrize("kwargs, text", [
+    (dict(q=1.5, b=1), "address 1.5 is not an integer"),
+    (dict(q=1, b="x"), "digit 'x' is not an integer"),
+    (dict(q=1, s=1, m=None), "phase exponent None is not an integer")])
+def test_single_pauli_refuses_an_index_that_is_not_an_integer(kwargs, text):
+    with pytest.raises(StateError, match=re.escape(text)):
+        PauliError.single(2, 5, **kwargs)
+
+
+@pytest.mark.parametrize("n, text", [
+    (-1, "negative register size -1"),
+    (1.5, "register size 1.5 is not an integer"),
+    ("2", "register size '2' is not an integer")])
+def test_random_state_refuses_a_bad_register_size_before_drawing(n, text):
+    rng = np.random.default_rng(0)
+    with pytest.raises(StateError, match=re.escape(text)):
+        random_state(2, n, rng)
+    assert rng.bit_generator.state == np.random.default_rng(
+        0).bit_generator.state
 
 
 def test_apply_pauli_error_matches_per_qubit_route():
